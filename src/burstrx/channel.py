@@ -47,10 +47,6 @@ class ChannelConfig:
             raise ChannelError("snr_db must be finite or None")
 
 
-def _freqs_hz(n: int) -> np.ndarray:
-    return np.fft.fftfreq(n, d=1.0 / SAMPLE_RATE_HZ)
-
-
 def apply_fractional_delay(x: np.ndarray, tau_samples: float) -> np.ndarray:
     """Delay a waveform by a (fractional) number of samples.
 

@@ -1,7 +1,7 @@
-"""Simulator configuration: dataclasses, YAML loading, validation.
+"""Simulator configuration: dataclasses, loading from a mapping, validation.
 
-The file format is a YAML mapping with one section per subsystem; unknown
-keys are rejected so typos fail loudly.  Defaults reproduce the paper-mode
+A configuration is a mapping with one section per subsystem; unknown keys
+are rejected so typos fail loudly.  Defaults reproduce the paper-mode
 frame (1056-symbol preamble, 1.3e5 payload) over a clean channel.
 """
 
@@ -9,11 +9,9 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
-import yaml
-
 from . import framing
 from .channel import ChannelConfig, rop_to_snr
-from .errors import ConfigError
+from .errors import ConfigError, LayoutError
 
 
 @dataclass
@@ -21,7 +19,6 @@ class TimingSection:
     kp: float = 1e-2
     ki: float = 1e-4
     deadzone: float = 0.0
-    nco_mode: str = "accumulator"
     spo_init: bool = True
 
 
@@ -30,7 +27,6 @@ class EqualizerSection:
     mu: float = 1e-3
     mmse_init: bool = True
     ddlms: bool = True
-    lms_literal: bool = False
 
 
 @dataclass
@@ -133,8 +129,6 @@ class SimConfig:
             raise ConfigError(f"frame: {exc}") from exc
         if not 0.0 < self.tx.rrc_rolloff <= 0.125:
             raise ConfigError("tx.rrc_rolloff must be in (0, 0.125]")
-        if self.timing.nco_mode not in ("accumulator", "paper"):
-            raise ConfigError(f"timing.nco_mode {self.timing.nco_mode!r} unknown")
         if self.timing.kp < 0 or self.timing.ki < 0:
             raise ConfigError("timing gains must be >= 0")
         if self.channel.gap_samples < 0:
@@ -144,7 +138,10 @@ class SimConfig:
         if self.equalizer.mu < 0:
             raise ConfigError("equalizer.mu must be >= 0")
         # reject Pn seeds whose sync peak is not unique enough
-        framing.validate_pn_seed(self.frame.pn_seed, min_ratio=2.0)
+        try:
+            framing.validate_pn_seed(self.frame.pn_seed, min_ratio=2.0)
+        except LayoutError as exc:
+            raise ConfigError(f"frame.pn_seed: {exc}") from exc
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -183,12 +180,3 @@ def from_dict(data: dict) -> SimConfig:
     cfg = SimConfig(seed=int(seed), **kwargs)
     cfg.validate()
     return cfg
-
-
-def from_yaml(path: str) -> SimConfig:
-    with open(path) as fh:
-        try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return from_dict(data or {})

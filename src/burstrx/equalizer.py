@@ -19,10 +19,9 @@ gradient:
 
 The error is decision-minus-output: with the opposite ordering the update
 adds energy along the tap direction and the loop diverges, so the gradient
-sign is the one stability forces.  The update uses conj(Y); the plain
-product is available behind ``lms_literal`` for comparison.  The decimated
-error is exact for frequency-flat beats and approximate otherwise, trading
-accuracy for the 16x complexity reduction.
+sign is the one stability forces.  The decimated error is exact for
+frequency-flat beats and approximate otherwise, trading accuracy for the 16x
+complexity reduction.
 """
 
 from dataclasses import dataclass, field
@@ -143,12 +142,10 @@ class FdeState:
 
     W: np.ndarray = field(default_factory=lambda: np.ones(N_IN, dtype=np.complex128))
     mu: float = 1e-3
-    lms_literal: bool = False
     threshold: ThresholdTracker = field(default_factory=ThresholdTracker)
-    dead_bins: np.ndarray = None
 
     def initialize(self, Y_beats: np.ndarray, C_ref: np.ndarray) -> None:
-        self.W, self.dead_bins = mmse_estimate(Y_beats, C_ref)
+        self.W, _ = mmse_estimate(Y_beats, C_ref)
 
 
 def ddlms_update(state: FdeState, Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -165,6 +162,5 @@ def ddlms_update(state: FdeState, Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
     e = np.repeat(e8, DECIMATION)
     power = float(np.mean(np.abs(Y) ** 2))
     mu_eff = state.mu / power if power > 0 else 0.0
-    grad_in = Y if state.lms_literal else np.conj(Y)
-    state.W = state.W + 2.0 * mu_eff * grad_in * e
+    state.W = state.W + 2.0 * mu_eff * np.conj(Y) * e
     return e

@@ -131,11 +131,3 @@ def fft_144(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     if inverse:
         y = y / 144.0
     return y
-
-
-def fft_any(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Dispatch to the right fixed-size kernel by input length."""
-    n = np.asarray(x).shape[-1]
-    if n == 144:
-        return fft_144(x, inverse)
-    return fft_pow2(x, inverse)

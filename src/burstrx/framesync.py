@@ -1,8 +1,8 @@
 """Frame synchronization on the 1-sps symbol stream via Pn correlation.
 
-Two consecutive 96-symbol beats form a 192-symbol window; sliding the
-32-symbol bipolar Pn across it yields 161 correlations, and combining them
-with the block signs ``[1, 1, -1]`` gives 97 metric values per placement:
+Sliding the 32-symbol bipolar Pn across the stream yields one correlation
+``c(p)`` per offset, and combining them with the block signs ``[1, 1, -1]``
+gives the metric of every placement:
 
     M(p) = c(p) + c(p+32) - c(p+64)
 
@@ -22,9 +22,6 @@ import numpy as np
 from .errors import SyncError
 from .txchain import SPS
 
-PN_LEN = 32
-WINDOW = 192
-
 
 @dataclass
 class SyncResult:
@@ -33,16 +30,14 @@ class SyncResult:
     frac: float             # fractional residue, compensated by the FDTR
     peak_value: float
     second_peak_value: float
-    beat_peaks: np.ndarray = None  # per-beat metric maxima (trace export)
 
 
-def make_sync_result(p1: int, peak: float, second: float, beat_peaks=None) -> SyncResult:
+def make_sync_result(p1: int, peak: float, second: float) -> SyncResult:
     scaled = p1 * SPS
     p = int(np.floor(scaled))
     return SyncResult(
         p1=int(p1), p=p, frac=float(scaled - p),
         peak_value=float(peak), second_peak_value=float(second),
-        beat_peaks=beat_peaks,
     )
 
 
@@ -52,31 +47,16 @@ def bipolarize(symbols: np.ndarray) -> np.ndarray:
     return 2.0 * (symbols - symbols.mean())
 
 
-def xcorr_pn(window: np.ndarray, pn: np.ndarray) -> np.ndarray:
-    """161 sliding correlations of a 192-symbol window against Pn.
+def metric_stream(s: np.ndarray, pn: np.ndarray) -> np.ndarray:
+    """M(p) for every placement p in a bipolar symbol stream.
 
-    With Pn in {-1, +1} each correlation is a signed sum, add/subtract only.
+    Correlates the stream with Pn and combines the correlations 32 and 64
+    symbols apart with the block signs ``[1, 1, -1]``.  Raises
+    :class:`SyncError` when the stream holds no complete placement.
     """
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape != (WINDOW,):
-        raise SyncError(f"window must have {WINDOW} symbols, got {window.shape}")
-    return np.correlate(window, np.asarray(pn, dtype=np.float64), mode="valid")
-
-
-def sync_metric(c: np.ndarray) -> np.ndarray:
-    """Combine correlations with the [1, 1, -1] block signs: 97 values."""
-    c = np.asarray(c, dtype=np.float64)
-    return c[:97] + c[32:129] - c[64:161]
-
-
-def metric_stream(symbols: np.ndarray, pn: np.ndarray) -> np.ndarray:
-    """M(p) for every placement p in a symbol stream (vectorized sliding form).
-
-    Equivalent to evaluating :func:`sync_metric` on consecutive beat pairs but
-    over the whole stream at once.
-    """
-    s = bipolarize(symbols)
-    c = np.correlate(s, np.asarray(pn, dtype=np.float64), mode="valid")
+    c = np.correlate(
+        np.asarray(s, dtype=np.float64), np.asarray(pn, dtype=np.float64), mode="valid"
+    )
     if len(c) < 65:
         raise SyncError("stream too short for the sync metric")
     return c[:-64] + c[32:-32] - c[64:]
@@ -94,17 +74,13 @@ def find_sync(
     caller's absolute stream coordinates.  Raises :class:`SyncError` when the
     peak does not dominate every other placement by ``ratio_min``.
     """
-    m = metric_stream(symbols, pn)
+    m = metric_stream(bipolarize(symbols), pn)
     p_local = int(np.argmax(m))
     peak = float(m[p_local])
     rest = np.abs(np.delete(m, p_local))
     second = float(rest.max()) if len(rest) else 0.0
-    n_beats = len(m) // 96
-    beat_peaks = np.array(
-        [np.max(m[b * 96 : (b + 1) * 96]) for b in range(n_beats)]
-    ) if n_beats else None
     if peak <= 0 or (second > 0 and peak / second < ratio_min):
         raise SyncError(
             f"sync peak ratio {peak / max(second, 1e-12):.2f} below {ratio_min}"
         )
-    return make_sync_result(p_local + offset, peak, second, beat_peaks)
+    return make_sync_result(p_local + offset, peak, second)

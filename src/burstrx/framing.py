@@ -1,4 +1,4 @@
-"""Burst frame construction: designed preamble, payload, region tags.
+"""Burst frame construction: designed preamble and payload.
 
 The frame is ``A || B || C || payload`` at one sample per symbol with the
 unipolar PAM2 alphabet {0, 1}:
@@ -20,15 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import prng
+from . import framesync, prng
 from .errors import LayoutError, PayloadError
 
 PN_LEN = 32
-
-REGION_A = "preamble_a"
-REGION_B = "preamble_b"
-REGION_C = "preamble_c"
-REGION_PAYLOAD = "payload"
 
 
 @dataclass(frozen=True)
@@ -64,43 +59,16 @@ class FrameLayout:
         """Preamble airtime in nanoseconds at the given baud rate."""
         return self.preamble_len / baud_gbd
 
-    def region_of(self, index: int) -> str:
-        if index < 0 or index >= self.total_len:
-            raise IndexError(f"symbol index {index} outside frame")
-        if index < self.preamble_a_len:
-            return REGION_A
-        if index < self.preamble_a_len + self.preamble_b_len:
-            return REGION_B
-        if index < self.preamble_len:
-            return REGION_C
-        return REGION_PAYLOAD
-
-    def region_slice(self, region: str) -> slice:
-        a, b, c = self.preamble_a_len, self.preamble_b_len, self.preamble_c_len
-        bounds = {
-            REGION_A: (0, a),
-            REGION_B: (a, a + b),
-            REGION_C: (a + b, a + b + c),
-            REGION_PAYLOAD: (a + b + c, self.total_len),
-        }
-        if region not in bounds:
-            raise KeyError(region)
-        lo, hi = bounds[region]
-        return slice(lo, hi)
-
 
 @dataclass
 class SymbolStream:
-    """PAM2 symbols in {0, 1} with per-region tags from the layout."""
+    """PAM2 symbols in {0, 1} with the layout that placed them."""
 
     symbols: np.ndarray
     layout: FrameLayout = field(repr=False, default=None)
 
     def __len__(self):
         return len(self.symbols)
-
-    def region(self, name: str) -> np.ndarray:
-        return self.symbols[self.layout.region_slice(name)]
 
 
 def gen_preamble_a(layout: FrameLayout) -> np.ndarray:
@@ -138,7 +106,7 @@ def gen_payload_bits(layout: FrameLayout, seed: int) -> np.ndarray:
 
 
 def build_frame(layout: FrameLayout, payload_bits: np.ndarray) -> SymbolStream:
-    """Assemble ``A || B || C || payload`` and tag the regions."""
+    """Assemble ``A || B || C || payload``."""
     payload_bits = np.asarray(payload_bits)
     if len(payload_bits) != layout.payload_len:
         raise PayloadError(
@@ -168,9 +136,7 @@ def validate_pn_seed(seed: int, min_ratio: float = 2.0) -> float:
     # Preamble B embedded mid-window so every relevant shift of the metric
     # sees it, flanked by silence.
     guard = np.zeros(96)
-    window = np.concatenate([guard, b, guard])
-    corr = np.correlate(window, pn, mode="valid")
-    metric = corr[:-64] + corr[32:-32] - corr[64:]
+    metric = framesync.metric_stream(np.concatenate([guard, b, guard]), pn)
     peak_pos = int(np.argmax(metric))
     peak = metric[peak_pos]
     rest = np.abs(np.delete(metric, peak_pos))

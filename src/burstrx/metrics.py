@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .errors import AlignmentError
 
@@ -58,7 +58,7 @@ def error_distribution(
         return ErrorHistogram(counts=counts, chi2_stat=None, p_value=None)
     expected = total / bins
     stat = float(np.sum((counts - expected) ** 2 / expected))
-    p = float(chi2.sf(stat, df=bins - 1))
+    p = float(chdtrc(bins - 1, stat))
     return ErrorHistogram(counts=counts, chi2_stat=stat, p_value=p)
 
 

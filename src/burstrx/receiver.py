@@ -23,7 +23,6 @@ or channel delay.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -46,7 +45,7 @@ class Acquisition:
     loop: FdtrLoop
     symbols: np.ndarray            # recovered 1-sps stream (stage 1)
     first_symbol_index: int        # absolute index of symbols[0]
-    sync: Optional[framesync.SyncResult] = None
+    sync: framesync.SyncResult
     stage1_trace_len: int = 0
 
 
@@ -87,7 +86,7 @@ class BurstReceiver:
         return FdtrLoop(
             FdtrConfig(
                 kp=t.kp, ki=t.ki, alpha=self.cfg.tx.rrc_rolloff,
-                deadzone=t.deadzone, nco_mode=t.nco_mode,
+                deadzone=t.deadzone,
             )
         )
 
@@ -95,8 +94,7 @@ class BurstReceiver:
         """Corrected 144-bin spectrum -> 128 time samples at 1 sps."""
         return fft_pow2(eq.strip_rolloff(corrected), inverse=True)
 
-    def acquire(self, waveform: np.ndarray, with_sync: bool = True,
-                scan_beats: Optional[int] = None) -> Acquisition:
+    def acquire(self, waveform: np.ndarray) -> Acquisition:
         """Detect the burst, seed the timing loop, and locate Preamble B."""
         beats = rxfront.rx_slice_beats(waveform)
         n_beats = len(beats)
@@ -117,9 +115,8 @@ class BurstReceiver:
         if detect_beat is None or detect_beat + 2 >= n_beats:
             raise DetectionError("no burst detected in the waveform")
 
-        horizon = scan_beats if scan_beats is not None else rx_cfg.acquire_beats
         first_beat = detect_beat + 1
-        last_beat = min(first_beat + horizon, n_beats)
+        last_beat = min(first_beat + rx_cfg.acquire_beats, n_beats)
         X_acq = rxfront.beat_spectra(beats[first_beat:last_beat], self.h_rx)
 
         tau0, confident = rxfront.estimate_initial_spo(X_acq[0])
@@ -135,26 +132,23 @@ class BurstReceiver:
         symbols = np.concatenate(symbols)
         first_symbol_index = 96 * first_beat + VALID_OFFSET
 
-        acq = Acquisition(
+        sync = framesync.find_sync(
+            symbols, self.pn, ratio_min=rx_cfg.sync_ratio_min,
+            offset=first_symbol_index,
+        )
+        return Acquisition(
             detect_beat=detect_beat,
             tau0=tau0,
             tau0_confident=confident,
             loop=loop,
             symbols=symbols,
             first_symbol_index=first_symbol_index,
+            sync=sync,
             stage1_trace_len=len(loop.trace),
         )
-        if with_sync:
-            acq.sync = framesync.find_sync(
-                symbols, self.pn, ratio_min=rx_cfg.sync_ratio_min,
-                offset=first_symbol_index,
-            )
-        return acq
 
     def demodulate(self, waveform: np.ndarray, acq: Acquisition) -> DemodResult:
         """Frame-aligned pass: training, equalization, payload decisions."""
-        if acq.sync is None:
-            raise SyncError("acquisition carries no sync result")
         origin = acq.sync.p - SYNC_REALIGN
         if origin < 0:
             raise SyncError(f"sync position {acq.sync.p} leaves no room to realign")
@@ -170,7 +164,7 @@ class BurstReceiver:
 
         loop = acq.loop
         eq_cfg = self.cfg.equalizer
-        state = eq.FdeState(mu=eq_cfg.mu, lms_literal=eq_cfg.lms_literal)
+        state = eq.FdeState(mu=eq_cfg.mu)
         y_train = np.empty((self.n_c_beats, txchain.N_IN), dtype=np.complex128)
         mse_trace = []
         payload = []

@@ -8,11 +8,10 @@ The feedback loop has four parts, mirroring the hardware flow:
   *same* transmitted frequency content and their product's imaginary part is
   an odd function of the sampling-phase error;
 * a proportional-integral loop filter;
-* a numerically controlled oscillator.  The paper-literal form keeps a Mod-1
-  phase, a ``mu = eta/W`` fractional interval, and a three-branch integer
-  update; it is preserved and tested as written.  A direct accumulator
-  ``tau <- tau + W`` is the default for closed-loop runs because the literal
-  fractional interval is unbounded for small control words;
+* a numerically controlled oscillator, the accumulator ``tau <- tau + W``.
+  The paper's Mod-1 form is not modelled: its fractional interval ``eta/W``
+  is unbounded for small control words, and closed-loop it decoded at a BER
+  of about 0.49 even on a noiseless channel;
 * a frequency-domain interpolator multiplying bin ``k`` by
   ``exp(-2j pi f_k tau)``.
 
@@ -37,23 +36,20 @@ from .txchain import FREQ_SYMBOL_144, N_OUT, SPS
 ALIAS_STRIDE = 16  # N - N/sps = 144 - 128
 
 
-def godard_band(alpha: float = 0.1, n: int = N_OUT, sps: float = SPS) -> np.ndarray:
+def godard_band(alpha: float = 0.1) -> np.ndarray:
     """Integer bin range [ceil((1-a)K), floor((1+a)K)-1] with K = N/(2 sps)."""
-    k_center = n / (2 * sps)
+    k_center = N_OUT / (2 * SPS)
     lo = ceil((1 - alpha) * k_center)
     hi = floor((1 + alpha) * k_center) - 1
     return np.arange(lo, hi + 1)
 
 
-def godard_error(X: np.ndarray, alpha: float = 0.1, sps: float = SPS) -> float:
-    """Raw timing error: sum of Im[X(k) conj(X(k+16))] over the excess band."""
-    X = np.asarray(X)
-    k = godard_band(alpha, X.shape[-1], sps)
-    pair = X[k] * np.conj(X[k + ALIAS_STRIDE])
-    return float(np.sum(pair.imag))
+def godard_error(X: np.ndarray, alpha: float = 0.1) -> tuple[float, float]:
+    """Detector sums over the excess band of a 144-bin spectrum.
 
-
-def _pairing(X: np.ndarray, alpha: float) -> tuple[float, float]:
+    Returns ``(sum Im[P], sum |P|)`` with ``P = X(k) conj(X(k+16))``: the raw
+    timing error and the pairing magnitude that normalizes it.
+    """
     k = godard_band(alpha)
     pair = X[k] * np.conj(X[k + ALIAS_STRIDE])
     return float(np.sum(pair.imag)), float(np.sum(np.abs(pair)))
@@ -74,47 +70,14 @@ def loop_filter_step(state: LoopFilterState, e: float) -> float:
     return state.kp * e + state.ki * state.accumulator
 
 
-@dataclass
-class NcoState:
-    """Mod-1 oscillator phase plus the integer interval counter."""
-
-    eta: float = 0.0
-    m: int = 0
-
-
-def nco_step(state: NcoState, W: float) -> tuple[int, float, bool]:
-    """One paper-literal NCO update; returns (m, mu, stalled).
-
-    ``eta`` advances as Mod[eta - W, 1]; the fractional interval is
-    ``eta_prev / W`` and the integer interval follows the three-branch rule on
-    ``eta_prev - W``.  A zero control word stalls the divider: mu is reported
-    as 0 with the stall flag set.
-    """
-    eta_prev = state.eta
-    diff = eta_prev - W
-    if diff >= 0:
-        state.m += 1
-    elif diff < -1:
-        state.m -= 1
-    state.eta = diff % 1.0
-    if W == 0.0:
-        return state.m, 0.0, True
-    return state.m, eta_prev / W, False
-
-
 def fd_interpolate(X: np.ndarray, tau_samples: float) -> np.ndarray:
     """Fractional-delay rotation: bin k times exp(-2j pi f_k tau).
 
-    ``f_k`` is k/N for k <= N/2 and (k-N)/N above, in cycles per sample.
+    ``X`` is a 144-bin spectrum; ``f_k`` is k/144 for k <= 72 and
+    (k-144)/144 above, in cycles per sample.
     """
-    X = np.asarray(X)
-    n = X.shape[-1]
-    if n == N_OUT:
-        f = FREQ_SYMBOL_144 / SPS
-    else:
-        k = np.arange(n)
-        f = np.where(k <= n // 2, k / n, (k - n) / n)
-    return X * np.exp(-2j * np.pi * f * tau_samples)
+    f = FREQ_SYMBOL_144 / SPS
+    return np.asarray(X) * np.exp(-2j * np.pi * f * tau_samples)
 
 
 @dataclass
@@ -123,7 +86,6 @@ class FdtrConfig:
     ki: float = 1e-4
     alpha: float = 0.1
     deadzone: float = 0.0
-    nco_mode: str = "accumulator"  # "accumulator" | "paper"
 
 
 @dataclass
@@ -133,15 +95,12 @@ class FdtrLoop:
     cfg: FdtrConfig = field(default_factory=FdtrConfig)
     tau: float = 0.0                     # samples at 1.125 sps
     lf: LoopFilterState = None
-    nco: NcoState = field(default_factory=NcoState)
     trace: list = field(default_factory=list)
     beat_count: int = 0
 
     def __post_init__(self):
         if self.lf is None:
             self.lf = LoopFilterState(kp=self.cfg.kp, ki=self.cfg.ki)
-        if self.cfg.nco_mode not in ("accumulator", "paper"):
-            raise ValueError(f"unknown nco_mode {self.cfg.nco_mode!r}")
 
     def process_beat(
         self,
@@ -163,19 +122,9 @@ class FdtrLoop:
         corrected = fd_interpolate(X, self.tau)
         self.trace.append((self.beat_count, self.tau))
         self.beat_count += 1
-        e_raw, mag = _pairing(corrected, self.cfg.alpha)
+        e_raw, mag = godard_error(corrected, self.cfg.alpha)
         e = e_raw / mag if mag > 0 else 0.0
         if abs(e) < self.cfg.deadzone:
             e = 0.0
-        W = loop_filter_step(self.lf, e)
-        if self.cfg.nco_mode == "accumulator":
-            self.tau += W
-        else:
-            m, mu, stalled = nco_step(self.nco, W)
-            if not stalled:
-                self.tau = m + mu
+        self.tau += loop_filter_step(self.lf, e)
         return corrected
-
-    def trace_ui(self) -> np.ndarray:
-        """Applied timing per beat in unit intervals."""
-        return np.array([t for _, t in self.trace]) / SPS

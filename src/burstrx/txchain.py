@@ -1,4 +1,4 @@
-"""Beat-streaming transmitter: PAM2 mapping, FD resampling, RRC shaping.
+"""Beat-streaming transmitter: FD resampling and RRC shaping of PAM2 symbols.
 
 Each beat takes 96 symbols at 1 sample per symbol, prepends the previous
 beat's 32-symbol tail, transforms with a 128-point FFT, widens the spectrum
@@ -15,8 +15,6 @@ the pulse's own far tails (~1e-3) as residual block error.  An integer-symbol
 delay is invisible to the timing recovery and is absorbed by frame
 synchronization downstream.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,16 +36,6 @@ DEFAULT_DELAY_SYMBOLS = 16
 # 72 are negative frequencies.  The excess band lives in |f| in (0.45, 0.5625].
 _K144 = np.arange(N_OUT)
 FREQ_SYMBOL_144 = np.where(_K144 <= N_OUT // 2, _K144 / N_IN, (_K144 - N_OUT) / N_IN)
-
-
-def map_pam2(bits) -> np.ndarray:
-    """Bits to unipolar PAM2 levels: the identity onto {0, 1} as float."""
-    return np.asarray(bits, dtype=np.float64)
-
-
-def demap_pam2(levels, threshold: float = 0.5) -> np.ndarray:
-    """Levels back to bits by thresholding."""
-    return (np.asarray(levels) > threshold).astype(np.uint8)
 
 
 def resample_up_fd(X: np.ndarray) -> np.ndarray:
@@ -92,43 +80,6 @@ def apply_rrc(X: np.ndarray, response: np.ndarray) -> np.ndarray:
     return X * response
 
 
-@dataclass
-class TxState:
-    """Streaming transmitter state: overlap buffer and beat counter."""
-
-    rolloff: float = DEFAULT_ROLLOFF
-    delay_symbols: float = DEFAULT_DELAY_SYMBOLS
-    overlap: np.ndarray = field(default_factory=lambda: np.zeros(OVERLAP_IN))
-    beat_index: int = 0
-    _response: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.rolloff <= 0.125:
-            raise ValueError(
-                "rolloff must be in (0, 0.125] for the 144/128 band geometry"
-            )
-        if self._response is None:
-            self._response = rrc_response(self.rolloff, self.delay_symbols)
-
-    @property
-    def response(self) -> np.ndarray:
-        return self._response
-
-
-def tx_process_beat(state: TxState, symbols: np.ndarray) -> np.ndarray:
-    """Shape one 96-symbol beat into 108 output samples at 1.125 sps."""
-    symbols = np.asarray(symbols, dtype=np.float64)
-    if symbols.shape != (SYMBOLS_PER_BEAT,):
-        raise ValueError(f"beat must have exactly {SYMBOLS_PER_BEAT} symbols")
-    block = np.concatenate([state.overlap, symbols])
-    state.overlap = block[-OVERLAP_IN:].copy()
-    state.beat_index += 1
-    X = fft_pow2(block.astype(np.complex128))
-    Y = apply_rrc(resample_up_fd(X), state.response)
-    y = fft_144(Y, inverse=True)
-    return y[OVERLAP_OUT:].real
-
-
 def tx_frame(
     symbols: np.ndarray,
     rolloff: float = DEFAULT_ROLLOFF,
@@ -137,9 +88,10 @@ def tx_frame(
 ) -> np.ndarray:
     """Shape a whole symbol stream at once (batch form of the beat loop).
 
-    Trailing zero beats flush the shaping-filter delay so the final symbols
-    of the stream appear in the output.  Bit-identical to driving
-    :func:`tx_process_beat` beat by beat.
+    Each 128-symbol block is the previous beat's 32-symbol tail followed by
+    this beat's 96 symbols (zeros before the first beat).  Trailing zero
+    beats flush the shaping-filter delay so the final symbols of the stream
+    appear in the output.
     """
     symbols = np.asarray(symbols, dtype=np.float64)
     pad = (-len(symbols)) % SYMBOLS_PER_BEAT + flush_beats * SYMBOLS_PER_BEAT

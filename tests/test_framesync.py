@@ -11,45 +11,51 @@ PN = framing.pn_sequence(LAYOUT.pn_seed)
 
 
 class TestXcorr:
+    """The Pn correlation inside ``metric_stream``, one block at a time."""
+
     def test_clean_blocks(self):
-        window = np.concatenate([PN, PN, -PN, np.zeros(96)])[:192]
-        c = framesync.xcorr_pn(window, PN)
-        assert len(c) == 161
-        assert c[0] == 32
-        assert c[32] == 32
-        assert c[64] == -32
+        z = np.zeros(32)
+        for blocks, expected in [
+            ((PN, z, z), 32), ((z, PN, z), 32), ((z, z, PN), -32),
+        ]:
+            m = framesync.metric_stream(np.concatenate(blocks), PN)
+            assert len(m) == 1
+            assert m[0] == expected
 
     def test_zero_window(self):
-        assert not framesync.xcorr_pn(np.zeros(192), PN).any()
+        m = framesync.metric_stream(np.zeros(1000), PN)
+        assert len(m) == 1000 - 95
+        assert not m.any()
 
     def test_linearity_in_gain(self):
         rng = np.random.default_rng(1)
-        w = rng.normal(size=192)
-        c1 = framesync.xcorr_pn(w, PN)
-        c2 = framesync.xcorr_pn(3.5 * w, PN)
-        assert np.allclose(c2, 3.5 * c1)
-
-    def test_window_size_checked(self):
-        with pytest.raises(SyncError):
-            framesync.xcorr_pn(np.zeros(191), PN)
+        s = rng.normal(size=192)
+        m1 = framesync.metric_stream(s, PN)
+        m2 = framesync.metric_stream(3.5 * s, PN)
+        assert np.allclose(m2, 3.5 * m1)
 
 
 class TestSyncMetric:
     def test_clean_peak_96(self):
-        window = np.concatenate([PN, PN, -PN, np.zeros(96)])[:192]
-        m = framesync.sync_metric(framesync.xcorr_pn(window, PN))
+        s = np.concatenate([PN, PN, -PN, np.zeros(96)])
+        m = framesync.metric_stream(s, PN)
         assert len(m) == 97
         assert m[0] == 96
 
     def test_zero(self):
-        assert not framesync.sync_metric(np.zeros(161)).any()
+        assert not framesync.metric_stream(np.zeros(192), PN).any()
 
     def test_linear(self):
         rng = np.random.default_rng(2)
-        c1, c2 = rng.normal(size=(2, 161))
-        lhs = framesync.sync_metric(2 * c1 - 3 * c2)
-        rhs = 2 * framesync.sync_metric(c1) - 3 * framesync.sync_metric(c2)
+        s1, s2 = rng.normal(size=(2, 192))
+        lhs = framesync.metric_stream(2 * s1 - 3 * s2, PN)
+        rhs = 2 * framesync.metric_stream(s1, PN) - 3 * framesync.metric_stream(s2, PN)
         assert np.allclose(lhs, rhs)
+
+    def test_stream_too_short(self):
+        framesync.metric_stream(np.zeros(96), PN)
+        with pytest.raises(SyncError):
+            framesync.metric_stream(np.zeros(95), PN)
 
 
 class TestFindSync:
@@ -88,7 +94,7 @@ class TestFindSync:
     def test_single_dominant_peak_in_frame(self):
         # full preamble frame: exactly one metric value above half the peak
         frame = framing.build_frame(LAYOUT, np.array([], dtype=np.uint8))
-        m = framesync.metric_stream(frame.symbols, PN)
+        m = framesync.metric_stream(framesync.bipolarize(frame.symbols), PN)
         peak = m.max()
         assert np.sum(m > 0.5 * peak) == 1
 

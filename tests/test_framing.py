@@ -68,6 +68,18 @@ class TestPreambleB:
         ratio = framing.validate_pn_seed(paper_layout().pn_seed, min_ratio=2.0)
         assert ratio >= 2.0
 
+    @pytest.mark.parametrize(
+        "seed, ratio",
+        [(0x5EED0001, 2.909090909090909), (0x3, 2.6666666666666665),
+         (0x1234, 2.4615384615384617)],
+    )
+    def test_seed_ratio_values(self, seed, ratio):
+        assert framing.validate_pn_seed(seed) == ratio
+
+    def test_bad_seed_rejected(self):
+        with pytest.raises(LayoutError):
+            framing.validate_pn_seed(4)
+
     def test_preamble_a_uncorrelated_with_pn(self):
         lay = paper_layout()
         a_bip = 2 * framing.gen_preamble_a(lay) - 1
@@ -105,13 +117,6 @@ class TestBuildFrame:
         frame = framing.build_frame(paper_layout(0), np.array([], dtype=np.uint8))
         assert len(frame) == 1056
 
-    def test_region_tags(self):
-        lay = paper_layout(96)
-        assert lay.region_of(0) == framing.REGION_A
-        assert lay.region_of(192) == framing.REGION_B
-        assert lay.region_of(288) == framing.REGION_C
-        assert lay.region_of(1056) == framing.REGION_PAYLOAD
-
     def test_length_mismatch(self):
         with pytest.raises(PayloadError):
             framing.build_frame(paper_layout(10), np.zeros(9, dtype=np.uint8))
@@ -120,10 +125,12 @@ class TestBuildFrame:
         lay = paper_layout(192)
         bits = framing.gen_payload_bits(lay, seed=5)
         frame = framing.build_frame(lay, bits)
-        assert np.array_equal(frame.region(framing.REGION_A), framing.gen_preamble_a(lay))
-        assert np.array_equal(frame.region(framing.REGION_B), framing.gen_preamble_b(lay))
-        assert np.array_equal(frame.region(framing.REGION_C), framing.gen_preamble_c(lay))
-        assert np.array_equal(frame.region(framing.REGION_PAYLOAD), bits.astype(float))
+        a, b, c = lay.preamble_a_len, lay.preamble_b_len, lay.preamble_c_len
+        s = frame.symbols
+        assert np.array_equal(s[:a], framing.gen_preamble_a(lay))
+        assert np.array_equal(s[a : a + b], framing.gen_preamble_b(lay))
+        assert np.array_equal(s[a + b : a + b + c], framing.gen_preamble_c(lay))
+        assert np.array_equal(s[a + b + c :], bits.astype(float))
 
     def test_symbols_binary(self):
         lay = paper_layout(96)

@@ -1,4 +1,4 @@
-"""Transmitter chain tests: mapping, resampling, shaping, streaming."""
+"""Transmitter chain tests: resampling, shaping, streaming."""
 
 import numpy as np
 import pytest
@@ -8,16 +8,25 @@ from burstrx.errors import FftSizeError
 from burstrx.fourier import fft_144, fft_pow2
 
 
-class TestMapPam2:
-    def test_identity(self):
-        assert list(txchain.map_pam2([0, 1, 1, 0])) == [0.0, 1.0, 1.0, 0.0]
+class TxState:
+    """Streaming transmitter state: overlap buffer of the previous beat."""
 
-    def test_all_zeros(self):
-        assert not txchain.map_pam2(np.zeros(16, dtype=int)).any()
+    def __init__(self, rolloff=txchain.DEFAULT_ROLLOFF,
+                 delay_symbols=txchain.DEFAULT_DELAY_SYMBOLS):
+        self.overlap = np.zeros(txchain.OVERLAP_IN)
+        self.response = txchain.rrc_response(rolloff, delay_symbols)
 
-    def test_round_trip(self):
-        bits = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-        assert np.array_equal(txchain.demap_pam2(txchain.map_pam2(bits)), bits)
+
+def tx_process_beat(state, symbols):
+    """Beat-by-beat oracle for tx_frame: 96 symbols in, 108 samples out."""
+    symbols = np.asarray(symbols, dtype=np.float64)
+    assert symbols.shape == (txchain.SYMBOLS_PER_BEAT,)
+    block = np.concatenate([state.overlap, symbols])
+    state.overlap = block[-txchain.OVERLAP_IN :].copy()
+    X = fft_pow2(block.astype(np.complex128))
+    Y = txchain.apply_rrc(txchain.resample_up_fd(X), state.response)
+    y = fft_144(Y, inverse=True)
+    return y[txchain.OVERLAP_OUT :].real
 
 
 class TestResampleUp:
@@ -69,24 +78,24 @@ class TestRrcResponse:
 
 class TestBeatStreaming:
     def test_beat_shape_and_rate(self):
-        state = txchain.TxState()
-        out = txchain.tx_process_beat(state, np.ones(96))
+        state = TxState()
+        out = tx_process_beat(state, np.ones(96))
         assert out.shape == (108,)
         assert 108 / 96 == txchain.SPS
 
     def test_all_zero_symbols(self):
-        state = txchain.TxState()
-        out = txchain.tx_process_beat(state, np.zeros(96))
+        state = TxState()
+        out = tx_process_beat(state, np.zeros(96))
         assert np.max(np.abs(out)) < 1e-15
 
     def test_batch_matches_streaming(self):
         rng = np.random.default_rng(11)
         symbols = rng.integers(0, 2, 96 * 7).astype(float)
         batch = txchain.tx_frame(symbols, flush_beats=1)
-        state = txchain.TxState()
+        state = TxState()
         stream = np.concatenate(
             [
-                txchain.tx_process_beat(state, blk)
+                tx_process_beat(state, blk)
                 for blk in np.concatenate([symbols, np.zeros(96)]).reshape(-1, 96)
             ]
         )
