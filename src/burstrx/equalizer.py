@@ -148,13 +148,16 @@ class FdeState:
         self.W, _ = mmse_estimate(Y_beats, C_ref)
 
 
-def ddlms_update(state: FdeState, Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def ddlms_update(
+    state: FdeState, Z: np.ndarray, z: np.ndarray, Y: np.ndarray
+) -> np.ndarray:
     """One decimated decision-directed tap update; returns the 128-bin error.
 
+    ``Z`` is the equalized spectrum of the beat and ``z`` its 128-point
+    inverse transform, which the caller has already computed for decisions.
     Step size is the configured ``mu`` normalized by the beat's mean per-bin
     power (power-normalized LMS), uniform across bins.
     """
-    z = fft_pow2(Z, inverse=True)
     picks = z[PICK_BINS].real
     decisions = (picks > state.threshold.value).astype(np.float64)
     Z_hat8 = fft_pow2(decisions.astype(np.complex128)) * DECIMATION

@@ -16,7 +16,7 @@ All pseudo-random content comes from the documented xorshift64* generator so
 the sequences are reproducible from the seeds alone (see :mod:`burstrx.prng`).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,17 +60,6 @@ class FrameLayout:
         return self.preamble_len / baud_gbd
 
 
-@dataclass
-class SymbolStream:
-    """PAM2 symbols in {0, 1} with the layout that placed them."""
-
-    symbols: np.ndarray
-    layout: FrameLayout = field(repr=False, default=None)
-
-    def __len__(self):
-        return len(self.symbols)
-
-
 def gen_preamble_a(layout: FrameLayout) -> np.ndarray:
     """Alternating ``[0, 1, 0, 1, ...]`` tone preamble."""
     if layout.preamble_a_len % 2:
@@ -105,14 +94,14 @@ def gen_payload_bits(layout: FrameLayout, seed: int) -> np.ndarray:
     return prng.bits(seed, layout.payload_len)
 
 
-def build_frame(layout: FrameLayout, payload_bits: np.ndarray) -> SymbolStream:
-    """Assemble ``A || B || C || payload``."""
+def build_frame(layout: FrameLayout, payload_bits: np.ndarray) -> np.ndarray:
+    """Assemble the PAM2 symbols ``A || B || C || payload``."""
     payload_bits = np.asarray(payload_bits)
     if len(payload_bits) != layout.payload_len:
         raise PayloadError(
             f"payload has {len(payload_bits)} bits, layout declares {layout.payload_len}"
         )
-    symbols = np.concatenate(
+    return np.concatenate(
         [
             gen_preamble_a(layout),
             gen_preamble_b(layout),
@@ -120,7 +109,6 @@ def build_frame(layout: FrameLayout, payload_bits: np.ndarray) -> SymbolStream:
             payload_bits.astype(np.float64),
         ]
     )
-    return SymbolStream(symbols=symbols, layout=layout)
 
 
 def validate_pn_seed(seed: int, min_ratio: float = 2.0) -> float:

@@ -62,11 +62,13 @@ def error_distribution(
     return ErrorHistogram(counts=counts, chi2_stat=stat, p_value=p)
 
 
-def mse_point(Z: np.ndarray, decisions_spectrum: np.ndarray) -> float:
-    """Mean squared spectral decision error over the bins of one beat."""
-    Z = np.asarray(Z)
-    D = np.asarray(decisions_spectrum)
-    return float(np.mean(np.abs(Z - D) ** 2))
+def mse_point(z: np.ndarray, decisions: np.ndarray) -> float:
+    """Squared decision error of one beat, summed over its 128 time samples.
+
+    By Parseval's theorem this equals the mean squared spectral error over the
+    128 bins, ``mean |FFT(z) - FFT(d)|^2``, without either transform.
+    """
+    return float(np.sum(np.abs(np.asarray(z) - np.asarray(decisions)) ** 2))
 
 
 @dataclass

@@ -13,7 +13,16 @@ Reception happens in two passes over the sampled waveform:
   slicing restarts at ``p - 144`` samples, which lands Preamble B exactly in
   the first full beat, the training block in the next eight, and each payload
   beat on a 96-bit boundary.  The fractional residue of ``p1 * 1.125`` is
-  handed to the timing loop, whose state carries over from acquisition.
+  taken off the timing loop's tau, whose state carries over from
+  acquisition.  The pass then runs in three phases, beat by beat in frame
+  order:
+
+  1. the Preamble-B beat goes through the timing loop only;
+  2. the eight training beats are timing-corrected and folded to 128 bins,
+     and their stack initializes the MMSE taps;
+  3. each payload beat is timing-corrected, folded and equalized, and one
+     128-point inverse transform gives the time samples ``z`` that feed the
+     bit decisions, the MSE trace point and the DD-LMS update.
 
 Index bookkeeping: the matched filter pair delays the stream by 32 symbols
 and the valid block region trails the beat by another 32, so stage-1 symbol
@@ -76,9 +85,9 @@ class BurstReceiver:
         self.c_ref = eq.build_reference(self.layout)
         self.n_c_beats = self.layout.preamble_c_len // txchain.SYMBOLS_PER_BEAT
 
-    def tx_waveform(self, frame: framing.SymbolStream) -> np.ndarray:
+    def tx_waveform(self, symbols: np.ndarray) -> np.ndarray:
         return txchain.tx_frame(
-            frame.symbols, self.cfg.tx.rrc_rolloff, self.tx_delay, flush_beats=3
+            symbols, self.cfg.tx.rrc_rolloff, self.tx_delay, flush_beats=3
         )
 
     def _make_loop(self) -> FdtrLoop:
@@ -121,15 +130,12 @@ class BurstReceiver:
 
         tau0, confident = rxfront.estimate_initial_spo(X_acq[0])
         loop = self._make_loop()
-        symbols = []
-        use_init = self.cfg.timing.spo_init
-        for i in range(len(X_acq)):
-            corrected = loop.process_beat(
-                X_acq[i], tau_init=tau0 if (use_init and i == 0) else None
-            )
-            block = self._recover_block(corrected)
-            symbols.append(block[VALID_OFFSET:].real)
-        symbols = np.concatenate(symbols)
+        if self.cfg.timing.spo_init:
+            loop.tau = tau0
+        symbols = np.concatenate(
+            [self._recover_block(loop.process_beat(X))[VALID_OFFSET:].real
+             for X in X_acq]
+        )
         first_symbol_index = 96 * first_beat + VALID_OFFSET
 
         sync = framesync.find_sync(
@@ -163,35 +169,27 @@ class BurstReceiver:
             raise SyncError("waveform too short past the sync position")
 
         loop = acq.loop
+        loop.tau -= acq.sync.frac
+        loop.process_beat(X[1])  # Preamble B: timing only
+        y_train = eq.strip_rolloff(
+            np.array([loop.process_beat(X[m]) for m in range(first_c, first_pay)])
+        )
         eq_cfg = self.cfg.equalizer
         state = eq.FdeState(mu=eq_cfg.mu)
-        y_train = np.empty((self.n_c_beats, txchain.N_IN), dtype=np.complex128)
+        if eq_cfg.mmse_init:
+            state.initialize(y_train, self.c_ref)
+
         mse_trace = []
         payload = []
-
-        for m in range(1, last_needed):
-            corrected = loop.process_beat(
-                X[m], sync_frac=acq.sync.frac if m == 1 else None
-            )
-            Y = eq.strip_rolloff(corrected)
-            if first_c <= m < first_pay:
-                y_train[m - first_c] = Y
-                continue
-            if m == first_pay and eq_cfg.mmse_init:
-                state.initialize(y_train, self.c_ref)
-            if m < first_pay:
-                continue
+        for m in range(first_pay, last_needed):
+            Y = eq.strip_rolloff(loop.process_beat(X[m]))
             Z = eq.apply_fde(Y, state.W)
             z = fft_pow2(Z, inverse=True)
-            samples = z[VALID_OFFSET:].real
-            bits = eq.decide_demap(samples, state.threshold)
-            payload.append(bits)
-            decisions_full = (z.real > state.threshold.value).astype(np.float64)
-            mse_trace.append(
-                metrics.mse_point(Z, fft_pow2(decisions_full.astype(np.complex128)))
-            )
+            payload.append(eq.decide_demap(z[VALID_OFFSET:], state.threshold))
+            d = (z.real > state.threshold.value).astype(np.float64)
+            mse_trace.append(metrics.mse_point(z, d))
             if eq_cfg.ddlms:
-                eq.ddlms_update(state, Z, Y)
+                eq.ddlms_update(state, Z, z, Y)
 
         bits = np.concatenate(payload)[: self.layout.payload_len]
         return DemodResult(
@@ -242,6 +240,6 @@ class BurstReceiver:
         trace = acq.loop.trace
         split = acq.stage1_trace_len
         report.spo_trace = [
-            (1 if i < split else 2, beat, tau / txchain.SPS)
-            for i, (beat, tau) in enumerate(trace)
+            (1 if beat < split else 2, beat, tau / txchain.SPS)
+            for beat, tau in enumerate(trace)
         ]

@@ -19,6 +19,7 @@ live in the pipeline dataset.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fourier import fft_144
 from .txchain import N_OUT, SAMPLES_PER_BEAT, SPS
@@ -46,10 +47,8 @@ def rx_slice_beats(samples: np.ndarray) -> np.ndarray:
     if n_beats < 1:
         raise ValueError("stream shorter than one beat")
     padded = np.concatenate([np.zeros(OVERLAP), samples])
-    out = np.empty((n_beats, N_OUT))
-    for b in range(n_beats):
-        out[b] = padded[b * SAMPLES_PER_BEAT : b * SAMPLES_PER_BEAT + N_OUT]
-    return out
+    windows = sliding_window_view(padded, N_OUT)
+    return windows[: n_beats * SAMPLES_PER_BEAT : SAMPLES_PER_BEAT].copy()
 
 
 def beat_spectra(beats: np.ndarray, response: np.ndarray | None = None) -> np.ndarray:

@@ -95,33 +95,20 @@ class FdtrLoop:
     cfg: FdtrConfig = field(default_factory=FdtrConfig)
     tau: float = 0.0                     # samples at 1.125 sps
     lf: LoopFilterState = None
-    trace: list = field(default_factory=list)
-    beat_count: int = 0
+    trace: list = field(default_factory=list)   # tau used on each beat
 
     def __post_init__(self):
         if self.lf is None:
             self.lf = LoopFilterState(kp=self.cfg.kp, ki=self.cfg.ki)
 
-    def process_beat(
-        self,
-        X: np.ndarray,
-        tau_init: float | None = None,
-        sync_frac: float | None = None,
-    ) -> np.ndarray:
+    def process_beat(self, X: np.ndarray) -> np.ndarray:
         """Correct one beat spectrum and update the loop from its error.
 
-        ``tau_init`` seeds the correction from the feed-forward estimate on the
-        first call; ``sync_frac`` folds in the frame-sync fractional residue.
         The returned spectrum is corrected with the timing of this beat; the
         error it exhibits only moves tau for later beats (strict causality).
         """
-        if tau_init is not None:
-            self.tau = float(tau_init)
-        if sync_frac is not None:
-            self.tau -= float(sync_frac)
         corrected = fd_interpolate(X, self.tau)
-        self.trace.append((self.beat_count, self.tau))
-        self.beat_count += 1
+        self.trace.append(self.tau)
         e_raw, mag = godard_error(corrected, self.cfg.alpha)
         e = e_raw / mag if mag > 0 else 0.0
         if abs(e) < self.cfg.deadzone:

@@ -94,7 +94,7 @@ class TestFindSync:
     def test_single_dominant_peak_in_frame(self):
         # full preamble frame: exactly one metric value above half the peak
         frame = framing.build_frame(LAYOUT, np.array([], dtype=np.uint8))
-        m = framesync.metric_stream(framesync.bipolarize(frame.symbols), PN)
+        m = framesync.metric_stream(framesync.bipolarize(frame), PN)
         peak = m.max()
         assert np.sum(m > 0.5 * peak) == 1
 

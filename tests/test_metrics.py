@@ -5,6 +5,7 @@ import pytest
 
 from burstrx import metrics
 from burstrx.errors import AlignmentError
+from burstrx.fourier import fft_pow2
 
 
 class TestCountBer:
@@ -52,13 +53,23 @@ class TestErrorDistribution:
 
 class TestMsePoint:
     def test_equal_is_zero(self):
-        Z = np.ones(128, complex)
-        assert metrics.mse_point(Z, Z) == 0.0
+        z = np.ones(128, complex)
+        assert metrics.mse_point(z, z) == 0.0
 
     def test_constant_offset(self):
-        Z = np.zeros(128, complex)
-        D = Z + (0.3 - 0.4j)
-        assert metrics.mse_point(Z, D) == pytest.approx(0.25)
+        # an impulse at n = 0 is a constant 0.3 - 0.4j offset on every bin
+        z = np.zeros(128, complex)
+        d = np.zeros(128, complex)
+        d[0] = 0.3 - 0.4j
+        assert metrics.mse_point(z, d) == pytest.approx(0.25)
+
+    def test_equals_spectral_mean_by_parseval(self):
+        rng = np.random.default_rng(13)
+        z = rng.normal(size=128) + 1j * rng.normal(size=128)
+        d = rng.integers(0, 2, 128).astype(np.float64)
+        D = fft_pow2(d.astype(complex))
+        spectral = float(np.mean(np.abs(fft_pow2(z) - D) ** 2))
+        assert metrics.mse_point(z, d) == pytest.approx(spectral, rel=1e-12)
 
 
 class TestRunReport:

@@ -1,4 +1,4 @@
-"""End-to-end receiver smoke tests on a short noiseless burst."""
+"""End-to-end receiver tests on a short noiseless burst."""
 
 import math
 
@@ -9,14 +9,16 @@ from burstrx import channel, config, framing
 from burstrx.receiver import BurstReceiver
 
 PAYLOAD_LEN = 1920
+PAYLOAD_BEATS = PAYLOAD_LEN // 96
+STAGE1_BEATS = 24                     # rx.acquire_beats default
+STAGE2_BEATS = 1 + 8 + PAYLOAD_BEATS  # Preamble B, training, payload
 
 
-@pytest.fixture(scope="module")
-def burst():
+def noiseless_burst(mmse_init, ddlms):
     cfg = config.from_dict(
         {
             "frame": {"payload_len": PAYLOAD_LEN},
-            "equalizer": {"ddlms": False, "mmse_init": False},
+            "equalizer": {"ddlms": ddlms, "mmse_init": mmse_init},
         }
     )
     rx = BurstReceiver(cfg)
@@ -26,12 +28,27 @@ def burst():
     return rx, wave, bits
 
 
-def test_noiseless_loopback(burst):
-    rx, wave, bits = burst
+@pytest.fixture(scope="module")
+def burst():
+    return noiseless_burst(mmse_init=False, ddlms=False)
+
+
+@pytest.mark.parametrize(
+    "mmse_init, ddlms",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["no_eq", "mmse", "ddlms", "mmse_ddlms"],
+)
+def test_noiseless_loopback(mmse_init, ddlms):
+    rx, wave, bits = noiseless_burst(mmse_init, ddlms)
     report = rx.receive(wave, bits)
     assert report.status == "ok"
     assert report.bit_errors == 0
     assert report.bits_total == PAYLOAD_LEN
+    assert len(report.mse_trace) == PAYLOAD_BEATS
+    assert all(math.isfinite(v) and v >= 0 for v in report.mse_trace)
+    stages = [stage for stage, _, _ in report.spo_trace]
+    assert stages == [1] * STAGE1_BEATS + [2] * STAGE2_BEATS
+    assert [beat for _, beat, _ in report.spo_trace] == list(range(len(stages)))
 
 
 def test_silence_is_detection_failure(burst):

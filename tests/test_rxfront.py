@@ -10,7 +10,7 @@ from burstrx.timing import fd_interpolate
 def preamble_waveform(offset_ui=0.0):
     lay = framing.FrameLayout(payload_len=0)
     frame = framing.build_frame(lay, np.array([], dtype=np.uint8))
-    wave = txchain.tx_frame(frame.symbols)
+    wave = txchain.tx_frame(frame)
     if offset_ui:
         wave = channel.apply_fractional_delay(wave, offset_ui * txchain.SPS)
     return wave
@@ -27,6 +27,13 @@ class TestSlicing:
         beats = rxfront.rx_slice_beats(x)
         for b in range(1, 5):
             assert np.array_equal(beats[b][:36], beats[b - 1][-36:])
+
+    def test_matches_beat_loop(self):
+        # the per-beat copy loop is the reference; 7 beats plus a 50-sample tail
+        x = np.random.default_rng(1).normal(size=108 * 7 + 50)
+        padded = np.concatenate([np.zeros(36), x])
+        ref = np.array([padded[b * 108 : b * 108 + 144] for b in range(7)])
+        assert np.array_equal(rxfront.rx_slice_beats(x), ref)
 
     def test_first_beat_zero_padded(self):
         x = np.ones(108 * 2)

@@ -119,13 +119,13 @@ class TestClosedLoop:
         rng = np.random.default_rng(42)
         loop = FdtrLoop(FdtrConfig(kp=kp, ki=ki))
         target = -offset_ui * txchain.SPS
-        first = True
+        if init:
+            loop.tau = target
         for _ in range(n_beats):
             x = rng.integers(0, 2, 128).astype(float)
             X = fd_interpolate(shaped_block(x), offset_ui * txchain.SPS)
-            loop.process_beat(X, tau_init=target if (init and first) else None)
-            first = False
-        return np.array([t for _, t in loop.trace]), target
+            loop.process_beat(X)
+        return np.array(loop.trace), target
 
     def test_with_init_flat(self):
         trace, target = self.run_loop(0.3, init=True)
@@ -167,6 +167,6 @@ class TestDriftTracking:
             x = rng.integers(0, 2, 128).astype(float)
             X = fd_interpolate(shaped_block(x), per_beat_ui * b * txchain.SPS)
             loop.process_beat(X)
-        trace = np.array([t for _, t in loop.trace]) / txchain.SPS
+        trace = np.array(loop.trace) / txchain.SPS
         slope = np.polyfit(np.arange(n // 2, n), -trace[n // 2 :], 1)[0]
         assert abs(slope - per_beat_ui) <= 0.1 * per_beat_ui
