@@ -3,6 +3,13 @@
 A configuration is a mapping with one section per subsystem; unknown keys
 are rejected so typos fail loudly.  Defaults reproduce the paper-mode
 frame (1056-symbol preamble, 1.3e5 payload) over a clean channel.
+
+Only values that some part of the chain reads are settable.  The receiver's
+structure is fixed: matched RRC filters with the default 16-symbol delay at
+both ends, the Preamble-A tone phase seeding a plain PI timing loop, and an
+exact tone-bin detection test.  The ``frame`` section is
+:class:`burstrx.framing.FrameLayout` itself, so its checks run when the
+section is built.
 """
 
 import dataclasses
@@ -18,8 +25,6 @@ from .errors import ConfigError, LayoutError
 class TimingSection:
     kp: float = 1e-2
     ki: float = 1e-4
-    deadzone: float = 0.0
-    spo_init: bool = True
 
 
 @dataclass
@@ -31,9 +36,7 @@ class EqualizerSection:
 
 @dataclass
 class RxSection:
-    rrc_at_rx: bool = True
     detect_threshold: float = 4.0
-    detect_bin_tolerance: int = 0
     sync_ratio_min: float = 1.5
     acquire_beats: int = 24
 
@@ -41,18 +44,6 @@ class RxSection:
 @dataclass
 class TxSection:
     rrc_rolloff: float = 0.1
-    rrc_delay_symbols: float = 16.0
-
-
-@dataclass
-class FrameSection:
-    preamble_a_len: int = 192
-    preamble_b_len: int = 96
-    preamble_c_len: int = 768
-    payload_len: int = 130_000
-    pn_seed: int = 0x5EED_0001
-    preamble_c_seed: int = 0x5EED_0002
-    payload_seed: int = 0x5EED_0003
 
 
 @dataclass
@@ -79,7 +70,7 @@ class RopCalibration:
 
 @dataclass
 class SimConfig:
-    frame: FrameSection = field(default_factory=FrameSection)
+    frame: framing.FrameLayout = field(default_factory=framing.FrameLayout)
     channel: ChannelSection = field(default_factory=ChannelSection)
     timing: TimingSection = field(default_factory=TimingSection)
     equalizer: EqualizerSection = field(default_factory=EqualizerSection)
@@ -87,17 +78,6 @@ class SimConfig:
     tx: TxSection = field(default_factory=TxSection)
     rop_calibration: RopCalibration = field(default_factory=RopCalibration)
     seed: int = 1
-
-    def layout(self) -> framing.FrameLayout:
-        f = self.frame
-        return framing.FrameLayout(
-            preamble_a_len=f.preamble_a_len,
-            preamble_b_len=f.preamble_b_len,
-            preamble_c_len=f.preamble_c_len,
-            payload_len=f.payload_len,
-            pn_seed=f.pn_seed,
-            preamble_c_seed=f.preamble_c_seed,
-        )
 
     def resolved_snr_db(self) -> Optional[float]:
         """snr_db wins; otherwise rop_dbm is mapped through the calibration."""
@@ -123,10 +103,6 @@ class SimConfig:
         )
 
     def validate(self) -> None:
-        try:
-            self.layout()
-        except Exception as exc:
-            raise ConfigError(f"frame: {exc}") from exc
         if not 0.0 < self.tx.rrc_rolloff <= 0.125:
             raise ConfigError("tx.rrc_rolloff must be in (0, 0.125]")
         if self.timing.kp < 0 or self.timing.ki < 0:
@@ -148,7 +124,7 @@ class SimConfig:
 
 
 _SECTIONS = {
-    "frame": FrameSection,
+    "frame": framing.FrameLayout,
     "channel": ChannelSection,
     "timing": TimingSection,
     "equalizer": EqualizerSection,
@@ -163,7 +139,10 @@ def _build_section(cls, data: dict, name: str):
     unknown = set(data) - fields
     if unknown:
         raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except (LayoutError, TypeError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def from_dict(data: dict) -> SimConfig:

@@ -3,7 +3,7 @@
 Reception happens in two passes over the sampled waveform:
 
 * **Acquisition** slices beats from the stream start, looks for the
-  Preamble-A tone peak, seeds the timing loop from the tone-pair phase on the
+  Preamble-A tone peak, starts the timing loop at the tone-pair phase of the
   following beat, and runs detection-to-sync: every corrected beat is folded
   to 128 bins, inverse transformed, and its 96 valid symbols appended to a
   1-sps stream that frame synchronization scans for Preamble B.
@@ -12,10 +12,10 @@ Reception happens in two passes over the sampled waveform:
   align with the frame: with the sync position ``p = floor(p1 * 1.125)``,
   slicing restarts at ``p - 144`` samples, which lands Preamble B exactly in
   the first full beat, the training block in the next eight, and each payload
-  beat on a 96-bit boundary.  The fractional residue of ``p1 * 1.125`` is
-  taken off the timing loop's tau, whose state carries over from
-  acquisition.  The pass then runs in three phases, beat by beat in frame
-  order:
+  beat on a 96-bit boundary.  Only the beats up to the last payload beat are
+  transformed.  The fractional residue of ``p1 * 1.125`` is taken off the
+  timing loop's tau, whose state carries over from acquisition.  The pass
+  then runs in three phases, beat by beat in frame order:
 
   1. the Preamble-B beat goes through the timing loop only;
   2. the eight training beats are timing-corrected and folded to 128 bins,
@@ -24,14 +24,15 @@ Reception happens in two passes over the sampled waveform:
      128-point inverse transform gives the time samples ``z`` that feed the
      bit decisions, the MSE trace point and the DD-LMS update.
 
-Index bookkeeping: the matched filter pair delays the stream by 32 symbols
-and the valid block region trails the beat by another 32, so stage-1 symbol
-``m`` is transmit symbol ``m - 64`` for a gap-free, offset-free channel.  All
-of this is absorbed by the measured ``p1``; nothing downstream needs the gap
-or channel delay.
+Both ends shape with the same RRC response, each with the default 16-symbol
+linear-phase delay.  Index bookkeeping: the matched filter pair therefore
+delays the stream by 32 symbols and the valid block region trails the beat by
+another 32, so stage-1 symbol ``m`` is transmit symbol ``m - 64`` for a
+gap-free, offset-free channel.  All of this is absorbed by the measured
+``p1``; nothing downstream needs the gap or channel delay.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from . import framesync, framing, metrics, rxfront, txchain
 from .config import SimConfig
 from .errors import DetectionError, SyncError
 from .fourier import fft_pow2
-from .timing import FdtrConfig, FdtrLoop
+from .timing import FdtrLoop
 
 VALID_OFFSET = 32          # first valid symbol inside the 128-point block
 SYNC_REALIGN = 144         # samples between sync position and stage-2 origin
@@ -50,20 +51,15 @@ SYNC_REALIGN = 144         # samples between sync position and stage-2 origin
 class Acquisition:
     detect_beat: int
     tau0: float
-    tau0_confident: bool
     loop: FdtrLoop
-    symbols: np.ndarray            # recovered 1-sps stream (stage 1)
-    first_symbol_index: int        # absolute index of symbols[0]
     sync: framesync.SyncResult
-    stage1_trace_len: int = 0
+    stage1_trace_len: int
 
 
 @dataclass
 class DemodResult:
     payload_bits: np.ndarray
-    mse_trace: list = field(default_factory=list)
-    taps: np.ndarray = None
-    n_payload_beats: int = 0
+    mse_trace: list
 
 
 class BurstReceiver:
@@ -71,32 +67,18 @@ class BurstReceiver:
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.layout = cfg.layout()
-        delay = cfg.tx.rrc_delay_symbols
-        if cfg.rx.rrc_at_rx:
-            self.h_rx = txchain.rrc_response(cfg.tx.rrc_rolloff, delay)
-            self.tx_delay = delay
-        else:
-            # single-shaping mode: the transmitter carries the whole delay so
-            # the stream lag stays 32 symbols and sync arithmetic is unchanged
-            self.h_rx = None
-            self.tx_delay = 2 * delay
+        self.layout = cfg.frame
+        self.h_rx = txchain.rrc_response(
+            cfg.tx.rrc_rolloff, txchain.DEFAULT_DELAY_SYMBOLS
+        )
         self.pn = framing.pn_sequence(self.layout.pn_seed)
         self.c_ref = eq.build_reference(self.layout)
         self.n_c_beats = self.layout.preamble_c_len // txchain.SYMBOLS_PER_BEAT
 
     def tx_waveform(self, symbols: np.ndarray) -> np.ndarray:
         return txchain.tx_frame(
-            symbols, self.cfg.tx.rrc_rolloff, self.tx_delay, flush_beats=3
-        )
-
-    def _make_loop(self) -> FdtrLoop:
-        t = self.cfg.timing
-        return FdtrLoop(
-            FdtrConfig(
-                kp=t.kp, ki=t.ki, alpha=self.cfg.tx.rrc_rolloff,
-                deadzone=t.deadzone,
-            )
+            symbols, self.cfg.tx.rrc_rolloff, txchain.DEFAULT_DELAY_SYMBOLS,
+            flush_beats=3,
         )
 
     def _recover_block(self, corrected: np.ndarray) -> np.ndarray:
@@ -113,10 +95,7 @@ class BurstReceiver:
         for start in range(0, n_beats, chunk):
             X = rxfront.beat_spectra(beats[start : start + chunk], self.h_rx)
             for i in range(len(X)):
-                res = rxfront.detect_frame(
-                    X[i], rx_cfg.detect_threshold, rx_cfg.detect_bin_tolerance
-                )
-                if res.detected:
+                if rxfront.detect_frame(X[i], rx_cfg.detect_threshold).detected:
                     detect_beat = start + i
                     break
             if detect_beat is not None:
@@ -128,27 +107,21 @@ class BurstReceiver:
         last_beat = min(first_beat + rx_cfg.acquire_beats, n_beats)
         X_acq = rxfront.beat_spectra(beats[first_beat:last_beat], self.h_rx)
 
-        tau0, confident = rxfront.estimate_initial_spo(X_acq[0])
-        loop = self._make_loop()
-        if self.cfg.timing.spo_init:
-            loop.tau = tau0
+        tau0, _ = rxfront.estimate_initial_spo(X_acq[0])
+        t = self.cfg.timing
+        loop = FdtrLoop(kp=t.kp, ki=t.ki, alpha=self.cfg.tx.rrc_rolloff, tau=tau0)
         symbols = np.concatenate(
             [self._recover_block(loop.process_beat(X))[VALID_OFFSET:].real
              for X in X_acq]
         )
-        first_symbol_index = 96 * first_beat + VALID_OFFSET
-
         sync = framesync.find_sync(
             symbols, self.pn, ratio_min=rx_cfg.sync_ratio_min,
-            offset=first_symbol_index,
+            offset=96 * first_beat + VALID_OFFSET,
         )
         return Acquisition(
             detect_beat=detect_beat,
             tau0=tau0,
-            tau0_confident=confident,
             loop=loop,
-            symbols=symbols,
-            first_symbol_index=first_symbol_index,
             sync=sync,
             stage1_trace_len=len(loop.trace),
         )
@@ -159,14 +132,14 @@ class BurstReceiver:
         if origin < 0:
             raise SyncError(f"sync position {acq.sync.p} leaves no room to realign")
         beats = rxfront.rx_slice_beats(waveform[origin:])
-        X = rxfront.beat_spectra(beats, self.h_rx)
 
         n_pay_beats = -(-self.layout.payload_len // txchain.SYMBOLS_PER_BEAT)
         first_c = 2
         first_pay = first_c + self.n_c_beats
         last_needed = first_pay + n_pay_beats
-        if last_needed > len(X):
+        if last_needed > len(beats):
             raise SyncError("waveform too short past the sync position")
+        X = rxfront.beat_spectra(beats[:last_needed], self.h_rx)
 
         loop = acq.loop
         loop.tau -= acq.sync.frac
@@ -192,12 +165,7 @@ class BurstReceiver:
                 eq.ddlms_update(state, Z, z, Y)
 
         bits = np.concatenate(payload)[: self.layout.payload_len]
-        return DemodResult(
-            payload_bits=bits,
-            mse_trace=mse_trace,
-            taps=state.W,
-            n_payload_beats=n_pay_beats,
-        )
+        return DemodResult(payload_bits=bits, mse_trace=mse_trace)
 
     def receive(self, waveform: np.ndarray, payload_bits: np.ndarray) -> metrics.RunReport:
         """Full chain with structured failure reporting."""

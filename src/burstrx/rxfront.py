@@ -40,12 +40,13 @@ def rx_slice_beats(samples: np.ndarray) -> np.ndarray:
     """Slice a waveform into (n_beats, 144) windows advancing 108 samples.
 
     The first beat's overlap region is zero-padded; every other beat's first
-    36 samples equal the tail of the previous beat.
+    36 samples equal the tail of the previous beat.  A stream shorter than
+    one beat gives no rows.
     """
     samples = np.asarray(samples, dtype=np.float64)
     n_beats = len(samples) // SAMPLES_PER_BEAT
     if n_beats < 1:
-        raise ValueError("stream shorter than one beat")
+        return np.zeros((0, N_OUT))
     padded = np.concatenate([np.zeros(OVERLAP), samples])
     windows = sliding_window_view(padded, N_OUT)
     return windows[: n_beats * SAMPLES_PER_BEAT : SAMPLES_PER_BEAT].copy()
@@ -59,14 +60,12 @@ def beat_spectra(beats: np.ndarray, response: np.ndarray | None = None) -> np.nd
     return X
 
 
-def detect_frame(
-    X: np.ndarray, power_factor: float = 4.0, bin_tolerance: int = 0
-) -> DetectionResult:
+def detect_frame(X: np.ndarray, power_factor: float = 4.0) -> DetectionResult:
     """Look for the Preamble-A power peak in one beat spectrum.
 
-    Detected when the non-DC argmax falls on a tone bin (within an optional
-    +-bin_tolerance) and the peak power is at least ``power_factor`` times the
-    mean off-peak power.  Scaling-invariant by construction.
+    Detected when the non-DC argmax falls on a tone bin and the peak power is
+    at least ``power_factor`` times the mean off-peak power.
+    Scaling-invariant by construction.
     """
     power = np.abs(np.asarray(X)) ** 2
     peak_bin = int(np.argmax(power[1:])) + 1
@@ -74,9 +73,7 @@ def detect_frame(
     off = np.delete(power[1:], [TONE_BIN - 1, TONE_BIN_MIRROR - 1])
     mean_off = float(np.mean(off))
     ratio = peak / mean_off if mean_off > 0 else np.inf
-    on_tone = (
-        min(abs(peak_bin - TONE_BIN), abs(peak_bin - TONE_BIN_MIRROR)) <= bin_tolerance
-    )
+    on_tone = peak_bin in (TONE_BIN, TONE_BIN_MIRROR)
     detected = bool(on_tone and peak > 0 and peak >= power_factor * mean_off)
     return DetectionResult(detected=detected, peak_bin=peak_bin, peak_ratio=ratio)
 

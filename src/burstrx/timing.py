@@ -7,17 +7,19 @@ The feedback loop has four parts, mirroring the hardware flow:
   symbol the alias partner of bin ``k`` is ``k + 16``, so both bins carry the
   *same* transmitted frequency content and their product's imaginary part is
   an odd function of the sampling-phase error;
-* a proportional-integral loop filter;
-* a numerically controlled oscillator, the accumulator ``tau <- tau + W``.
-  The paper's Mod-1 form is not modelled: its fractional interval ``eta/W``
-  is unbounded for small control words, and closed-loop it decoded at a BER
-  of about 0.49 even on a noiseless channel;
+* a proportional-integral loop filter and a numerically controlled
+  oscillator, the accumulator ``tau <- tau + W``; both are the one method
+  :meth:`FdtrLoop.update`.  The paper's Mod-1 form is not modelled: its
+  fractional interval ``eta/W`` is unbounded for small control words, and
+  closed-loop it decoded at a BER of about 0.49 even on a noiseless channel;
 * a frequency-domain interpolator multiplying bin ``k`` by
   ``exp(-2j pi f_k tau)``.
 
 The loop filter consumes a normalized error (the raw detector sum divided by
 the summed pairing magnitude), so the gains are dimensionless and a detector
 value of ``-sin(2 pi residual_ui)`` drives the accumulator in samples.
+:class:`FdtrLoop` holds the whole per-burst state: the gains, the detector
+band's roll-off, tau, the error integral and the per-beat tau trace.
 
 On random payload the detector has an irreducible per-beat self-noise of
 roughly 8e-2 normalized: the 144-sample analysis window truncates pulse tails
@@ -55,21 +57,6 @@ def godard_error(X: np.ndarray, alpha: float = 0.1) -> tuple[float, float]:
     return float(np.sum(pair.imag)), float(np.sum(np.abs(pair)))
 
 
-@dataclass
-class LoopFilterState:
-    """Proportional-integral filter with a running error accumulator."""
-
-    kp: float = 1e-2
-    ki: float = 1e-4
-    accumulator: float = 0.0
-
-
-def loop_filter_step(state: LoopFilterState, e: float) -> float:
-    """W = kp*e + ki*(accumulated error including the current one)."""
-    state.accumulator += e
-    return state.kp * e + state.ki * state.accumulator
-
-
 def fd_interpolate(X: np.ndarray, tau_samples: float) -> np.ndarray:
     """Fractional-delay rotation: bin k times exp(-2j pi f_k tau).
 
@@ -81,25 +68,20 @@ def fd_interpolate(X: np.ndarray, tau_samples: float) -> np.ndarray:
 
 
 @dataclass
-class FdtrConfig:
-    kp: float = 1e-2
-    ki: float = 1e-4
-    alpha: float = 0.1
-    deadzone: float = 0.0
-
-
-@dataclass
 class FdtrLoop:
     """Per-burst feedback state: strictly sequential, one owner."""
 
-    cfg: FdtrConfig = field(default_factory=FdtrConfig)
+    kp: float = 1e-2
+    ki: float = 1e-4
+    alpha: float = 0.1                   # RRC roll-off: sets the detector band
     tau: float = 0.0                     # samples at 1.125 sps
-    lf: LoopFilterState = None
+    integral: float = 0.0                # running sum of normalized errors
     trace: list = field(default_factory=list)   # tau used on each beat
 
-    def __post_init__(self):
-        if self.lf is None:
-            self.lf = LoopFilterState(kp=self.cfg.kp, ki=self.cfg.ki)
+    def update(self, e: float) -> None:
+        """PI step: tau moves by kp*e + ki*(error sum including e)."""
+        self.integral += e
+        self.tau += self.kp * e + self.ki * self.integral
 
     def process_beat(self, X: np.ndarray) -> np.ndarray:
         """Correct one beat spectrum and update the loop from its error.
@@ -109,9 +91,6 @@ class FdtrLoop:
         """
         corrected = fd_interpolate(X, self.tau)
         self.trace.append(self.tau)
-        e_raw, mag = godard_error(corrected, self.cfg.alpha)
-        e = e_raw / mag if mag > 0 else 0.0
-        if abs(e) < self.cfg.deadzone:
-            e = 0.0
-        self.tau += loop_filter_step(self.lf, e)
+        e_raw, mag = godard_error(corrected, self.alpha)
+        self.update(e_raw / mag if mag > 0 else 0.0)
         return corrected

@@ -24,8 +24,18 @@ class TestLoading:
             {"bogus": 1},
             {"timing": {"nco_mode": "paper"}},
             {"equalizer": {"lms_literal": True}},
+            {"timing": {"deadzone": 0.0}},
+            {"timing": {"spo_init": True}},
+            {"rx": {"rrc_at_rx": True}},
+            {"rx": {"detect_bin_tolerance": 0}},
+            {"tx": {"rrc_delay_symbols": 16.0}},
+            {"frame": {"payload_seed": 0x5EED_0003}},
         ],
-        ids=["section_key", "top_level_key", "nco_mode", "lms_literal"],
+        ids=[
+            "section_key", "top_level_key", "nco_mode", "lms_literal",
+            "deadzone", "spo_init", "rrc_at_rx", "detect_bin_tolerance",
+            "rrc_delay_symbols", "payload_seed",
+        ],
     )
     def test_unknown_keys_rejected(self, data):
         with pytest.raises(ConfigError):
@@ -46,8 +56,12 @@ class TestValidate:
             {"rx": {"acquire_beats": 5}},
             {"equalizer": {"mu": -1e-3}},
             {"timing": {"kp": -1e-2}},
+            {"frame": {"payload_len": "x"}},
         ],
-        ids=["pn_seed", "layout", "rrc_rolloff", "acquire_beats", "mu", "kp"],
+        ids=[
+            "pn_seed", "layout", "rrc_rolloff", "acquire_beats", "mu", "kp",
+            "payload_len_type",
+        ],
     )
     def test_out_of_range_rejected(self, data):
         with pytest.raises(ConfigError):

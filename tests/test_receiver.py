@@ -60,3 +60,18 @@ def test_sync_position_at_sample_rate(burst):
     rx, wave, _ = burst
     sync = rx.acquire(wave).sync
     assert sync.p == math.floor(sync.p1 * 1.125)
+
+
+@pytest.mark.parametrize("n_samples", [0, 50, 107])
+def test_shorter_than_one_beat_is_detection_failure(burst, n_samples):
+    rx, wave, bits = burst
+    assert rx.receive(wave[:n_samples], bits).status == "detection_failed"
+
+
+def test_truncated_after_sync_is_sync_failure(burst):
+    # acquisition and sync fit in 4 000 samples; the payload beats do not
+    rx, wave, bits = burst
+    report = rx.receive(wave[:4000], bits)
+    assert report.status == "sync_failed"
+    assert report.sync_p is not None
+    assert [stage for stage, _, _ in report.spo_trace] == [1] * STAGE1_BEATS

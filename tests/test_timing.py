@@ -5,14 +5,7 @@ import pytest
 
 from burstrx import timing, txchain
 from burstrx.fourier import fft_144
-from burstrx.timing import (
-    FdtrConfig,
-    FdtrLoop,
-    LoopFilterState,
-    fd_interpolate,
-    godard_error,
-    loop_filter_step,
-)
+from burstrx.timing import FdtrLoop, fd_interpolate, godard_error
 
 
 def shaped_block(symbols128):
@@ -67,22 +60,29 @@ class TestGodardError:
         assert np.all(np.diff(mid) < 0)
 
 
+def tau_step(loop, e):
+    """How far one loop-filter update moves tau."""
+    before = loop.tau
+    loop.update(e)
+    return loop.tau - before
+
+
 class TestLoopFilter:
     def test_pure_proportional(self):
-        st = LoopFilterState(kp=0.5, ki=0.0)
-        assert loop_filter_step(st, 0.2) == pytest.approx(0.1)
+        loop = FdtrLoop(kp=0.5, ki=0.0)
+        assert tau_step(loop, 0.2) == pytest.approx(0.1)
 
     def test_constant_error_series(self):
-        st = LoopFilterState(kp=2.0, ki=0.1)
+        loop = FdtrLoop(kp=2.0, ki=0.1)
         e = 0.3
         for n in range(1, 6):
-            W = loop_filter_step(st, e)
+            W = tau_step(loop, e)
             assert W == pytest.approx(2.0 * e + 0.1 * n * e)
 
     def test_zero_error_holds_accumulator(self):
-        st = LoopFilterState(kp=1.0, ki=0.5, accumulator=2.0)
+        loop = FdtrLoop(kp=1.0, ki=0.5, integral=2.0)
         for _ in range(3):
-            assert loop_filter_step(st, 0.0) == pytest.approx(1.0)
+            assert tau_step(loop, 0.0) == pytest.approx(1.0)
 
 
 class TestInterpolator:
@@ -117,7 +117,7 @@ class TestInterpolator:
 class TestClosedLoop:
     def run_loop(self, offset_ui, init, n_beats=200, kp=1e-2, ki=1e-4):
         rng = np.random.default_rng(42)
-        loop = FdtrLoop(FdtrConfig(kp=kp, ki=ki))
+        loop = FdtrLoop(kp=kp, ki=ki)
         target = -offset_ui * txchain.SPS
         if init:
             loop.tau = target
@@ -142,8 +142,8 @@ class TestClosedLoop:
     def test_causality(self):
         # the corrected spectrum for beat n uses tau from beats < n only:
         # feeding a huge error on the last beat must not change its own output
-        loop_a = FdtrLoop(FdtrConfig())
-        loop_b = FdtrLoop(FdtrConfig())
+        loop_a = FdtrLoop()
+        loop_b = FdtrLoop()
         rng = np.random.default_rng(5)
         x = rng.integers(0, 2, 128).astype(float)
         X = shaped_block(x)
@@ -161,7 +161,7 @@ class TestDriftTracking:
         ppm = 50.0
         per_beat_ui = ppm * 1e-6 * 96
         rng = np.random.default_rng(6)
-        loop = FdtrLoop(FdtrConfig(kp=1e-2, ki=1e-4))
+        loop = FdtrLoop(kp=1e-2, ki=1e-4)
         n = 400
         for b in range(n):
             x = rng.integers(0, 2, 128).astype(float)
