@@ -2,8 +2,9 @@
 
 Everything here is a declared stand-in: the hardware paper gives no channel
 equations, so each impairment is a simple testable model.  Received optical
-power is not modeled physically; an optional two-point linear calibration maps
-an ROP axis onto electrical SNR.
+power is not modeled physically: the noise level is set by the electrical
+``snr_db`` alone, and :func:`rop_to_snr` is the two-point linear calibration
+that maps an ROP axis onto it.
 
 Impairment order in :func:`run_channel`: gain, chromatic dispersion, low-pass,
 fractional delay / clock drift, additive noise, with inter-burst gaps spliced
@@ -24,8 +25,11 @@ SAMPLE_RATE_HZ = BAUD_HZ * 1.125
 
 
 @dataclass
-class ChannelConfig:
-    """Impairment settings; ``None`` disables the corresponding block."""
+class Impairments:
+    """Impairment settings, checked when built; ``None`` disables a block.
+
+    This is also the ``channel`` section of the simulator config.
+    """
 
     snr_db: Optional[float] = None
     timing_offset_ui: float = 0.0
@@ -36,15 +40,25 @@ class ChannelConfig:
     lambda_nm: float = 1328.0
     gap_samples: int = 1080
     gain: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.gap_samples < 0:
             raise ChannelError("gap_samples must be >= 0")
         if self.fiber_km < 0:
             raise ChannelError("fiber_km must be >= 0")
+        if self.gain <= 0:
+            raise ChannelError("gain must be positive")
         if self.snr_db is not None and not np.isfinite(self.snr_db):
             raise ChannelError("snr_db must be finite or None")
+        if self.f3db_ghz is not None and not 0 < self.f3db_ghz < np.inf:
+            raise ChannelError("f3db_ghz must be positive and finite, or None")
+
+
+@dataclass
+class ChannelConfig(Impairments):
+    """The impairments of one burst and the seed of its noise."""
+
+    rng_seed: int = 0
 
 
 def apply_fractional_delay(x: np.ndarray, tau_samples: float) -> np.ndarray:
@@ -146,13 +160,13 @@ def apply_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator,
     return x + rng.normal(0.0, sigma, size=len(x))
 
 
-def rop_to_snr(rop_dbm: float, cal: dict) -> float:
-    """Linear two-point map from received optical power to electrical SNR."""
+def rop_to_snr(rop: float, cal: dict) -> float:
+    """Linear two-point map from received optical power (dBm) to electrical SNR."""
     r1, s1 = cal["rop1_dbm"], cal["snr1_db"]
     r2, s2 = cal["rop2_dbm"], cal["snr2_db"]
     if r1 == r2:
         raise ChannelError("ROP calibration points must differ")
-    return s1 + (rop_dbm - r1) * (s2 - s1) / (r2 - r1)
+    return s1 + (rop - r1) * (s2 - s1) / (r2 - r1)
 
 
 def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
@@ -162,7 +176,7 @@ def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
         x = apply_chromatic_dispersion(
             x, cfg.fiber_km, cfg.dispersion_ps_nm_km, cfg.lambda_nm
         )
-    if cfg.f3db_ghz is not None and np.isfinite(cfg.f3db_ghz):
+    if cfg.f3db_ghz is not None:
         x = apply_lowpass(x, cfg.f3db_ghz)
     if cfg.timing_offset_ui:
         x = apply_fractional_delay(x, cfg.timing_offset_ui * 1.125)

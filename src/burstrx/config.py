@@ -7,24 +7,53 @@ frame (1056-symbol preamble, 1.3e5 payload) over a clean channel.
 Only values that some part of the chain reads are settable.  The receiver's
 structure is fixed: matched RRC filters with the default 16-symbol delay at
 both ends, the Preamble-A tone phase seeding a plain PI timing loop, and an
-exact tone-bin detection test.  The ``frame`` section is
-:class:`burstrx.framing.FrameLayout` itself, so its checks run when the
-section is built.
+exact tone-bin detection test.
+
+Each value is checked once, when its section is built.  :func:`from_dict`
+checks every given value against its field's annotation; the range checks
+live in each section's ``__post_init__``.  The ``frame`` section is
+:class:`burstrx.framing.FrameLayout` and the ``channel`` section is
+:class:`burstrx.channel.Impairments`, so those checks sit with the code that
+reads the values; ``seed`` is checked by :class:`SimConfig` itself.  Every
+rejection from :func:`from_dict` is a :class:`ConfigError`.
 """
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import framing
-from .channel import ChannelConfig, rop_to_snr
-from .errors import ConfigError, LayoutError
+from .channel import ChannelConfig, Impairments
+from .errors import ChannelError, ConfigError, LayoutError
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_float(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# For each field annotation: what the values it takes are, and the test.
+_ACCEPTS = {
+    bool: ("a bool", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_int),
+    float: ("a finite number", _is_float),
+    Optional[float]: ("a finite number or None", lambda v: v is None or _is_float(v)),
+}
 
 
 @dataclass
 class TimingSection:
     kp: float = 1e-2
     ki: float = 1e-4
+
+    def __post_init__(self):
+        if self.kp < 0 or self.ki < 0:
+            raise ConfigError("kp and ki must be >= 0")
 
 
 @dataclass
@@ -33,6 +62,10 @@ class EqualizerSection:
     mmse_init: bool = True
     ddlms: bool = True
 
+    def __post_init__(self):
+        if self.mu < 0:
+            raise ConfigError("mu must be >= 0")
+
 
 @dataclass
 class RxSection:
@@ -40,122 +73,69 @@ class RxSection:
     sync_ratio_min: float = 1.5
     acquire_beats: int = 24
 
+    def __post_init__(self):
+        if self.acquire_beats < 6:
+            raise ConfigError("acquire_beats too small to cover the preamble")
+
 
 @dataclass
 class TxSection:
     rrc_rolloff: float = 0.1
 
-
-@dataclass
-class ChannelSection:
-    snr_db: Optional[float] = None
-    rop_dbm: Optional[float] = None
-    timing_offset_ui: float = 0.0
-    clock_ppm: float = 0.0
-    f3db_ghz: Optional[float] = None
-    fiber_km: float = 0.0
-    dispersion_ps_nm_km: float = 2.0
-    lambda_nm: float = 1328.0
-    gap_samples: int = 1080
-    gain: float = 1.0
-
-
-@dataclass
-class RopCalibration:
-    rop1_dbm: float = -30.0
-    snr1_db: float = 6.0
-    rop2_dbm: float = -20.0
-    snr2_db: float = 16.0
+    def __post_init__(self):
+        if not 0.0 < self.rrc_rolloff <= 0.125:
+            raise ConfigError("rrc_rolloff must be in (0, 0.125]")
 
 
 @dataclass
 class SimConfig:
     frame: framing.FrameLayout = field(default_factory=framing.FrameLayout)
-    channel: ChannelSection = field(default_factory=ChannelSection)
+    channel: Impairments = field(default_factory=Impairments)
     timing: TimingSection = field(default_factory=TimingSection)
     equalizer: EqualizerSection = field(default_factory=EqualizerSection)
     rx: RxSection = field(default_factory=RxSection)
     tx: TxSection = field(default_factory=TxSection)
-    rop_calibration: RopCalibration = field(default_factory=RopCalibration)
     seed: int = 1
 
-    def resolved_snr_db(self) -> Optional[float]:
-        """snr_db wins; otherwise rop_dbm is mapped through the calibration."""
-        if self.channel.snr_db is not None:
-            return self.channel.snr_db
-        if self.channel.rop_dbm is not None:
-            return rop_to_snr(self.channel.rop_dbm, dataclasses.asdict(self.rop_calibration))
-        return None
+    def __post_init__(self):
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def channel_config(self, seed_offset: int = 0) -> ChannelConfig:
-        c = self.channel
         return ChannelConfig(
-            snr_db=self.resolved_snr_db(),
-            timing_offset_ui=c.timing_offset_ui,
-            clock_ppm=c.clock_ppm,
-            f3db_ghz=c.f3db_ghz,
-            fiber_km=c.fiber_km,
-            dispersion_ps_nm_km=c.dispersion_ps_nm_km,
-            lambda_nm=c.lambda_nm,
-            gap_samples=c.gap_samples,
-            gain=c.gain,
-            rng_seed=self.seed + seed_offset,
+            **dataclasses.asdict(self.channel), rng_seed=self.seed + seed_offset
         )
-
-    def validate(self) -> None:
-        if not 0.0 < self.tx.rrc_rolloff <= 0.125:
-            raise ConfigError("tx.rrc_rolloff must be in (0, 0.125]")
-        if self.timing.kp < 0 or self.timing.ki < 0:
-            raise ConfigError("timing gains must be >= 0")
-        if self.channel.gap_samples < 0:
-            raise ConfigError("channel.gap_samples must be >= 0")
-        if self.rx.acquire_beats < 6:
-            raise ConfigError("rx.acquire_beats too small to cover the preamble")
-        if self.equalizer.mu < 0:
-            raise ConfigError("equalizer.mu must be >= 0")
-        # reject Pn seeds whose sync peak is not unique enough
-        try:
-            framing.validate_pn_seed(self.frame.pn_seed, min_ratio=2.0)
-        except LayoutError as exc:
-            raise ConfigError(f"frame.pn_seed: {exc}") from exc
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-_SECTIONS = {
-    "frame": framing.FrameLayout,
-    "channel": ChannelSection,
-    "timing": TimingSection,
-    "equalizer": EqualizerSection,
-    "rx": RxSection,
-    "tx": TxSection,
-    "rop_calibration": RopCalibration,
-}
-
-
 def _build_section(cls, data: dict, name: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - fields
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
+    for key, value in data.items():
+        expected, accepts = _ACCEPTS[fields[key]]
+        if not accepts(value):
+            raise ConfigError(f"{name}.{key} must be {expected}, got {value!r}")
     try:
         return cls(**data)
-    except (LayoutError, TypeError) as exc:
+    except (ConfigError, LayoutError, ChannelError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
 def from_dict(data: dict) -> SimConfig:
     data = dict(data or {})
     kwargs = {}
-    for name, cls in _SECTIONS.items():
-        section = data.pop(name, {})
+    for f in dataclasses.fields(SimConfig):
+        if not dataclasses.is_dataclass(f.type):
+            continue
+        section = data.pop(f.name, {})
         if not isinstance(section, dict):
-            raise ConfigError(f"section {name!r} must be a mapping")
-        kwargs[name] = _build_section(cls, section, name)
+            raise ConfigError(f"section {f.name!r} must be a mapping")
+        kwargs[f.name] = _build_section(f.type, section, f.name)
     seed = data.pop("seed", 1)
     if data:
         raise ConfigError(f"unknown top-level keys: {sorted(data)}")
-    cfg = SimConfig(seed=int(seed), **kwargs)
-    cfg.validate()
-    return cfg
+    return SimConfig(seed=seed, **kwargs)

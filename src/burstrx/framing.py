@@ -46,6 +46,7 @@ class FrameLayout:
             raise LayoutError("preamble_c_len must be a positive multiple of 96")
         if self.payload_len < 0:
             raise LayoutError("payload_len must be >= 0")
+        validate_pn_seed(self.pn_seed)
 
     @property
     def preamble_len(self) -> int:
@@ -62,8 +63,6 @@ class FrameLayout:
 
 def gen_preamble_a(layout: FrameLayout) -> np.ndarray:
     """Alternating ``[0, 1, 0, 1, ...]`` tone preamble."""
-    if layout.preamble_a_len % 2:
-        raise LayoutError("preamble A length must be even")
     out = np.zeros(layout.preamble_a_len, dtype=np.float64)
     out[1::2] = 1.0
     return out
@@ -117,7 +116,7 @@ def validate_pn_seed(seed: int, min_ratio: float = 2.0) -> float:
     Builds the clean bipolar preamble B, evaluates the sliding metric at every
     placement, and returns the ratio of the true peak to the largest magnitude
     elsewhere.  Raises :class:`LayoutError` when the ratio is below
-    ``min_ratio``; callers use this at config load to reject bad seeds.
+    ``min_ratio``; :class:`FrameLayout` uses this to reject bad seeds.
     """
     pn = pn_sequence(seed)
     b = np.concatenate([pn, pn, -pn])

@@ -43,7 +43,6 @@ from .errors import DetectionError, SyncError
 from .fourier import fft_pow2
 from .timing import FdtrLoop
 
-VALID_OFFSET = 32          # first valid symbol inside the 128-point block
 SYNC_REALIGN = 144         # samples between sync position and stage-2 origin
 
 
@@ -111,12 +110,12 @@ class BurstReceiver:
         t = self.cfg.timing
         loop = FdtrLoop(kp=t.kp, ki=t.ki, alpha=self.cfg.tx.rrc_rolloff, tau=tau0)
         symbols = np.concatenate(
-            [self._recover_block(loop.process_beat(X))[VALID_OFFSET:].real
+            [self._recover_block(loop.process_beat(X))[txchain.OVERLAP_IN:].real
              for X in X_acq]
         )
         sync = framesync.find_sync(
             symbols, self.pn, ratio_min=rx_cfg.sync_ratio_min,
-            offset=96 * first_beat + VALID_OFFSET,
+            offset=txchain.SYMBOLS_PER_BEAT * first_beat + txchain.OVERLAP_IN,
         )
         return Acquisition(
             detect_beat=detect_beat,
@@ -158,13 +157,13 @@ class BurstReceiver:
             Y = eq.strip_rolloff(loop.process_beat(X[m]))
             Z = eq.apply_fde(Y, state.W)
             z = fft_pow2(Z, inverse=True)
-            payload.append(eq.decide_demap(z[VALID_OFFSET:], state.threshold))
+            payload.append(eq.decide_demap(z[txchain.OVERLAP_IN:], state.threshold))
             d = (z.real > state.threshold.value).astype(np.float64)
             mse_trace.append(metrics.mse_point(z, d))
             if eq_cfg.ddlms:
                 eq.ddlms_update(state, Z, z, Y)
 
-        bits = np.concatenate(payload)[: self.layout.payload_len]
+        bits = np.array(payload, dtype=np.uint8).reshape(-1)[: self.layout.payload_len]
         return DemodResult(payload_bits=bits, mse_trace=mse_trace)
 
     def receive(self, waveform: np.ndarray, payload_bits: np.ndarray) -> metrics.RunReport:

@@ -22,9 +22,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fourier import fft_144
-from .txchain import N_OUT, SAMPLES_PER_BEAT, SPS
+from .txchain import N_OUT, OVERLAP_OUT, SAMPLES_PER_BEAT, SPS
 
-OVERLAP = N_OUT - SAMPLES_PER_BEAT  # 36
 TONE_BIN = 64                        # N / (2 * sps)
 TONE_BIN_MIRROR = N_OUT - TONE_BIN   # 80
 
@@ -47,7 +46,7 @@ def rx_slice_beats(samples: np.ndarray) -> np.ndarray:
     n_beats = len(samples) // SAMPLES_PER_BEAT
     if n_beats < 1:
         return np.zeros((0, N_OUT))
-    padded = np.concatenate([np.zeros(OVERLAP), samples])
+    padded = np.concatenate([np.zeros(OVERLAP_OUT), samples])
     windows = sliding_window_view(padded, N_OUT)
     return windows[: n_beats * SAMPLES_PER_BEAT : SAMPLES_PER_BEAT].copy()
 

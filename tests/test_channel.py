@@ -124,6 +124,11 @@ class TestRunChannel:
         b = channel.run_channel(wave, cfg)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("f3db_ghz", [0.0, np.inf])
+    def test_bad_lowpass_rejected(self, f3db_ghz):
+        with pytest.raises(ChannelError):
+            ChannelConfig(f3db_ghz=f3db_ghz)
+
 
 class TestRopMap:
     def test_linear_interpolation(self):

@@ -1,4 +1,6 @@
-"""Configuration tests: defaults, round trip, key checks, range checks."""
+"""Configuration tests: defaults, round trip, key checks, type and range checks."""
+
+import math
 
 import pytest
 
@@ -8,7 +10,6 @@ from burstrx.errors import ConfigError
 
 class TestLoading:
     def test_defaults_validate(self):
-        config.SimConfig().validate()
         assert config.from_dict({}) == config.SimConfig()
 
     def test_round_trip(self):
@@ -30,11 +31,13 @@ class TestLoading:
             {"rx": {"detect_bin_tolerance": 0}},
             {"tx": {"rrc_delay_symbols": 16.0}},
             {"frame": {"payload_seed": 0x5EED_0003}},
+            {"channel": {"rop_dbm": -25.0}},
+            {"rop_calibration": {}},
         ],
         ids=[
             "section_key", "top_level_key", "nco_mode", "lms_literal",
             "deadzone", "spo_init", "rrc_at_rx", "detect_bin_tolerance",
-            "rrc_delay_symbols", "payload_seed",
+            "rrc_delay_symbols", "payload_seed", "rop_dbm", "rop_calibration",
         ],
     )
     def test_unknown_keys_rejected(self, data):
@@ -44,6 +47,18 @@ class TestLoading:
     def test_non_mapping_section_rejected(self):
         with pytest.raises(ConfigError):
             config.from_dict({"timing": 3})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"channel": {"snr_db": 14}},
+            {"channel": {"f3db_ghz": None}},
+            {"timing": {"kp": 0}},
+        ],
+        ids=["int_snr_db", "f3db_off", "int_kp"],
+    )
+    def test_valid_values_load(self, data):
+        config.from_dict(data)
 
 
 class TestValidate:
@@ -57,10 +72,31 @@ class TestValidate:
             {"equalizer": {"mu": -1e-3}},
             {"timing": {"kp": -1e-2}},
             {"frame": {"payload_len": "x"}},
+            {"timing": {"kp": "x"}},
+            {"timing": {"kp": math.nan}},
+            {"equalizer": {"mu": math.nan}},
+            {"equalizer": {"ddlms": "no"}},
+            {"rx": {"detect_threshold": "x"}},
+            {"rx": {"acquire_beats": 26.5}},
+            {"frame": {"payload_len": True}},
+            {"frame": {"pn_seed": "x"}},
+            {"channel": {"gap_samples": "x"}},
+            {"channel": {"fiber_km": -1}},
+            {"channel": {"snr_db": math.inf}},
+            {"channel": {"f3db_ghz": 0}},
+            {"channel": {"f3db_ghz": -4}},
+            {"channel": {"gain": 0.0, "snr_db": 14.0}},
+            {"seed": "x"},
+            {"seed": -1},
+            {"seed": 2.7},
         ],
         ids=[
             "pn_seed", "layout", "rrc_rolloff", "acquire_beats", "mu", "kp",
-            "payload_len_type",
+            "payload_len_type", "kp_type", "kp_nan", "mu_nan", "ddlms_type",
+            "detect_threshold_type", "acquire_beats_float", "payload_len_bool",
+            "pn_seed_type", "gap_samples_type", "fiber_km", "snr_db_inf",
+            "f3db_zero", "f3db_negative", "gain_zero", "seed_type", "seed_negative",
+            "seed_float",
         ],
     )
     def test_out_of_range_rejected(self, data):

@@ -14,10 +14,10 @@ STAGE1_BEATS = 24                     # rx.acquire_beats default
 STAGE2_BEATS = 1 + 8 + PAYLOAD_BEATS  # Preamble B, training, payload
 
 
-def noiseless_burst(mmse_init, ddlms):
+def noiseless_burst(mmse_init, ddlms, payload_len=PAYLOAD_LEN):
     cfg = config.from_dict(
         {
-            "frame": {"payload_len": PAYLOAD_LEN},
+            "frame": {"payload_len": payload_len},
             "equalizer": {"ddlms": ddlms, "mmse_init": mmse_init},
         }
     )
@@ -49,6 +49,17 @@ def test_noiseless_loopback(mmse_init, ddlms):
     stages = [stage for stage, _, _ in report.spo_trace]
     assert stages == [1] * STAGE1_BEATS + [2] * STAGE2_BEATS
     assert [beat for _, beat, _ in report.spo_trace] == list(range(len(stages)))
+
+
+@pytest.mark.parametrize(
+    "mmse_init, ddlms", [(False, False), (True, True)], ids=["no_eq", "mmse_ddlms"]
+)
+def test_preamble_only_frame(mmse_init, ddlms):
+    rx, wave, bits = noiseless_burst(mmse_init, ddlms, payload_len=0)
+    report = rx.receive(wave, bits)
+    assert report.status == "ok"
+    assert report.bits_total == 0
+    assert report.mse_trace == []
 
 
 def test_silence_is_detection_failure(burst):
