@@ -118,22 +118,42 @@ class ThresholdTracker:
     sum1: float = 0.0
     n1: int = 0
 
-    def update(self, samples: np.ndarray, bits: np.ndarray) -> None:
-        ones = bits.astype(bool)
-        self.sum1 += float(samples[ones].sum())
-        self.n1 += int(ones.sum())
-        self.sum0 += float(samples[~ones].sum())
-        self.n0 += int((~ones).sum())
+    def update(self, sum0: float, n0: int, sum1: float, n1: int) -> None:
+        """Add one beat's sums and counts of samples decided 0 and 1."""
+        self.sum0 += sum0
+        self.n0 += n0
+        self.sum1 += sum1
+        self.n1 += n1
         if self.n0 and self.n1:
             self.value = 0.5 * (self.sum0 / self.n0 + self.sum1 / self.n1)
 
 
-def decide_demap(z: np.ndarray, tracker: ThresholdTracker) -> np.ndarray:
-    """Hard-decide time samples to bits and refresh the threshold."""
+def decide_demap(
+    z: np.ndarray, tracker: ThresholdTracker
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hard-decide rows of time samples to bits, refreshing the threshold per row.
+
+    ``z`` holds one beat per row on its last axis, in time order.  Each row is
+    decided against the threshold left by the rows before it.  Returns
+    ``(bits, thresholds)``: ``thresholds`` has ``z``'s leading shape and holds
+    the threshold after each row's update.
+    """
     z = np.asarray(z).real
-    bits = (z > tracker.value).astype(np.uint8)
-    tracker.update(z, bits)
-    return bits
+    rows = z.reshape(-1, z.shape[-1])
+    # With each row sorted and summed cumulatively, one search gives the
+    # row's 0/1 split at any threshold, so the recursion itself is scalar.
+    ordered = np.sort(rows, axis=-1)
+    below = np.cumsum(ordered, axis=-1)
+    used = np.empty(len(rows))
+    thresholds = np.empty(len(rows))
+    for m, row in enumerate(ordered):
+        used[m] = tracker.value
+        n0 = int(row.searchsorted(tracker.value, side="right"))
+        sum0 = below.item(m, n0 - 1) if n0 else 0.0
+        tracker.update(sum0, n0, below.item(m, -1) - sum0, row.size - n0)
+        thresholds[m] = tracker.value
+    bits = (rows > used[:, None]).astype(np.uint8)
+    return bits.reshape(z.shape), thresholds.reshape(z.shape[:-1])
 
 
 @dataclass

@@ -1,11 +1,16 @@
-"""Fixed-size FFT kernels mirroring the hardware butterfly decomposition.
+"""Fixed-size FFTs: numpy's FFT on the hot path, the hardware butterflies as reference.
 
-The receive/transmit flow only ever needs three transform sizes: 128 points
-(pure radix-2, seven butterfly layers), 144 points (four radix-2 layers that
-reuse the 128-point layer code, then two radix-3 layers, i.e. a 16 x 9
-decomposition), and 8 points (radix-2, used by the equalizer's interpolation
-FFT).  A direct O(N^2) DFT is kept alongside as the independent oracle every
-kernel is tested against.
+The receive/transmit flow only ever needs three transform sizes: 128 points,
+144 points and 8 points (the equalizer's interpolation FFT).
+:func:`fft_pow2` and :func:`fft_144` check their sizes and call
+``np.fft``; they are what the chain runs.
+
+The hardware decomposition is kept as the tested reference,
+:func:`butterfly_fft`: 128 points as seven radix-2 butterfly layers, 144
+points as four radix-2 layers that reuse the 128-point layer code followed by
+two radix-3 layers (a 16 x 9 decomposition), 8 points as three radix-2
+layers.  A direct O(N^2) DFT, :func:`dft_oracle`, is kept alongside as the
+independent oracle the butterflies are tested against.
 
 Conventions
 -----------
@@ -105,29 +110,38 @@ def _fft_stages(x: np.ndarray, factors: tuple, inverse: bool) -> np.ndarray:
     return np.concatenate([x0, x1, x2], axis=-1)
 
 
-def fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Radix-2 FFT for power-of-two lengths (8 and 128 in this chain)."""
+def butterfly_fft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Reference FFT through the hardware butterfly layers.
+
+    Power-of-two lengths run all radix-2 layers; 144 points run four radix-2
+    layers then two radix-3 layers.
+    """
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
-    if n < 2 or (n & (n - 1)) != 0:
-        raise FftSizeError(f"fft_pow2 requires a power-of-two length, got {n}")
-    factors = (2,) * (n.bit_length() - 1)
+    if n == 144:
+        factors = (2, 2, 2, 2, 3, 3)
+    elif n >= 2 and (n & (n - 1)) == 0:
+        factors = (2,) * (n.bit_length() - 1)
+    else:
+        raise FftSizeError(f"butterfly_fft supports 144 or a power of two, got {n}")
     y = _fft_stages(x, factors, inverse)
     if inverse:
         y = y / n
     return y
 
 
-def fft_144(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """144-point FFT decomposed as 16 x 9: four radix-2 layers, two radix-3.
+def fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """FFT for power-of-two lengths (8 and 128 in this chain)."""
+    x = np.asarray(x, dtype=np.complex128)
+    n = x.shape[-1]
+    if n < 2 or (n & (n - 1)) != 0:
+        raise FftSizeError(f"fft_pow2 requires a power-of-two length, got {n}")
+    return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
-    The radix-2 layers run the same stage code as :func:`fft_pow2`, mirroring
-    the module reuse between the 128- and 144-point hardware blocks.
-    """
+
+def fft_144(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """144-point FFT, the size of one received beat."""
     x = np.asarray(x, dtype=np.complex128)
     if x.shape[-1] != 144:
         raise FftSizeError(f"fft_144 requires length 144, got {x.shape[-1]}")
-    y = _fft_stages(x, (2, 2, 2, 2, 3, 3), inverse)
-    if inverse:
-        y = y / 144.0
-    return y
+    return np.fft.ifft(x) if inverse else np.fft.fft(x)

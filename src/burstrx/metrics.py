@@ -62,13 +62,14 @@ def error_distribution(
     return ErrorHistogram(counts=counts, chi2_stat=stat, p_value=p)
 
 
-def mse_point(z: np.ndarray, decisions: np.ndarray) -> float:
-    """Squared decision error of one beat, summed over its 128 time samples.
+def mse_point(z: np.ndarray, decisions: np.ndarray) -> np.ndarray:
+    """Squared decision error per beat, summed over its 128 time samples.
 
-    By Parseval's theorem this equals the mean squared spectral error over the
+    Reduces the last axis, so a stack of beats gives one point per row.  By
+    Parseval's theorem this equals the mean squared spectral error over the
     128 bins, ``mean |FFT(z) - FFT(d)|^2``, without either transform.
     """
-    return float(np.sum(np.abs(np.asarray(z) - np.asarray(decisions)) ** 2))
+    return np.sum(np.abs(np.asarray(z) - np.asarray(decisions)) ** 2, axis=-1)
 
 
 @dataclass

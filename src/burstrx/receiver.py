@@ -2,11 +2,14 @@
 
 Reception happens in two passes over the sampled waveform:
 
-* **Acquisition** slices beats from the stream start, looks for the
-  Preamble-A tone peak, starts the timing loop at the tone-pair phase of the
-  following beat, and runs detection-to-sync: every corrected beat is folded
-  to 128 bins, inverse transformed, and its 96 valid symbols appended to a
-  1-sps stream that frame synchronization scans for Preamble B.
+* **Acquisition** slices beats from the stream start and transforms them in
+  chunks of 32, one detector call per chunk, until a beat shows the
+  Preamble-A tone peak.  It starts the timing loop at the tone-pair phase of
+  the following beat and runs detection-to-sync: the corrected beats are
+  folded to 128 bins and inverse transformed, and the 96 valid symbols of
+  each are joined into the 1-sps stream that frame synchronization scans for
+  Preamble B.  The acquisition beats that the detection chunk already
+  transformed are reused.
 
 * **Synchronized demodulation** re-slices the waveform so beat boundaries
   align with the frame: with the sync position ``p = floor(p1 * 1.125)``,
@@ -14,15 +17,21 @@ Reception happens in two passes over the sampled waveform:
   the first full beat, the training block in the next eight, and each payload
   beat on a 96-bit boundary.  Only the beats up to the last payload beat are
   transformed.  The fractional residue of ``p1 * 1.125`` is taken off the
-  timing loop's tau, whose state carries over from acquisition.  The pass
-  then runs in three phases, beat by beat in frame order:
+  timing loop's tau, whose state carries over from acquisition.  The timing
+  loop then corrects the Preamble-B, training and payload beats in one call;
+  the eight folded training beats initialize the MMSE taps; each block of
+  payload beats is equalized, inverse transformed to the time samples ``z``
+  and decided; and the MSE trace is scored over all payload beats at once.
 
-  1. the Preamble-B beat goes through the timing loop only;
-  2. the eight training beats are timing-corrected and folded to 128 bins,
-     and their stack initializes the MMSE taps;
-  3. each payload beat is timing-corrected, folded and equalized, and one
-     128-point inverse transform gives the time samples ``z`` that feed the
-     bit decisions, the MSE trace point and the DD-LMS update.
+Every stage runs as one numpy call over a stack of beats, except three
+recursions that stay per beat because each beat needs the state the previous
+one left: the timing loop's tau (a scalar recursion on detector sums taken
+over the whole stack, see :meth:`FdtrLoop.process_beat`), the decision
+threshold (see :func:`equalizer.decide_demap`), and the DD-LMS taps.  The
+taps are constant within a payload block, so the block is every payload beat
+when DD-LMS is off and a single beat when it is on: each beat is then decided
+with the taps the previous beat's update left, as beat-by-beat processing
+does.
 
 Both ends shape with the same RRC response, each with the default 16-symbol
 linear-phase delay.  Index bookkeeping: the matched filter pair therefore
@@ -80,10 +89,6 @@ class BurstReceiver:
             flush_beats=3,
         )
 
-    def _recover_block(self, corrected: np.ndarray) -> np.ndarray:
-        """Corrected 144-bin spectrum -> 128 time samples at 1 sps."""
-        return fft_pow2(eq.strip_rolloff(corrected), inverse=True)
-
     def acquire(self, waveform: np.ndarray) -> Acquisition:
         """Detect the burst, seed the timing loop, and locate Preamble B."""
         beats = rxfront.rx_slice_beats(waveform)
@@ -93,28 +98,30 @@ class BurstReceiver:
         chunk = 32
         for start in range(0, n_beats, chunk):
             X = rxfront.beat_spectra(beats[start : start + chunk], self.h_rx)
-            for i in range(len(X)):
-                if rxfront.detect_frame(X[i], rx_cfg.detect_threshold).detected:
-                    detect_beat = start + i
-                    break
-            if detect_beat is not None:
+            hits = np.flatnonzero(rxfront.detect_frame(X, rx_cfg.detect_threshold).detected)
+            if hits.size:
+                detect_beat = start + int(hits[0])
                 break
         if detect_beat is None or detect_beat + 2 >= n_beats:
             raise DetectionError("no burst detected in the waveform")
 
+        # The detection chunk already holds the spectra of the first
+        # acquisition beats; only the beats past its end are transformed.
         first_beat = detect_beat + 1
         last_beat = min(first_beat + rx_cfg.acquire_beats, n_beats)
-        X_acq = rxfront.beat_spectra(beats[first_beat:last_beat], self.h_rx)
+        chunk_end = start + len(X)
+        X_acq = X[first_beat - start : last_beat - start]
+        if last_beat > chunk_end:
+            tail = rxfront.beat_spectra(beats[chunk_end:last_beat], self.h_rx)
+            X_acq = np.concatenate([X_acq, tail])
 
         tau0, _ = rxfront.estimate_initial_spo(X_acq[0])
         t = self.cfg.timing
         loop = FdtrLoop(kp=t.kp, ki=t.ki, alpha=self.cfg.tx.rrc_rolloff, tau=tau0)
-        symbols = np.concatenate(
-            [self._recover_block(loop.process_beat(X))[txchain.OVERLAP_IN:].real
-             for X in X_acq]
-        )
+        blocks = fft_pow2(eq.strip_rolloff(loop.process_beat(X_acq)), inverse=True)
         sync = framesync.find_sync(
-            symbols, self.pn, ratio_min=rx_cfg.sync_ratio_min,
+            blocks[:, txchain.OVERLAP_IN:].real.reshape(-1), self.pn,
+            ratio_min=rx_cfg.sync_ratio_min,
             offset=txchain.SYMBOLS_PER_BEAT * first_beat + txchain.OVERLAP_IN,
         )
         return Acquisition(
@@ -133,38 +140,42 @@ class BurstReceiver:
         beats = rxfront.rx_slice_beats(waveform[origin:])
 
         n_pay_beats = -(-self.layout.payload_len // txchain.SYMBOLS_PER_BEAT)
-        first_c = 2
-        first_pay = first_c + self.n_c_beats
-        last_needed = first_pay + n_pay_beats
+        last_needed = 2 + self.n_c_beats + n_pay_beats
         if last_needed > len(beats):
             raise SyncError("waveform too short past the sync position")
         X = rxfront.beat_spectra(beats[:last_needed], self.h_rx)
 
         loop = acq.loop
         loop.tau -= acq.sync.frac
-        loop.process_beat(X[1])  # Preamble B: timing only
-        y_train = eq.strip_rolloff(
-            np.array([loop.process_beat(X[m]) for m in range(first_c, first_pay)])
-        )
+        # Preamble B only drives the timing loop; the rest is folded to 128 bins.
+        Y = eq.strip_rolloff(loop.process_beat(X[1:])[1:])
+        y_train, y_pay = Y[: self.n_c_beats], Y[self.n_c_beats :]
         eq_cfg = self.cfg.equalizer
         state = eq.FdeState(mu=eq_cfg.mu)
         if eq_cfg.mmse_init:
             state.initialize(y_train, self.c_ref)
 
-        mse_trace = []
-        payload = []
-        for m in range(first_pay, last_needed):
-            Y = eq.strip_rolloff(loop.process_beat(X[m]))
-            Z = eq.apply_fde(Y, state.W)
-            z = fft_pow2(Z, inverse=True)
-            payload.append(eq.decide_demap(z[txchain.OVERLAP_IN:], state.threshold))
-            d = (z.real > state.threshold.value).astype(np.float64)
-            mse_trace.append(metrics.mse_point(z, d))
-            if eq_cfg.ddlms:
-                eq.ddlms_update(state, Z, z, Y)
+        # Taps are constant within a block: all payload beats at once, or one
+        # beat per block when DD-LMS moves them after every beat.
+        block = 1 if eq_cfg.ddlms else max(n_pay_beats, 1)
+        z = np.empty((n_pay_beats, txchain.N_IN), dtype=np.complex128)
+        bits = np.empty((n_pay_beats, txchain.SYMBOLS_PER_BEAT), dtype=np.uint8)
+        thresholds = np.empty(n_pay_beats)
+        for b in range(0, n_pay_beats, block):
+            rows = slice(b, b + block)
+            Z = eq.apply_fde(y_pay[rows], state.W)
+            z[rows] = fft_pow2(Z, inverse=True)
+            bits[rows], thresholds[rows] = eq.decide_demap(
+                z[rows, txchain.OVERLAP_IN:], state.threshold
+            )
+            if eq_cfg.ddlms:  # the block is beat b alone
+                eq.ddlms_update(state, Z[0], z[b], y_pay[b])
 
-        bits = np.array(payload, dtype=np.uint8).reshape(-1)[: self.layout.payload_len]
-        return DemodResult(payload_bits=bits, mse_trace=mse_trace)
+        d = (z.real > thresholds[:, None]).astype(np.float64)
+        return DemodResult(
+            payload_bits=bits.reshape(-1)[: self.layout.payload_len],
+            mse_trace=metrics.mse_point(z, d).tolist(),
+        )
 
     def receive(self, waveform: np.ndarray, payload_bits: np.ndarray) -> metrics.RunReport:
         """Full chain with structured failure reporting."""

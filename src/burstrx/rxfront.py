@@ -30,9 +30,11 @@ TONE_BIN_MIRROR = N_OUT - TONE_BIN   # 80
 
 @dataclass
 class DetectionResult:
-    detected: bool
-    peak_bin: int
-    peak_ratio: float
+    """Per-beat detection outcome; each field has the spectra's leading shape."""
+
+    detected: np.ndarray
+    peak_bin: np.ndarray
+    peak_ratio: np.ndarray
 
 
 def rx_slice_beats(samples: np.ndarray) -> np.ndarray:
@@ -60,20 +62,22 @@ def beat_spectra(beats: np.ndarray, response: np.ndarray | None = None) -> np.nd
 
 
 def detect_frame(X: np.ndarray, power_factor: float = 4.0) -> DetectionResult:
-    """Look for the Preamble-A power peak in one beat spectrum.
+    """Look for the Preamble-A power peak in each beat spectrum of a stack.
 
-    Detected when the non-DC argmax falls on a tone bin and the peak power is
-    at least ``power_factor`` times the mean off-peak power.
-    Scaling-invariant by construction.
+    ``X`` holds 144-bin spectra on its last axis.  A beat is detected when
+    its non-DC argmax falls on a tone bin and the peak power is at least
+    ``power_factor`` times the mean off-peak power.  Scaling-invariant by
+    construction.
     """
     power = np.abs(np.asarray(X)) ** 2
-    peak_bin = int(np.argmax(power[1:])) + 1
-    peak = power[peak_bin]
-    off = np.delete(power[1:], [TONE_BIN - 1, TONE_BIN_MIRROR - 1])
-    mean_off = float(np.mean(off))
-    ratio = peak / mean_off if mean_off > 0 else np.inf
-    on_tone = peak_bin in (TONE_BIN, TONE_BIN_MIRROR)
-    detected = bool(on_tone and peak > 0 and peak >= power_factor * mean_off)
+    peak_bin = np.argmax(power[..., 1:], axis=-1) + 1
+    peak = np.take_along_axis(power, np.expand_dims(peak_bin, -1), axis=-1)[..., 0]
+    off = np.delete(power[..., 1:], [TONE_BIN - 1, TONE_BIN_MIRROR - 1], axis=-1)
+    mean_off = np.mean(off, axis=-1)
+    live = mean_off > 0
+    ratio = np.where(live, peak / np.where(live, mean_off, 1.0), np.inf)
+    on_tone = (peak_bin == TONE_BIN) | (peak_bin == TONE_BIN_MIRROR)
+    detected = on_tone & (peak > 0) & (peak >= power_factor * mean_off)
     return DetectionResult(detected=detected, peak_bin=peak_bin, peak_ratio=ratio)
 
 

@@ -187,11 +187,13 @@ class TestDecideDemap:
     def test_clean_levels(self):
         tracker = ThresholdTracker()
         z = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-        assert list(decide_demap(z, tracker)) == [0, 1, 1, 0, 1]
+        bits, _ = decide_demap(z, tracker)
+        assert list(bits) == [0, 1, 1, 0, 1]
 
     def test_all_below_threshold(self):
         tracker = ThresholdTracker()
-        assert not decide_demap(np.full(10, 0.2), tracker).any()
+        bits, _ = decide_demap(np.full(10, 0.2), tracker)
+        assert not bits.any()
 
     def test_threshold_tracks_levels(self):
         tracker = ThresholdTracker()

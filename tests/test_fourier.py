@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from burstrx.errors import FftSizeError
-from burstrx.fourier import dft_oracle, fft_144, fft_pow2, radix3_butterfly
+from burstrx.fourier import butterfly_fft, dft_oracle, fft_144, fft_pow2, radix3_butterfly
 
 
 def rel_err(a, b):
@@ -90,6 +90,30 @@ class TestFft144:
     def test_rejects_wrong_length(self):
         with pytest.raises(FftSizeError):
             fft_144(np.zeros(128, complex))
+
+
+class TestButterflyReference:
+    @pytest.mark.parametrize("n", [8, 128, 144])
+    def test_matches_oracle(self, n):
+        rng = np.random.default_rng(n + 10)
+        x = rng.normal(size=(50, n)) + 1j * rng.normal(size=(50, n))
+        for inverse in (False, True):
+            got = butterfly_fft(x, inverse=inverse)
+            want = dft_oracle(x, inverse=inverse)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n,fft", [(8, fft_pow2), (128, fft_pow2), (144, fft_144)])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_matches_backend(self, n, fft, inverse):
+        rng = np.random.default_rng(n + 20)
+        x = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        ref = butterfly_fft(x, inverse=inverse)
+        assert np.max(np.abs(fft(x, inverse=inverse) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 96, 145])
+    def test_rejects_other_sizes(self, n):
+        with pytest.raises(FftSizeError):
+            butterfly_fft(np.zeros(n, complex))
 
 
 class TestRadix3Butterfly:

@@ -77,6 +77,26 @@ class TestDetection:
         assert hits / 10_000 <= 2 / 143 + 0.01
 
 
+    def test_stack_matches_beat_loop(self):
+        # the per-beat detector is the reference, on noise and a preamble
+        def detect_one(x, power_factor=4.0):
+            power = np.abs(x) ** 2
+            peak_bin = int(np.argmax(power[1:])) + 1
+            mean_off = float(np.mean(np.delete(power[1:], [63, 79])))
+            peak = power[peak_bin]
+            detected = peak_bin in (64, 80) and peak > 0 and peak >= power_factor * mean_off
+            return detected, peak_bin
+
+        noise = rxfront.beat_spectra(np.random.default_rng(98).normal(size=(10_000, 144)))
+        beats = rxfront.rx_slice_beats(preamble_waveform())
+        X = np.concatenate([noise, rxfront.beat_spectra(beats, txchain.rrc_response())])
+        stacked = rxfront.detect_frame(X)
+        ref = np.array([detect_one(x) for x in X])
+        assert np.array_equal(stacked.detected, ref[:, 0].astype(bool))
+        assert np.array_equal(stacked.peak_bin, ref[:, 1])
+        assert stacked.detected[10_000:].any()
+
+
 class TestInitialSpo:
     def test_zero_offset_pure_tone(self):
         # interior beat of a long alternating stream: window content is exactly

@@ -15,6 +15,12 @@ def shaped_block(symbols128):
     return X * h * h
 
 
+def raw_error(X):
+    """Im of the summed pair products: the detector error before normalizing."""
+    sums, _ = godard_error(X)
+    return sums.sum(axis=-1).imag
+
+
 class TestGodardBand:
     def test_integerized_bounds(self):
         band = timing.godard_band(alpha=0.1)
@@ -30,7 +36,7 @@ class TestGodardError:
         rng = np.random.default_rng(2)
         x = rng.integers(0, 2, 128).astype(float)
         X = shaped_block(x)
-        e, mag = godard_error(X)
+        e, mag = raw_error(X), godard_error(X)[1]
         k = timing.godard_band()
         assert mag == pytest.approx(np.sum(np.abs(X[k] * np.conj(X[k + 16]))))
         assert abs(e) <= 1e-3 * mag
@@ -41,8 +47,26 @@ class TestGodardError:
         for _ in range(100):
             x = rng.integers(0, 2, 128).astype(float)
             X = fd_interpolate(shaped_block(x), 0.05 * txchain.SPS)
-            signs.append(np.sign(godard_error(X)[0]))
+            signs.append(np.sign(raw_error(X)))
         assert len(set(signs)) == 1
+
+    def test_pair_freqs(self):
+        # bin 56 (in the band at roll-off 0.125 only) pairs with the Nyquist bin
+        assert np.allclose(timing.godard_pair_freqs(0.1), [8 / 9])
+        assert np.allclose(timing.godard_pair_freqs(0.125), [-1 / 9, 8 / 9])
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.125])
+    def test_rotated_sums_equal_corrected_detector(self, alpha):
+        # the error of X corrected by tau, from the sums of the uncorrected X
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(6, 144)) + 1j * rng.normal(size=(6, 144))
+        tau = rng.uniform(-0.6, 0.6, size=(6, 1))
+        sums, mag = godard_error(X, alpha)
+        rotation = np.exp(-2j * np.pi * timing.godard_pair_freqs(alpha) * tau)
+        direct, direct_mag = godard_error(fd_interpolate(X, tau), alpha)
+        assert np.allclose((sums * rotation).sum(axis=-1).imag, direct.sum(axis=-1).imag,
+                           rtol=1e-12, atol=0)
+        assert np.allclose(mag, direct_mag, rtol=1e-12, atol=0)
 
     def test_s_curve_odd_and_zero_crossing(self):
         rng = np.random.default_rng(4)
@@ -50,7 +74,7 @@ class TestGodardError:
         X0 = shaped_block(x)
         offsets = np.linspace(-0.5, 0.5, 21)
         curve = np.array(
-            [godard_error(fd_interpolate(X0, d * txchain.SPS))[0] for d in offsets]
+            [raw_error(fd_interpolate(X0, d * txchain.SPS)) for d in offsets]
         )
         # odd symmetry and a zero crossing at the origin
         assert np.max(np.abs(curve + curve[::-1])) <= 1e-6 * np.max(np.abs(curve))
@@ -152,6 +176,44 @@ class TestClosedLoop:
         out_a = loop_a.process_beat(X)
         out_b = loop_b.process_beat(X * 50)  # scaled: same normalized error path
         assert np.allclose(out_a, out_b / 50)
+
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.125])
+    def test_stack_equals_row_calls(self, alpha):
+        rng = np.random.default_rng(7)
+        X = np.array([
+            fd_interpolate(shaped_block(rng.integers(0, 2, 128).astype(float)), 0.2)
+            for _ in range(40)
+        ])
+        stacked = FdtrLoop(alpha=alpha, tau=0.1)
+        by_row = FdtrLoop(alpha=alpha, tau=0.1)
+        out = stacked.process_beat(X)
+        rows = np.concatenate([by_row.process_beat(X[m : m + 1]) for m in range(len(X))])
+        # numpy sums the rows of a stack in another order than a single row,
+        # so the two agree to rounding, not bit for bit
+        taus = np.array(by_row.trace)
+        assert np.max(np.abs(np.array(stacked.trace) - taus)) <= 1e-12 * np.max(np.abs(taus))
+        assert np.max(np.abs(out - rows)) <= 1e-12 * np.max(np.abs(rows))
+        assert stacked.tau == pytest.approx(by_row.tau, rel=1e-12)
+
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.125])
+    def test_matches_detector_on_corrected_beats(self, alpha):
+        # random spectra keep the Nyquist bin 72, which the receive RRC
+        # nulls, so the bin-56 pair of roll-off 0.125 weighs in the error
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(30, 144)) + 1j * rng.normal(size=(30, 144))
+        loop = FdtrLoop(alpha=alpha, tau=0.3)
+        out = loop.process_beat(X)
+        ref = FdtrLoop(alpha=alpha, tau=0.3)
+        for x in X:
+            ref.trace.append(ref.tau)
+            sums, mag = godard_error(fd_interpolate(x, ref.tau), alpha)
+            ref.update(sums.sum().imag / mag)
+        taus = np.array(ref.trace)
+        assert np.max(np.abs(np.array(loop.trace) - taus)) <= 1e-12 * np.max(np.abs(taus))
+        want = fd_interpolate(X, taus[:, None])
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestDriftTracking:
