@@ -1,40 +1,48 @@
-"""Burst-mode frequency-domain equalizer: MMSE init plus simplified DD-LMS.
+"""Burst-mode frequency-domain equalizer: least-squares FIR taps plus DD-LMS.
 
-Tap initialization averages eight synchronized training beats:
+Each beat reaches the equalizer as the 128-bin folded spectrum ``Y`` of an
+overlap-save block.  In ``y = IFFT(Y)`` the beat's 96 symbols sit at the
+valid positions 32..127; the head 0..31 holds the overlap-save wrap, which
+no fixed reference knows.  So the tap fit and the tracking error are both
+measured on the valid positions only, each against one value per symbol:
+the known Preamble-C symbol during training, and on the payload the bit the
+receiver outputs.  This is the constrained overlap-save error of Shynk,
+"Frequency-domain and multirate adaptive filtering", IEEE SP Mag. 1992.
 
-    W(k) = sum_b C(b,k) conj(Y(b,k)) / sum_b Y(b,k) conj(Y(b,k))
+Tap initialization fits a real FIR ``w`` at lags -16..16 by least squares
+over the eight training beats (768 equations, 33 unknowns):
 
-where C are the reference spectra the transmitter would have produced for the
-training region and Y are the received post-timing-recovery spectra.  The
-1/8 mean factors cancel.
+    min_w  sum_b || (w (*) y_b)[32:] - c_b ||^2,   W = FFT128(w)
 
-Tracking uses the decimated decision-directed update: after equalization and
-the 128-point IFFT, eight time samples at stride 16 are hard-decided, an
-8-point FFT (scaled by 16, the decimation factor) rebuilds their spectrum,
-the error against the corresponding eight of the 128 equalized bins is
-duplicated 16x across the band, and the taps move along the stochastic
-gradient:
+where ``(*)`` is circular convolution and ``c_b`` the beat's 96 training
+symbols.  A 128-point block with 96 valid outputs filters exactly with at
+most 128 - 96 + 1 = OVERLAP_IN + 1 = 33 taps: at lags -16..16 the valid
+outputs read each head position in one role only, positions 16..31 as the
+past of output 32 and 0..15 as the wrap that follows output 127.  The taps
+are real because the folded training blocks are.
 
-    W(k) <- W(k) + 2 mu(k) conj(Y(k)) e(k),   e = Z_hat - Z
+Tracking is decision-directed LMS at full rate.  The error ``e = d - z`` on
+the valid positions, with a zero head, is transformed once and the taps move
+along the stochastic gradient:
+
+    W(k) <- W(k) + 2 mu(k) conj(Y(k)) E(k),   E = FFT128(e)
 
 The error is decision-minus-output: with the opposite ordering the update
 adds energy along the tap direction and the loop diverges, so the gradient
-sign is the one stability forces.  The decimated error is exact for
-frequency-flat beats and approximate otherwise, trading accuracy for the 16x
-complexity reduction.
+sign is the one stability forces.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import framing
 from .errors import FftSizeError
 from .fourier import fft_pow2
-from .txchain import N_IN, OVERLAP_IN, SYMBOLS_PER_BEAT
+from .txchain import N_IN, OVERLAP_IN
 
-DECIMATION = 16
-PICK_BINS = np.arange(0, N_IN, DECIMATION)  # {0, 16, ..., 112}
+LAGS = np.arange(-(OVERLAP_IN // 2), OVERLAP_IN // 2 + 1)  # -16..16
+# Block position that tap lag l reads for valid output n: (n - l) mod 128.
+_TAP_READS = (np.arange(OVERLAP_IN, N_IN)[:, None] - LAGS) % N_IN
 
 
 def strip_rolloff(X: np.ndarray) -> np.ndarray:
@@ -59,48 +67,17 @@ def strip_rolloff(X: np.ndarray) -> np.ndarray:
     )
 
 
-def build_reference(layout: framing.FrameLayout) -> np.ndarray:
-    """Reference spectra of the training beats, one row per 96-symbol beat.
+def fit_taps(Y_beats: np.ndarray, c_ref: np.ndarray) -> np.ndarray:
+    """Least-squares real FIR taps at ``LAGS`` from the training beats.
 
-    The receiver's synchronized 128-point block for a beat holds that beat's
-    96 symbols in positions 32..127; positions 0..31 wrap circularly onto the
-    *following* 32 symbols of the stream.  Rows are the 128-point FFTs of
-    those blocks.  For the final training beat the wrapped head falls on
-    payload data a fixed reference cannot know; it is modeled as the constant
-    0.5 (the symbol mean), the minimum-error payload-independent guess.  The
-    resulting reference depends only on the frame seeds.
+    ``Y_beats`` holds one folded 128-bin spectrum per row and ``c_ref`` the
+    96 known symbols of each.  Solves the 33x33 normal equations of the fit
+    on the valid positions; raises ``numpy.linalg.LinAlgError`` when they
+    are singular, as for a silent training region.
     """
-    c_region = framing.gen_preamble_c(layout)
-    n_beats = layout.preamble_c_len // SYMBOLS_PER_BEAT
-    refs = np.empty((n_beats, N_IN), dtype=np.complex128)
-    for b in range(n_beats):
-        cur = c_region[b * SYMBOLS_PER_BEAT : (b + 1) * SYMBOLS_PER_BEAT]
-        nxt_start = (b + 1) * SYMBOLS_PER_BEAT
-        if nxt_start + OVERLAP_IN <= layout.preamble_c_len:
-            head = c_region[nxt_start : nxt_start + OVERLAP_IN]
-        else:
-            head = np.full(OVERLAP_IN, 0.5)
-        refs[b] = fft_pow2(np.concatenate([head, cur]).astype(np.complex128))
-    return refs
-
-
-def mmse_estimate(
-    Y_beats: np.ndarray, C_ref: np.ndarray, eps: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin tap estimate from the synchronized training beats.
-
-    Returns ``(W, dead)`` where ``dead`` flags bins whose received power fell
-    below ``eps``; those taps are set to zero.
-    """
-    Y = np.asarray(Y_beats)
-    C = np.asarray(C_ref)
-    if Y.shape != C.shape:
-        raise ValueError(f"shape mismatch {Y.shape} vs {C.shape}")
-    num = np.sum(C * np.conj(Y), axis=0)
-    den = np.sum(Y * np.conj(Y), axis=0).real
-    dead = den < eps
-    W = np.where(dead, 0.0, num / np.where(dead, 1.0, den))
-    return W, dead
+    y = fft_pow2(np.asarray(Y_beats), inverse=True).real
+    A = np.take(y, _TAP_READS, axis=-1).reshape(-1, LAGS.size)
+    return np.linalg.solve(A.T @ A, A.T @ np.ravel(c_ref))
 
 
 def apply_fde(Y: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -128,15 +105,11 @@ class ThresholdTracker:
             self.value = 0.5 * (self.sum0 / self.n0 + self.sum1 / self.n1)
 
 
-def decide_demap(
-    z: np.ndarray, tracker: ThresholdTracker
-) -> tuple[np.ndarray, np.ndarray]:
+def decide_demap(z: np.ndarray, tracker: ThresholdTracker) -> np.ndarray:
     """Hard-decide rows of time samples to bits, refreshing the threshold per row.
 
     ``z`` holds one beat per row on its last axis, in time order.  Each row is
-    decided against the threshold left by the rows before it.  Returns
-    ``(bits, thresholds)``: ``thresholds`` has ``z``'s leading shape and holds
-    the threshold after each row's update.
+    decided against the threshold left by the rows before it.
     """
     z = np.asarray(z).real
     rows = z.reshape(-1, z.shape[-1])
@@ -145,15 +118,12 @@ def decide_demap(
     ordered = np.sort(rows, axis=-1)
     below = np.cumsum(ordered, axis=-1)
     used = np.empty(len(rows))
-    thresholds = np.empty(len(rows))
     for m, row in enumerate(ordered):
         used[m] = tracker.value
         n0 = int(row.searchsorted(tracker.value, side="right"))
         sum0 = below.item(m, n0 - 1) if n0 else 0.0
         tracker.update(sum0, n0, below.item(m, -1) - sum0, row.size - n0)
-        thresholds[m] = tracker.value
-    bits = (rows > used[:, None]).astype(np.uint8)
-    return bits.reshape(z.shape), thresholds.reshape(z.shape[:-1])
+    return (rows > used[:, None]).astype(np.uint8).reshape(z.shape)
 
 
 @dataclass
@@ -164,26 +134,35 @@ class FdeState:
     mu: float = 1e-3
     threshold: ThresholdTracker = field(default_factory=ThresholdTracker)
 
-    def initialize(self, Y_beats: np.ndarray, C_ref: np.ndarray) -> None:
-        self.W, _ = mmse_estimate(Y_beats, C_ref)
+    def initialize(self, Y_beats: np.ndarray, c_ref: np.ndarray) -> None:
+        """Set the taps to the least-squares fit of :func:`fit_taps`.
+
+        A training region the fit cannot use (singular normal equations)
+        leaves the unit taps in place, as without tap initialization.
+        """
+        try:
+            taps = fit_taps(Y_beats, c_ref)
+        except np.linalg.LinAlgError:
+            return
+        w = np.zeros(N_IN, dtype=np.complex128)
+        w[LAGS] = taps
+        self.W = fft_pow2(w)
 
 
 def ddlms_update(
-    state: FdeState, Z: np.ndarray, z: np.ndarray, Y: np.ndarray
+    state: FdeState, z_valid: np.ndarray, d: np.ndarray, Y: np.ndarray
 ) -> np.ndarray:
-    """One decimated decision-directed tap update; returns the 128-bin error.
+    """One full-rate decision-directed tap update; returns the error spectrum.
 
-    ``Z`` is the equalized spectrum of the beat and ``z`` its 128-point
-    inverse transform, which the caller has already computed for decisions.
-    Step size is the configured ``mu`` normalized by the beat's mean per-bin
-    power (power-normalized LMS), uniform across bins.
+    ``z_valid`` is the equalized beat at the valid positions 32..127 and
+    ``d`` the bits decided from it.  Step size is the configured ``mu``
+    normalized by the beat's mean per-bin power (power-normalized LMS),
+    uniform across bins.
     """
-    picks = z[PICK_BINS].real
-    decisions = (picks > state.threshold.value).astype(np.float64)
-    Z_hat8 = fft_pow2(decisions.astype(np.complex128)) * DECIMATION
-    e8 = Z_hat8 - Z[PICK_BINS]
-    e = np.repeat(e8, DECIMATION)
+    e = np.zeros(N_IN, dtype=np.complex128)
+    e[OVERLAP_IN:] = d - z_valid
+    E = fft_pow2(e)
     power = float(np.mean(np.abs(Y) ** 2))
     mu_eff = state.mu / power if power > 0 else 0.0
-    state.W = state.W + 2.0 * mu_eff * np.conj(Y) * e
-    return e
+    state.W = state.W + 2.0 * mu_eff * np.conj(Y) * E
+    return E

@@ -63,11 +63,13 @@ def error_distribution(
 
 
 def mse_point(z: np.ndarray, decisions: np.ndarray) -> np.ndarray:
-    """Squared decision error per beat, summed over its 128 time samples.
+    """Squared decision error per beat, summed over its decided samples.
 
-    Reduces the last axis, so a stack of beats gives one point per row.  By
-    Parseval's theorem this equals the mean squared spectral error over the
-    128 bins, ``mean |FFT(z) - FFT(d)|^2``, without either transform.
+    The receiver passes each payload beat's 96 decided samples, the valid
+    positions 32..127, with the bits decided from them.  Reduces the last
+    axis, so a stack of beats gives one point per row.  Summed over a whole
+    128-sample block this equals, by Parseval's theorem, the mean squared
+    spectral error ``mean |FFT(z) - FFT(d)|^2`` without either transform.
     """
     return np.sum(np.abs(np.asarray(z) - np.asarray(decisions)) ** 2, axis=-1)
 

@@ -19,9 +19,13 @@ Reception happens in two passes over the sampled waveform:
   transformed.  The fractional residue of ``p1 * 1.125`` is taken off the
   timing loop's tau, whose state carries over from acquisition.  The timing
   loop then corrects the Preamble-B, training and payload beats in one call;
-  the eight folded training beats initialize the MMSE taps; each block of
-  payload beats is equalized, inverse transformed to the time samples ``z``
-  and decided; and the MSE trace is scored over all payload beats at once.
+  the eight folded training beats fit the equalizer taps against the known
+  Preamble-C symbols (see :func:`equalizer.fit_taps`); each block of payload
+  beats is equalized and inverse transformed, and its valid positions
+  32..127 are the time samples ``z`` that are decided.  Each payload symbol
+  gets one decision, the bit the receiver outputs: DD-LMS forms its error
+  against it and the MSE trace, scored over all payload beats at once,
+  measures ``z`` against it.
 
 Every stage runs as one numpy call over a stack of beats, except three
 recursions that stay per beat because each beat needs the state the previous
@@ -80,8 +84,8 @@ class BurstReceiver:
             cfg.tx.rrc_rolloff, txchain.DEFAULT_DELAY_SYMBOLS
         )
         self.pn = framing.pn_sequence(self.layout.pn_seed)
-        self.c_ref = eq.build_reference(self.layout)
-        self.n_c_beats = self.layout.preamble_c_len // txchain.SYMBOLS_PER_BEAT
+        self.c_ref = framing.gen_preamble_c(self.layout).reshape(-1, txchain.SYMBOLS_PER_BEAT)
+        self.n_c_beats = len(self.c_ref)
 
     def tx_waveform(self, symbols: np.ndarray) -> np.ndarray:
         return txchain.tx_frame(
@@ -158,23 +162,19 @@ class BurstReceiver:
         # Taps are constant within a block: all payload beats at once, or one
         # beat per block when DD-LMS moves them after every beat.
         block = 1 if eq_cfg.ddlms else max(n_pay_beats, 1)
-        z = np.empty((n_pay_beats, txchain.N_IN), dtype=np.complex128)
+        z = np.empty((n_pay_beats, txchain.SYMBOLS_PER_BEAT), dtype=np.complex128)
         bits = np.empty((n_pay_beats, txchain.SYMBOLS_PER_BEAT), dtype=np.uint8)
-        thresholds = np.empty(n_pay_beats)
         for b in range(0, n_pay_beats, block):
             rows = slice(b, b + block)
             Z = eq.apply_fde(y_pay[rows], state.W)
-            z[rows] = fft_pow2(Z, inverse=True)
-            bits[rows], thresholds[rows] = eq.decide_demap(
-                z[rows, txchain.OVERLAP_IN:], state.threshold
-            )
+            z[rows] = fft_pow2(Z, inverse=True)[:, txchain.OVERLAP_IN :]
+            bits[rows] = eq.decide_demap(z[rows], state.threshold)
             if eq_cfg.ddlms:  # the block is beat b alone
-                eq.ddlms_update(state, Z[0], z[b], y_pay[b])
+                eq.ddlms_update(state, z[b], bits[b], y_pay[b])
 
-        d = (z.real > thresholds[:, None]).astype(np.float64)
         return DemodResult(
             payload_bits=bits.reshape(-1)[: self.layout.payload_len],
-            mse_trace=metrics.mse_point(z, d).tolist(),
+            mse_trace=metrics.mse_point(z, bits).tolist(),
         )
 
     def receive(self, waveform: np.ndarray, payload_bits: np.ndarray) -> metrics.RunReport:

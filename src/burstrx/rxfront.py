@@ -42,7 +42,8 @@ def rx_slice_beats(samples: np.ndarray) -> np.ndarray:
 
     The first beat's overlap region is zero-padded; every other beat's first
     36 samples equal the tail of the previous beat.  A stream shorter than
-    one beat gives no rows.
+    one beat gives no rows.  The rows are a read-only strided view of one
+    zero-padded copy of the samples, so overlapping beats share memory.
     """
     samples = np.asarray(samples, dtype=np.float64)
     n_beats = len(samples) // SAMPLES_PER_BEAT
@@ -50,7 +51,7 @@ def rx_slice_beats(samples: np.ndarray) -> np.ndarray:
         return np.zeros((0, N_OUT))
     padded = np.concatenate([np.zeros(OVERLAP_OUT), samples])
     windows = sliding_window_view(padded, N_OUT)
-    return windows[: n_beats * SAMPLES_PER_BEAT : SAMPLES_PER_BEAT].copy()
+    return windows[: n_beats * SAMPLES_PER_BEAT : SAMPLES_PER_BEAT]
 
 
 def beat_spectra(beats: np.ndarray, response: np.ndarray | None = None) -> np.ndarray:

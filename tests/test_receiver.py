@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from burstrx import channel, config, framesync, framing, rxfront, txchain
+from burstrx import channel, config, framesync, framing, metrics, rxfront
 from burstrx import equalizer as eq
 from burstrx.fourier import fft_pow2
 from burstrx.receiver import SYNC_REALIGN, BurstReceiver
@@ -37,6 +37,14 @@ def noiseless_burst(mmse_init, ddlms, payload_len=PAYLOAD_LEN):
     )
 
 
+EQ_SETTINGS = {  # (mmse_init, ddlms)
+    "no_eq": (False, False),
+    "mmse": (True, False),
+    "ddlms": (False, True),
+    "mmse_ddlms": (True, True),
+}
+
+
 DRIFT_DDLMS = {"frame": {"payload_len": 1920}, "channel": {"snr_db": 14.0, "clock_ppm": 100.0}}
 LOWPASS_MMSE = {
     "frame": {"payload_len": 3840},
@@ -51,9 +59,7 @@ def burst():
 
 
 @pytest.mark.parametrize(
-    "mmse_init, ddlms",
-    [(False, False), (True, False), (False, True), (True, True)],
-    ids=["no_eq", "mmse", "ddlms", "mmse_ddlms"],
+    "mmse_init, ddlms", list(EQ_SETTINGS.values()), ids=list(EQ_SETTINGS)
 )
 def test_noiseless_loopback(mmse_init, ddlms):
     rx, wave, bits = noiseless_burst(mmse_init, ddlms)
@@ -103,6 +109,54 @@ def test_truncated_after_sync_is_sync_failure(burst):
     assert report.status == "sync_failed"
     assert report.sync_p is not None
     assert [stage for stage, _, _ in report.spo_trace] == [1] * STAGE1_BEATS
+
+
+def equalizer_errors(cfg_dict, setting):
+    """Bit errors and bits of one decoded burst with an equalizer setting."""
+    mmse_init, ddlms = EQ_SETTINGS[setting]
+    rx, wave, bits = make_burst(
+        {**cfg_dict, "equalizer": {"mmse_init": mmse_init, "ddlms": ddlms}}
+    )
+    report = rx.receive(wave, bits)
+    assert report.status == "ok"
+    return report.bit_errors, report.bits_total
+
+
+@pytest.mark.parametrize("setting", EQ_SETTINGS)
+def test_noiseless_default_frame_error_free(setting):
+    assert equalizer_errors({}, setting) == (0, framing.FrameLayout().payload_len)
+
+
+@pytest.mark.parametrize("snr_db", [14.0, 18.0])
+def test_equalizer_no_worse_than_none(snr_db):
+    cfg = {"frame": {"payload_len": 30_000}, "channel": {"snr_db": snr_db}}
+    _, upper = metrics.wilson_interval(*equalizer_errors(cfg, "no_eq"))
+    for setting in ("mmse", "ddlms", "mmse_ddlms"):
+        errors, total = equalizer_errors(cfg, setting)
+        assert errors / total <= upper, setting
+
+
+def test_lowpass_equalizer_order():
+    # 4 GHz / 20 dB: MMSE + DD-LMS <= MMSE only, within the MMSE interval,
+    # and MMSE only < no EQ with the intervals apart
+    cfg = {"frame": {"payload_len": 30_000}, "channel": {"snr_db": 20.0, "f3db_ghz": 4.0}}
+    none = metrics.wilson_interval(*equalizer_errors(cfg, "no_eq"))
+    mmse = metrics.wilson_interval(*equalizer_errors(cfg, "mmse"))
+    errors, total = equalizer_errors(cfg, "mmse_ddlms")
+    assert errors / total <= mmse[1]
+    assert mmse[1] < none[0]
+
+
+def test_silent_training_region_keeps_unit_taps():
+    # sync passes but the eight training beats are silent: the tap fit is
+    # singular, so the burst decodes with the unit taps of mmse_init off
+    rx, wave, bits = noiseless_burst(mmse_init=True, ddlms=False)
+    p = rx.acquire(wave).sync.p
+    wave[p + 36 : p + 936] = 0.0
+    report = rx.receive(wave, bits)
+    no_eq, _, _ = noiseless_burst(mmse_init=False, ddlms=False)
+    assert report.status == "ok"
+    assert report.bit_errors == no_eq.receive(wave, bits).bit_errors
 
 
 def timing_step(loop, X):
@@ -160,13 +214,12 @@ def receive_per_beat(rx, wave, detect_beat):
     payload, mse = [], []
     for m in range(first_pay, first_pay + n_pay):
         Y = eq.strip_rolloff(timing_step(loop, X[m]))
-        Z = eq.apply_fde(Y, state.W)
-        z = fft_pow2(Z, inverse=True)
-        payload.append(decide_beat(z[32:].real, state.threshold))
-        d = (z.real > state.threshold.value).astype(np.float64)
+        z = fft_pow2(eq.apply_fde(Y, state.W), inverse=True)[32:]
+        d = decide_beat(z.real, state.threshold)
+        payload.append(d)
         mse.append(float(np.sum(np.abs(z - d) ** 2)))
         if cfg.equalizer.ddlms:
-            eq.ddlms_update(state, Z, z, Y)
+            eq.ddlms_update(state, z, d, Y)
     bits = np.concatenate(payload)[: rx.layout.payload_len]
     return bits, mse, sync.p1, np.array(loop.trace), stage1
 
@@ -195,8 +248,8 @@ def test_batched_receiver_matches_per_beat_reference(cfg_dict):
 @pytest.mark.parametrize(
     "cfg_dict, errors, digest",
     [
-        (DRIFT_DDLMS, 4, "e86b6c5e210bc39e463fa5558a1a37db3dc01fdb4be9dab7a0a82453b490871f"),
-        (LOWPASS_MMSE, 74, "4ca0e182fa2c64b80cc475def4d81d26bcd44d8e5d65e6ec8e3a70842a054c81"),
+        (DRIFT_DDLMS, 0, "4ed8aa38f59c12b1a28043c1a2a764ee88736d41608aaa56c97d4abb1372e3f3"),
+        (LOWPASS_MMSE, 17, "93e30c68fdad6c0ef2bad15b94f0d3f7cfc6afcca73c77f1ae76f1315311bc11"),
     ],
     ids=["1920_bits_14dB_100ppm_ddlms", "3840_bits_4GHz_20dB_mmse"],
 )
@@ -204,9 +257,9 @@ def test_decisions_pinned(cfg_dict, errors, digest):
     """Decided bits and error count of two fixed bursts, pinned.
 
     A change meant only to make the receiver faster must not flip a bit, so
-    this fails on any decision change.  Fixing the equalizer (ROADMAP item 1)
-    changes decisions on purpose: that change re-pins these values and says
-    so in CHANGES.md.
+    this fails on any decision change.  A change to the equalizer or another
+    stage that alters decisions on purpose re-pins these values and says so
+    in CHANGES.md.
     """
     rx, wave, payload = make_burst(cfg_dict)
     bits = rx.demodulate(wave, rx.acquire(wave)).payload_bits
