@@ -29,7 +29,16 @@ along the stochastic gradient:
 
 The error is decision-minus-output: with the opposite ordering the update
 adds energy along the tap direction and the loop diverges, so the gradient
-sign is the one stability forces.
+sign is the one stability forces.  The step is power-normalized: the
+configured ``mu`` divided by the beat's mean per-bin power
+``mean_k |Y(k)|^2``, the same on every bin.  It does not depend on the taps,
+so :func:`ddlms_update` forms ``2 mu(k) conj(Y(k))`` for every payload beat
+at once and keeps only equalize, decide and update in its per-beat loop.
+
+Decisions compare each sample with a running threshold, the midpoint of the
+mean levels decided so far.  :meth:`ThresholdTracker.step` is that recursion
+for one beat; :func:`decide_demap` (a stack with fixed taps) and
+:func:`ddlms_update` (one beat at a time) both call it.
 """
 
 from dataclasses import dataclass, field
@@ -104,25 +113,35 @@ class ThresholdTracker:
         if self.n0 and self.n1:
             self.value = 0.5 * (self.sum0 / self.n0 + self.sum1 / self.n1)
 
+    def step(self, ordered: np.ndarray, below: np.ndarray) -> float:
+        """Decide one beat; returns the threshold its samples are decided against.
+
+        ``ordered`` is the beat's samples sorted and ``below`` their cumulative
+        sum, so one search gives the beat's 0/1 split and level sums, and the
+        recursion itself is scalar.
+        """
+        used = self.value
+        n0 = int(ordered.searchsorted(used, side="right"))
+        sum0 = below.item(n0 - 1) if n0 else 0.0
+        self.update(sum0, n0, below.item(-1) - sum0, ordered.size - n0)
+        return used
+
 
 def decide_demap(z: np.ndarray, tracker: ThresholdTracker) -> np.ndarray:
     """Hard-decide rows of time samples to bits, refreshing the threshold per row.
 
     ``z`` holds one beat per row on its last axis, in time order.  Each row is
-    decided against the threshold left by the rows before it.
+    decided against the threshold left by the rows before it, one
+    :meth:`ThresholdTracker.step` per row after one sort and one cumulative
+    sum over the whole stack.
     """
     z = np.asarray(z).real
     rows = z.reshape(-1, z.shape[-1])
-    # With each row sorted and summed cumulatively, one search gives the
-    # row's 0/1 split at any threshold, so the recursion itself is scalar.
     ordered = np.sort(rows, axis=-1)
     below = np.cumsum(ordered, axis=-1)
     used = np.empty(len(rows))
-    for m, row in enumerate(ordered):
-        used[m] = tracker.value
-        n0 = int(row.searchsorted(tracker.value, side="right"))
-        sum0 = below.item(m, n0 - 1) if n0 else 0.0
-        tracker.update(sum0, n0, below.item(m, -1) - sum0, row.size - n0)
+    for m in range(len(rows)):
+        used[m] = tracker.step(ordered[m], below[m])
     return (rows > used[:, None]).astype(np.uint8).reshape(z.shape)
 
 
@@ -149,20 +168,31 @@ class FdeState:
         self.W = fft_pow2(w)
 
 
-def ddlms_update(
-    state: FdeState, z_valid: np.ndarray, d: np.ndarray, Y: np.ndarray
-) -> np.ndarray:
-    """One full-rate decision-directed tap update; returns the error spectrum.
+def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equalize, decide and track a stack of payload beats; returns ``(z, bits)``.
 
-    ``z_valid`` is the equalized beat at the valid positions 32..127 and
-    ``d`` the bits decided from it.  Step size is the configured ``mu``
-    normalized by the beat's mean per-bin power (power-normalized LMS),
-    uniform across bins.
+    ``Y`` holds the folded payload spectra, one beat per row in time order.
+    Each beat is equalized with the taps the previous beat's update left; its
+    valid positions 32..127 are ``z`` and the bits decided from them the
+    reference of its error.  The step is the configured ``mu`` normalized by
+    the beat's mean per-bin power (power-normalized LMS), uniform across
+    bins, and 0 on a silent beat.  It does not depend on the taps, so it is
+    formed for the whole stack at once; only the recursion runs per beat.
     """
+    Y = np.asarray(Y)
+    power = np.mean(np.abs(Y) ** 2, axis=-1)
+    mu_eff = np.divide(state.mu, power, out=np.zeros_like(power), where=power > 0)
+    steps = (2.0 * mu_eff)[:, None] * np.conj(Y)
+    z = np.empty((len(Y), N_IN - OVERLAP_IN), dtype=np.complex128)
+    bits = np.empty(z.shape, dtype=np.uint8)
     e = np.zeros(N_IN, dtype=np.complex128)
-    e[OVERLAP_IN:] = d - z_valid
-    E = fft_pow2(e)
-    power = float(np.mean(np.abs(Y) ** 2))
-    mu_eff = state.mu / power if power > 0 else 0.0
-    state.W = state.W + 2.0 * mu_eff * np.conj(Y) * E
-    return E
+    W = state.W
+    for b in range(len(Y)):
+        z[b] = fft_pow2(Y[b] * W, inverse=True)[OVERLAP_IN:]
+        row = z[b].real
+        ordered = np.sort(row)
+        bits[b] = row > state.threshold.step(ordered, np.cumsum(ordered))
+        e[OVERLAP_IN:] = bits[b] - z[b]
+        W = W + steps[b] * fft_pow2(e)
+    state.W = W
+    return z, bits

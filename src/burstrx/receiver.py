@@ -20,22 +20,23 @@ Reception happens in two passes over the sampled waveform:
   timing loop's tau, whose state carries over from acquisition.  The timing
   loop then corrects the Preamble-B, training and payload beats in one call;
   the eight folded training beats fit the equalizer taps against the known
-  Preamble-C symbols (see :func:`equalizer.fit_taps`); each block of payload
-  beats is equalized and inverse transformed, and its valid positions
-  32..127 are the time samples ``z`` that are decided.  Each payload symbol
-  gets one decision, the bit the receiver outputs: DD-LMS forms its error
-  against it and the MSE trace, scored over all payload beats at once,
-  measures ``z`` against it.
+  Preamble-C symbols (see :func:`equalizer.fit_taps`); the payload beats are
+  equalized and inverse transformed, and their valid positions 32..127 are
+  the time samples ``z`` that are decided.  Each payload symbol gets one
+  decision, the bit the receiver outputs: DD-LMS forms its error against it
+  and the MSE trace, scored over all payload beats at once, measures ``z``
+  against it.
 
-Every stage runs as one numpy call over a stack of beats, except three
-recursions that stay per beat because each beat needs the state the previous
-one left: the timing loop's tau (a scalar recursion on detector sums taken
-over the whole stack, see :meth:`FdtrLoop.process_beat`), the decision
-threshold (see :func:`equalizer.decide_demap`), and the DD-LMS taps.  The
-taps are constant within a payload block, so the block is every payload beat
-when DD-LMS is off and a single beat when it is on: each beat is then decided
-with the taps the previous beat's update left, as beat-by-beat processing
-does.
+Every stage runs as one call over a stack of beats.  Three recursions inside
+those calls stay per beat because each beat needs the state the previous one
+left: the timing loop's tau (a scalar recursion on detector sums taken over
+the whole stack, see :meth:`FdtrLoop.process_beat`), the decision threshold
+(see :meth:`equalizer.ThresholdTracker.step`), and the DD-LMS taps.  With
+DD-LMS off the taps are fixed, so all payload beats are equalized in one
+multiply and decided in one :func:`equalizer.decide_demap` call.  With it on,
+one :func:`equalizer.ddlms_update` call runs the whole payload: each beat is
+decided with the taps the previous beat's update left, as beat-by-beat
+processing does.
 
 Both ends shape with the same RRC response, each with the default 16-symbol
 linear-phase delay.  Index bookkeeping: the matched filter pair therefore
@@ -159,18 +160,12 @@ class BurstReceiver:
         if eq_cfg.mmse_init:
             state.initialize(y_train, self.c_ref)
 
-        # Taps are constant within a block: all payload beats at once, or one
-        # beat per block when DD-LMS moves them after every beat.
-        block = 1 if eq_cfg.ddlms else max(n_pay_beats, 1)
-        z = np.empty((n_pay_beats, txchain.SYMBOLS_PER_BEAT), dtype=np.complex128)
-        bits = np.empty((n_pay_beats, txchain.SYMBOLS_PER_BEAT), dtype=np.uint8)
-        for b in range(0, n_pay_beats, block):
-            rows = slice(b, b + block)
-            Z = eq.apply_fde(y_pay[rows], state.W)
-            z[rows] = fft_pow2(Z, inverse=True)[:, txchain.OVERLAP_IN :]
-            bits[rows] = eq.decide_demap(z[rows], state.threshold)
-            if eq_cfg.ddlms:  # the block is beat b alone
-                eq.ddlms_update(state, z[b], bits[b], y_pay[b])
+        if eq_cfg.ddlms:
+            z, bits = eq.ddlms_update(state, y_pay)
+        else:
+            Z = eq.apply_fde(y_pay, state.W)
+            z = fft_pow2(Z, inverse=True)[:, txchain.OVERLAP_IN :]
+            bits = eq.decide_demap(z, state.threshold)
 
         return DemodResult(
             payload_bits=bits.reshape(-1)[: self.layout.payload_len],

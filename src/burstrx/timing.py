@@ -44,6 +44,7 @@ import numpy as np
 from .txchain import FREQ_SYMBOL_144, N_IN, N_OUT, SPS
 
 ALIAS_STRIDE = 16  # N - N/sps = 144 - 128
+_F_HALF = FREQ_SYMBOL_144[: N_OUT // 2 + 1] / SPS   # bins 0..72, cycles per sample
 
 
 def godard_band(alpha: float = 0.1) -> np.ndarray:
@@ -95,10 +96,12 @@ def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
     ``X`` holds 144-bin spectra on its last axis; ``f_k`` is k/144 for
     k <= 72 and (k-144)/144 above, in cycles per sample.  ``tau_samples``
     broadcasts against ``X``, so a ``(n, 1)`` column corrects each row of an
-    ``(n, 144)`` stack by its own tau.
+    ``(n, 144)`` stack by its own tau.  The exponential is evaluated on bins
+    0..72 only: ``f_(144-k) = -f_k``, so bins 73..143 are the conjugates of
+    bins 71..1.
     """
-    f = FREQ_SYMBOL_144 / SPS
-    return np.asarray(X) * np.exp(-2j * np.pi * f * np.asarray(tau_samples))
+    half = np.exp(-2j * np.pi * _F_HALF * np.asarray(tau_samples))
+    return np.asarray(X) * np.concatenate([half, np.conj(half[..., 71:0:-1])], -1)
 
 
 @dataclass

@@ -140,26 +140,59 @@ def random_beat(seed):
     return Y, rng.integers(0, 2, 96).astype(np.uint8)
 
 
+def oracle_update(state, z, d, Y):
+    """One DD-LMS tap update against decisions ``d``; returns the error spectrum."""
+    e = np.zeros(128, complex)
+    e[32:] = d - z
+    E = fft_pow2(e)
+    power = float(np.mean(np.abs(Y) ** 2))
+    mu_eff = state.mu / power if power > 0 else 0.0
+    state.W = state.W + 2.0 * mu_eff * np.conj(Y) * E
+    return E
+
+
+def oracle_ddlms(state, Y):
+    """The payload recursion one beat at a time: equalize, decide, update."""
+    z, bits = [], []
+    for Y_b in Y:
+        z_b = fft_pow2(apply_fde(Y_b, state.W), inverse=True)[32:]
+        d = decide_demap(z_b[None], state.threshold)[0]
+        oracle_update(state, z_b, d, Y_b)
+        z.append(z_b)
+        bits.append(d)
+    return np.reshape(z, (-1, 96)), np.reshape(bits, (-1, 96))
+
+
+def payload_stack(seed, n):
+    """Spectra of ``n`` noisy overlap-save blocks through a mild ISI channel.
+
+    The levels sit at about 0.3 and 1.2, so some decisions depend on the
+    running threshold rather than on the initial 0.5.
+    """
+    rng = np.random.default_rng(seed)
+    blocks, c = training_blocks(seed, n)
+    y = circular_filter([0.1, 1.0, -0.2], blocks) + 0.3 + 0.15 * rng.normal(size=blocks.shape)
+    return spectra(y), c
+
+
 class TestDdlms:
     def test_flat_beat_zero_error_fixed_point(self):
-        # frequency-flat beat decided exactly: zero error and no tap move,
-        # whatever the head holds
+        # frequency-flat beat decided exactly: zero error and no tap move
+        # (that the head is ignored is test_head_does_not_change_error)
         Y = fft_pow2(np.ones(128, complex))
-        d = np.ones(96, np.uint8)
-        for head in (np.ones(32), np.arange(32.0)):
-            z = np.concatenate([head, d]).astype(complex)
-            state = FdeState()
-            E = ddlms_update(state, z[32:], d, Y)
-            assert np.max(np.abs(E)) == 0.0
-            assert np.array_equal(state.W, np.ones(128))
+        state = FdeState()
+        z, bits = ddlms_update(state, Y[None])
+        assert np.array_equal(z, np.ones((1, 96)))
+        assert np.array_equal(bits, np.ones((1, 96)))
+        assert np.array_equal(state.W, np.ones(128))
 
     def test_head_does_not_change_error(self):
         Y, d = random_beat(2)
         rng = np.random.default_rng(3)
         z = rng.normal(size=128) + 0.0j
-        E1 = ddlms_update(FdeState(), z[32:], d, Y)
+        E1 = oracle_update(FdeState(), z[32:], d, Y)
         z[:32] = rng.normal(size=32)
-        E2 = ddlms_update(FdeState(), z[32:], d, Y)
+        E2 = oracle_update(FdeState(), z[32:], d, Y)
         assert np.array_equal(E1, E2)
 
     def test_single_error_sample_update(self):
@@ -169,34 +202,28 @@ class TestDdlms:
         z = d.astype(complex)
         z[40 - 32] += 0.5
         state = FdeState(mu=1e-3)
-        E = ddlms_update(state, z, d, Y)
+        E = oracle_update(state, z, d, Y)
         k = np.arange(128)
         assert np.allclose(E, -0.5 * np.exp(-2j * np.pi * k * 40 / 128), atol=1e-12)
         mu_eff = 1e-3 / np.mean(np.abs(Y) ** 2)
         assert np.allclose(state.W - 1.0, 2 * mu_eff * np.conj(Y) * E)
 
     def test_small_step_lowers_error(self):
-        Y, d = random_beat(5)
+        Y, _ = random_beat(5)
         state = FdeState(mu=1e-3)
-
-        def error_energy():
-            z = fft_pow2(apply_fde(Y, state.W), inverse=True)[32:]
-            return float(np.sum(np.abs(d - z) ** 2)), z
-
-        before, z = error_energy()
-        ddlms_update(state, z, d, Y)
-        after, _ = error_energy()
-        assert after < before
+        z, bits = ddlms_update(state, Y[None])
+        after = fft_pow2(apply_fde(Y, state.W), inverse=True)[32:]
+        assert np.sum(np.abs(bits[0] - after) ** 2) < np.sum(np.abs(bits[0] - z[0]) ** 2)
 
     def test_update_uses_conjugated_input(self):
         rng = np.random.default_rng(9)
-        Z = rng.normal(size=128) + 1j * rng.normal(size=128)
         Y = rng.normal(size=128) + 1j * rng.normal(size=128)
         state = FdeState(mu=1e-3)
-        z = fft_pow2(Z, inverse=True)[32:]
-        e = ddlms_update(state, z, (z.real > 0.5).astype(np.uint8), Y)
+        z, bits = ddlms_update(state, Y[None])
+        e = np.zeros(128, complex)
+        e[32:] = bits[0] - z[0]
         mu_eff = 1e-3 / np.mean(np.abs(Y) ** 2)
-        assert np.allclose(state.W - 1.0, 2 * mu_eff * np.conj(Y) * e)
+        assert np.allclose(state.W - 1.0, 2 * mu_eff * np.conj(Y) * fft_pow2(e))
 
     def test_tracks_slow_gain_ramp(self):
         # gain ramps 1 -> 1.1 over 500 beats; post-FDE error energy must stay
@@ -204,21 +231,51 @@ class TestDdlms:
         # the valid-position error of a static noiseless beat is exactly zero
         def run(ramp, mu=1e-2):
             rng = np.random.default_rng(10)
-            state = FdeState(mu=mu)
-            errs = []
+            Y = []
             for b in range(500):
                 x = rng.integers(0, 2, 128).astype(float)
                 g = 1.0 + (0.1 * b / 500 if ramp else 0.0)
-                Y = fft_pow2((g * x + 0.02 * rng.normal(size=128)).astype(complex))
-                z = fft_pow2(apply_fde(Y, state.W), inverse=True)[32:]
-                e = ddlms_update(state, z, (z.real > 0.5).astype(np.uint8), Y)
-                errs.append(np.mean(np.abs(e) ** 2))
-            return np.mean(errs[250:])
+                Y.append(fft_pow2((g * x + 0.02 * rng.normal(size=128)).astype(complex)))
+            z, bits = ddlms_update(FdeState(mu=mu), np.array(Y))
+            return np.mean(np.sum(np.abs(bits - z) ** 2, axis=-1)[250:])
 
         static = run(False)
         ramped = run(True)
         assert ramped <= 2.0 * static  # 3 dB
         assert run(True, mu=0.0) > 2.0 * static  # untracked, the ramp shows
+
+    @pytest.mark.parametrize("mmse_init", [False, True], ids=["unit_taps", "mmse_taps"])
+    def test_matches_per_beat_oracle(self, mmse_init):
+        Y, c = payload_stack(13, 8 + 200)
+        states = FdeState(mu=1e-2), FdeState(mu=1e-2)
+        if mmse_init:
+            for state in states:
+                state.initialize(Y[:8], c[:8])
+        z, bits = ddlms_update(states[0], Y[8:])
+        z_ref, bits_ref = oracle_ddlms(states[1], Y[8:])
+        assert z.shape == bits.shape == (200, 96)
+        assert np.array_equal(z, z_ref)
+        assert np.array_equal(bits, bits_ref)
+        assert np.array_equal(states[0].W, states[1].W)
+        assert states[0].threshold.value == states[1].threshold.value
+
+    def test_empty_stack(self):
+        state = FdeState()
+        state.W = fft_pow2(np.arange(128.0) + 0j)
+        W = state.W.copy()
+        z, bits = ddlms_update(state, np.zeros((0, 128), complex))
+        assert z.shape == bits.shape == (0, 96)
+        assert np.array_equal(state.W, W)
+
+    def test_silent_beat_leaves_taps(self):
+        # an all-zero beat has zero power: no step, no warning
+        Y, _ = payload_stack(14, 3)
+        Y[1] = 0.0
+        state, ref = FdeState(mu=1e-2), FdeState(mu=1e-2)
+        ddlms_update(state, Y[:2])
+        ddlms_update(ref, Y[:1])
+        assert np.array_equal(state.W, ref.W)
+        assert not np.array_equal(ref.W, np.ones(128))
 
 
 class TestDecideDemap:

@@ -219,7 +219,11 @@ def receive_per_beat(rx, wave, detect_beat):
         payload.append(d)
         mse.append(float(np.sum(np.abs(z - d) ** 2)))
         if cfg.equalizer.ddlms:
-            eq.ddlms_update(state, z, d, Y)
+            e = np.zeros(128, complex)
+            e[32:] = d - z
+            power = float(np.mean(np.abs(Y) ** 2))
+            mu_eff = state.mu / power if power > 0 else 0.0
+            state.W = state.W + 2.0 * mu_eff * np.conj(Y) * fft_pow2(e)
     bits = np.concatenate(payload)[: rx.layout.payload_len]
     return bits, mse, sync.p1, np.array(loop.trace), stage1
 

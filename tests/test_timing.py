@@ -115,6 +115,22 @@ class TestInterpolator:
         X = rng.normal(size=144) + 1j * rng.normal(size=144)
         assert np.array_equal(fd_interpolate(X, 0.0), X)
 
+    def test_mirrored_half_equals_full_exponential(self):
+        # bins 73..143 are conjugated from bins 71..1; the result is the
+        # full 144-bin exponential bit for bit
+        def full(X, tau):
+            k = np.arange(144)
+            f = np.where(k <= 72, k / 128, (k - 144) / 128) / 1.125
+            return X * np.exp(-2j * np.pi * f * np.asarray(tau))
+
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(500, 144)) + 1j * rng.normal(size=(500, 144))
+        taus = rng.uniform(-200.0, 200.0, size=(500, 1))
+        assert np.array_equal(fd_interpolate(X, taus), full(X, taus))
+        for tau in taus[:50, 0]:
+            assert np.array_equal(fd_interpolate(X[0], tau), full(X[0], tau))
+            assert np.array_equal(fd_interpolate(X[:4], tau), full(X[:4], tau))
+
     def test_integer_delay_is_circular_shift(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=144) + 1j * rng.normal(size=144)
