@@ -178,21 +178,50 @@ def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     the beat's mean per-bin power (power-normalized LMS), uniform across
     bins, and 0 on a silent beat.  It does not depend on the taps, so it is
     formed for the whole stack at once; only the recursion runs per beat.
+
+    The recursion allocates nothing per beat; every step writes into arrays
+    made once per call:
+
+    - ``z`` and ``bits`` (decided as bool, returned as a uint8 view);
+    - ``buf``, one 128-point work buffer: the equalized block, its inverse
+      FFT in place, then the error spectrum and the tap increment;
+    - ``ordered`` and ``below``, the sorted row and its running sum for
+      :meth:`ThresholdTracker.step`;
+    - ``e``, the error block, whose head 0..31 stays zero;
+    - ``W``, a copy of ``state.W`` updated in place, so the array the caller
+      holds (it may be the tap-fit array) is never written.
+
+    The products keep the operand order ``Y[b] * W`` and ``steps[b] * E``:
+    complex multiplication in numpy is not commutative in the last bit, so
+    swapping either would move the taps and could flip a decision that sits
+    on the threshold.
     """
     Y = np.asarray(Y)
     power = np.mean(np.abs(Y) ** 2, axis=-1)
     mu_eff = np.divide(state.mu, power, out=np.zeros_like(power), where=power > 0)
     steps = (2.0 * mu_eff)[:, None] * np.conj(Y)
     z = np.empty((len(Y), N_IN - OVERLAP_IN), dtype=np.complex128)
-    bits = np.empty(z.shape, dtype=np.uint8)
+    bits = np.empty(z.shape, dtype=bool)
+    buf = np.empty(N_IN, dtype=np.complex128)
     e = np.zeros(N_IN, dtype=np.complex128)
-    W = state.W
+    e_valid = e[OVERLAP_IN:]
+    ordered = np.empty(N_IN - OVERLAP_IN)
+    below = np.empty(N_IN - OVERLAP_IN)
+    W = np.array(state.W, dtype=np.complex128)
+    step = state.threshold.step
     for b in range(len(Y)):
-        z[b] = fft_pow2(Y[b] * W, inverse=True)[OVERLAP_IN:]
-        row = z[b].real
-        ordered = np.sort(row)
-        bits[b] = row > state.threshold.step(ordered, np.cumsum(ordered))
-        e[OVERLAP_IN:] = bits[b] - z[b]
-        W = W + steps[b] * fft_pow2(e)
+        np.multiply(Y[b], W, out=buf)
+        fft_pow2(buf, inverse=True, out=buf)
+        z_b = z[b]
+        z_b[:] = buf[OVERLAP_IN:]
+        row = z_b.real
+        ordered[:] = row
+        ordered.sort()
+        np.add.accumulate(ordered, out=below)
+        np.greater(row, step(ordered, below), out=bits[b])
+        np.subtract(bits[b], z_b, out=e_valid)
+        fft_pow2(e, out=buf)
+        np.multiply(steps[b], buf, out=buf)
+        np.add(W, buf, out=W)
     state.W = W
-    return z, bits
+    return z, bits.view(np.uint8)

@@ -130,13 +130,20 @@ def butterfly_fft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     return y
 
 
-def fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """FFT for power-of-two lengths (8 and 128 in this chain)."""
+def fft_pow2(
+    x: np.ndarray, inverse: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
+    """FFT for power-of-two lengths (8 and 128 in this chain).
+
+    With ``out`` the transform is written into that complex128 array of the
+    same shape and returned; ``out`` may be ``x`` itself.  The values are
+    those of the allocating call, bit for bit.
+    """
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
     if n < 2 or (n & (n - 1)) != 0:
         raise FftSizeError(f"fft_pow2 requires a power-of-two length, got {n}")
-    return np.fft.ifft(x) if inverse else np.fft.fft(x)
+    return np.fft.ifft(x, out=out) if inverse else np.fft.fft(x, out=out)
 
 
 def fft_144(x: np.ndarray, inverse: bool = False) -> np.ndarray:

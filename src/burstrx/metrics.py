@@ -1,11 +1,11 @@
 """Run metrics: BER counting, error-position statistics, MSE, run reports."""
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import AlignmentError
 
@@ -36,6 +36,29 @@ def count_ber(decided_bits: np.ndarray, reference_bits: np.ndarray) -> BerCount:
     return BerCount(errors=int(diff.sum()), total=int(decided.size), positions=positions)
 
 
+def chi2_upper_tail(k: int, x: float) -> float:
+    """P(X > x) for X chi-square with ``k`` degrees of freedom, a positive integer.
+
+    Closed form for integer ``k``, with ``h = x/2``:
+
+        Q = erfc(sqrt(h)) [k odd] + e^(-h) sum_p h^p / Gamma(p + 1),
+
+    over p = 0, 1, ..., k/2 - 1 for even ``k`` and p = 1/2, 3/2, ..., k/2 - 1
+    for odd ``k``.  Each term is evaluated as one exponential of its
+    logarithm, so neither ``h^p`` nor ``e^(-h)`` overflows or underflows
+    on its own.
+    """
+    if k < 1:
+        raise ValueError(f"chi-square degrees of freedom must be >= 1, got {k}")
+    if x <= 0:
+        return 1.0
+    h = 0.5 * x
+    log_h = math.log(h)
+    head = math.erfc(math.sqrt(h)) if k % 2 else 0.0
+    powers = (k % 2 / 2 + i for i in range(k // 2))
+    return head + math.fsum(math.exp(p * log_h - h - math.lgamma(p + 1)) for p in powers)
+
+
 @dataclass
 class ErrorHistogram:
     counts: np.ndarray
@@ -58,7 +81,7 @@ def error_distribution(
         return ErrorHistogram(counts=counts, chi2_stat=None, p_value=None)
     expected = total / bins
     stat = float(np.sum((counts - expected) ** 2 / expected))
-    p = float(chdtrc(bins - 1, stat))
+    p = chi2_upper_tail(bins - 1, stat)
     return ErrorHistogram(counts=counts, chi2_stat=stat, p_value=p)
 
 

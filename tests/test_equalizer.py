@@ -267,6 +267,19 @@ class TestDdlms:
         assert z.shape == bits.shape == (0, 96)
         assert np.array_equal(state.W, W)
 
+    def test_caller_taps_not_written(self):
+        # the taps are updated in place on a copy: the array the state held
+        # on entry (here the tap-fit array) keeps its values
+        Y, c = payload_stack(15, 8 + 20)
+        state = FdeState(mu=1e-2)
+        state.initialize(Y[:8], c[:8])
+        W_in = state.W
+        W_fit = W_in.copy()
+        ddlms_update(state, Y[8:])
+        assert np.array_equal(W_in, W_fit)
+        assert state.W is not W_in
+        assert not np.array_equal(state.W, W_fit)
+
     def test_silent_beat_leaves_taps(self):
         # an all-zero beat has zero power: no step, no warning
         Y, _ = payload_stack(14, 3)

@@ -65,6 +65,18 @@ class TestFftPow2:
         for i in range(5):
             assert np.allclose(batch[i], fft_pow2(x[i]), atol=1e-12)
 
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_out_buffer_equals_allocating_call(self, inverse):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=128) + 1j * rng.normal(size=128)
+        ref = fft_pow2(x, inverse=inverse)
+        buf = np.empty(128, complex)
+        assert fft_pow2(x, inverse=inverse, out=buf) is buf
+        assert np.array_equal(buf, ref)
+        y = x.copy()
+        assert fft_pow2(y, inverse=inverse, out=y) is y
+        assert np.array_equal(y, ref)
+
 
 class TestFft144:
     def test_impulse(self):

@@ -1,5 +1,9 @@
 """Metrics tests: BER counting, error distribution, MSE, report round trip."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -49,6 +53,40 @@ class TestErrorDistribution:
         pos = np.array([0, 1, 4999])
         h = metrics.error_distribution(pos, 5000)
         assert h.counts.sum() == 3
+
+
+
+class TestChi2UpperTail:
+    def test_matches_scipy(self):
+        chdtrc = pytest.importorskip("scipy.special").chdtrc
+        xs = np.concatenate([np.geomspace(1e-8, 1.0, 40), np.linspace(0.1, 200.0, 400)])
+        worst = 0.0
+        for k in range(1, 31):
+            for x in xs:
+                ref = chdtrc(k, x)
+                worst = max(worst, abs(metrics.chi2_upper_tail(k, float(x)) - ref) / ref)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_nonpositive_statistic_is_certain(self, k):
+        assert metrics.chi2_upper_tail(k, 0.0) == 1.0
+        assert metrics.chi2_upper_tail(k, -1.0) == 1.0
+
+    def test_zero_degrees_rejected(self):
+        with pytest.raises(ValueError):
+            metrics.chi2_upper_tail(0, 1.0)
+
+    def test_receiver_import_loads_no_scipy(self):
+        src = Path(metrics.__file__).resolve().parent.parent
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import burstrx.receiver, burstrx.config; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestMsePoint:
