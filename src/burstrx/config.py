@@ -7,7 +7,19 @@ frame (1056-symbol preamble, 1.3e5 payload) over a clean channel.
 Only values that some part of the chain reads are settable.  The receiver's
 structure is fixed: matched RRC filters with the default 16-symbol delay at
 both ends, the Preamble-A tone phase seeding a plain PI timing loop, and an
-exact tone-bin detection test.
+exact tone-bin detection test.  Its constants are not settable either; each
+has one definition, in the code that reads it:
+
+* the detection threshold, ``power_factor=4.0`` of
+  :func:`burstrx.rxfront.detect_frame`;
+* the timing-loop gains, ``kp=1e-2`` and ``ki=1e-4`` of
+  :class:`burstrx.timing.FdtrLoop`;
+* the sync peak ratio, ``ratio_min=1.5`` of
+  :func:`burstrx.framesync.find_sync`;
+* the acquisition window, derived from the frame layout by
+  :class:`burstrx.receiver.BurstReceiver`:
+  ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats past the
+  detected beat, 24 for the default frame.
 
 Each value is checked once, when its section is built.  :func:`from_dict`
 checks every given value against its field's annotation; the range checks
@@ -27,6 +39,7 @@ from typing import Optional
 from . import framing
 from .channel import ChannelConfig, Impairments
 from .errors import ChannelError, ConfigError, LayoutError
+from .timing import godard_band
 
 
 def _is_int(v) -> bool:
@@ -47,16 +60,6 @@ _ACCEPTS = {
 
 
 @dataclass
-class TimingSection:
-    kp: float = 1e-2
-    ki: float = 1e-4
-
-    def __post_init__(self):
-        if self.kp < 0 or self.ki < 0:
-            raise ConfigError("kp and ki must be >= 0")
-
-
-@dataclass
 class EqualizerSection:
     mu: float = 1e-3
     mmse_init: bool = True
@@ -68,32 +71,20 @@ class EqualizerSection:
 
 
 @dataclass
-class RxSection:
-    detect_threshold: float = 4.0
-    sync_ratio_min: float = 1.5
-    acquire_beats: int = 24
-
-    def __post_init__(self):
-        if self.acquire_beats < 6:
-            raise ConfigError("acquire_beats too small to cover the preamble")
-
-
-@dataclass
 class TxSection:
     rrc_rolloff: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 < self.rrc_rolloff <= 0.125:
-            raise ConfigError("rrc_rolloff must be in (0, 0.125]")
+        # below 1/64 the timing detector's excess band holds no bin
+        if self.rrc_rolloff > 0.125 or godard_band(self.rrc_rolloff).size == 0:
+            raise ConfigError("rrc_rolloff must be in [1/64, 0.125]")
 
 
 @dataclass
 class SimConfig:
     frame: framing.FrameLayout = field(default_factory=framing.FrameLayout)
     channel: Impairments = field(default_factory=Impairments)
-    timing: TimingSection = field(default_factory=TimingSection)
     equalizer: EqualizerSection = field(default_factory=EqualizerSection)
-    rx: RxSection = field(default_factory=RxSection)
     tx: TxSection = field(default_factory=TxSection)
     seed: int = 1
 

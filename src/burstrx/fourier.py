@@ -1,16 +1,15 @@
 """Fixed-size FFTs: numpy's FFT on the hot path, the hardware butterflies as reference.
 
-The receive/transmit flow only ever needs three transform sizes: 128 points,
-144 points and 8 points (the equalizer's interpolation FFT).
-:func:`fft_pow2` and :func:`fft_144` check their sizes and call
-``np.fft``; they are what the chain runs.
+The receive/transmit flow only ever needs two transform sizes: 128 points
+and 144 points.  :func:`fft_pow2` and :func:`fft_144` check their sizes and
+call ``np.fft``; they are what the chain runs.
 
 The hardware decomposition is kept as the tested reference,
 :func:`butterfly_fft`: 128 points as seven radix-2 butterfly layers, 144
 points as four radix-2 layers that reuse the 128-point layer code followed by
-two radix-3 layers (a 16 x 9 decomposition), 8 points as three radix-2
-layers.  A direct O(N^2) DFT, :func:`dft_oracle`, is kept alongside as the
-independent oracle the butterflies are tested against.
+two radix-3 layers (a 16 x 9 decomposition).  The radix-2 path accepts any
+power of two.  A direct O(N^2) DFT, :func:`dft_oracle`, is kept alongside as
+the independent oracle the butterflies are tested against.
 
 Conventions
 -----------
@@ -133,7 +132,7 @@ def butterfly_fft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
 def fft_pow2(
     x: np.ndarray, inverse: bool = False, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """FFT for power-of-two lengths (8 and 128 in this chain).
+    """FFT for power-of-two lengths (128 points in this chain).
 
     With ``out`` the transform is written into that complex128 array of the
     same shape and returned; ``out`` may be ``x`` itself.  The values are

@@ -9,7 +9,11 @@ Reception happens in two passes over the sampled waveform:
   folded to 128 bins and inverse transformed, and the 96 valid symbols of
   each are joined into the 1-sps stream that frame synchronization scans for
   Preamble B.  The acquisition beats that the detection chunk already
-  transformed are reused.
+  transformed are reused.  The window is derived from the frame layout:
+  ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats after the
+  detected one (24 for the default frame).  Detection may fire on the first
+  beat of Preamble A, so the window always reaches past Preamble B, however
+  long Preamble A is.
 
 * **Synchronized demodulation** re-slices the waveform so beat boundaries
   align with the frame: with the sync position ``p = floor(p1 * 1.125)``,
@@ -58,6 +62,7 @@ from .fourier import fft_pow2
 from .timing import FdtrLoop
 
 SYNC_REALIGN = 144         # samples between sync position and stage-2 origin
+ACQUIRE_MARGIN_BEATS = 21  # acquisition beats past the end of Preamble B
 
 
 @dataclass
@@ -87,6 +92,8 @@ class BurstReceiver:
         self.pn = framing.pn_sequence(self.layout.pn_seed)
         self.c_ref = framing.gen_preamble_c(self.layout).reshape(-1, txchain.SYMBOLS_PER_BEAT)
         self.n_c_beats = len(self.c_ref)
+        preamble_ab = self.layout.preamble_a_len + self.layout.preamble_b_len
+        self.acquire_beats = -(-preamble_ab // txchain.SYMBOLS_PER_BEAT) + ACQUIRE_MARGIN_BEATS
 
     def tx_waveform(self, symbols: np.ndarray) -> np.ndarray:
         return txchain.tx_frame(
@@ -98,12 +105,11 @@ class BurstReceiver:
         """Detect the burst, seed the timing loop, and locate Preamble B."""
         beats = rxfront.rx_slice_beats(waveform)
         n_beats = len(beats)
-        rx_cfg = self.cfg.rx
         detect_beat = None
         chunk = 32
         for start in range(0, n_beats, chunk):
             X = rxfront.beat_spectra(beats[start : start + chunk], self.h_rx)
-            hits = np.flatnonzero(rxfront.detect_frame(X, rx_cfg.detect_threshold).detected)
+            hits = np.flatnonzero(rxfront.detect_frame(X).detected)
             if hits.size:
                 detect_beat = start + int(hits[0])
                 break
@@ -113,7 +119,7 @@ class BurstReceiver:
         # The detection chunk already holds the spectra of the first
         # acquisition beats; only the beats past its end are transformed.
         first_beat = detect_beat + 1
-        last_beat = min(first_beat + rx_cfg.acquire_beats, n_beats)
+        last_beat = min(first_beat + self.acquire_beats, n_beats)
         chunk_end = start + len(X)
         X_acq = X[first_beat - start : last_beat - start]
         if last_beat > chunk_end:
@@ -121,12 +127,10 @@ class BurstReceiver:
             X_acq = np.concatenate([X_acq, tail])
 
         tau0, _ = rxfront.estimate_initial_spo(X_acq[0])
-        t = self.cfg.timing
-        loop = FdtrLoop(kp=t.kp, ki=t.ki, alpha=self.cfg.tx.rrc_rolloff, tau=tau0)
+        loop = FdtrLoop(alpha=self.cfg.tx.rrc_rolloff, tau=tau0)
         blocks = fft_pow2(eq.strip_rolloff(loop.process_beat(X_acq)), inverse=True)
         sync = framesync.find_sync(
             blocks[:, txchain.OVERLAP_IN:].real.reshape(-1), self.pn,
-            ratio_min=rx_cfg.sync_ratio_min,
             offset=txchain.SYMBOLS_PER_BEAT * first_beat + txchain.OVERLAP_IN,
         )
         return Acquisition(

@@ -18,10 +18,25 @@ class TestLoading:
         )
         assert config.from_dict(cfg.to_dict()) == cfg
 
+    def test_settable_values(self):
+        # every value a user can set; receiver constants are not among them
+        flat = set()
+        for name, value in config.SimConfig().to_dict().items():
+            flat |= {f"{name}.{key}" for key in value} if isinstance(value, dict) else {name}
+        assert flat == {
+            "frame.preamble_a_len", "frame.preamble_b_len", "frame.preamble_c_len",
+            "frame.payload_len", "frame.pn_seed", "frame.preamble_c_seed",
+            "channel.snr_db", "channel.timing_offset_ui", "channel.clock_ppm",
+            "channel.f3db_ghz", "channel.fiber_km", "channel.dispersion_ps_nm_km",
+            "channel.lambda_nm", "channel.gap_samples", "channel.gain",
+            "equalizer.mu", "equalizer.mmse_init", "equalizer.ddlms",
+            "tx.rrc_rolloff", "seed",
+        }
+
     @pytest.mark.parametrize(
         "data",
         [
-            {"timing": {"bogus": 1}},
+            {"equalizer": {"bogus": 1}},
             {"bogus": 1},
             {"timing": {"nco_mode": "paper"}},
             {"equalizer": {"lms_literal": True}},
@@ -33,11 +48,19 @@ class TestLoading:
             {"frame": {"payload_seed": 0x5EED_0003}},
             {"channel": {"rop_dbm": -25.0}},
             {"rop_calibration": {}},
+            {"rx": {"acquire_beats": 5}},
+            {"timing": {"kp": -1e-2}},
+            {"timing": {"kp": "x"}},
+            {"timing": {"kp": math.nan}},
+            {"rx": {"detect_threshold": "x"}},
+            {"rx": {"acquire_beats": 26.5}},
         ],
         ids=[
             "section_key", "top_level_key", "nco_mode", "lms_literal",
             "deadzone", "spo_init", "rrc_at_rx", "detect_bin_tolerance",
             "rrc_delay_symbols", "payload_seed", "rop_dbm", "rop_calibration",
+            "acquire_beats", "kp", "kp_type", "kp_nan", "detect_threshold_type",
+            "acquire_beats_float",
         ],
     )
     def test_unknown_keys_rejected(self, data):
@@ -46,16 +69,17 @@ class TestLoading:
 
     def test_non_mapping_section_rejected(self):
         with pytest.raises(ConfigError):
-            config.from_dict({"timing": 3})
+            config.from_dict({"tx": 3})
 
     @pytest.mark.parametrize(
         "data",
         [
             {"channel": {"snr_db": 14}},
             {"channel": {"f3db_ghz": None}},
-            {"timing": {"kp": 0}},
+            {"channel": {"gain": 2}},
+            {"tx": {"rrc_rolloff": 1 / 64}},
         ],
-        ids=["int_snr_db", "f3db_off", "int_kp"],
+        ids=["int_snr_db", "f3db_off", "int_gain", "rrc_rolloff_min"],
     )
     def test_valid_values_load(self, data):
         config.from_dict(data)
@@ -68,16 +92,11 @@ class TestValidate:
             {"frame": {"pn_seed": 4}},
             {"frame": {"preamble_c_len": 100}},
             {"tx": {"rrc_rolloff": 0.2}},
-            {"rx": {"acquire_beats": 5}},
+            {"tx": {"rrc_rolloff": 0.015}},
             {"equalizer": {"mu": -1e-3}},
-            {"timing": {"kp": -1e-2}},
             {"frame": {"payload_len": "x"}},
-            {"timing": {"kp": "x"}},
-            {"timing": {"kp": math.nan}},
             {"equalizer": {"mu": math.nan}},
             {"equalizer": {"ddlms": "no"}},
-            {"rx": {"detect_threshold": "x"}},
-            {"rx": {"acquire_beats": 26.5}},
             {"frame": {"payload_len": True}},
             {"frame": {"pn_seed": "x"}},
             {"channel": {"gap_samples": "x"}},
@@ -91,9 +110,8 @@ class TestValidate:
             {"seed": 2.7},
         ],
         ids=[
-            "pn_seed", "layout", "rrc_rolloff", "acquire_beats", "mu", "kp",
-            "payload_len_type", "kp_type", "kp_nan", "mu_nan", "ddlms_type",
-            "detect_threshold_type", "acquire_beats_float", "payload_len_bool",
+            "pn_seed", "layout", "rrc_rolloff", "rrc_rolloff_empty_band", "mu",
+            "payload_len_type", "mu_nan", "ddlms_type", "payload_len_bool",
             "pn_seed_type", "gap_samples_type", "fiber_km", "snr_db_inf",
             "f3db_zero", "f3db_negative", "gain_zero", "seed_type", "seed_negative",
             "seed_float",

@@ -14,7 +14,7 @@ from burstrx.timing import FdtrLoop, fd_interpolate, godard_band
 
 PAYLOAD_LEN = 1920
 PAYLOAD_BEATS = PAYLOAD_LEN // 96
-STAGE1_BEATS = 24                     # rx.acquire_beats default
+STAGE1_BEATS = 24                     # acquisition window of the default frame
 STAGE2_BEATS = 1 + 8 + PAYLOAD_BEATS  # Preamble B, training, payload
 
 
@@ -111,6 +111,18 @@ def test_truncated_after_sync_is_sync_failure(burst):
     assert [stage for stage, _, _ in report.spo_trace] == [1] * STAGE1_BEATS
 
 
+@pytest.mark.parametrize("preamble_a_len", [2304, 4800])
+def test_long_preamble_a_syncs(preamble_a_len):
+    # the acquisition window grows with Preamble A, so Preamble B stays in it
+    rx, wave, bits = make_burst(
+        {"frame": {"preamble_a_len": preamble_a_len, "payload_len": 960}}
+    )
+    report = rx.receive(wave, bits)
+    assert report.status == "ok"
+    assert report.bit_errors == 0
+    assert [stage for stage, _, _ in report.spo_trace].count(1) == rx.acquire_beats
+
+
 def equalizer_errors(cfg_dict, setting):
     """Bit errors and bits of one decoded burst with an equalizer setting."""
     mmse_init, ddlms = EQ_SETTINGS[setting]
@@ -189,16 +201,14 @@ def receive_per_beat(rx, wave, detect_beat):
     cfg = rx.cfg
     first = detect_beat + 1
     beats = rxfront.rx_slice_beats(wave)
-    X_acq = rxfront.beat_spectra(beats[first : first + cfg.rx.acquire_beats], rx.h_rx)
+    X_acq = rxfront.beat_spectra(beats[first : first + rx.acquire_beats], rx.h_rx)
     tau0, _ = rxfront.estimate_initial_spo(X_acq[0])
-    loop = FdtrLoop(kp=cfg.timing.kp, ki=cfg.timing.ki, alpha=cfg.tx.rrc_rolloff, tau=tau0)
+    loop = FdtrLoop(alpha=cfg.tx.rrc_rolloff, tau=tau0)
     symbols = np.concatenate(
         [fft_pow2(eq.strip_rolloff(timing_step(loop, X)), inverse=True)[32:].real
          for X in X_acq]
     )
-    sync = framesync.find_sync(
-        symbols, rx.pn, ratio_min=cfg.rx.sync_ratio_min, offset=96 * first + 32
-    )
+    sync = framesync.find_sync(symbols, rx.pn, offset=96 * first + 32)
     stage1 = len(loop.trace)
 
     beats = rxfront.rx_slice_beats(wave[sync.p - SYNC_REALIGN :])
