@@ -61,7 +61,18 @@ _ACCEPTS = {
 
 @dataclass
 class EqualizerSection:
-    mu: float = 1e-3
+    # The DD-LMS step, divided by each beat's power P = sum y^2.  A gradient
+    # reaches the taps D = equalizer.DDLMS_DELAY = 242 beats after its beat,
+    # and LMS with that delay is stable only while
+    # mu * lam < 2 sin(pi / (2 (2D + 1))) ~ 6.5e-3 for every eigenvalue lam of
+    # the step matrix 2 E[A^T A] / P (Long, Ling and Proakis, IEEE TASSP
+    # 1989).  For on-off symbols the mean 1/2, common to all 33 taps, gives
+    # lam ~ 2 * 96 * (1 + 33) / 4 / 64 = 25.5, so mu < 2.5e-4; the default
+    # keeps a factor 2.5 from that.  A larger mu loads and diverges once the
+    # burst outlasts the growth of that mode: the default frame at 14 dB
+    # still decodes at mu = 5e-4 and fails at 1e-3.
+    mu: float = 1e-4
+    # Fit all 33 taps on Preamble C; when off, fit lag 0 alone (a gain).
     mmse_init: bool = True
     ddlms: bool = True
 

@@ -24,23 +24,25 @@ Reception happens in two passes over the sampled waveform:
   timing loop's tau, whose state carries over from acquisition.  The timing
   loop then corrects the Preamble-B, training and payload beats in one call;
   the eight folded training beats fit the equalizer taps against the known
-  Preamble-C symbols (see :func:`equalizer.fit_taps`); the payload beats are
-  equalized and inverse transformed, and their valid positions 32..127 are
-  the time samples ``z`` that are decided.  Each payload symbol gets one
+  Preamble-C symbols (see :func:`equalizer.fit_taps`): all 33 lags with tap
+  initialization on, lag 0 alone (a gain) with it off, so the output levels
+  are {0, 1} in every setting.  The payload beats are equalized and inverse
+  transformed, and their valid positions 32..127 are the time samples ``z``
+  that are decided against a fixed 0.5.  Each payload symbol gets one
   decision, the bit the receiver outputs: DD-LMS forms its error against it
   and the MSE trace, scored over all payload beats at once, measures ``z``
   against it.
 
-Every stage runs as one call over a stack of beats.  Three recursions inside
-those calls stay per beat because each beat needs the state the previous one
-left: the timing loop's tau (a scalar recursion on detector sums taken over
-the whole stack, see :meth:`FdtrLoop.process_beat`), the decision threshold
-(see :meth:`equalizer.ThresholdTracker.step`), and the DD-LMS taps.  With
-DD-LMS off the taps are fixed, so all payload beats are equalized in one
-multiply and decided in one :func:`equalizer.decide_demap` call.  With it on,
-one :func:`equalizer.ddlms_update` call runs the whole payload: each beat is
-decided with the taps the previous beat's update left, as beat-by-beat
-processing does.
+Every stage runs as one call over a stack of beats.  Two recursions inside
+those calls carry state from beat to beat: the timing loop's tau (a scalar
+recursion on detector sums taken over the whole stack, see
+:meth:`FdtrLoop.process_beat`) and the DD-LMS taps.  With DD-LMS off the taps
+are fixed, so all payload beats are equalized in one multiply and decided in
+one :func:`equalizer.decide_demap` call.  With it on, one
+:func:`equalizer.ddlms_update` call runs the whole payload.  A tap gradient
+lands ``equalizer.DDLMS_DELAY`` = 242 beats after the beat that formed it, as
+in the hardware's error path, so the taps of each block of 242 beats are known
+when the block starts and the block is processed in one pass.
 
 Both ends shape with the same RRC response, each with the default 16-symbol
 linear-phase delay.  Index bookkeeping: the matched filter pair therefore
@@ -161,15 +163,14 @@ class BurstReceiver:
         y_train, y_pay = Y[: self.n_c_beats], Y[self.n_c_beats :]
         eq_cfg = self.cfg.equalizer
         state = eq.FdeState(mu=eq_cfg.mu)
-        if eq_cfg.mmse_init:
-            state.initialize(y_train, self.c_ref)
+        # Without tap initialization the fit is lag 0 alone, a gain.
+        state.initialize(y_train, self.c_ref, eq.LAGS if eq_cfg.mmse_init else [0])
 
         if eq_cfg.ddlms:
             z, bits = eq.ddlms_update(state, y_pay)
         else:
-            Z = eq.apply_fde(y_pay, state.W)
-            z = fft_pow2(Z, inverse=True)[:, txchain.OVERLAP_IN :]
-            bits = eq.decide_demap(z, state.threshold)
+            z = eq.equalize(y_pay, state.w)
+            bits = eq.decide_demap(z)
 
         return DemodResult(
             payload_bits=bits.reshape(-1)[: self.layout.payload_len],

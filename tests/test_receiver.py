@@ -46,6 +46,12 @@ EQ_SETTINGS = {  # (mmse_init, ddlms)
 
 
 DRIFT_DDLMS = {"frame": {"payload_len": 1920}, "channel": {"snr_db": 14.0, "clock_ppm": 100.0}}
+# 600 payload beats: the DD-LMS gradients land from beat 242 on
+LONG_DDLMS = {
+    "frame": {"payload_len": 57_600},
+    "channel": {"snr_db": 12.0, "f3db_ghz": 6.0},
+    "equalizer": {"mu": 2e-4},
+}
 LOWPASS_MMSE = {
     "frame": {"payload_len": 3840},
     "channel": {"snr_db": 20.0, "f3db_ghz": 4.0},
@@ -139,6 +145,60 @@ def test_noiseless_default_frame_error_free(setting):
     assert equalizer_errors({}, setting) == (0, framing.FrameLayout().payload_len)
 
 
+@pytest.mark.parametrize("gain", [0.01, 0.3, 100.0])
+@pytest.mark.parametrize("setting", EQ_SETTINGS)
+def test_noiseless_any_gain(setting, gain):
+    # every setting fits at least a gain on Preamble C, so the levels are
+    # {0, 1} and the fixed 0.5 slicer holds at any channel gain (gain 1 is
+    # test_noiseless_loopback)
+    cfg = {"frame": {"payload_len": PAYLOAD_LEN}, "channel": {"gain": gain}}
+    assert equalizer_errors(cfg, setting) == (0, PAYLOAD_LEN)
+
+
+@pytest.mark.parametrize("payload_len", [PAYLOAD_LEN, 96 * eq.DDLMS_DELAY])
+@pytest.mark.parametrize("mmse_init", [False, True], ids=["gain", "mmse"])
+def test_payload_within_loop_delay_ignores_ddlms(mmse_init, payload_len):
+    # no DD-LMS gradient lands before the last of at most DDLMS_DELAY beats
+    decided = []
+    for ddlms in (True, False):
+        rx, wave, bits = make_burst(
+            {
+                "frame": {"payload_len": payload_len},
+                "channel": {"snr_db": 12.0, "f3db_ghz": 6.0},
+                "equalizer": {"mmse_init": mmse_init, "ddlms": ddlms},
+            }
+        )
+        decided.append(rx.demodulate(wave, rx.acquire(wave)).payload_bits)
+    assert np.array_equal(*decided)
+    assert np.count_nonzero(decided[0] != bits) > 0
+
+
+@pytest.mark.parametrize("mu", [1e-3, 2e-3])
+@pytest.mark.parametrize("setting", ["ddlms", "mmse_ddlms"])
+def test_noiseless_default_frame_at_larger_steps(setting, mu):
+    mmse_init, ddlms = EQ_SETTINGS[setting]
+    rx, wave, bits = make_burst({"equalizer": {"mmse_init": mmse_init, "mu": mu}})
+    report = rx.receive(wave, bits)
+    assert (report.status, report.bit_errors) == ("ok", 0)
+
+
+@pytest.mark.parametrize("mu", [0.03, 1.0, 1e6])
+def test_large_step_does_not_warn(mu):
+    # 10 payload beats end before the first gradient lands (warnings are errors)
+    rx, wave, bits = make_burst({"frame": {"payload_len": 960}, "equalizer": {"mu": mu}})
+    report = rx.receive(wave, bits)
+    assert (report.status, report.bit_errors) == ("ok", 0)
+
+
+@pytest.mark.parametrize("setting", ["ddlms", "mmse_ddlms"])
+def test_default_step_holds_default_frame_at_14db(setting):
+    # the default frame's 1 355 payload beats outlast the growth of an
+    # unstable step at the 242-beat loop delay: mu = 1e-3 makes 1 767
+    # (MMSE + DD-LMS) and 11 247 (DD-LMS only) errors here
+    cfg = {"channel": {"snr_db": 14.0}}
+    assert equalizer_errors(cfg, setting) == (0, framing.FrameLayout().payload_len)
+
+
 @pytest.mark.parametrize("snr_db", [14.0, 18.0])
 def test_equalizer_no_worse_than_none(snr_db):
     cfg = {"frame": {"payload_len": 30_000}, "channel": {"snr_db": snr_db}}
@@ -182,21 +242,15 @@ def timing_step(loop, X):
     return corrected
 
 
-def decide_beat(z, tracker):
-    """Decisions of one beat and the threshold update they make."""
-    bits = (z > tracker.value).astype(np.uint8)
-    ones = bits.astype(bool)
-    tracker.update(
-        float(z[~ones].sum()), int((~ones).sum()), float(z[ones].sum()), int(ones.sum())
-    )
-    return bits
-
-
 def receive_per_beat(rx, wave, detect_beat):
     """Reference receiver that runs every stage one beat at a time, in frame order.
 
     Starts from the detected beat and returns the payload bits, the MSE trace,
-    the sync position, the tau trace and the number of acquisition taus.
+    the sync position, the tau trace and the number of acquisition taus.  The
+    payload runs the delayed, constrained LMS of the equalizer: beat b is
+    equalized with the fitted taps plus every gradient of beats up to
+    b - DDLMS_DELAY, decided at 0.5, and forms its own gradient from the
+    96 x 33 block of its samples read at each lag.
     """
     cfg = rx.cfg
     first = detect_beat + 1
@@ -219,29 +273,36 @@ def receive_per_beat(rx, wave, detect_beat):
     timing_step(loop, X[1])
     y_train = eq.strip_rolloff(np.array([timing_step(loop, X[m]) for m in range(2, first_pay)]))
     state = eq.FdeState(mu=cfg.equalizer.mu)
-    if cfg.equalizer.mmse_init:
-        state.initialize(y_train, rx.c_ref)
-    payload, mse = [], []
-    for m in range(first_pay, first_pay + n_pay):
+    state.initialize(y_train, rx.c_ref, eq.LAGS if cfg.equalizer.mmse_init else [0])
+    reads = (np.arange(32, 128)[:, None] - eq.LAGS) % 128
+    w, grads, payload, mse = state.w, [], [], []
+    for b, m in enumerate(range(first_pay, first_pay + n_pay)):
+        if cfg.equalizer.ddlms and b >= eq.DDLMS_DELAY:
+            w = w + grads[b - eq.DDLMS_DELAY]
         Y = eq.strip_rolloff(timing_step(loop, X[m]))
-        z = fft_pow2(eq.apply_fde(Y, state.W), inverse=True)[32:]
-        d = decide_beat(z.real, state.threshold)
+        W = np.zeros(128)
+        W[eq.LAGS % 128] = w
+        z = fft_pow2(Y * fft_pow2(W), inverse=True)[32:]
+        d = (z.real > 0.5).astype(np.uint8)
         payload.append(d)
         mse.append(float(np.sum(np.abs(z - d) ** 2)))
-        if cfg.equalizer.ddlms:
-            e = np.zeros(128, complex)
-            e[32:] = d - z
-            power = float(np.mean(np.abs(Y) ** 2))
-            mu_eff = state.mu / power if power > 0 else 0.0
-            state.W = state.W + 2.0 * mu_eff * np.conj(Y) * fft_pow2(e)
+        y = fft_pow2(Y, inverse=True).real
+        power = float(np.sum(y**2))
+        step = 2.0 * state.mu / power if power > 0 else 0.0
+        grads.append(step * y[reads].T @ (d - z.real))
     bits = np.concatenate(payload)[: rx.layout.payload_len]
     return bits, mse, sync.p1, np.array(loop.trace), stage1
 
 
 @pytest.mark.parametrize(
     "cfg_dict",
-    [DRIFT_DDLMS, LOWPASS_MMSE, {"frame": {"payload_len": 1920}, "tx": {"rrc_rolloff": 0.125}}],
-    ids=["14dB_100ppm_ddlms", "4GHz_20dB_mmse", "noiseless_rolloff_0.125"],
+    [
+        DRIFT_DDLMS,
+        LOWPASS_MMSE,
+        {"frame": {"payload_len": 1920}, "tx": {"rrc_rolloff": 0.125}},
+        LONG_DDLMS,
+    ],
+    ids=["14dB_100ppm_ddlms", "4GHz_20dB_mmse", "noiseless_rolloff_0.125", "600_beats_ddlms"],
 )
 def test_batched_receiver_matches_per_beat_reference(cfg_dict):
     # roll-off 0.125 puts bin 56, whose alias partner is the Nyquist bin, in
@@ -263,12 +324,13 @@ def test_batched_receiver_matches_per_beat_reference(cfg_dict):
     "cfg_dict, errors, digest",
     [
         (DRIFT_DDLMS, 0, "4ed8aa38f59c12b1a28043c1a2a764ee88736d41608aaa56c97d4abb1372e3f3"),
-        (LOWPASS_MMSE, 17, "93e30c68fdad6c0ef2bad15b94f0d3f7cfc6afcca73c77f1ae76f1315311bc11"),
+        (LOWPASS_MMSE, 15, "f2c2116d1cc40bb0bd30bba6168344cb0a714c01736438dbd2dba7d3208304bc"),
+        (LONG_DDLMS, 114, "6966eb13d8afa00b156e9cbcda377fc081f6904515754e79f8178e85c090756e"),
     ],
-    ids=["1920_bits_14dB_100ppm_ddlms", "3840_bits_4GHz_20dB_mmse"],
+    ids=["1920_bits_14dB_100ppm_ddlms", "3840_bits_4GHz_20dB_mmse", "57600_bits_6GHz_12dB_ddlms"],
 )
 def test_decisions_pinned(cfg_dict, errors, digest):
-    """Decided bits and error count of two fixed bursts, pinned.
+    """Decided bits and error count of three fixed bursts, pinned.
 
     A change meant only to make the receiver faster must not flip a bit, so
     this fails on any decision change.  A change to the equalizer or another
