@@ -119,10 +119,12 @@ def apply_fde(Y: np.ndarray, W: np.ndarray) -> np.ndarray:
 def equalize(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Valid positions 32..127 of the beats ``Y`` filtered by the taps ``w``.
 
-    ``w`` is one tap set for every beat, or one row of taps per beat.
+    ``w`` is one tap set for every beat, or one row of taps per beat.  The
+    output is real: ``Y`` is the spectrum of real samples and ``w`` is real,
+    so the imaginary part of the inverse transform is rounding alone.
     """
     Z = apply_fde(Y, tap_spectrum(w))
-    return fft_pow2(Z, inverse=True, out=Z)[..., OVERLAP_IN:]
+    return fft_pow2(Z, inverse=True, out=Z)[..., OVERLAP_IN:].real
 
 
 def decide_demap(z: np.ndarray) -> np.ndarray:
@@ -164,7 +166,7 @@ def _gradients(Y: np.ndarray, z: np.ndarray, bits: np.ndarray, mu: float) -> np.
     power = np.einsum("bn,bn->b", y, y)
     steps = np.divide(2.0 * mu, power, out=np.zeros_like(power), where=power > 0)
     e = np.zeros((len(Y), N_IN))
-    np.subtract(bits, z.real, out=e[:, OVERLAP_IN:])
+    np.subtract(bits, z, out=e[:, OVERLAP_IN:])
     corr = fft_pow2(e)
     corr *= np.conj(Y)
     fft_pow2(corr, inverse=True, out=corr)
@@ -188,7 +190,7 @@ def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     Y = np.asarray(Y)
     n, delay = len(Y), state.delay
-    z = np.empty((n, N_IN - OVERLAP_IN), dtype=np.complex128)
+    z = np.empty((n, N_IN - OVERLAP_IN))
     bits = np.empty(z.shape, dtype=np.uint8)
     w = state.w
     grads = np.zeros((min(delay, n), LAGS.size))

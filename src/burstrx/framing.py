@@ -17,6 +17,7 @@ the sequences are reproducible from the seeds alone (see :mod:`burstrx.prng`).
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,8 +31,8 @@ PN_LEN = 32
 class FrameLayout:
     """Lengths and seeds shared by transmitter and receiver."""
 
+    preamble_b_len: ClassVar[int] = 3 * PN_LEN   # three Pn blocks; not a setting
     preamble_a_len: int = 192
-    preamble_b_len: int = 96
     preamble_c_len: int = 768
     payload_len: int = 130_000
     pn_seed: int = 0x5EED_0001
@@ -40,8 +41,6 @@ class FrameLayout:
     def __post_init__(self):
         if self.preamble_a_len <= 0 or self.preamble_a_len % 2:
             raise LayoutError("preamble_a_len must be positive and even")
-        if self.preamble_b_len != 3 * PN_LEN:
-            raise LayoutError(f"preamble_b_len must be {3 * PN_LEN}")
         if self.preamble_c_len <= 0 or self.preamble_c_len % 96:
             raise LayoutError("preamble_c_len must be a positive multiple of 96")
         if self.payload_len < 0:

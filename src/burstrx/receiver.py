@@ -19,23 +19,24 @@ Reception happens in two passes over the sampled waveform:
   align with the frame: with the sync position ``p = floor(p1 * 1.125)``,
   slicing restarts at ``p - 144`` samples, which lands Preamble B exactly in
   the first full beat, the training block in the next eight, and each payload
-  beat on a 96-bit boundary.  Only the beats up to the last payload beat are
-  transformed.  The fractional residue of ``p1 * 1.125`` is taken off the
-  timing loop's tau, whose state carries over from acquisition.  The timing
-  loop then corrects the Preamble-B, training and payload beats in one call;
-  the eight folded training beats fit the equalizer taps against the known
-  Preamble-C symbols (see :func:`equalizer.fit_taps`): all 33 lags with tap
-  initialization on, lag 0 alone (a gain) with it off, so the output levels
-  are {0, 1} in every setting.  The payload beats are equalized and inverse
-  transformed, and their valid positions 32..127 are the time samples ``z``
-  that are decided against a fixed 0.5.  Each payload symbol gets one
-  decision, the bit the receiver outputs: DD-LMS forms its error against it
-  and the MSE trace, scored over all payload beats at once, measures ``z``
-  against it.
+  beat on a 96-bit boundary.  Stage 2 transforms the beats from Preamble B
+  up to the last payload beat, no others.  The fractional residue of
+  ``p1 * 1.125`` is taken off the timing loop's tau, whose state carries over
+  from acquisition.  The timing loop then corrects the Preamble-B, training
+  and payload beats in one call; the eight folded training beats fit the
+  equalizer taps against the known Preamble-C symbols (see
+  :func:`equalizer.fit_taps`): all 33 lags with tap initialization on, lag 0
+  alone (a gain) with it off, so the output levels are {0, 1} in every
+  setting.  The payload beats are equalized and inverse transformed, and
+  their valid positions 32..127 are the time samples ``z`` that are decided
+  against a fixed 0.5; ``z`` is real, as the beats' samples and the taps
+  are.  Each payload symbol gets one decision, the bit the receiver outputs:
+  DD-LMS forms its error against it and the MSE trace, scored over all
+  payload beats at once, measures ``z`` against it.
 
 Every stage runs as one call over a stack of beats.  Two recursions inside
 those calls carry state from beat to beat: the timing loop's tau (a scalar
-recursion on detector sums taken over the whole stack, see
+recursion on one detector sum per beat, taken over the whole stack, see
 :meth:`FdtrLoop.process_beat`) and the DD-LMS taps.  With DD-LMS off the taps
 are fixed, so all payload beats are equalized in one multiply and decided in
 one :func:`equalizer.decide_demap` call.  With it on, one
@@ -154,12 +155,13 @@ class BurstReceiver:
         last_needed = 2 + self.n_c_beats + n_pay_beats
         if last_needed > len(beats):
             raise SyncError("waveform too short past the sync position")
-        X = rxfront.beat_spectra(beats[:last_needed], self.h_rx)
+        # Beat 0 precedes Preamble B and is not read; beat 1 is Preamble B.
+        X = rxfront.beat_spectra(beats[1:last_needed], self.h_rx)
 
         loop = acq.loop
         loop.tau -= acq.sync.frac
         # Preamble B only drives the timing loop; the rest is folded to 128 bins.
-        Y = eq.strip_rolloff(loop.process_beat(X[1:])[1:])
+        Y = eq.strip_rolloff(loop.process_beat(X)[1:])
         y_train, y_pay = Y[: self.n_c_beats], Y[self.n_c_beats :]
         eq_cfg = self.cfg.equalizer
         state = eq.FdeState(mu=eq_cfg.mu)

@@ -22,11 +22,14 @@ value of ``-sin(2 pi residual_ui)`` drives the accumulator in samples.
 band's roll-off, tau, the error integral and the per-beat tau trace.
 
 The detector reads the corrected spectrum, but correcting by ``tau`` only
-rotates each pair product by ``exp(-2j pi (f_k - f_(k+16)) tau)``, a phase
-shared by every pair with the same frequency difference, and leaves ``|P|``
-alone.  So :meth:`FdtrLoop.process_beat` takes the detector sums of a whole
-stack of beats at once, runs the recursion on a few complex scalars per
-beat, and corrects the stack in one call.
+rotates each pair product by ``exp(-2j pi (f_k - f_(k+16)) tau)`` and leaves
+``|P|`` alone.  The frequency difference is 128/144 = 8/9 cycles per sample
+for every band bin, so the whole sum ``S`` turns by one phase.  The one bin
+with another difference, bin 56, pairs with the Nyquist bin 72, which the
+receive RRC sets to exactly 0 at every accepted roll-off; its product is 0,
+and :func:`godard_band` leaves it out.  So :meth:`FdtrLoop.process_beat`
+takes ``S`` and ``sum |P|`` of a whole stack of beats at once, runs the
+recursion on one complex scalar per beat, and corrects the stack in one call.
 
 On random payload the detector has an irreducible per-beat self-noise of
 roughly 8e-2 normalized: the 144-sample analysis window truncates pulse tails
@@ -45,49 +48,36 @@ from .txchain import FREQ_SYMBOL_144, N_IN, N_OUT, SPS
 
 ALIAS_STRIDE = 16  # N - N/sps = 144 - 128
 _F_HALF = FREQ_SYMBOL_144[: N_OUT // 2 + 1] / SPS   # bins 0..72, cycles per sample
+# f_k - f_(k+16) = 128/144 cycles per sample for every band bin: the phase
+# step per sample of tau that correcting a spectrum applies to a pair product
+_PAIR_STEP = -2j * pi * (N_IN / N_OUT)
 
 
 def godard_band(alpha: float = 0.1) -> np.ndarray:
-    """Integer bin range [ceil((1-a)K), floor((1+a)K)-1] with K = N/(2 sps)."""
+    """Integer bin range [ceil((1-a)K), floor((1+a)K)-1] with K = N/(2 sps).
+
+    Bin 56, whose partner is the Nyquist bin 72, is left out: the receive RRC
+    nulls bin 72, so its pair product is 0.  It falls in the range only at
+    roll-off 0.125, where the band is 57..71.
+    """
     k_center = N_OUT / (2 * SPS)
-    lo = ceil((1 - alpha) * k_center)
+    lo = max(ceil((1 - alpha) * k_center), N_OUT // 2 - ALIAS_STRIDE + 1)
     hi = floor((1 + alpha) * k_center) - 1
     return np.arange(lo, hi + 1)
-
-
-def _pair_freq_diffs(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Band bins ``k`` and ``f_k - f_(k+16)`` for each, in 144-point bins."""
-    k = godard_band(alpha)
-    bins = FREQ_SYMBOL_144 * N_IN   # exactly k up to 72, k - 144 above
-    return k, bins[k] - bins[k + ALIAS_STRIDE]
-
-
-def godard_pair_freqs(alpha: float = 0.1) -> np.ndarray:
-    """Distinct ``f_k - f_(k+16)`` over the detector band, in cycles per sample.
-
-    Correcting a spectrum by ``tau`` multiplies the pair product of bin ``k``
-    by ``exp(-2j pi (f_k - f_(k+16)) tau)``.  The difference is 8/9 for every
-    band bin but 56, whose partner is the Nyquist bin 72 (-1/9); bin 56 is in
-    the band only at roll-off 0.125.
-    """
-    return np.unique(_pair_freq_diffs(alpha)[1]) / N_OUT
 
 
 def godard_error(X: np.ndarray, alpha: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
     """Detector sums over the excess band of 144-bin spectra, per row.
 
-    With ``P = X(k) conj(X(k+16))`` returns ``(S, sum |P|)``, where ``S[..., g]``
-    sums ``P`` over the pairs whose frequency difference is
-    ``godard_pair_freqs(alpha)[g]``.  The raw timing error of ``X`` is
-    ``Im sum_g S[..., g]``; that of ``X`` corrected by ``tau`` is
-    ``Im sum_g S[..., g] exp(-2j pi df_g tau)``.  ``sum |P|`` normalizes it and
+    With ``P = X(k) conj(X(k+16))`` returns ``(S, sum |P|)`` with ``S = sum P``.
+    The raw timing error of ``X`` is ``Im S``; that of ``X`` corrected by
+    ``tau`` is ``Im S exp(-2j pi (8/9) tau)``.  ``sum |P|`` normalizes it and
     does not depend on ``tau``.
     """
     X = np.asarray(X)
-    k, diffs = _pair_freq_diffs(alpha)
+    k = godard_band(alpha)
     pair = X[..., k] * np.conj(X[..., k + ALIAS_STRIDE])
-    sums = np.stack([pair[..., diffs == d].sum(axis=-1) for d in np.unique(diffs)], axis=-1)
-    return sums, np.sum(np.abs(pair), axis=-1)
+    return pair.sum(axis=-1), np.sum(np.abs(pair), axis=-1)
 
 
 def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
@@ -125,17 +115,17 @@ class FdtrLoop:
 
         ``X`` has shape ``(..., 144)``, one beat per row in time order.  Each
         row is corrected with the tau of its own beat; the error it exhibits
-        only moves tau for later rows (strict causality).  The detector sums
-        are taken once over the uncorrected stack, so the recursion rotates a
-        few complex sums per beat, and the correction runs once at the end.
+        only moves tau for later rows (strict causality).  The detector sum of
+        every row is taken once over the uncorrected stack, so the recursion
+        rotates one complex scalar per beat, and the correction runs once at
+        the end.
         """
         X = np.asarray(X)
         sums, mags = godard_error(X.reshape(-1, N_OUT), self.alpha)
-        steps = [-2j * pi * df for df in godard_pair_freqs(self.alpha)]
         taus = []
-        for row, mag in zip(sums.tolist(), mags.tolist()):
+        for s, mag in zip(sums.tolist(), mags.tolist()):
             taus.append(self.tau)
-            err = sum(s * cexp(step * self.tau) for s, step in zip(row, steps))
-            self.update(err.imag / mag if mag > 0 else 0.0)
+            err = (s * cexp(_PAIR_STEP * self.tau)).imag
+            self.update(err / mag if mag > 0 else 0.0)
         self.trace.extend(taus)
         return fd_interpolate(X, np.reshape(taus, X.shape[:-1] + (1,)))

@@ -24,7 +24,7 @@ class TestLoading:
         for name, value in config.SimConfig().to_dict().items():
             flat |= {f"{name}.{key}" for key in value} if isinstance(value, dict) else {name}
         assert flat == {
-            "frame.preamble_a_len", "frame.preamble_b_len", "frame.preamble_c_len",
+            "frame.preamble_a_len", "frame.preamble_c_len",
             "frame.payload_len", "frame.pn_seed", "frame.preamble_c_seed",
             "channel.snr_db", "channel.timing_offset_ui", "channel.clock_ppm",
             "channel.f3db_ghz", "channel.fiber_km", "channel.dispersion_ps_nm_km",
@@ -54,13 +54,14 @@ class TestLoading:
             {"timing": {"kp": math.nan}},
             {"rx": {"detect_threshold": "x"}},
             {"rx": {"acquire_beats": 26.5}},
+            {"frame": {"preamble_b_len": 96}},
         ],
         ids=[
             "section_key", "top_level_key", "nco_mode", "lms_literal",
             "deadzone", "spo_init", "rrc_at_rx", "detect_bin_tolerance",
             "rrc_delay_symbols", "payload_seed", "rop_dbm", "rop_calibration",
             "acquire_beats", "kp", "kp_type", "kp_nan", "detect_threshold_type",
-            "acquire_beats_float",
+            "acquire_beats_float", "preamble_b_len",
         ],
     )
     def test_unknown_keys_rejected(self, data):

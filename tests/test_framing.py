@@ -25,8 +25,6 @@ class TestLayout:
         with pytest.raises(LayoutError):
             framing.FrameLayout(preamble_a_len=191)
         with pytest.raises(LayoutError):
-            framing.FrameLayout(preamble_b_len=95)
-        with pytest.raises(LayoutError):
             framing.FrameLayout(preamble_c_len=700)
 
 

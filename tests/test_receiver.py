@@ -80,6 +80,18 @@ def test_noiseless_loopback(mmse_init, ddlms):
     assert [beat for _, beat, _ in report.spo_trace] == list(range(len(stages)))
 
 
+@pytest.mark.parametrize("rolloff", [1 / 64, 0.125], ids=["rolloff_min", "rolloff_max"])
+def test_noiseless_loopback_at_rolloff_limits(rolloff):
+    # the ends of the accepted roll-off range: the narrowest detector band
+    # (bins 63..64) and the widest (57..71, without bin 56)
+    rx, wave, bits = make_burst(
+        {"frame": {"payload_len": PAYLOAD_LEN}, "tx": {"rrc_rolloff": rolloff}}
+    )
+    report = rx.receive(wave, bits)
+    assert report.status == "ok"
+    assert report.bit_errors == 0
+
+
 @pytest.mark.parametrize(
     "mmse_init, ddlms", [(False, False), (True, True)], ids=["no_eq", "mmse_ddlms"]
 )
@@ -305,9 +317,9 @@ def receive_per_beat(rx, wave, detect_beat):
     ids=["14dB_100ppm_ddlms", "4GHz_20dB_mmse", "noiseless_rolloff_0.125", "600_beats_ddlms"],
 )
 def test_batched_receiver_matches_per_beat_reference(cfg_dict):
-    # roll-off 0.125 puts bin 56, whose alias partner is the Nyquist bin, in
-    # the timing detector band; the receive RRC nulls bin 72, so that pair is
-    # tiny here and TestClosedLoop checks its phase on random spectra
+    # roll-off 0.125 is the one roll-off whose band range reaches bin 56,
+    # the partner of the Nyquist bin; the detector leaves it out, and the
+    # reference's detector reads the same band
     rx, wave, _ = make_burst(cfg_dict)
     acq = rx.acquire(wave)
     demod = rx.demodulate(wave, acq)

@@ -17,8 +17,10 @@ def shaped_block(symbols128):
 
 def raw_error(X):
     """Im of the summed pair products: the detector error before normalizing."""
-    sums, _ = godard_error(X)
-    return sums.sum(axis=-1).imag
+    return godard_error(X)[0].imag
+
+
+ROLLOFFS = [1 / 64, 0.05, 0.1, 0.125]   # the ends of the accepted range and between
 
 
 class TestGodardBand:
@@ -26,6 +28,26 @@ class TestGodardBand:
         band = timing.godard_band(alpha=0.1)
         assert band[0] == 58 and band[-1] == 69
         assert len(band) == 12
+
+    def test_bin_56_left_out(self):
+        # [ceil(56), floor(72) - 1] = 56..71 at roll-off 0.125; bin 56 pairs
+        # with the Nyquist bin and is dropped
+        assert np.array_equal(timing.godard_band(0.125), np.arange(57, 72))
+
+    @pytest.mark.parametrize("alpha", ROLLOFFS)
+    def test_receive_rrc_nulls_nyquist_bin(self, alpha):
+        # the premise for dropping bin 56: its partner, bin 72, is exactly 0
+        # after the receive RRC at every accepted roll-off
+        assert abs(txchain.rrc_response(alpha)[72]) == 0.0
+
+    @pytest.mark.parametrize("alpha", ROLLOFFS)
+    def test_one_pair_frequency(self, alpha):
+        # no band bin pairs with the Nyquist bin, so f_k - f_(k+16) is 8/9
+        # cycles per sample for every pair
+        k = timing.godard_band(alpha)
+        assert k.size and not np.any(k + 16 == 72)
+        f = txchain.FREQ_SYMBOL_144 / txchain.SPS
+        assert np.all(f[k] - f[k + 16] == 128 / 144)
 
 
 class TestGodardError:
@@ -50,23 +72,18 @@ class TestGodardError:
             signs.append(np.sign(raw_error(X)))
         assert len(set(signs)) == 1
 
-    def test_pair_freqs(self):
-        # bin 56 (in the band at roll-off 0.125 only) pairs with the Nyquist bin
-        assert np.allclose(timing.godard_pair_freqs(0.1), [8 / 9])
-        assert np.allclose(timing.godard_pair_freqs(0.125), [-1 / 9, 8 / 9])
-
     @pytest.mark.parametrize("alpha", [0.1, 0.125])
     def test_rotated_sums_equal_corrected_detector(self, alpha):
-        # the error of X corrected by tau, from the sums of the uncorrected X
+        # the sum of X corrected by tau is the sum of the uncorrected X turned
+        # by the one pair phase, even on spectra with a live Nyquist bin
         rng = np.random.default_rng(8)
         X = rng.normal(size=(6, 144)) + 1j * rng.normal(size=(6, 144))
-        tau = rng.uniform(-0.6, 0.6, size=(6, 1))
+        tau = rng.uniform(-0.6, 0.6, size=6)
         sums, mag = godard_error(X, alpha)
-        rotation = np.exp(-2j * np.pi * timing.godard_pair_freqs(alpha) * tau)
-        direct, direct_mag = godard_error(fd_interpolate(X, tau), alpha)
-        assert np.allclose((sums * rotation).sum(axis=-1).imag, direct.sum(axis=-1).imag,
-                           rtol=1e-12, atol=0)
-        assert np.allclose(mag, direct_mag, rtol=1e-12, atol=0)
+        direct, direct_mag = godard_error(fd_interpolate(X, tau[:, None]), alpha)
+        rotated = sums * np.exp(-2j * np.pi * (128 / 144) * tau)
+        np.testing.assert_allclose(rotated, direct, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mag, direct_mag, rtol=1e-12, atol=0)
 
     def test_s_curve_odd_and_zero_crossing(self):
         rng = np.random.default_rng(4)
@@ -216,7 +233,7 @@ class TestClosedLoop:
     @pytest.mark.parametrize("alpha", [0.1, 0.125])
     def test_matches_detector_on_corrected_beats(self, alpha):
         # random spectra keep the Nyquist bin 72, which the receive RRC
-        # nulls, so the bin-56 pair of roll-off 0.125 weighs in the error
+        # nulls; the band leaves out bin 56, its partner, at every roll-off
         rng = np.random.default_rng(9)
         X = rng.normal(size=(30, 144)) + 1j * rng.normal(size=(30, 144))
         loop = FdtrLoop(alpha=alpha, tau=0.3)
@@ -224,8 +241,8 @@ class TestClosedLoop:
         ref = FdtrLoop(alpha=alpha, tau=0.3)
         for x in X:
             ref.trace.append(ref.tau)
-            sums, mag = godard_error(fd_interpolate(x, ref.tau), alpha)
-            ref.update(sums.sum().imag / mag)
+            s, mag = godard_error(fd_interpolate(x, ref.tau), alpha)
+            ref.update(s.imag / mag)
         taus = np.array(ref.trace)
         assert np.max(np.abs(np.array(loop.trace) - taus)) <= 1e-12 * np.max(np.abs(taus))
         want = fd_interpolate(X, taus[:, None])
