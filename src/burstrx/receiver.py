@@ -4,16 +4,16 @@ Reception happens in two passes over the sampled waveform:
 
 * **Acquisition** slices beats from the stream start and transforms them in
   chunks of 32, one detector call per chunk, until a beat shows the
-  Preamble-A tone peak.  It starts the timing loop at the tone-pair phase of
-  the following beat and runs detection-to-sync: the corrected beats are
-  folded to 128 bins and inverse transformed, and the 96 valid symbols of
-  each are joined into the 1-sps stream that frame synchronization scans for
-  Preamble B.  The acquisition beats that the detection chunk already
-  transformed are reused.  The window is derived from the frame layout:
-  ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats after the
-  detected one (24 for the default frame).  Detection may fire on the first
-  beat of Preamble A, so the window always reaches past Preamble B, however
-  long Preamble A is.
+  Preamble-A tone peak.  tau0 is the tone-pair phase summed over the beats
+  that pass detection from that one on.  From the beat after it the timing
+  loop runs detection-to-sync: the corrected beats are folded to 128 bins and
+  inverse transformed, and the 96 valid symbols of each are joined into the
+  1-sps stream that frame synchronization scans for Preamble B.  The
+  detection chunk's spectra are reused.  The window is derived from the
+  frame layout: ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats
+  after the detected one (24 for the default frame).  Detection may fire on
+  the first beat of Preamble A, so the window always reaches past Preamble
+  B, however long Preamble A is.
 
 * **Synchronized demodulation** re-slices the waveform so beat boundaries
   align with the frame: with the sync position ``p = floor(p1 * 1.125)``,
@@ -112,26 +112,29 @@ class BurstReceiver:
         chunk = 32
         for start in range(0, n_beats, chunk):
             X = rxfront.beat_spectra(beats[start : start + chunk], self.h_rx)
-            hits = np.flatnonzero(rxfront.detect_frame(X).detected)
-            if hits.size:
-                detect_beat = start + int(hits[0])
+            detected = rxfront.detect_frame(X).detected
+            if detected.any():
+                detect_beat = start + int(np.argmax(detected))
                 break
-        if detect_beat is None or detect_beat + 2 >= n_beats:
+        if detect_beat is None or detect_beat + 1 >= n_beats:
             raise DetectionError("no burst detected in the waveform")
 
-        # The detection chunk already holds the spectra of the first
-        # acquisition beats; only the beats past its end are transformed.
+        # The window starts at the detected beat.  The detection chunk already
+        # holds its first spectra; only the beats past its end are transformed.
         first_beat = detect_beat + 1
         last_beat = min(first_beat + self.acquire_beats, n_beats)
         chunk_end = start + len(X)
-        X_acq = X[first_beat - start : last_beat - start]
+        X_win = X[detect_beat - start : last_beat - start]
+        tone = detected[detect_beat - start : last_beat - start]
         if last_beat > chunk_end:
             tail = rxfront.beat_spectra(beats[chunk_end:last_beat], self.h_rx)
-            X_acq = np.concatenate([X_acq, tail])
+            X_win = np.concatenate([X_win, tail])
+            if tone[-1]:  # a tone that lasts to the chunk's end may go on past it
+                tone = np.concatenate([tone, rxfront.detect_frame(tail).detected])
 
-        tau0, _ = rxfront.estimate_initial_spo(X_acq[0])
+        tau0 = rxfront.estimate_initial_spo(X_win[: len(tone)][tone])
         loop = FdtrLoop(alpha=self.cfg.tx.rrc_rolloff, tau=tau0)
-        blocks = fft_pow2(eq.strip_rolloff(loop.process_beat(X_acq)), inverse=True)
+        blocks = fft_pow2(eq.strip_rolloff(loop.process_beat(X_win[1:])), inverse=True)
         sync = framesync.find_sync(
             blocks[:, txchain.OVERLAP_IN:].real.reshape(-1), self.pn,
             offset=txchain.SYMBOLS_PER_BEAT * first_beat + txchain.OVERLAP_IN,

@@ -6,12 +6,15 @@ the Preamble-A tone pair: after the 144-point FFT and RRC, a pure alternating
 preamble concentrates all non-DC power in bins 64 and 80, the points at
 ``N/(2*sps)`` and ``N - N/(2*sps)``.
 
-The initial sampling-phase estimate reads the phase between those two bins:
+The initial sampling-phase estimate reads the phase between those two bins,
+summed over the beats that detection passed:
 
-    tau0 = (sps / 2pi) * arg[X(64) * conj(X(80))]
+    tau0 = (sps / 2pi) * arg sum_b X_b(64) * conj(X_b(80))
 
 in units of samples at 1.125 sps; feeding tau0 straight into the
-frequency-domain interpolator cancels the offset.  The hardware's tree-search
+frequency-domain interpolator cancels the offset.  This is the spectral-line
+estimate of Oerder & Meyr (IEEE Trans. Commun., 1988): a beat that holds only
+part of the tone adds little to the sum.  The hardware's tree-search
 comparison is functionally an argmax and is modeled as such; its cycle counts
 live in the pipeline dataset.
 """
@@ -82,19 +85,12 @@ def detect_frame(X: np.ndarray, power_factor: float = 4.0) -> DetectionResult:
     return DetectionResult(detected=detected, peak_bin=peak_bin, peak_ratio=ratio)
 
 
-def estimate_initial_spo(
-    X: np.ndarray, floor_factor: float = 4.0
-) -> tuple[float, bool]:
+def estimate_initial_spo(X: np.ndarray) -> float:
     """Initial sampling-phase offset from the tone-pair phase, in samples.
 
-    Returns ``(tau0, confident)``; confidence drops when either tone bin sits
-    below ``floor_factor`` times the mean off-tone power.
+    ``X`` holds 144-bin spectra on its last axis; the tone-pair products of
+    all rows are summed before the phase is taken.
     """
     X = np.asarray(X)
-    prod = X[TONE_BIN] * np.conj(X[TONE_BIN_MIRROR])
-    tau0 = SPS / (2 * np.pi) * float(np.angle(prod))
-    power = np.abs(X) ** 2
-    off = np.delete(power[1:], [TONE_BIN - 1, TONE_BIN_MIRROR - 1])
-    floor = float(np.mean(off)) * floor_factor
-    confident = bool(min(power[TONE_BIN], power[TONE_BIN_MIRROR]) >= floor)
-    return tau0, confident
+    prod = np.sum(X[..., TONE_BIN] * np.conj(X[..., TONE_BIN_MIRROR]))
+    return SPS / (2 * np.pi) * float(np.angle(prod))

@@ -103,8 +103,8 @@ class TestInitialSpo:
         # periodic, so the estimate is zero to numerical precision
         wave = txchain.tx_frame(np.tile([0.0, 1.0], 48 * 8), flush_beats=0)
         X = rxfront.beat_spectra(rxfront.rx_slice_beats(wave), txchain.rrc_response())
-        tau0, confident = rxfront.estimate_initial_spo(X[4])
-        assert confident
+        tau0 = rxfront.estimate_initial_spo(X[4])
+        assert rxfront.detect_frame(X[4]).detected
         assert abs(tau0) < 1e-9
 
     def test_zero_offset_frame(self):
@@ -112,8 +112,8 @@ class TestInitialSpo:
         # edge; the estimate stays well under the 0.01 UI budget
         wave = preamble_waveform()
         X = rxfront.beat_spectra(rxfront.rx_slice_beats(wave), txchain.rrc_response())
-        tau0, confident = rxfront.estimate_initial_spo(X[1])
-        assert confident
+        tau0 = rxfront.estimate_initial_spo(X[1])
+        assert rxfront.detect_frame(X[1]).detected
         assert abs(tau0) / txchain.SPS < 1e-3
 
     @pytest.mark.parametrize("offset", np.linspace(-0.4, 0.4, 9))
@@ -123,9 +123,9 @@ class TestInitialSpo:
         wave = preamble_waveform(offset_ui=offset)
         beats = rxfront.rx_slice_beats(wave)
         X = rxfront.beat_spectra(beats, txchain.rrc_response())
-        tau0, _ = rxfront.estimate_initial_spo(X[1])
+        tau0 = rxfront.estimate_initial_spo(X[1])
         corrected = fd_interpolate(X[1], tau0)
-        resid, _ = rxfront.estimate_initial_spo(corrected)
+        resid = rxfront.estimate_initial_spo(corrected)
         assert abs(resid) / txchain.SPS <= 0.01
 
     def test_estimate_tracks_injected_offset(self):
@@ -134,7 +134,7 @@ class TestInitialSpo:
             wave = preamble_waveform(offset_ui=offset)
             beats = rxfront.rx_slice_beats(wave)
             X = rxfront.beat_spectra(beats, txchain.rrc_response())
-            tau0, _ = rxfront.estimate_initial_spo(X[1])
+            tau0 = rxfront.estimate_initial_spo(X[1])
             assert abs(tau0 - (-offset * txchain.SPS)) < 0.02
 
     def test_periodic_in_one_ui(self):
@@ -144,13 +144,26 @@ class TestInitialSpo:
             wave = preamble_waveform(offset_ui=offset)
             beats = rxfront.rx_slice_beats(wave)
             X = rxfront.beat_spectra(beats, txchain.rrc_response())
-            taus.append(rxfront.estimate_initial_spo(X[1])[0])
+            taus.append(rxfront.estimate_initial_spo(X[1]))
         assert abs(taus[0] - taus[1]) < 0.02
 
     def test_scale_invariant(self):
         wave = preamble_waveform(offset_ui=0.25)
         beats = rxfront.rx_slice_beats(wave)
         X = rxfront.beat_spectra(beats, txchain.rrc_response())
-        t1, _ = rxfront.estimate_initial_spo(X[1])
-        t2, _ = rxfront.estimate_initial_spo(X[1] * 7.7)
+        t1 = rxfront.estimate_initial_spo(X[1])
+        t2 = rxfront.estimate_initial_spo(X[1] * 7.7)
         assert abs(t1 - t2) < 1e-12
+
+    def test_stack_sums_tone_products(self):
+        # a stack gives the phase of the summed tone-pair product, so each
+        # beat counts with its tone power; one row is the one-beat value
+        wave = preamble_waveform(offset_ui=0.25)
+        X = rxfront.beat_spectra(rxfront.rx_slice_beats(wave), txchain.rrc_response())
+        stack = X[1:3]
+        prod = sum(x[64] * np.conj(x[80]) for x in stack)
+        expected = txchain.SPS / (2 * np.pi) * np.angle(prod)
+        assert abs(rxfront.estimate_initial_spo(stack) - expected) < 1e-12
+        one = rxfront.estimate_initial_spo(X[1:2])
+        assert one == txchain.SPS / (2 * np.pi) * float(np.angle(X[1, 64] * np.conj(X[1, 80])))
+        assert one == rxfront.estimate_initial_spo(X[1])
