@@ -22,6 +22,9 @@ from .errors import ChannelError
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 BAUD_HZ = 25e9
 SAMPLE_RATE_HZ = BAUD_HZ * 1.125
+# The fiber of the dispersion stand-in; only its length is a setting.
+DISPERSION_PS_NM_KM = 2.0
+LAMBDA_NM = 1328.0
 
 
 @dataclass
@@ -36,8 +39,6 @@ class Impairments:
     clock_ppm: float = 0.0
     f3db_ghz: Optional[float] = None
     fiber_km: float = 0.0
-    dispersion_ps_nm_km: float = 2.0
-    lambda_nm: float = 1328.0
     gap_samples: int = 1080
     gain: float = 1.0
 
@@ -95,23 +96,21 @@ def apply_lowpass(x: np.ndarray, f3db_ghz: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x) * h, n)
 
 
-def dispersion_phase(f_hz, fiber_km: float, d_ps_nm_km: float, lambda_nm: float):
+def dispersion_phase(f_hz, fiber_km: float):
     """Quadratic spectral phase of chromatic dispersion, in radians."""
-    d_si = d_ps_nm_km * 1e-6          # s/m^2
-    lam = lambda_nm * 1e-9            # m
-    length = fiber_km * 1e3           # m
+    d_si = DISPERSION_PS_NM_KM * 1e-6  # s/m^2
+    lam = LAMBDA_NM * 1e-9             # m
+    length = fiber_km * 1e3            # m
     return np.pi * d_si * lam**2 * length * np.asarray(f_hz) ** 2 / SPEED_OF_LIGHT
 
 
-def apply_chromatic_dispersion(
-    x: np.ndarray, fiber_km: float, d_ps_nm_km: float, lambda_nm: float
-) -> np.ndarray:
+def apply_chromatic_dispersion(x: np.ndarray, fiber_km: float) -> np.ndarray:
     """All-pass quadratic-phase rotation; intensity power fading is out of scope."""
     if fiber_km == 0.0:
         return np.asarray(x, dtype=np.float64).copy()
     n = len(x)
     f = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE_HZ)
-    h = np.exp(1j * dispersion_phase(f, fiber_km, d_ps_nm_km, lambda_nm))
+    h = np.exp(1j * dispersion_phase(f, fiber_km))
     if n % 2 == 0:
         h[-1] = 1.0  # shared +-Nyquist bin of a real signal stays real
     return np.fft.irfft(np.fft.rfft(x) * h, n)
@@ -173,9 +172,7 @@ def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     """Gap-pad a frame and push it through the configured impairments."""
     x = np.asarray(frame_samples, dtype=np.float64) * cfg.gain
     if cfg.fiber_km:
-        x = apply_chromatic_dispersion(
-            x, cfg.fiber_km, cfg.dispersion_ps_nm_km, cfg.lambda_nm
-        )
+        x = apply_chromatic_dispersion(x, cfg.fiber_km)
     if cfg.f3db_ghz is not None:
         x = apply_lowpass(x, cfg.f3db_ghz)
     if cfg.timing_offset_ui:

@@ -7,8 +7,9 @@ frame (1056-symbol preamble, 1.3e5 payload) over a clean channel.
 Only values that some part of the chain reads are settable.  The receiver's
 structure is fixed: matched RRC filters with the default 16-symbol delay at
 both ends, the Preamble-A tone phase seeding a plain PI timing loop, and an
-exact tone-bin detection test.  Its constants are not settable either; each
-has one definition, in the code that reads it:
+exact tone-bin detection test.  Its constants, and the fixed parts of the
+frame and the channel, are not settable either; each has one definition, in
+the code that reads it:
 
 * the detection threshold, ``power_factor=4.0`` of
   :func:`burstrx.rxfront.detect_frame`;
@@ -19,7 +20,14 @@ has one definition, in the code that reads it:
 * the acquisition window, derived from the frame layout by
   :class:`burstrx.receiver.BurstReceiver`:
   ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats past the
-  detected beat, 24 for the default frame.
+  detected beat, 24 for the default frame;
+* the DD-LMS step, :data:`burstrx.equalizer.DDLMS_MU`, inside the
+  delayed-LMS stability bound at the loop delay ``DDLMS_DELAY``;
+* the seeds of the fixed Pn and Preamble C, ``pn_seed`` and
+  ``preamble_c_seed`` of :class:`burstrx.framing.FrameLayout`;
+* the fiber of the dispersion stand-in,
+  :data:`burstrx.channel.DISPERSION_PS_NM_KM` and
+  :data:`burstrx.channel.LAMBDA_NM`; only ``fiber_km`` is settable.
 
 Each value is checked once, when its section is built.  :func:`from_dict`
 checks every given value against its field's annotation; the range checks
@@ -61,24 +69,9 @@ _ACCEPTS = {
 
 @dataclass
 class EqualizerSection:
-    # The DD-LMS step, divided by each beat's power P = sum y^2.  A gradient
-    # reaches the taps D = equalizer.DDLMS_DELAY = 242 beats after its beat,
-    # and LMS with that delay is stable only while
-    # mu * lam < 2 sin(pi / (2 (2D + 1))) ~ 6.5e-3 for every eigenvalue lam of
-    # the step matrix 2 E[A^T A] / P (Long, Ling and Proakis, IEEE TASSP
-    # 1989).  For on-off symbols the mean 1/2, common to all 33 taps, gives
-    # lam ~ 2 * 96 * (1 + 33) / 4 / 64 = 25.5, so mu < 2.5e-4; the default
-    # keeps a factor 2.5 from that.  A larger mu loads and diverges once the
-    # burst outlasts the growth of that mode: the default frame at 14 dB
-    # still decodes at mu = 5e-4 and fails at 1e-3.
-    mu: float = 1e-4
     # Fit all 33 taps on Preamble C; when off, fit lag 0 alone (a gain).
     mmse_init: bool = True
     ddlms: bool = True
-
-    def __post_init__(self):
-        if self.mu < 0:
-            raise ConfigError("mu must be >= 0")
 
 
 @dataclass

@@ -65,6 +65,16 @@ _VALID = np.arange(OVERLAP_IN, N_IN)
 # latency in clock cycles is the loop delay in beats.
 DDLMS_LOOP = ["ddlms_error_align", "ddlms_update_align", "fft128", "fft128"]
 DDLMS_DELAY, _ = latency_report(DDLMS_LOOP)
+# The DD-LMS step, divided by each beat's power P = sum y^2.  LMS with the
+# loop delay D = DDLMS_DELAY is stable only while
+# mu * lam < 2 sin(pi / (2 (2D + 1))) ~ 6.5e-3 for every eigenvalue lam of
+# the step matrix 2 E[A^T A] / P (Long, Ling and Proakis, IEEE TASSP 1989).
+# For on-off symbols the mean 1/2, common to all 33 taps, gives
+# lam ~ 2 * 96 * (1 + 33) / 4 / 64 = 25.5, so mu < 2.5e-4; this step keeps a
+# factor 2.5 from that.  A larger step diverges once the burst outlasts the
+# growth of that mode: the default frame at 14 dB still decodes at
+# mu = 5e-4 and fails at 1e-3.
+DDLMS_MU = 1e-4
 
 
 def strip_rolloff(X: np.ndarray) -> np.ndarray:
@@ -136,7 +146,7 @@ def decide_demap(z: np.ndarray) -> np.ndarray:
 class FdeState:
     """DD-LMS step size, equalizer taps at ``LAGS`` and loop delay for one burst."""
 
-    mu: float
+    mu: float = DDLMS_MU
     w: np.ndarray = field(default_factory=lambda: (LAGS == 0).astype(float))
     delay: int = DDLMS_DELAY
 

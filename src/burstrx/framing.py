@@ -6,14 +6,15 @@ unipolar PAM2 alphabet {0, 1}:
 * Preamble A, 192 symbols by default: the repeated pair ``[0, 1]``, i.e. a
   tone at half the baud rate, used for frame detection and the initial
   sampling-phase estimate.
-* Preamble B, 96 symbols: three copies of a seeded 32-symbol sequence Pn with
+* Preamble B, 96 symbols: three copies of a fixed 32-symbol sequence Pn with
   bipolar signs ``[+1, +1, -1]`` (the third block is the bit-flip of the
   first), used for frame synchronization.
-* Preamble C, 768 symbols: seeded random bits, eight 96-symbol beats used for
+* Preamble C, 768 symbols: fixed random bits, eight 96-symbol beats used for
   equalizer tap initialization.
 
-All pseudo-random content comes from the documented xorshift64* generator so
-the sequences are reproducible from the seeds alone (see :mod:`burstrx.prng`).
+Pn and Preamble C are fixed, as in the hardware: each is drawn from the
+documented xorshift64* generator (see :mod:`burstrx.prng`) with a seed that
+is a constant of :class:`FrameLayout`, not a setting.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import framesync, prng
+from . import prng
 from .errors import LayoutError, PayloadError
 
 PN_LEN = 32
@@ -31,12 +32,13 @@ PN_LEN = 32
 class FrameLayout:
     """Lengths and seeds shared by transmitter and receiver."""
 
-    preamble_b_len: ClassVar[int] = 3 * PN_LEN   # three Pn blocks; not a setting
+    # not settings: three Pn blocks, and the seeds of the fixed Pn and Preamble C
+    preamble_b_len: ClassVar[int] = 3 * PN_LEN
+    pn_seed: ClassVar[int] = 0x5EED_0001
+    preamble_c_seed: ClassVar[int] = 0x5EED_0002
     preamble_a_len: int = 192
     preamble_c_len: int = 768
     payload_len: int = 130_000
-    pn_seed: int = 0x5EED_0001
-    preamble_c_seed: int = 0x5EED_0002
 
     def __post_init__(self):
         if self.preamble_a_len <= 0 or self.preamble_a_len % 2:
@@ -45,15 +47,10 @@ class FrameLayout:
             raise LayoutError("preamble_c_len must be a positive multiple of 96")
         if self.payload_len < 0:
             raise LayoutError("payload_len must be >= 0")
-        validate_pn_seed(self.pn_seed)
 
     @property
     def preamble_len(self) -> int:
         return self.preamble_a_len + self.preamble_b_len + self.preamble_c_len
-
-    @property
-    def total_len(self) -> int:
-        return self.preamble_len + self.payload_len
 
     def preamble_duration_ns(self, baud_gbd: float = 25.0) -> float:
         """Preamble airtime in nanoseconds at the given baud rate."""
@@ -108,27 +105,3 @@ def build_frame(layout: FrameLayout, payload_bits: np.ndarray) -> np.ndarray:
         ]
     )
 
-
-def validate_pn_seed(seed: int, min_ratio: float = 2.0) -> float:
-    """Check the sync-metric peak uniqueness for a Pn seed.
-
-    Builds the clean bipolar preamble B, evaluates the sliding metric at every
-    placement, and returns the ratio of the true peak to the largest magnitude
-    elsewhere.  Raises :class:`LayoutError` when the ratio is below
-    ``min_ratio``; :class:`FrameLayout` uses this to reject bad seeds.
-    """
-    pn = pn_sequence(seed)
-    b = np.concatenate([pn, pn, -pn])
-    # Preamble B embedded mid-window so every relevant shift of the metric
-    # sees it, flanked by silence.
-    guard = np.zeros(96)
-    metric = framesync.metric_stream(np.concatenate([guard, b, guard]), pn)
-    peak_pos = int(np.argmax(metric))
-    peak = metric[peak_pos]
-    rest = np.abs(np.delete(metric, peak_pos))
-    ratio = peak / max(rest.max(), 1e-12)
-    if ratio < min_ratio:
-        raise LayoutError(
-            f"pn_seed {seed:#x} gives sync peak ratio {ratio:.2f} < {min_ratio}"
-        )
-    return float(ratio)

@@ -2,14 +2,17 @@
 
 Reception happens in two passes over the sampled waveform:
 
-* **Acquisition** slices beats from the stream start and transforms them in
-  chunks of 32, one detector call per chunk, until a beat shows the
-  Preamble-A tone peak.  tau0 is the tone-pair phase summed over the beats
-  that pass detection from that one on.  From the beat after it the timing
-  loop runs detection-to-sync: the corrected beats are folded to 128 bins and
-  inverse transformed, and the 96 valid symbols of each are joined into the
-  1-sps stream that frame synchronization scans for Preamble B.  The
-  detection chunk's spectra are reused.  The window is derived from the
+* **Acquisition** slices beats from the stream start and looks for the
+  Preamble-A tone peak in chunks of 32 beats.  Each chunk is transformed
+  together with the acquisition window that a detection on its last beat
+  would need, and one detector call tests the whole stack; only hits in the
+  chunk's 32 beats count.  The window of the first detected beat is then a
+  slice of that one stack and of its detection mask.  tau0 is the tone-pair
+  phase summed over the window beats that pass detection.  From the beat
+  after the detected one the timing loop runs detection-to-sync: the
+  corrected beats are folded to 128 bins and inverse transformed, and the 96
+  valid symbols of each are joined into the 1-sps stream that frame
+  synchronization scans for Preamble B.  The window is derived from the
   frame layout: ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats
   after the detected one (24 for the default frame).  Detection may fire on
   the first beat of Preamble A, so the window always reaches past Preamble
@@ -110,29 +113,23 @@ class BurstReceiver:
         n_beats = len(beats)
         detect_beat = None
         chunk = 32
+        # Each stack holds a detection chunk and the window of a detection on
+        # its last beat, so the window is a slice of the same spectra.
         for start in range(0, n_beats, chunk):
-            X = rxfront.beat_spectra(beats[start : start + chunk], self.h_rx)
+            X = rxfront.beat_spectra(
+                beats[start : start + chunk + 1 + self.acquire_beats], self.h_rx
+            )
             detected = rxfront.detect_frame(X).detected
-            if detected.any():
+            if detected[:chunk].any():
                 detect_beat = start + int(np.argmax(detected))
                 break
         if detect_beat is None or detect_beat + 1 >= n_beats:
             raise DetectionError("no burst detected in the waveform")
 
-        # The window starts at the detected beat.  The detection chunk already
-        # holds its first spectra; only the beats past its end are transformed.
         first_beat = detect_beat + 1
-        last_beat = min(first_beat + self.acquire_beats, n_beats)
-        chunk_end = start + len(X)
-        X_win = X[detect_beat - start : last_beat - start]
-        tone = detected[detect_beat - start : last_beat - start]
-        if last_beat > chunk_end:
-            tail = rxfront.beat_spectra(beats[chunk_end:last_beat], self.h_rx)
-            X_win = np.concatenate([X_win, tail])
-            if tone[-1]:  # a tone that lasts to the chunk's end may go on past it
-                tone = np.concatenate([tone, rxfront.detect_frame(tail).detected])
-
-        tau0 = rxfront.estimate_initial_spo(X_win[: len(tone)][tone])
+        window = slice(detect_beat - start, first_beat - start + self.acquire_beats)
+        X_win, tone = X[window], detected[window]
+        tau0 = rxfront.estimate_initial_spo(X_win[tone])
         loop = FdtrLoop(alpha=self.cfg.tx.rrc_rolloff, tau=tau0)
         blocks = fft_pow2(eq.strip_rolloff(loop.process_beat(X_win[1:])), inverse=True)
         sync = framesync.find_sync(
@@ -167,7 +164,7 @@ class BurstReceiver:
         Y = eq.strip_rolloff(loop.process_beat(X)[1:])
         y_train, y_pay = Y[: self.n_c_beats], Y[self.n_c_beats :]
         eq_cfg = self.cfg.equalizer
-        state = eq.FdeState(mu=eq_cfg.mu)
+        state = eq.FdeState()
         # Without tap initialization the fit is lag 0 alone, a gain.
         state.initialize(y_train, self.c_ref, eq.LAGS if eq_cfg.mmse_init else [0])
 

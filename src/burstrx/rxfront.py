@@ -29,6 +29,8 @@ from .txchain import N_OUT, OVERLAP_OUT, SAMPLES_PER_BEAT, SPS
 
 TONE_BIN = 64                        # N / (2 * sps)
 TONE_BIN_MIRROR = N_OUT - TONE_BIN   # 80
+# the non-DC bins off the tone pair, whose mean power is the detection floor
+_OFF_TONE = np.setdiff1d(np.arange(1, N_OUT), [TONE_BIN, TONE_BIN_MIRROR])
 
 
 @dataclass
@@ -75,11 +77,9 @@ def detect_frame(X: np.ndarray, power_factor: float = 4.0) -> DetectionResult:
     """
     power = np.abs(np.asarray(X)) ** 2
     peak_bin = np.argmax(power[..., 1:], axis=-1) + 1
-    peak = np.take_along_axis(power, np.expand_dims(peak_bin, -1), axis=-1)[..., 0]
-    off = np.delete(power[..., 1:], [TONE_BIN - 1, TONE_BIN_MIRROR - 1], axis=-1)
-    mean_off = np.mean(off, axis=-1)
-    live = mean_off > 0
-    ratio = np.where(live, peak / np.where(live, mean_off, 1.0), np.inf)
+    peak = np.max(power[..., 1:], axis=-1)
+    mean_off = np.mean(power[..., _OFF_TONE], axis=-1)
+    ratio = np.divide(peak, mean_off, out=np.full_like(peak, np.inf), where=mean_off > 0)
     on_tone = (peak_bin == TONE_BIN) | (peak_bin == TONE_BIN_MIRROR)
     detected = on_tone & (peak > 0) & (peak >= power_factor * mean_off)
     return DetectionResult(detected=detected, peak_bin=peak_bin, peak_ratio=ratio)

@@ -59,16 +59,16 @@ class TestLowpass:
 
 class TestDispersion:
     def test_zero_length_identity(self, wave):
-        out = channel.apply_chromatic_dispersion(wave, 0.0, 2.0, 1328.0)
+        out = channel.apply_chromatic_dispersion(wave, 0.0)
         assert np.max(np.abs(out - wave)) < 1e-12
 
     def test_energy_conserved(self, wave):
-        out = channel.apply_chromatic_dispersion(wave, 40.0, 2.0, 1328.0)
+        out = channel.apply_chromatic_dispersion(wave, 40.0)
         assert abs(np.sum(out**2) - np.sum(wave**2)) < 1e-9 * np.sum(wave**2)
 
     def test_phase_formula_at_12p5_ghz(self):
         # direct evaluation of the quadratic phase at a known frequency
-        got = channel.dispersion_phase(12.5e9, 40.0, 2.0, 1328.0)
+        got = channel.dispersion_phase(12.5e9, 40.0)
         d_si = 2.0 * 1e-6
         lam = 1328e-9
         expect = np.pi * d_si * lam**2 * 40e3 * (12.5e9) ** 2 / 299792458.0

@@ -9,6 +9,7 @@ from burstrx import pipeline, txchain
 from burstrx.equalizer import (
     DDLMS_DELAY,
     DDLMS_LOOP,
+    DDLMS_MU,
     LAGS,
     FdeState,
     apply_fde,
@@ -218,6 +219,15 @@ class TestLoopDelay:
         # one beat per clock: 70 + 80 + 2 x 46 cycles of the DD-LMS error path
         assert DDLMS_DELAY == pipeline.latency_report(DDLMS_LOOP)[0] == 242
         assert FdeState(mu=0.0).delay == DDLMS_DELAY
+
+    def test_step_inside_delayed_lms_bound(self):
+        # LMS with loop delay D is stable while mu * lam < 2 sin(pi / (2 (2D + 1)))
+        # (Long, Ling and Proakis 1989); the tap-sum mode of on-off symbols has
+        # lam = 2 * 96 * 34 / 4 / 64 = 25.5, and the step keeps a factor 2.5
+        # from the bound, so a longer loop in the pipeline dataset fails here
+        lam = 2 * 96 * 34 / 4 / 64
+        bound = 2 * math.sin(math.pi / (2 * (2 * DDLMS_DELAY + 1))) / lam
+        assert FdeState().mu == DDLMS_MU <= bound / 2.5
 
     @pytest.mark.parametrize("n", [1, 7])
     def test_stack_within_delay_keeps_taps(self, n):

@@ -78,22 +78,27 @@ class TestDetection:
 
 
     def test_stack_matches_beat_loop(self):
-        # the per-beat detector is the reference, on noise and a preamble
+        # the per-beat detector is the reference, on noise, a preamble and a
+        # silent beat, whose peak ratio is infinite
         def detect_one(x, power_factor=4.0):
             power = np.abs(x) ** 2
             peak_bin = int(np.argmax(power[1:])) + 1
             mean_off = float(np.mean(np.delete(power[1:], [63, 79])))
             peak = power[peak_bin]
             detected = peak_bin in (64, 80) and peak > 0 and peak >= power_factor * mean_off
-            return detected, peak_bin
+            return detected, peak_bin, peak / mean_off if mean_off > 0 else np.inf
 
         noise = rxfront.beat_spectra(np.random.default_rng(98).normal(size=(10_000, 144)))
         beats = rxfront.rx_slice_beats(preamble_waveform())
-        X = np.concatenate([noise, rxfront.beat_spectra(beats, txchain.rrc_response())])
+        X = np.concatenate(
+            [noise, rxfront.beat_spectra(beats, txchain.rrc_response()), np.zeros((1, 144))]
+        )
         stacked = rxfront.detect_frame(X)
         ref = np.array([detect_one(x) for x in X])
         assert np.array_equal(stacked.detected, ref[:, 0].astype(bool))
         assert np.array_equal(stacked.peak_bin, ref[:, 1])
+        np.testing.assert_allclose(stacked.peak_ratio, ref[:, 2], rtol=1e-14)
+        assert stacked.peak_ratio[-1] == np.inf
         assert stacked.detected[10_000:].any()
 
 
