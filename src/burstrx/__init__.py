@@ -6,4 +6,14 @@ frequency-domain equalization), together with the fixed-size FFT kernels the
 hardware flow is built on and a static pipeline rate/latency model.
 """
 
+import ctypes
+import sys
+
 __version__ = "0.1.0"
+
+# Bursts allocate and free frame-sized arrays; by default glibc returns the
+# freed heap top to the system and page-faults it back in on the next burst.
+if sys.platform == "linux":
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's ceiling on 64-bit

@@ -6,25 +6,26 @@ power is not modeled physically: the noise level is set by the electrical
 ``snr_db`` alone, and :func:`rop_to_snr` is the two-point linear calibration
 that maps an ROP axis onto it.
 
-Impairment order in :func:`run_channel`: gain, chromatic dispersion, low-pass,
-fractional delay / clock drift, additive noise, with inter-burst gaps spliced
-around the frame.  Whole-waveform numpy FFTs are used for these stand-ins; the
-hand-built fixed-size kernels remain the signal path of the actual chain.
+Impairment order in :func:`run_channel`: gain, low-pass, fractional delay,
+clock drift, additive noise, with inter-burst gaps spliced around the frame.
+Each block is a numpy FFT filter: the low-pass and the fixed delay over the
+whole waveform, the drift over one stack of overlapping windows.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ChannelError
 
-SPEED_OF_LIGHT = 299_792_458.0  # m/s
 BAUD_HZ = 25e9
 SAMPLE_RATE_HZ = BAUD_HZ * 1.125
-# The fiber of the dispersion stand-in; only its length is a setting.
-DISPERSION_PS_NM_KM = 2.0
-LAMBDA_NM = 1328.0
+# The drift is piecewise constant over chunks of DRIFT_CHUNK samples, each
+# filtered with DRIFT_PAD samples of context on both sides.
+DRIFT_CHUNK = 432
+DRIFT_PAD = 256
 
 
 @dataclass
@@ -38,15 +39,12 @@ class Impairments:
     timing_offset_ui: float = 0.0
     clock_ppm: float = 0.0
     f3db_ghz: Optional[float] = None
-    fiber_km: float = 0.0
     gap_samples: int = 1080
     gain: float = 1.0
 
     def __post_init__(self):
         if self.gap_samples < 0:
             raise ChannelError("gap_samples must be >= 0")
-        if self.fiber_km < 0:
-            raise ChannelError("fiber_km must be >= 0")
         if self.gain <= 0:
             raise ChannelError("gain must be positive")
         if self.snr_db is not None and not np.isfinite(self.snr_db):
@@ -62,6 +60,19 @@ class ChannelConfig(Impairments):
     rng_seed: int = 0
 
 
+def delay_factor(n: int, tau_samples) -> np.ndarray:
+    """``rfft``-domain delay factor of an ``n``-sample block; a column of taus gives rows."""
+    f = np.fft.rfftfreq(n, d=1.0)
+    h = np.exp(-2j * np.pi * f * np.asarray(tau_samples, dtype=np.float64))
+    if n % 2 == 0:
+        # A real signal cannot carry a complex factor at the shared +-Nyquist
+        # bin.  Integer delays give +-1 there and stay exact; fractional ones
+        # leave that single (empty, beyond the RRC stopband) bin untouched.
+        nyq = h[..., -1]
+        h[..., -1] = np.where(np.abs(nyq.imag) < 1e-12, nyq.real, 1.0)
+    return h
+
+
 def apply_fractional_delay(x: np.ndarray, tau_samples: float) -> np.ndarray:
     """Delay a waveform by a (fractional) number of samples.
 
@@ -71,15 +82,7 @@ def apply_fractional_delay(x: np.ndarray, tau_samples: float) -> np.ndarray:
     if tau_samples == 0.0:
         return np.asarray(x, dtype=np.float64).copy()
     n = len(x)
-    f = np.fft.rfftfreq(n, d=1.0)
-    h = np.exp(-2j * np.pi * f * tau_samples)
-    if n % 2 == 0:
-        # A real signal cannot carry a complex factor at the shared +-Nyquist
-        # bin.  Integer delays give +-1 there and stay exact; fractional ones
-        # leave that single (empty, beyond the RRC stopband) bin untouched.
-        nyq = np.exp(-1j * np.pi * tau_samples)
-        h[-1] = nyq.real if abs(nyq.imag) < 1e-12 else 1.0
-    return np.fft.irfft(np.fft.rfft(x) * h, n)
+    return np.fft.irfft(np.fft.rfft(x) * delay_factor(n, tau_samples), n)
 
 
 def apply_lowpass(x: np.ndarray, f3db_ghz: float) -> np.ndarray:
@@ -96,46 +99,27 @@ def apply_lowpass(x: np.ndarray, f3db_ghz: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x) * h, n)
 
 
-def dispersion_phase(f_hz, fiber_km: float):
-    """Quadratic spectral phase of chromatic dispersion, in radians."""
-    d_si = DISPERSION_PS_NM_KM * 1e-6  # s/m^2
-    lam = LAMBDA_NM * 1e-9             # m
-    length = fiber_km * 1e3            # m
-    return np.pi * d_si * lam**2 * length * np.asarray(f_hz) ** 2 / SPEED_OF_LIGHT
-
-
-def apply_chromatic_dispersion(x: np.ndarray, fiber_km: float) -> np.ndarray:
-    """All-pass quadratic-phase rotation; intensity power fading is out of scope."""
-    if fiber_km == 0.0:
-        return np.asarray(x, dtype=np.float64).copy()
-    n = len(x)
-    f = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE_HZ)
-    h = np.exp(1j * dispersion_phase(f, fiber_km))
-    if n % 2 == 0:
-        h[-1] = 1.0  # shared +-Nyquist bin of a real signal stays real
-    return np.fft.irfft(np.fft.rfft(x) * h, n)
-
-
-def apply_clock_drift(x: np.ndarray, ppm: float, chunk: int = 432) -> np.ndarray:
+def apply_clock_drift(x: np.ndarray, ppm: float) -> np.ndarray:
     """Sampling-frequency offset as a slowly growing fractional delay.
 
-    The waveform is delayed chunk by chunk with tau(t) = ppm * 1e-6 * t
-    evaluated at each chunk center; chunks are filtered with generous padding
-    so the piecewise-constant approximation only leaves sub-1e-2-sample steps.
+    Each chunk of ``DRIFT_CHUNK`` samples is delayed by tau = ppm * 1e-6 * t
+    at its center ``t``, filtered in its own window with ``DRIFT_PAD``
+    samples of context on both sides (silence past the waveform's ends), all
+    windows in one stacked transform.
     """
-    if ppm == 0.0:
-        return np.asarray(x, dtype=np.float64).copy()
     x = np.asarray(x, dtype=np.float64)
-    pad = 256
-    out = np.empty_like(x)
-    for start in range(0, len(x), chunk):
-        stop = min(start + chunk, len(x))
-        lo = max(0, start - pad)
-        hi = min(len(x), stop + pad)
-        tau = ppm * 1e-6 * 0.5 * (start + stop)
-        shifted = apply_fractional_delay(x[lo:hi], tau)
-        out[start:stop] = shifted[start - lo : stop - lo]
-    return out
+    if ppm == 0.0 or len(x) == 0:
+        return x.copy()
+    n = len(x)
+    starts = np.arange(0, n, DRIFT_CHUNK)
+    stops = np.minimum(starts + DRIFT_CHUNK, n)
+    tau = ppm * 1e-6 * 0.5 * (starts + stops)
+    width = DRIFT_CHUNK + 2 * DRIFT_PAD
+    padded = np.zeros(len(starts) * DRIFT_CHUNK + 2 * DRIFT_PAD)
+    padded[DRIFT_PAD : DRIFT_PAD + n] = x
+    windows = sliding_window_view(padded, width)[::DRIFT_CHUNK]
+    shifted = np.fft.irfft(np.fft.rfft(windows) * delay_factor(width, tau[:, None]), width)
+    return shifted[:, DRIFT_PAD : DRIFT_PAD + DRIFT_CHUNK].reshape(-1)[:n]
 
 
 def signal_power_ac(x: np.ndarray) -> float:
@@ -171,8 +155,6 @@ def rop_to_snr(rop: float, cal: dict) -> float:
 def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     """Gap-pad a frame and push it through the configured impairments."""
     x = np.asarray(frame_samples, dtype=np.float64) * cfg.gain
-    if cfg.fiber_km:
-        x = apply_chromatic_dispersion(x, cfg.fiber_km)
     if cfg.f3db_ghz is not None:
         x = apply_lowpass(x, cfg.f3db_ghz)
     if cfg.timing_offset_ui:

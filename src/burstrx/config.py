@@ -24,10 +24,7 @@ the code that reads it:
 * the DD-LMS step, :data:`burstrx.equalizer.DDLMS_MU`, inside the
   delayed-LMS stability bound at the loop delay ``DDLMS_DELAY``;
 * the seeds of the fixed Pn and Preamble C, ``pn_seed`` and
-  ``preamble_c_seed`` of :class:`burstrx.framing.FrameLayout`;
-* the fiber of the dispersion stand-in,
-  :data:`burstrx.channel.DISPERSION_PS_NM_KM` and
-  :data:`burstrx.channel.LAMBDA_NM`; only ``fiber_km`` is settable.
+  ``preamble_c_seed`` of :class:`burstrx.framing.FrameLayout`.
 
 Each value is checked once, when its section is built.  :func:`from_dict`
 checks every given value against its field's annotation; the range checks

@@ -3,20 +3,21 @@
 Reception happens in two passes over the sampled waveform:
 
 * **Acquisition** slices beats from the stream start and looks for the
-  Preamble-A tone peak in chunks of 32 beats.  Each chunk is transformed
-  together with the acquisition window that a detection on its last beat
-  would need, and one detector call tests the whole stack; only hits in the
-  chunk's 32 beats count.  The window of the first detected beat is then a
-  slice of that one stack and of its detection mask.  tau0 is the tone-pair
-  phase summed over the window beats that pass detection.  From the beat
-  after the detected one the timing loop runs detection-to-sync: the
-  corrected beats are folded to 128 bins and inverse transformed, and the 96
-  valid symbols of each are joined into the 1-sps stream that frame
-  synchronization scans for Preamble B.  The window is derived from the
-  frame layout: ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats
-  after the detected one (24 for the default frame).  Detection may fire on
-  the first beat of Preamble A, so the window always reaches past Preamble
-  B, however long Preamble A is.
+  Preamble-A tone peak in chunks of 32 beats.  One stack holds each chunk and
+  the acquisition window a detection on its last beat would need; only hits in
+  the chunk's 32 beats count.  Each pass transforms and tests only the beats
+  the stack does not hold yet, so every beat is transformed once.  The window
+  of the first detected beat is then a slice of that one stack and of its
+  detection mask.  tau0 is the tone-pair phase summed over the window beats
+  that pass detection.  From the beat after the detected one the timing loop
+  runs detection-to-sync: the corrected beats are folded to 128 bins and
+  inverse transformed, and the 96 valid symbols of each are joined into the
+  1-sps stream that frame synchronization scans for Preamble B.  The window is
+  derived from the frame layout:
+  ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats after the
+  detected one (24 for the default frame).  Detection may fire on the first
+  beat of Preamble A, so the window always reaches past Preamble B, however
+  long Preamble A is.
 
 * **Synchronized demodulation** re-slices the waveform so beat boundaries
   align with the frame: with the sync position ``p = floor(p1 * 1.125)``,
@@ -114,15 +115,20 @@ class BurstReceiver:
         detect_beat = None
         chunk = 32
         # Each stack holds a detection chunk and the window of a detection on
-        # its last beat, so the window is a slice of the same spectra.
+        # its last beat, so the window is a slice of the same spectra.  A pass
+        # transforms and tests only the beats the stack does not hold yet.
+        X = np.empty((0, txchain.N_OUT), dtype=np.complex128)
+        detected = np.empty(0, dtype=bool)
         for start in range(0, n_beats, chunk):
-            X = rxfront.beat_spectra(
-                beats[start : start + chunk + 1 + self.acquire_beats], self.h_rx
+            X_new = rxfront.beat_spectra(
+                beats[start + len(X) : start + chunk + 1 + self.acquire_beats], self.h_rx
             )
-            detected = rxfront.detect_frame(X).detected
+            X = np.concatenate([X, X_new])
+            detected = np.concatenate([detected, rxfront.detect_frame(X_new).detected])
             if detected[:chunk].any():
                 detect_beat = start + int(np.argmax(detected))
                 break
+            X, detected = X[chunk:], detected[chunk:]
         if detect_beat is None or detect_beat + 1 >= n_beats:
             raise DetectionError("no burst detected in the waveform")
 

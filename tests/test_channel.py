@@ -57,24 +57,6 @@ class TestLowpass:
         assert np.all(np.diff(h) < 0)
 
 
-class TestDispersion:
-    def test_zero_length_identity(self, wave):
-        out = channel.apply_chromatic_dispersion(wave, 0.0)
-        assert np.max(np.abs(out - wave)) < 1e-12
-
-    def test_energy_conserved(self, wave):
-        out = channel.apply_chromatic_dispersion(wave, 40.0)
-        assert abs(np.sum(out**2) - np.sum(wave**2)) < 1e-9 * np.sum(wave**2)
-
-    def test_phase_formula_at_12p5_ghz(self):
-        # direct evaluation of the quadratic phase at a known frequency
-        got = channel.dispersion_phase(12.5e9, 40.0)
-        d_si = 2.0 * 1e-6
-        lam = 1328e-9
-        expect = np.pi * d_si * lam**2 * 40e3 * (12.5e9) ** 2 / 299792458.0
-        assert abs(got - expect) < 1e-15
-
-
 class TestAwgn:
     def test_measured_snr(self):
         rng = np.random.default_rng(7)
@@ -108,13 +90,13 @@ class TestRunChannel:
     def test_neutral_parameters_identity(self, wave):
         cfg = ChannelConfig(
             snr_db=None, timing_offset_ui=0.0, clock_ppm=0.0,
-            f3db_ghz=None, fiber_km=0.0, gain=1.0, gap_samples=0,
+            f3db_ghz=None, gain=1.0, gap_samples=0,
         )
         out = channel.run_channel(wave, cfg)
         assert np.max(np.abs(out - wave)) < 1e-12
 
     def test_allpass_energy(self, wave):
-        cfg = ChannelConfig(fiber_km=20.0, timing_offset_ui=0.3, gap_samples=0)
+        cfg = ChannelConfig(timing_offset_ui=0.3, gap_samples=0)
         out = channel.run_channel(wave, cfg)
         assert abs(np.sum(out**2) - np.sum(wave**2)) < 1e-9 * np.sum(wave**2)
 
@@ -140,6 +122,23 @@ class TestRopMap:
 class TestClockDrift:
     def test_zero_identity(self, wave):
         assert np.array_equal(channel.apply_clock_drift(wave, 0.0), wave)
+
+    @pytest.mark.parametrize("n", [4096 + 100, 300, 0], ids=["partial_chunk", "short", "empty"])
+    def test_matches_per_chunk_delay(self, n):
+        # each chunk is its zero-padded window delayed by the chunk-centre tau
+        x = np.random.default_rng(2).normal(size=n)
+        ppm = 100.0
+        chunk, pad = channel.DRIFT_CHUNK, channel.DRIFT_PAD
+        padded = np.concatenate([np.zeros(pad), x, np.zeros(chunk + pad)])
+        expect = np.empty(n)
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            tau = ppm * 1e-6 * 0.5 * (start + stop)
+            window = channel.apply_fractional_delay(padded[start : start + chunk + 2 * pad], tau)
+            expect[start:stop] = window[pad : pad + stop - start]
+        out = channel.apply_clock_drift(x, ppm)
+        assert out.shape == (n,)
+        assert np.max(np.abs(out - expect), initial=0.0) < 1e-12
 
     def test_drift_shifts_late_samples_more(self):
         # a tone's local delay near the end should be ~ppm*1e-6*t samples;

@@ -27,7 +27,7 @@ class TestLoading:
             "frame.preamble_a_len", "frame.preamble_c_len",
             "frame.payload_len",
             "channel.snr_db", "channel.timing_offset_ui", "channel.clock_ppm",
-            "channel.f3db_ghz", "channel.fiber_km", "channel.gap_samples", "channel.gain",
+            "channel.f3db_ghz", "channel.gap_samples", "channel.gain",
             "equalizer.mmse_init", "equalizer.ddlms",
             "tx.rrc_rolloff", "seed",
         }
@@ -59,6 +59,7 @@ class TestLoading:
             {"equalizer": {"mu": 1e-4}},
             {"channel": {"dispersion_ps_nm_km": 2.0}},
             {"channel": {"lambda_nm": 1328.0}},
+            {"channel": {"fiber_km": 20.0}},
         ],
         ids=[
             "section_key", "top_level_key", "nco_mode", "lms_literal",
@@ -66,7 +67,7 @@ class TestLoading:
             "rrc_delay_symbols", "payload_seed", "rop_dbm", "rop_calibration",
             "acquire_beats", "kp", "kp_type", "kp_nan", "detect_threshold_type",
             "acquire_beats_float", "preamble_b_len", "pn_seed", "preamble_c_seed",
-            "mu", "dispersion_ps_nm_km", "lambda_nm",
+            "mu", "dispersion_ps_nm_km", "lambda_nm", "fiber_km",
         ],
     )
     def test_unknown_keys_rejected(self, data):
@@ -102,7 +103,6 @@ class TestValidate:
             {"equalizer": {"ddlms": "no"}},
             {"frame": {"payload_len": True}},
             {"channel": {"gap_samples": "x"}},
-            {"channel": {"fiber_km": -1}},
             {"channel": {"snr_db": math.inf}},
             {"channel": {"f3db_ghz": 0}},
             {"channel": {"f3db_ghz": -4}},
@@ -114,7 +114,7 @@ class TestValidate:
         ids=[
             "layout", "rrc_rolloff", "rrc_rolloff_empty_band",
             "payload_len_type", "ddlms_type", "payload_len_bool",
-            "gap_samples_type", "fiber_km", "snr_db_inf",
+            "gap_samples_type", "snr_db_inf",
             "f3db_zero", "f3db_negative", "gain_zero", "seed_type", "seed_negative",
             "seed_float",
         ],

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +152,35 @@ def test_noiseless_at_every_arrival_phase(gap_beats):
         )
         report = rx.receive(wave, bits)
         assert (report.status, report.bit_errors) == ("ok", 0), phase
+
+
+def test_acquisition_transforms_each_beat_once(monkeypatch):
+    # detection fires at beat 100, in the chunk from beat 96, whose window
+    # ends at beat 96 + 33 + 24 = 153; no beat before that is transformed twice
+    rx, wave, _ = make_burst({"frame": {"payload_len": 960}, "channel": {"gap_samples": 108 * 100}})
+    rows = []
+    beat_spectra = rxfront.beat_spectra
+    monkeypatch.setattr(
+        rxfront, "beat_spectra", lambda beats, h: rows.append(len(beats)) or beat_spectra(beats, h)
+    )
+    assert rx.acquire(wave).detect_beat == 100
+    assert sum(rows) <= 153
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the heap thresholds are set on Linux")
+def test_repeated_burst_keeps_its_memory():
+    # freed arrays stay with the process, so a second burst of the same size
+    # finds its pages mapped; returned to the system, they fault back in
+    import resource
+
+    def chain():
+        rx, wave, bits = make_burst({"frame": {"payload_len": 30_000}})
+        assert rx.receive(wave, bits).status == "ok"
+
+    chain()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    chain()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 def test_lowpass_acquisition():
