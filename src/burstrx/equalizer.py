@@ -1,20 +1,28 @@
 """Burst-mode frequency-domain equalizer: least-squares FIR taps plus DD-LMS.
 
-Each beat reaches the equalizer as the 128-bin folded spectrum ``Y`` of an
-overlap-save block.  In ``y = IFFT(Y)`` the beat's 96 symbols sit at the
-valid positions 32..127; the head 0..31 holds the overlap-save wrap, which
-no fixed reference knows.  So the tap fit and the tracking error are both
-measured on the valid positions only, each against one value per symbol:
-the known Preamble-C symbol during training, and on the payload the bit the
-receiver outputs.
+Each beat reaches the equalizer as the folded spectrum ``Y`` of a real
+128-point overlap-save block, carried as its 65-bin half spectrum.  The fold
+(:func:`strip_rolloff`) sums the two alias images of each symbol-rate bin in
+the excess band of the 73-bin beat spectrum ``X``:
+
+    Y(k) = X(k),                                   k = 0..55
+    Y(k) = X(k) + X(k + 16) = X(k) + conj(X(128 - k)),  k = 56..64
+
+In ``y = IFFT(Y)``, an ``irfft`` to 128 real samples, the beat's 96 symbols
+sit at the valid positions 32..127; the head 0..31 holds the overlap-save
+wrap, which no fixed reference knows.  So the tap fit and the tracking error
+are both measured on the valid positions only, each against one value per
+symbol: the known Preamble-C symbol during training, and on the payload the
+bit the receiver outputs.
 
 The equalizer is a real FIR ``w`` at the 33 lags -16..16, applied per bin as
-``W = FFT128(w)``.  A 128-point block with 96 valid outputs filters exactly
-with at most 128 - 96 + 1 = OVERLAP_IN + 1 = 33 taps: at lags -16..16 the
-valid outputs read each head position in one role only, positions 16..31 as
-the past of output 32 and 0..15 as the wrap that follows output 127.  Valid
-output ``n`` of beat ``b`` is row ``n`` of ``A_b w``, where ``A_b`` is the
-96 x 33 block of the beat's real samples read at ``(n - l) mod 128``.
+the 65-bin ``W = FFT128(w)``.  A 128-point block with 96 valid outputs
+filters exactly with at most 128 - 96 + 1 = OVERLAP_IN + 1 = 33 taps: at
+lags -16..16 the valid outputs read each head position in one role only,
+positions 16..31 as the past of output 32 and 0..15 as the wrap that
+follows output 127.  Valid output ``n`` of beat ``b`` is row ``n`` of
+``A_b w``, where ``A_b`` is the 96 x 33 block of the beat's real samples
+read at ``(n - l) mod 128``.
 
 Every setting starts from a least-squares fit over the eight training beats
 (768 equations):
@@ -56,7 +64,7 @@ import numpy as np
 from .errors import FftSizeError
 from .fourier import fft_pow2
 from .pipeline import latency_report
-from .txchain import N_IN, OVERLAP_IN
+from .txchain import BINS_OUT, N_IN, OVERLAP_IN
 
 LAGS = np.arange(-(OVERLAP_IN // 2), OVERLAP_IN // 2 + 1)  # -16..16
 _VALID = np.arange(OVERLAP_IN, N_IN)
@@ -78,47 +86,42 @@ DDLMS_MU = 1e-4
 
 
 def strip_rolloff(X: np.ndarray) -> np.ndarray:
-    """Fold a 144-bin spectrum back to the 128-bin symbol-rate spectrum.
+    """Fold a 73-bin half spectrum back to the 65-bin symbol-rate one.
 
     Inverse of the transmit-side band widening: each symbol-rate bin that was
     replicated into the excess band is reassembled by summing its two alias
-    images (bins j and j+16 for j in 56..71); all other bins map one to one.
-    After the matched RRC pair this fold reconstructs a Nyquist response
-    exactly.
+    images, bins j and j+16 of the full 144-bin spectrum for j in 56..71.
+    On half spectra that is ``Y[56..64] = X[56..64] + conj(X[72..64])``; all
+    other bins map one to one.  Bin 72's image is exact when it is real or
+    0, as the receive RRC makes it.  After the matched RRC pair this fold
+    reconstructs a Nyquist response exactly.
     """
     X = np.asarray(X)
-    if X.shape[-1] != 144:
-        raise FftSizeError(f"strip_rolloff expects 144 bins, got {X.shape[-1]}")
-    return np.concatenate(
-        [
-            X[..., :56],
-            X[..., 56:72] + X[..., 72:88],
-            X[..., 88:144],
-        ],
-        axis=-1,
-    )
+    if X.shape[-1] != BINS_OUT:
+        raise FftSizeError(f"strip_rolloff expects {BINS_OUT} bins, got {X.shape[-1]}")
+    return np.concatenate([X[..., :56], X[..., 56:65] + np.conj(X[..., 72:63:-1])], axis=-1)
 
 
 def fit_taps(Y_beats: np.ndarray, c_ref: np.ndarray, lags=LAGS) -> np.ndarray:
     """Least-squares real FIR taps at ``lags`` (a subset of ``LAGS``).
 
-    ``Y_beats`` holds one folded 128-bin spectrum per row and ``c_ref`` the
+    ``Y_beats`` holds one folded 65-bin half spectrum per row and ``c_ref`` the
     96 known symbols of each.  Solves the normal equations of the fit on the
     valid positions; raises ``numpy.linalg.LinAlgError`` when they are
     singular, as for a silent training region.
     """
     lags = np.asarray(lags)
-    y = fft_pow2(np.asarray(Y_beats), inverse=True).real
+    y = fft_pow2(Y_beats, inverse=True)
     A = np.take(y, (_VALID[:, None] - lags) % N_IN, axis=-1).reshape(-1, lags.size)
     return np.linalg.solve(A.T @ A, A.T @ np.ravel(c_ref))
 
 
 def tap_spectrum(w: np.ndarray) -> np.ndarray:
-    """``FFT128`` of taps at ``LAGS``, one spectrum per row of ``w``."""
+    """65-bin ``FFT128`` of taps at ``LAGS``, one half spectrum per row of ``w``."""
     w = np.asarray(w)
-    full = np.zeros(w.shape[:-1] + (N_IN,), dtype=np.complex128)
+    full = np.zeros(w.shape[:-1] + (N_IN,))
     full[..., LAGS] = w
-    return fft_pow2(full, out=full)
+    return fft_pow2(full)
 
 
 def apply_fde(Y: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -130,11 +133,10 @@ def equalize(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Valid positions 32..127 of the beats ``Y`` filtered by the taps ``w``.
 
     ``w`` is one tap set for every beat, or one row of taps per beat.  The
-    output is real: ``Y`` is the spectrum of real samples and ``w`` is real,
-    so the imaginary part of the inverse transform is rounding alone.
+    output is real: ``Y`` is the half spectrum of real samples and ``w`` is
+    real.
     """
-    Z = apply_fde(Y, tap_spectrum(w))
-    return fft_pow2(Z, inverse=True, out=Z)[..., OVERLAP_IN:].real
+    return fft_pow2(apply_fde(Y, tap_spectrum(w)), inverse=True)[..., OVERLAP_IN:]
 
 
 def decide_demap(z: np.ndarray) -> np.ndarray:
@@ -168,25 +170,23 @@ def _gradients(Y: np.ndarray, z: np.ndarray, bits: np.ndarray, mu: float) -> np.
     """``g_b = 2 (mu / P_b) A_b^T e_b`` for each beat, one row per beat.
 
     The error on the valid positions, with a zero head, is correlated with
-    the beat's samples by one transform pair and read at ``LAGS``.  The real
-    part is the correlation with the real samples, because the error is real.
-    The step is 0 on a silent beat.
+    the beat's samples by one transform pair and read at ``LAGS``.  The step
+    is 0 on a silent beat.
     """
-    y = fft_pow2(Y, inverse=True).real
+    y = fft_pow2(Y, inverse=True)
     power = np.einsum("bn,bn->b", y, y)
     steps = np.divide(2.0 * mu, power, out=np.zeros_like(power), where=power > 0)
     e = np.zeros((len(Y), N_IN))
     np.subtract(bits, z, out=e[:, OVERLAP_IN:])
     corr = fft_pow2(e)
     corr *= np.conj(Y)
-    fft_pow2(corr, inverse=True, out=corr)
-    return steps[:, None] * corr.real[:, LAGS]
+    return steps[:, None] * fft_pow2(corr, inverse=True)[:, LAGS]
 
 
 def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Equalize, decide and track a stack of payload beats; returns ``(z, bits)``.
 
-    ``Y`` holds the folded payload spectra, one beat per row in time order.
+    ``Y`` holds the folded 65-bin payload spectra, one beat per row in time order.
     Beat ``b`` is equalized with ``w_b = w_0 + sum_{j <= b - D} g_j`` (see the
     module docstring), ``D = state.delay``, and its valid positions 32..127
     are ``z``.

@@ -17,6 +17,10 @@ class FftSizeError(BurstRxError, ValueError):
     """Transform called with an unsupported length."""
 
 
+class FftInputError(BurstRxError, TypeError):
+    """Forward real transform called with complex samples."""
+
+
 class ConfigError(BurstRxError, ValueError):
     """Simulator configuration is invalid."""
 

@@ -1,23 +1,30 @@
-"""Fixed-size FFTs: numpy's FFT on the hot path, the hardware butterflies as reference.
+"""Fixed-size real FFTs: numpy's rfft/irfft on the hot path, the butterflies as reference.
 
 The receive/transmit flow only ever needs two transform sizes: 128 points
-and 144 points.  :func:`fft_pow2` and :func:`fft_144` check their sizes and
-call ``np.fft``; they are what the chain runs.
+and 144 points, and every signal it transforms is real.  :func:`fft_pow2`
+and :func:`fft_144` are the chain's one real-signal pair: forward, real
+samples to a half spectrum (``np.fft.rfft``); inverse, a half spectrum back
+to real samples (``np.fft.irfft``).  They check their sizes and refuse
+complex samples; they are what the chain runs.
 
 The hardware decomposition is kept as the tested reference,
 :func:`butterfly_fft`: 128 points as seven radix-2 butterfly layers, 144
 points as four radix-2 layers that reuse the 128-point layer code followed by
 two radix-3 layers (a 16 x 9 decomposition).  The radix-2 path accepts any
-power of two.  A direct O(N^2) DFT, :func:`dft_oracle`, is kept alongside as
-the independent oracle the butterflies are tested against.
+power of two.  It and the direct O(N^2) DFT, :func:`dft_oracle`, the
+independent oracle the butterflies are tested against, transform full
+complex spectra.
 
 Conventions
 -----------
 Forward transform is unscaled, ``X(k) = sum_n x(n) exp(-2j pi n k / N)``; the
 inverse carries the ``1/N`` factor.  Bin ``k`` corresponds to discrete
 frequency ``k/N`` cycles per sample, with bins above ``N/2`` representing
-negative frequencies.  Real input therefore yields Hermitian output,
-``X(N-k) = conj(X(k))``.
+negative frequencies.  Real input yields Hermitian output,
+``X(N-k) = conj(X(k))``, so bins ``0..N/2`` hold the whole spectrum: a half
+spectrum of ``N/2 + 1`` bins, 65 for 128 points and 73 for 144.  The inverse
+reads the imaginary parts of its DC and Nyquist bins as 0, the values they
+have for real samples.
 
 All functions operate on the last axis, so stacked inputs of shape
 ``(..., N)`` transform as a batch.
@@ -27,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FftSizeError
+from .errors import FftInputError, FftSizeError
 
 # Radix-3 path constants: one three-point DFT costs two real-coefficient
 # multiplies in this form.
@@ -129,25 +136,31 @@ def butterfly_fft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     return y
 
 
-def fft_pow2(
-    x: np.ndarray, inverse: bool = False, out: np.ndarray | None = None
-) -> np.ndarray:
-    """FFT for power-of-two lengths (128 points in this chain).
+def _length(x: np.ndarray, inverse: bool, name: str) -> tuple[np.ndarray, int]:
+    """``x`` and its transform length: its samples forward, ``2 (bins - 1)`` inverse."""
+    x = np.asarray(x)
+    if inverse:
+        return x, 2 * (x.shape[-1] - 1)
+    if np.iscomplexobj(x):
+        raise FftInputError(f"{name} transforms real samples, got {x.dtype}")
+    return x, x.shape[-1]
 
-    With ``out`` the transform is written into that complex128 array of the
-    same shape and returned; ``out`` may be ``x`` itself.  The values are
-    those of the allocating call, bit for bit.
+
+def fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Real FFT for power-of-two lengths (128 points in this chain).
+
+    Forward, ``N`` real samples give ``N/2 + 1`` bins; inverse, ``N/2 + 1``
+    bins give ``N`` real samples.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
+    x, n = _length(x, inverse, "fft_pow2")
     if n < 2 or (n & (n - 1)) != 0:
         raise FftSizeError(f"fft_pow2 requires a power-of-two length, got {n}")
-    return np.fft.ifft(x, out=out) if inverse else np.fft.fft(x, out=out)
+    return np.fft.irfft(x, n) if inverse else np.fft.rfft(x)
 
 
 def fft_144(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """144-point FFT, the size of one received beat."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape[-1] != 144:
-        raise FftSizeError(f"fft_144 requires length 144, got {x.shape[-1]}")
-    return np.fft.ifft(x) if inverse else np.fft.fft(x)
+    """144-point real FFT, the size of one received beat: 144 samples, 73 bins."""
+    x, n = _length(x, inverse, "fft_144")
+    if n != 144:
+        raise FftSizeError(f"fft_144 requires length 144, got {n}")
+    return np.fft.irfft(x, n) if inverse else np.fft.rfft(x)

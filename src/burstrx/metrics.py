@@ -94,7 +94,7 @@ def mse_point(z: np.ndarray, decisions: np.ndarray) -> np.ndarray:
     128-sample block this equals, by Parseval's theorem, the mean squared
     spectral error ``mean |FFT(z) - FFT(d)|^2`` without either transform.
     """
-    return np.sum(np.abs(np.asarray(z) - np.asarray(decisions)) ** 2, axis=-1)
+    return np.sum((np.asarray(z) - np.asarray(decisions)) ** 2, axis=-1)
 
 
 @dataclass

@@ -10,7 +10,7 @@ Reception happens in two passes over the sampled waveform:
   of the first detected beat is then a slice of that one stack and of its
   detection mask.  tau0 is the tone-pair phase summed over the window beats
   that pass detection.  From the beat after the detected one the timing loop
-  runs detection-to-sync: the corrected beats are folded to 128 bins and
+  runs detection-to-sync: the corrected beats are folded to 65 bins and
   inverse transformed, and the 96 valid symbols of each are joined into the
   1-sps stream that frame synchronization scans for Preamble B.  The window is
   derived from the frame layout:
@@ -37,6 +37,12 @@ Reception happens in two passes over the sampled waveform:
   are.  Each payload symbol gets one decision, the bit the receiver outputs:
   DD-LMS forms its error against it and the MSE trace, scored over all
   payload beats at once, measures ``z`` against it.
+
+Every signal in the chain is real, so every spectrum is a half spectrum:
+from :func:`rxfront.beat_spectra` on, a beat is the 73 bins 0..72 of its
+144-point FFT, and a folded block the 65 bins 0..64 of its 128-point FFT.
+Each inverse transform is an ``irfft`` to real samples (see
+:mod:`burstrx.fourier`).
 
 Every stage runs as one call over a stack of beats.  Two recursions inside
 those calls carry state from beat to beat: the timing loop's tau (a scalar
@@ -117,7 +123,7 @@ class BurstReceiver:
         # Each stack holds a detection chunk and the window of a detection on
         # its last beat, so the window is a slice of the same spectra.  A pass
         # transforms and tests only the beats the stack does not hold yet.
-        X = np.empty((0, txchain.N_OUT), dtype=np.complex128)
+        X = np.empty((0, txchain.BINS_OUT), dtype=np.complex128)
         detected = np.empty(0, dtype=bool)
         for start in range(0, n_beats, chunk):
             X_new = rxfront.beat_spectra(
@@ -139,7 +145,7 @@ class BurstReceiver:
         loop = FdtrLoop(alpha=self.cfg.tx.rrc_rolloff, tau=tau0)
         blocks = fft_pow2(eq.strip_rolloff(loop.process_beat(X_win[1:])), inverse=True)
         sync = framesync.find_sync(
-            blocks[:, txchain.OVERLAP_IN:].real.reshape(-1), self.pn,
+            blocks[:, txchain.OVERLAP_IN:].reshape(-1), self.pn,
             offset=txchain.SYMBOLS_PER_BEAT * first_beat + txchain.OVERLAP_IN,
         )
         return Acquisition(

@@ -1,15 +1,17 @@
 """Receiver front end: beat slicing, frame detection, initial SPO estimate.
 
 The incoming waveform is cut into 144-sample beats that advance 108 samples
-per beat (36 samples of overlap with the previous beat).  Detection looks for
-the Preamble-A tone pair: after the 144-point FFT and RRC, a pure alternating
-preamble concentrates all non-DC power in bins 64 and 80, the points at
-``N/(2*sps)`` and ``N - N/(2*sps)``.
+per beat (36 samples of overlap with the previous beat).  Each beat is real,
+so its 144-point FFT is carried as the 73-bin half spectrum, bins 0..72.
+Detection looks for the Preamble-A tone: after the FFT and RRC, a pure
+alternating preamble concentrates all non-DC power in bin 64, the point at
+``N/(2*sps)``, and its mirror 80 = 144 - 64, which the half spectrum leaves
+out as ``X(80) = conj(X(64))``.
 
 The initial sampling-phase estimate reads the phase between those two bins,
-summed over the beats that detection passed:
+``X(64) conj(X(80)) = X(64)^2``, summed over the beats that detection passed:
 
-    tau0 = (sps / 2pi) * arg sum_b X_b(64) * conj(X_b(80))
+    tau0 = (sps / 2pi) * arg sum_b X_b(64)^2
 
 in units of samples at 1.125 sps; feeding tau0 straight into the
 frequency-domain interpolator cancels the offset.  This is the spectral-line
@@ -25,12 +27,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fourier import fft_144
-from .txchain import N_OUT, OVERLAP_OUT, SAMPLES_PER_BEAT, SPS
+from .txchain import BINS_OUT, N_OUT, OVERLAP_OUT, SAMPLES_PER_BEAT, SPS
 
-TONE_BIN = 64                        # N / (2 * sps)
-TONE_BIN_MIRROR = N_OUT - TONE_BIN   # 80
-# the non-DC bins off the tone pair, whose mean power is the detection floor
-_OFF_TONE = np.setdiff1d(np.arange(1, N_OUT), [TONE_BIN, TONE_BIN_MIRROR])
+TONE_BIN = 64   # N / (2 * sps)
+# The detection floor is the mean power of the 141 non-DC bins of the full
+# spectrum off the tone pair 64 and 80: in the half spectrum bins 1..71 but
+# 64 count twice, for themselves and their mirrors, and the Nyquist bin 72
+# once.
+_FLOOR_WEIGHTS = np.zeros(BINS_OUT)
+_FLOOR_WEIGHTS[1:-1] = 2.0
+_FLOOR_WEIGHTS[-1] = 1.0
+_FLOOR_WEIGHTS[TONE_BIN] = 0.0
+_FLOOR_WEIGHTS /= _FLOOR_WEIGHTS.sum()
 
 
 @dataclass
@@ -60,8 +68,8 @@ def rx_slice_beats(samples: np.ndarray) -> np.ndarray:
 
 
 def beat_spectra(beats: np.ndarray, response: np.ndarray | None = None) -> np.ndarray:
-    """144-point FFT of each beat, optionally shaped by the receive RRC."""
-    X = fft_144(np.asarray(beats, dtype=np.complex128))
+    """73-bin half spectrum of each beat, optionally shaped by the receive RRC."""
+    X = fft_144(beats)
     if response is not None:
         X = X * response
     return X
@@ -70,27 +78,25 @@ def beat_spectra(beats: np.ndarray, response: np.ndarray | None = None) -> np.nd
 def detect_frame(X: np.ndarray, power_factor: float = 4.0) -> DetectionResult:
     """Look for the Preamble-A power peak in each beat spectrum of a stack.
 
-    ``X`` holds 144-bin spectra on its last axis.  A beat is detected when
-    its non-DC argmax falls on a tone bin and the peak power is at least
-    ``power_factor`` times the mean off-peak power.  Scaling-invariant by
-    construction.
+    ``X`` holds 73-bin half spectra on its last axis.  A beat is detected
+    when its non-DC argmax falls on the tone bin and the peak power is at
+    least ``power_factor`` times the mean power of the full spectrum off the
+    tone pair.  Scaling-invariant by construction.
     """
     power = np.abs(np.asarray(X)) ** 2
     peak_bin = np.argmax(power[..., 1:], axis=-1) + 1
     peak = np.max(power[..., 1:], axis=-1)
-    mean_off = np.mean(power[..., _OFF_TONE], axis=-1)
+    mean_off = power @ _FLOOR_WEIGHTS
     ratio = np.divide(peak, mean_off, out=np.full_like(peak, np.inf), where=mean_off > 0)
-    on_tone = (peak_bin == TONE_BIN) | (peak_bin == TONE_BIN_MIRROR)
-    detected = on_tone & (peak > 0) & (peak >= power_factor * mean_off)
+    detected = (peak_bin == TONE_BIN) & (peak > 0) & (peak >= power_factor * mean_off)
     return DetectionResult(detected=detected, peak_bin=peak_bin, peak_ratio=ratio)
 
 
 def estimate_initial_spo(X: np.ndarray) -> float:
     """Initial sampling-phase offset from the tone-pair phase, in samples.
 
-    ``X`` holds 144-bin spectra on its last axis; the tone-pair products of
-    all rows are summed before the phase is taken.
+    ``X`` holds 73-bin half spectra on its last axis; the tone-pair products
+    ``X(64)^2`` of all rows are summed before the phase is taken.
     """
-    X = np.asarray(X)
-    prod = np.sum(X[..., TONE_BIN] * np.conj(X[..., TONE_BIN_MIRROR]))
+    prod = np.sum(np.asarray(X)[..., TONE_BIN] ** 2)
     return SPS / (2 * np.pi) * float(np.angle(prod))

@@ -5,15 +5,17 @@ The feedback loop has four parts, mirroring the hardware flow:
 * a Godard-style error detector that correlates the spectral excess band with
   its alias one symbol rate away.  On the 144-bin grid at 1.125 samples per
   symbol the alias partner of bin ``k`` is ``k + 16``, so both bins carry the
-  *same* transmitted frequency content and their product's imaginary part is
-  an odd function of the sampling-phase error;
+  *same* transmitted frequency content and the imaginary part of
+  ``X(k) conj(X(k+16))`` is an odd function of the sampling-phase error.
+  The beats are real, so ``conj(X(k+16)) = X(128 - k)``, and the detector
+  reads both bins of each pair from the 73-bin half spectrum;
 * a proportional-integral loop filter and a numerically controlled
   oscillator, the accumulator ``tau <- tau + W``; both are the one method
   :meth:`FdtrLoop.update`.  The paper's Mod-1 form is not modelled: its
   fractional interval ``eta/W`` is unbounded for small control words, and
   closed-loop it decoded at a BER of about 0.49 even on a noiseless channel;
-* a frequency-domain interpolator multiplying bin ``k`` by
-  ``exp(-2j pi f_k tau)``.
+* a frequency-domain interpolator multiplying bin ``k`` of the half
+  spectrum by ``exp(-2j pi f_k tau)``, ``f_k = k/144`` cycles per sample.
 
 The loop filter consumes a normalized error (the raw detector sum divided by
 the summed pairing magnitude), so the gains are dimensionless and a detector
@@ -22,12 +24,13 @@ value of ``-sin(2 pi residual_ui)`` drives the accumulator in samples.
 band's roll-off, tau, the error integral and the per-beat tau trace.
 
 The detector reads the corrected spectrum, but correcting by ``tau`` only
-rotates each pair product by ``exp(-2j pi (f_k - f_(k+16)) tau)`` and leaves
-``|P|`` alone.  The frequency difference is 128/144 = 8/9 cycles per sample
-for every band bin, so the whole sum ``S`` turns by one phase.  The one bin
-with another difference, bin 56, pairs with the Nyquist bin 72, which the
-receive RRC sets to exactly 0 at every accepted roll-off; its product is 0,
-and :func:`godard_band` leaves it out.  So :meth:`FdtrLoop.process_beat`
+rotates each pair product ``P = X(k) X(128 - k)`` by
+``exp(-2j pi (f_k + f_(128-k)) tau)`` and leaves ``|P|`` alone.  The
+frequency sum is 128/144 = 8/9 cycles per sample for every band bin, so the
+whole sum ``S`` turns by one phase.  The one bin that breaks this in the
+full spectrum, bin 56, pairs with the Nyquist bin 72, which the receive RRC
+sets to exactly 0 at every accepted roll-off; its product is 0, and
+:func:`godard_band` leaves it out.  So :meth:`FdtrLoop.process_beat`
 takes ``S`` and ``sum |P|`` of a whole stack of beats at once, runs the
 recursion on one complex scalar per beat, and corrects the stack in one call.
 
@@ -44,11 +47,11 @@ from math import ceil, floor, pi
 
 import numpy as np
 
-from .txchain import FREQ_SYMBOL_144, N_IN, N_OUT, SPS
+from .txchain import BINS_OUT, FREQ_SYMBOL_144, N_IN, N_OUT, SPS
 
 ALIAS_STRIDE = 16  # N - N/sps = 144 - 128
-_F_HALF = FREQ_SYMBOL_144[: N_OUT // 2 + 1] / SPS   # bins 0..72, cycles per sample
-# f_k - f_(k+16) = 128/144 cycles per sample for every band bin: the phase
+_F_HALF = FREQ_SYMBOL_144 / SPS   # bins 0..72, cycles per sample
+# f_k + f_(128-k) = 128/144 cycles per sample for every band bin: the phase
 # step per sample of tau that correcting a spectrum applies to a pair product
 _PAIR_STEP = -2j * pi * (N_IN / N_OUT)
 
@@ -67,31 +70,28 @@ def godard_band(alpha: float = 0.1) -> np.ndarray:
 
 
 def godard_error(X: np.ndarray, alpha: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
-    """Detector sums over the excess band of 144-bin spectra, per row.
+    """Detector sums over the excess band of 73-bin half spectra, per row.
 
-    With ``P = X(k) conj(X(k+16))`` returns ``(S, sum |P|)`` with ``S = sum P``.
-    The raw timing error of ``X`` is ``Im S``; that of ``X`` corrected by
-    ``tau`` is ``Im S exp(-2j pi (8/9) tau)``.  ``sum |P|`` normalizes it and
-    does not depend on ``tau``.
+    With ``P = X(k) conj(X(k+16)) = X(k) X(128-k)`` returns ``(S, sum |P|)``
+    with ``S = sum P``.  The raw timing error of ``X`` is ``Im S``; that of
+    ``X`` corrected by ``tau`` is ``Im S exp(-2j pi (8/9) tau)``.
+    ``sum |P|`` normalizes it and does not depend on ``tau``.
     """
     X = np.asarray(X)
     k = godard_band(alpha)
-    pair = X[..., k] * np.conj(X[..., k + ALIAS_STRIDE])
+    pair = X[..., k] * X[..., N_IN - k]
     return pair.sum(axis=-1), np.sum(np.abs(pair), axis=-1)
 
 
 def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
     """Fractional-delay rotation: bin k times exp(-2j pi f_k tau).
 
-    ``X`` holds 144-bin spectra on its last axis; ``f_k`` is k/144 for
-    k <= 72 and (k-144)/144 above, in cycles per sample.  ``tau_samples``
-    broadcasts against ``X``, so a ``(n, 1)`` column corrects each row of an
-    ``(n, 144)`` stack by its own tau.  The exponential is evaluated on bins
-    0..72 only: ``f_(144-k) = -f_k``, so bins 73..143 are the conjugates of
-    bins 71..1.
+    ``X`` holds 73-bin half spectra on its last axis; ``f_k`` is k/144
+    cycles per sample.  ``tau_samples`` broadcasts against ``X``, so a
+    ``(n, 1)`` column corrects each row of an ``(n, 73)`` stack by its own
+    tau.
     """
-    half = np.exp(-2j * np.pi * _F_HALF * np.asarray(tau_samples))
-    return np.asarray(X) * np.concatenate([half, np.conj(half[..., 71:0:-1])], -1)
+    return np.asarray(X) * np.exp(-2j * np.pi * _F_HALF * np.asarray(tau_samples))
 
 
 @dataclass
@@ -113,7 +113,7 @@ class FdtrLoop:
     def process_beat(self, X: np.ndarray) -> np.ndarray:
         """Correct a stack of beat spectra in order, updating the loop per beat.
 
-        ``X`` has shape ``(..., 144)``, one beat per row in time order.  Each
+        ``X`` has shape ``(..., 73)``, one beat per row in time order.  Each
         row is corrected with the tau of its own beat; the error it exhibits
         only moves tau for later rows (strict causality).  The detector sum of
         every row is taken once over the uncorrected stack, so the recursion
@@ -121,7 +121,7 @@ class FdtrLoop:
         the end.
         """
         X = np.asarray(X)
-        sums, mags = godard_error(X.reshape(-1, N_OUT), self.alpha)
+        sums, mags = godard_error(X.reshape(-1, BINS_OUT), self.alpha)
         taus = []
         for s, mag in zip(sums.tolist(), mags.tolist()):
             taus.append(self.tau)

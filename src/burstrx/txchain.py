@@ -1,10 +1,11 @@
 """Beat-streaming transmitter: FD resampling and RRC shaping of PAM2 symbols.
 
 Each beat takes 96 symbols at 1 sample per symbol, prepends the previous
-beat's 32-symbol tail, transforms with a 128-point FFT, widens the spectrum
-to 144 bins (1 -> 1.125 samples per symbol), applies the root-raised-cosine
-response, inverse transforms, and emits the last 108 of the 144 time samples.
-The 36 discarded samples are the overlap-save head.
+beat's 32-symbol tail, transforms with a 128-point real FFT, widens the
+65-bin half spectrum to the 73 bins of a 144-point one (1 -> 1.125 samples
+per symbol), applies the root-raised-cosine response, inverse transforms,
+and emits the last 108 of the 144 time samples.  The 36 discarded samples
+are the overlap-save head.
 
 The RRC here carries a linear-phase delay of half the symbol overlap
 (16 symbols per filter by default).  With the block overlap fixed at 32
@@ -29,27 +30,30 @@ SYMBOLS_PER_BEAT = 96
 SAMPLES_PER_BEAT = 108
 OVERLAP_IN = 32     # symbols carried between beats
 OVERLAP_OUT = 36    # samples discarded per beat = OVERLAP_IN * SPS
+BINS_IN = N_IN // 2 + 1    # 65: half spectrum of a 128-point block
+BINS_OUT = N_OUT // 2 + 1  # 73: half spectrum of a 144-point beat
 DEFAULT_ROLLOFF = 0.1
 DEFAULT_DELAY_SYMBOLS = 16
 
-# Absolute frequency of each of the 144 bins in cycles per symbol; bins past
-# 72 are negative frequencies.  The excess band lives in |f| in (0.45, 0.5625].
-_K144 = np.arange(N_OUT)
-FREQ_SYMBOL_144 = np.where(_K144 <= N_OUT // 2, _K144 / N_IN, (_K144 - N_OUT) / N_IN)
+# Frequency of each of the 73 half-spectrum bins of a 144-point beat, in
+# cycles per symbol.  The excess band lives in f in (0.45, 0.5625].
+FREQ_SYMBOL_144 = np.arange(BINS_OUT) / N_IN
 
 
 def resample_up_fd(X: np.ndarray) -> np.ndarray:
-    """Widen a 128-bin spectrum to 144 bins (1 sps -> 1.125 sps).
+    """Widen a 65-bin half spectrum to 73 bins (1 sps -> 1.125 sps).
 
-    The first 72 and last 72 input bins are combined into 144 points; input
-    bins 56..71 appear twice, carrying the aliased excess band that the RRC
-    then shapes.  This is the periodic extension of the symbol-rate spectrum
-    onto the wider sample-rate grid.
+    Bin ``k`` of the 144-point grid takes the symbol-rate bin ``k``:
+    ``X(k)`` for k <= 64 and ``conj(X(128 - k))`` for 65..71, and the
+    Nyquist bin 72 takes the symbol-rate bin 72 - 128 = -56, ``X(56)``.  So
+    symbol-rate bins 56..71 appear twice, carrying the aliased excess band
+    that the RRC then shapes: the periodic extension of the symbol-rate
+    spectrum onto the wider sample-rate grid.
     """
     X = np.asarray(X)
-    if X.shape[-1] != N_IN:
-        raise FftSizeError(f"resample_up_fd expects {N_IN} bins, got {X.shape[-1]}")
-    return np.concatenate([X[..., :72], X[..., 56:128]], axis=-1)
+    if X.shape[-1] != BINS_IN:
+        raise FftSizeError(f"resample_up_fd expects {BINS_IN} bins, got {X.shape[-1]}")
+    return np.concatenate([X, np.conj(X[..., 63:56:-1]), X[..., 56:57]], axis=-1)
 
 
 def rc_magnitude(f, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
@@ -67,17 +71,12 @@ def rc_magnitude(f, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
 def rrc_response(
     rolloff: float = DEFAULT_ROLLOFF, delay_symbols: float = DEFAULT_DELAY_SYMBOLS
 ) -> np.ndarray:
-    """Complex 144-bin RRC response sqrt(RC) with a linear-phase delay."""
+    """73-bin RRC response sqrt(RC) with a linear-phase delay.
+
+    It is 0 on the Nyquist bin 72 at every roll-off up to 0.125.
+    """
     mag = np.sqrt(rc_magnitude(FREQ_SYMBOL_144, rolloff))
     return mag * np.exp(-2j * np.pi * FREQ_SYMBOL_144 * delay_symbols)
-
-
-def apply_rrc(X: np.ndarray, response: np.ndarray) -> np.ndarray:
-    """Multiply a 144-bin spectrum by a precomputed RRC response."""
-    X = np.asarray(X)
-    if X.shape[-1] != N_OUT:
-        raise FftSizeError(f"apply_rrc expects {N_OUT} bins, got {X.shape[-1]}")
-    return X * response
 
 
 def tx_frame(
@@ -101,7 +100,5 @@ def tx_frame(
     body = stream.reshape(n_beats, SYMBOLS_PER_BEAT)
     blocks[:, OVERLAP_IN:] = body
     blocks[1:, :OVERLAP_IN] = body[:-1, -OVERLAP_IN:]
-    X = fft_pow2(blocks.astype(np.complex128))
-    Y = apply_rrc(resample_up_fd(X), rrc_response(rolloff, delay_symbols))
-    y = fft_144(Y, inverse=True)
-    return y[:, OVERLAP_OUT:].real.reshape(-1)
+    Y = resample_up_fd(fft_pow2(blocks)) * rrc_response(rolloff, delay_symbols)
+    return fft_144(Y, inverse=True)[:, OVERLAP_OUT:].reshape(-1)

@@ -27,10 +27,10 @@ UNIT = (LAGS == 0).astype(float)
 
 class TestStripRolloff:
     def test_zero(self):
-        assert not strip_rolloff(np.zeros(144, complex)).any()
+        assert not strip_rolloff(np.zeros(73, complex)).any()
 
     def test_inband_tone_passthrough(self):
-        X = np.zeros(144, complex)
+        X = np.zeros(73, complex)
         X[8] = 1.0
         Y = strip_rolloff(X)
         assert Y[8] == 1.0
@@ -41,7 +41,7 @@ class TestStripRolloff:
         # spectrum exactly (Nyquist property of the matched pair)
         rng = np.random.default_rng(0)
         x = rng.normal(size=128)
-        X = fft_pow2(x.astype(complex))
+        X = fft_pow2(x)
         h = txchain.rrc_response(delay_symbols=0)
         folded = strip_rolloff(txchain.resample_up_fd(X) * h * h)
         y = fft_pow2(folded, inverse=True)
@@ -57,7 +57,7 @@ def training_blocks(seed, n=8):
 
 
 def spectra(blocks):
-    return fft_pow2(np.asarray(blocks, dtype=complex))
+    return fft_pow2(np.asarray(blocks, dtype=float))
 
 
 def circular_filter(taps, blocks):
@@ -122,9 +122,9 @@ class TestMmse:
         _, c = training_blocks(6)
         for lags in (LAGS, [0]):
             with pytest.raises(np.linalg.LinAlgError):
-                fit_taps(np.zeros((8, 128), complex), c, lags)
+                fit_taps(np.zeros((8, 65), complex), c, lags)
             state = FdeState(mu=0.0)
-            state.initialize(np.zeros((8, 128), complex), c, lags)
+            state.initialize(np.zeros((8, 65), complex), c, lags)
             assert np.array_equal(state.w, UNIT)
 
 
@@ -136,17 +136,17 @@ class TestApplyFde:
         full = np.zeros((3, 128))
         for i, l in enumerate(LAGS):
             full[:, l % 128] = w[:, i]
-        assert np.allclose(tap_spectrum(w), np.fft.fft(full), rtol=0, atol=1e-12)
-        assert np.array_equal(tap_spectrum(UNIT), np.ones(128))
+        assert np.allclose(tap_spectrum(w), np.fft.fft(full)[:, :65], rtol=0, atol=1e-12)
+        assert np.array_equal(tap_spectrum(UNIT), np.ones(65))
 
     def test_unit_taps(self):
         rng = np.random.default_rng(7)
-        Y = rng.normal(size=128) + 1j * rng.normal(size=128)
-        assert np.array_equal(apply_fde(Y, np.ones(128)), Y)
+        Y = rng.normal(size=65) + 1j * rng.normal(size=65)
+        assert np.array_equal(apply_fde(Y, np.ones(65)), Y)
 
     def test_zero_tap_kills_bin(self):
-        Y = np.ones(128, complex)
-        W = np.ones(128, complex)
+        Y = np.ones(65, complex)
+        W = np.ones(65, complex)
         W[5] = 0.0
         assert apply_fde(Y, W)[5] == 0.0
 
@@ -163,10 +163,10 @@ class TestApplyFde:
 
 
 def random_beat(seed):
-    """Spectrum of a real 128-sample beat of random bits and its samples."""
+    """Half spectrum of a real 128-sample beat of random bits and its samples."""
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 2, 128).astype(float)
-    return fft_pow2(y.astype(complex)), y
+    return fft_pow2(y), y
 
 
 def tap_reads(y):
@@ -178,7 +178,7 @@ def oracle_ddlms(state, Y):
     """Delayed, constrained, power-normalized LMS, one beat at a time.
 
     Beat b is equalized with w_b = w_0 + sum_{j <= b - D} g_j, decided at 0.5,
-    and forms g_b = 2 (mu / P_b) A_b^T e_b with e_b = d_b - Re z_b and
+    and forms g_b = 2 (mu / P_b) A_b^T e_b with e_b = d_b - z_b and
     P_b = sum y_b^2 (0 on a silent beat).  Returns ``(z, bits)`` and leaves the
     taps of the last beat in ``state.w``.
     """
@@ -191,11 +191,11 @@ def oracle_ddlms(state, Y):
         W = np.zeros(128)
         W[LAGS % 128] = w_b
         z_b = fft_pow2(Y_b * fft_pow2(W), inverse=True)[32:]
-        d = (z_b.real > 0.5).astype(np.uint8)
-        y = fft_pow2(Y_b, inverse=True).real
+        d = (z_b > 0.5).astype(np.uint8)
+        y = fft_pow2(Y_b, inverse=True)
         power = np.sum(y**2)
         step = 2.0 * state.mu / power if power > 0 else 0.0
-        grads.append(step * tap_reads(y).T @ (d - z_b.real))
+        grads.append(step * tap_reads(y).T @ (d - z_b))
         z.append(z_b)
         bits.append(d)
     state.w = w_b
@@ -244,7 +244,7 @@ class TestLoopDelay:
 class TestDdlms:
     def test_flat_beat_zero_error_fixed_point(self):
         # frequency-flat beat decided exactly: zero error and no tap move
-        Y = fft_pow2(np.ones(128, complex))
+        Y = fft_pow2(np.ones(128))
         state = FdeState(mu=1e-3, delay=1)
         z, bits = ddlms_update(state, np.array([Y, Y]))
         assert np.array_equal(z, np.ones((2, 96)))
@@ -257,7 +257,7 @@ class TestDdlms:
         # the head is far from any level
         Y, y = random_beat(2)
         y[:32] = np.random.default_rng(3).normal(size=32)
-        Y = fft_pow2(y.astype(complex))
+        Y = fft_pow2(y)
         state = FdeState(mu=1e-2, delay=1)
         ddlms_update(state, np.array([Y, Y]))
         assert np.max(np.abs(state.w - UNIT)) <= 1e-15
@@ -267,7 +267,7 @@ class TestDdlms:
         # 2 (mu / P) e y[(n - l) mod 128]: the error correlated with the input
         Y, y = random_beat(4)
         y[40] += 0.3  # decided as before, with error -0.3
-        Y = fft_pow2(y.astype(complex))
+        Y = fft_pow2(y)
         state = FdeState(mu=1e-3, delay=1)
         ddlms_update(state, np.array([Y, Y]))
         expected = 2e-3 / np.sum(y**2) * -0.3 * y[(40 - LAGS) % 128]
@@ -275,20 +275,21 @@ class TestDdlms:
 
     def test_small_step_lowers_error(self):
         Y, _ = random_beat(5)
-        Y = Y * fft_pow2(np.r_[1.0, 0.2, np.zeros(126)].astype(complex))  # mild ISI
+        Y = Y * fft_pow2(np.r_[1.0, 0.2, np.zeros(126)])  # mild ISI
         z, bits = ddlms_update(FdeState(mu=1e-3, delay=1), np.array([Y, Y]))
         assert np.array_equal(bits[0], bits[1])
         assert np.sum(np.abs(bits[1] - z[1]) ** 2) < np.sum(np.abs(bits[0] - z[0]) ** 2)
 
     def test_update_uses_conjugated_input(self):
-        # a spectrum that is not Hermitian: the gradient correlates the error
-        # with the real samples Re IFFT(Y), read at (n - l) mod 128
+        # a half spectrum with complex DC and Nyquist bins, which no real
+        # block has: the gradient correlates the error with the real samples
+        # irfft(Y), which read those bins' real parts, at (n - l) mod 128
         rng = np.random.default_rng(9)
-        Y = rng.normal(size=128) + 1j * rng.normal(size=128)
+        Y = rng.normal(size=65) + 1j * rng.normal(size=65)
         state = FdeState(mu=1e-3, delay=1)
         z, bits = ddlms_update(state, np.array([Y, Y]))
-        y = fft_pow2(Y, inverse=True).real
-        g = 2e-3 / np.sum(y**2) * tap_reads(y).T @ (bits[0] - z[0].real)
+        y = fft_pow2(Y, inverse=True)
+        g = 2e-3 / np.sum(y**2) * tap_reads(y).T @ (bits[0] - z[0])
         assert np.allclose(state.w - UNIT, g, rtol=1e-9, atol=1e-16)
 
     def test_tracks_slow_gain_ramp(self):
@@ -327,21 +328,25 @@ class TestDdlms:
             assert np.max(np.abs(states[0].w - w_0)) > 1e-3, delay  # the taps moved
 
     def test_output_is_real(self):
-        # the beats are real samples and the taps real, so the inverse
-        # transform's imaginary part is rounding alone and z is float64
+        # the beats are real samples and the taps real, so the full complex
+        # inverse transform's imaginary part is rounding alone, and z, the
+        # real inverse of the half spectra, is float64
         Y, _ = payload_stack(14, 300)
         w = np.random.default_rng(14).normal(size=33)
-        full = fft_pow2(Y * tap_spectrum(w), inverse=True)[:, 32:]
+        taps = np.zeros(128)
+        taps[LAGS % 128] = w
+        y = fft_pow2(Y, inverse=True)
+        full = np.fft.ifft(np.fft.fft(y) * np.fft.fft(taps))[:, 32:]
         assert np.max(np.abs(full.imag)) <= 1e-12 * np.max(np.abs(full.real))
         z = equalize(Y, w)
         assert z.dtype == np.float64
-        assert np.array_equal(z, full.real)
+        assert np.max(np.abs(z - full.real)) <= 1e-12 * np.max(np.abs(full.real))
         z, _ = ddlms_update(FdeState(mu=1e-3, delay=7), Y)
         assert z.dtype == np.float64
 
     def test_empty_stack(self):
         state = FdeState(mu=1e-3, w=np.arange(33.0))
-        z, bits = ddlms_update(state, np.zeros((0, 128), complex))
+        z, bits = ddlms_update(state, np.zeros((0, 65), complex))
         assert z.shape == bits.shape == (0, 96)
         assert np.array_equal(state.w, np.arange(33.0))
 

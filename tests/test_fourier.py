@@ -1,9 +1,9 @@
-"""Tests for the fixed-size FFT kernels against the direct DFT oracle."""
+"""Tests for the fixed-size real FFTs and butterfly kernels against the direct DFT oracle."""
 
 import numpy as np
 import pytest
 
-from burstrx.errors import FftSizeError
+from burstrx.errors import FftInputError, FftSizeError
 from burstrx.fourier import butterfly_fft, dft_oracle, fft_144, fft_pow2, radix3_butterfly
 
 
@@ -34,74 +34,83 @@ class TestOracle:
 
 class TestFftPow2:
     def test_impulse_all_ones(self):
-        x = np.zeros(128, complex)
+        x = np.zeros(128)
         x[0] = 1.0
-        assert np.allclose(fft_pow2(x), np.ones(128), atol=1e-12)
+        assert np.allclose(fft_pow2(x), np.ones(65), atol=1e-12)
 
     @pytest.mark.parametrize("n", [8, 128])
     def test_matches_oracle(self, n):
         rng = np.random.default_rng(n)
         worst = 0.0
         for _ in range(50):
-            x = rng.normal(size=n) + 1j * rng.normal(size=n)
-            worst = max(worst, np.max(np.abs(fft_pow2(x) - dft_oracle(x))) / np.linalg.norm(x))
+            x = rng.normal(size=n)
+            want = dft_oracle(x)[: n // 2 + 1]
+            worst = max(worst, np.max(np.abs(fft_pow2(x) - want)) / np.linalg.norm(x))
         assert worst <= 1e-9
 
     def test_tone_bin3_n8(self):
         n = np.arange(8)
-        x = np.exp(-0j) * np.exp(2j * np.pi * 3 * n / 8)
+        x = np.cos(2 * np.pi * 3 * n / 8)
         X = fft_pow2(x)
-        assert abs(X[3] - 8) < 1e-12
+        assert X.shape == (5,)
+        assert abs(X[3] - 4) < 1e-12
         assert np.sum(np.abs(X) > 1e-9) == 1
 
     def test_rejects_non_pow2(self):
         with pytest.raises(FftSizeError):
-            fft_pow2(np.zeros(96, complex))
+            fft_pow2(np.zeros(96))
+        with pytest.raises(FftSizeError):
+            fft_pow2(np.zeros(64, complex), inverse=True)  # 126 samples
 
     def test_batch_axis(self):
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(5, 128)) + 1j * rng.normal(size=(5, 128))
+        x = rng.normal(size=(5, 128))
         batch = fft_pow2(x)
         for i in range(5):
             assert np.allclose(batch[i], fft_pow2(x[i]), atol=1e-12)
 
-    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
-    def test_out_buffer_equals_allocating_call(self, inverse):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=128) + 1j * rng.normal(size=128)
-        ref = fft_pow2(x, inverse=inverse)
-        buf = np.empty(128, complex)
-        assert fft_pow2(x, inverse=inverse, out=buf) is buf
-        assert np.array_equal(buf, ref)
-        y = x.copy()
-        assert fft_pow2(y, inverse=inverse, out=y) is y
-        assert np.array_equal(y, ref)
-
 
 class TestFft144:
     def test_impulse(self):
-        x = np.zeros(144, complex)
+        x = np.zeros(144)
         x[0] = 1.0
-        assert np.allclose(fft_144(x), np.ones(144), atol=1e-12)
+        assert np.allclose(fft_144(x), np.ones(73), atol=1e-12)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(144)
         worst = 0.0
         for _ in range(50):
-            x = rng.normal(size=144) + 1j * rng.normal(size=144)
-            worst = max(worst, np.max(np.abs(fft_144(x) - dft_oracle(x))) / np.linalg.norm(x))
+            x = rng.normal(size=144)
+            want = dft_oracle(x)[:73]
+            worst = max(worst, np.max(np.abs(fft_144(x) - want)) / np.linalg.norm(x))
         assert worst <= 1e-9
 
     def test_hermitian_for_real_input(self):
+        # the half spectrum holds the whole spectrum of real samples: the
+        # oracle's bins 73..143 are the conjugates of bins 71..1
         rng = np.random.default_rng(7)
-        x = rng.normal(size=144).astype(complex)
+        x = rng.normal(size=144)
         X = fft_144(x)
-        k = np.arange(1, 144)
-        assert np.max(np.abs(X[144 - k] - np.conj(X[k]))) < 1e-9 * np.linalg.norm(x)
+        full = dft_oracle(x)
+        k = np.arange(1, 72)
+        assert np.max(np.abs(full[144 - k] - np.conj(X[k]))) < 1e-9 * np.linalg.norm(x)
+        assert abs(X[0].imag) < 1e-9 * np.linalg.norm(x)
+        assert abs(X[72].imag) < 1e-9 * np.linalg.norm(x)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(FftSizeError):
-            fft_144(np.zeros(128, complex))
+            fft_144(np.zeros(128))
+        with pytest.raises(FftSizeError):
+            fft_144(np.zeros(144, complex), inverse=True)  # 286 samples
+
+
+@pytest.mark.parametrize("fft, n", [(fft_pow2, 128), (fft_144, 144)])
+def test_forward_rejects_complex(fft, n):
+    # the real transform would drop the imaginary part with a warning
+    with pytest.raises(FftInputError):
+        fft(np.zeros(n, complex))
+    with pytest.raises(FftInputError):
+        fft(np.ones((3, n)) + 0j)
 
 
 class TestButterflyReference:
@@ -117,10 +126,18 @@ class TestButterflyReference:
     @pytest.mark.parametrize("n,fft", [(8, fft_pow2), (128, fft_pow2), (144, fft_144)])
     @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
     def test_matches_backend(self, n, fft, inverse):
+        # forward: the first n/2 + 1 butterfly bins of real samples; inverse:
+        # the real samples of the Hermitian spectrum those bins stand for
         rng = np.random.default_rng(n + 20)
-        x = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
-        ref = butterfly_fft(x, inverse=inverse)
-        assert np.max(np.abs(fft(x, inverse=inverse) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        x = rng.normal(size=(5, n))
+        full = butterfly_fft(x)
+        if inverse:
+            got, ref = fft(full[:, : n // 2 + 1], inverse=True), butterfly_fft(full, inverse=True)
+            assert np.max(np.abs(ref.imag)) <= 1e-12 * np.max(np.abs(ref))
+            ref = ref.real
+        else:
+            got, ref = fft(x), full[:, : n // 2 + 1]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 96, 145])
     def test_rejects_other_sizes(self, n):
@@ -149,18 +166,20 @@ class TestRadix3Butterfly:
 class TestProperties:
     @pytest.mark.parametrize("n,fft", [(128, fft_pow2), (144, fft_144)])
     def test_parseval(self, n, fft):
+        # bins 1..n/2-1 stand for themselves and their mirrors
         rng = np.random.default_rng(n + 1)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        lhs = np.sum(np.abs(x) ** 2)
-        rhs = np.sum(np.abs(fft(x)) ** 2) / n
+        x = rng.normal(size=n)
+        weight = np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0]
+        lhs = np.sum(x**2)
+        rhs = np.sum(weight * np.abs(fft(x)) ** 2) / n
         assert abs(lhs - rhs) <= 1e-9 * lhs
 
     @pytest.mark.parametrize("n,fft", [(128, fft_pow2), (144, fft_144)])
     def test_linearity(self, n, fft):
         rng = np.random.default_rng(n + 2)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        y = rng.normal(size=n) + 1j * rng.normal(size=n)
-        a, b = 1.7 - 0.3j, -0.8 + 2.1j
+        x = rng.normal(size=n)
+        y = rng.normal(size=n)
+        a, b = 1.7, -0.8
         lhs = fft(a * x + b * y)
         rhs = a * fft(x) + b * fft(y)
         assert rel_err(lhs, rhs) < 1e-9
@@ -168,6 +187,7 @@ class TestProperties:
     @pytest.mark.parametrize("n,fft", [(8, fft_pow2), (128, fft_pow2), (144, fft_144)])
     def test_round_trip_batch(self, n, fft):
         rng = np.random.default_rng(n + 3)
-        x = rng.normal(size=(1000, n)) + 1j * rng.normal(size=(1000, n))
+        x = rng.normal(size=(1000, n))
         back = fft(fft(x), inverse=True)
+        assert back.dtype == np.float64
         assert np.max(np.abs(back - x)) <= 1e-10 * np.max(np.abs(x))

@@ -55,7 +55,7 @@ class TestDetection:
         X = rxfront.beat_spectra(beats, txchain.rrc_response())
         res = rxfront.detect_frame(X[1])
         assert res.detected
-        assert res.peak_bin in (64, 80)
+        assert res.peak_bin == 64
 
     def test_zero_beat_not_detected(self):
         X = rxfront.beat_spectra(np.zeros((1, 144)))
@@ -79,19 +79,23 @@ class TestDetection:
 
     def test_stack_matches_beat_loop(self):
         # the per-beat detector is the reference, on noise, a preamble and a
-        # silent beat, whose peak ratio is infinite
+        # silent beat, whose peak ratio is infinite; its floor is the mean of
+        # the 141 full-spectrum bins off DC and the tone pair 64 / 80, the
+        # half-spectrum bins 1..71 but 64 once for themselves and once for
+        # their mirrors, and the Nyquist bin 72 once
         def detect_one(x, power_factor=4.0):
             power = np.abs(x) ** 2
             peak_bin = int(np.argmax(power[1:])) + 1
-            mean_off = float(np.mean(np.delete(power[1:], [63, 79])))
+            off = np.delete(power[1:72], 63)
+            mean_off = float((2 * np.sum(off) + power[72]) / 141)
             peak = power[peak_bin]
-            detected = peak_bin in (64, 80) and peak > 0 and peak >= power_factor * mean_off
+            detected = peak_bin == 64 and peak > 0 and peak >= power_factor * mean_off
             return detected, peak_bin, peak / mean_off if mean_off > 0 else np.inf
 
         noise = rxfront.beat_spectra(np.random.default_rng(98).normal(size=(10_000, 144)))
         beats = rxfront.rx_slice_beats(preamble_waveform())
         X = np.concatenate(
-            [noise, rxfront.beat_spectra(beats, txchain.rrc_response()), np.zeros((1, 144))]
+            [noise, rxfront.beat_spectra(beats, txchain.rrc_response()), np.zeros((1, 73))]
         )
         stacked = rxfront.detect_frame(X)
         ref = np.array([detect_one(x) for x in X])
@@ -161,14 +165,15 @@ class TestInitialSpo:
         assert abs(t1 - t2) < 1e-12
 
     def test_stack_sums_tone_products(self):
-        # a stack gives the phase of the summed tone-pair product, so each
-        # beat counts with its tone power; one row is the one-beat value
+        # a stack gives the phase of the summed tone-pair product
+        # X(64) conj(X(80)) = X(64)^2, so each beat counts with its tone
+        # power; one row is the one-beat value
         wave = preamble_waveform(offset_ui=0.25)
         X = rxfront.beat_spectra(rxfront.rx_slice_beats(wave), txchain.rrc_response())
         stack = X[1:3]
-        prod = sum(x[64] * np.conj(x[80]) for x in stack)
+        prod = sum(x[64] ** 2 for x in stack)
         expected = txchain.SPS / (2 * np.pi) * np.angle(prod)
         assert abs(rxfront.estimate_initial_spo(stack) - expected) < 1e-12
         one = rxfront.estimate_initial_spo(X[1:2])
-        assert one == txchain.SPS / (2 * np.pi) * float(np.angle(X[1, 64] * np.conj(X[1, 80])))
+        assert one == txchain.SPS / (2 * np.pi) * float(np.angle(X[1, 64] ** 2))
         assert one == rxfront.estimate_initial_spo(X[1])

@@ -9,9 +9,9 @@ from burstrx.timing import FdtrLoop, fd_interpolate, godard_error
 
 
 def shaped_block(symbols128):
-    """144-bin spectrum of one isolated block after tx and rx RRC."""
+    """73-bin half spectrum of one isolated block after tx and rx RRC."""
     h = txchain.rrc_response()
-    X = txchain.resample_up_fd(np.fft.fft(np.asarray(symbols128, complex)))
+    X = txchain.resample_up_fd(np.fft.rfft(np.asarray(symbols128, float)))
     return X * h * h
 
 
@@ -42,17 +42,18 @@ class TestGodardBand:
 
     @pytest.mark.parametrize("alpha", ROLLOFFS)
     def test_one_pair_frequency(self, alpha):
-        # no band bin pairs with the Nyquist bin, so f_k - f_(k+16) is 8/9
-        # cycles per sample for every pair
+        # no band bin pairs with the Nyquist bin, so f_k - f_(k+16), which is
+        # f_k + f_(128-k) on the half spectrum, is 8/9 cycles per sample for
+        # every pair
         k = timing.godard_band(alpha)
-        assert k.size and not np.any(k + 16 == 72)
+        assert k.size and not np.any(128 - k == 72)
         f = txchain.FREQ_SYMBOL_144 / txchain.SPS
-        assert np.all(f[k] - f[k + 16] == 128 / 144)
+        assert np.all(f[k] + f[128 - k] == 128 / 144)
 
 
 class TestGodardError:
     def test_zero_input(self):
-        assert godard_error(np.zeros(144, complex)) == (0.0, 0.0)
+        assert godard_error(np.zeros(73, complex)) == (0.0, 0.0)
 
     def test_zero_at_perfect_timing(self):
         rng = np.random.default_rng(2)
@@ -60,7 +61,7 @@ class TestGodardError:
         X = shaped_block(x)
         e, mag = raw_error(X), godard_error(X)[1]
         k = timing.godard_band()
-        assert mag == pytest.approx(np.sum(np.abs(X[k] * np.conj(X[k + 16]))))
+        assert mag == pytest.approx(np.sum(np.abs(X[k] * X[128 - k])))
         assert abs(e) <= 1e-3 * mag
 
     def test_sign_consistent_for_small_delay(self):
@@ -77,7 +78,7 @@ class TestGodardError:
         # the sum of X corrected by tau is the sum of the uncorrected X turned
         # by the one pair phase, even on spectra with a live Nyquist bin
         rng = np.random.default_rng(8)
-        X = rng.normal(size=(6, 144)) + 1j * rng.normal(size=(6, 144))
+        X = rng.normal(size=(6, 73)) + 1j * rng.normal(size=(6, 73))
         tau = rng.uniform(-0.6, 0.6, size=6)
         sums, mag = godard_error(X, alpha)
         direct, direct_mag = godard_error(fd_interpolate(X, tau[:, None]), alpha)
@@ -129,12 +130,12 @@ class TestLoopFilter:
 class TestInterpolator:
     def test_identity(self):
         rng = np.random.default_rng(1)
-        X = rng.normal(size=144) + 1j * rng.normal(size=144)
+        X = rng.normal(size=73) + 1j * rng.normal(size=73)
         assert np.array_equal(fd_interpolate(X, 0.0), X)
 
     def test_mirrored_half_equals_full_exponential(self):
-        # bins 73..143 are conjugated from bins 71..1; the result is the
-        # full 144-bin exponential bit for bit
+        # the half spectrum's rotation is the first 73 bins of the full
+        # 144-bin exponential bit for bit
         def full(X, tau):
             k = np.arange(144)
             f = np.where(k <= 72, k / 128, (k - 144) / 128) / 1.125
@@ -143,14 +144,15 @@ class TestInterpolator:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(500, 144)) + 1j * rng.normal(size=(500, 144))
         taus = rng.uniform(-200.0, 200.0, size=(500, 1))
-        assert np.array_equal(fd_interpolate(X, taus), full(X, taus))
+        H = X[..., :73]
+        assert np.array_equal(fd_interpolate(H, taus), full(X, taus)[..., :73])
         for tau in taus[:50, 0]:
-            assert np.array_equal(fd_interpolate(X[0], tau), full(X[0], tau))
-            assert np.array_equal(fd_interpolate(X[:4], tau), full(X[:4], tau))
+            assert np.array_equal(fd_interpolate(H[0], tau), full(X[0], tau)[:73])
+            assert np.array_equal(fd_interpolate(H[:4], tau), full(X[:4], tau)[..., :73])
 
     def test_integer_delay_is_circular_shift(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=144) + 1j * rng.normal(size=144)
+        x = rng.normal(size=144)
         X = fft_144(x)
         y = fft_144(fd_interpolate(X, 3.0), inverse=True)
         assert np.max(np.abs(y - np.roll(x, 3))) <= 1e-10 * np.max(np.abs(x))
@@ -235,7 +237,7 @@ class TestClosedLoop:
         # random spectra keep the Nyquist bin 72, which the receive RRC
         # nulls; the band leaves out bin 56, its partner, at every roll-off
         rng = np.random.default_rng(9)
-        X = rng.normal(size=(30, 144)) + 1j * rng.normal(size=(30, 144))
+        X = rng.normal(size=(30, 73)) + 1j * rng.normal(size=(30, 73))
         loop = FdtrLoop(alpha=alpha, tau=0.3)
         out = loop.process_beat(X)
         ref = FdtrLoop(alpha=alpha, tau=0.3)

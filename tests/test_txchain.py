@@ -23,38 +23,37 @@ def tx_process_beat(state, symbols):
     assert symbols.shape == (txchain.SYMBOLS_PER_BEAT,)
     block = np.concatenate([state.overlap, symbols])
     state.overlap = block[-txchain.OVERLAP_IN :].copy()
-    X = fft_pow2(block.astype(np.complex128))
-    Y = txchain.apply_rrc(txchain.resample_up_fd(X), state.response)
-    y = fft_144(Y, inverse=True)
-    return y[txchain.OVERLAP_OUT :].real
+    Y = txchain.resample_up_fd(fft_pow2(block)) * state.response
+    return fft_144(Y, inverse=True)[txchain.OVERLAP_OUT :]
 
 
 class TestResampleUp:
     def test_band_mapping(self):
-        X = np.arange(128).astype(complex)
+        # half-spectrum bin k of the 144 grid is symbol-rate bin k: X(k) up
+        # to 64, conj(X(128 - k)) for 65..71, and X(56) at the Nyquist bin 72
+        X = np.arange(65) + 1j * np.arange(65, 130)
         Y = txchain.resample_up_fd(X)
+        assert Y.shape == (73,)
         assert Y[72] == X[56]
-        assert Y[143] == X[127]
-        assert np.array_equal(Y[:72], X[:72])
+        assert np.array_equal(Y[:65], X)
+        assert np.array_equal(Y[65:72], np.conj(X[63:56:-1]))
 
     def test_zeros(self):
-        assert not txchain.resample_up_fd(np.zeros(128, complex)).any()
+        assert not txchain.resample_up_fd(np.zeros(65, complex)).any()
 
     def test_size_checked(self):
         with pytest.raises(FftSizeError):
-            txchain.resample_up_fd(np.zeros(144, complex))
+            txchain.resample_up_fd(np.zeros(73, complex))
 
     def test_tone_keeps_absolute_frequency(self):
         # A bin-8 tone at 1 sps must come out as a bin-8 tone of the 144 grid,
         # i.e. the same absolute frequency at the higher sample rate.
         n = np.arange(128)
-        x = np.exp(2j * np.pi * 8 * n / 128)
-        Y = txchain.apply_rrc(
-            txchain.resample_up_fd(fft_pow2(x)), txchain.rrc_response(delay_symbols=0)
-        )
+        x = np.cos(2 * np.pi * 8 * n / 128)
+        Y = txchain.resample_up_fd(fft_pow2(x)) * txchain.rrc_response(delay_symbols=0)
         y = fft_144(Y, inverse=True)
         # amplitude carries the 128/144 convention factor; frequency must not move
-        ref = (128 / 144) * np.exp(2j * np.pi * 8 * np.arange(144) / 144)
+        ref = (128 / 144) * np.cos(2 * np.pi * 8 * np.arange(144) / 144)
         assert np.max(np.abs(y - ref)) < 1e-9
 
 
