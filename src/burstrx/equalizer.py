@@ -55,6 +55,17 @@ The delay is what makes the recursion batchable.  The taps of a block of
 block in one pass, ``ceil(n / D)`` passes for ``n`` beats.  A payload of at
 most ``D`` beats ends before its first gradient lands and is decided with
 the fitted taps alone.
+
+Only 33 of the 128 samples of ``w`` are live, and the gradient is read at
+the same 33 lags: ``A_b^T e_b`` is ``IFFT128(FFT128(e_b) conj(Y_b))`` read
+at ``LAGS`` (Shynk's gradient constraint).  So neither transform runs in
+full.  :func:`tap_spectrum` is a product with the fixed 33 x 65 table of the
+``FFT128`` of a unit tap at each lag, and the gradient readout a product
+with the 65 x 33 table of the ``IFFT128`` of a unit real and a unit
+imaginary part in each bin, read at ``LAGS``.  Both tables come from
+:func:`fourier.fft_pow2`, the chain's one FFT, and hold complex values as
+interleaved real and imaginary parts, so each product is one real matrix
+multiply.
 """
 
 from dataclasses import dataclass, field
@@ -64,7 +75,7 @@ import numpy as np
 from .errors import FftSizeError
 from .fourier import fft_pow2
 from .pipeline import latency_report
-from .txchain import BINS_OUT, N_IN, OVERLAP_IN
+from .txchain import BINS_IN, BINS_OUT, N_IN, OVERLAP_IN
 
 LAGS = np.arange(-(OVERLAP_IN // 2), OVERLAP_IN // 2 + 1)  # -16..16
 _VALID = np.arange(OVERLAP_IN, N_IN)
@@ -83,6 +94,11 @@ DDLMS_DELAY, _ = latency_report(DDLMS_LOOP)
 # growth of that mode: the default frame at 14 dB still decodes at
 # mu = 5e-4 and fails at 1e-3.
 DDLMS_MU = 1e-4
+
+# The two tables of the module docstring, complex values as the (re, im)
+# pairs of ``complex128.view(float64)``.
+_TAP_DFT = fft_pow2(np.eye(N_IN)[LAGS]).view(np.float64)                       # 33 x 130
+_LAG_IDFT = fft_pow2(np.eye(2 * BINS_IN).view(complex), inverse=True)[:, LAGS]  # 130 x 33
 
 
 def strip_rolloff(X: np.ndarray) -> np.ndarray:
@@ -118,10 +134,7 @@ def fit_taps(Y_beats: np.ndarray, c_ref: np.ndarray, lags=LAGS) -> np.ndarray:
 
 def tap_spectrum(w: np.ndarray) -> np.ndarray:
     """65-bin ``FFT128`` of taps at ``LAGS``, one half spectrum per row of ``w``."""
-    w = np.asarray(w)
-    full = np.zeros(w.shape[:-1] + (N_IN,))
-    full[..., LAGS] = w
-    return fft_pow2(full)
+    return (np.asarray(w, dtype=float) @ _TAP_DFT).view(complex)
 
 
 def apply_fde(Y: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -170,8 +183,8 @@ def _gradients(Y: np.ndarray, z: np.ndarray, bits: np.ndarray, mu: float) -> np.
     """``g_b = 2 (mu / P_b) A_b^T e_b`` for each beat, one row per beat.
 
     The error on the valid positions, with a zero head, is correlated with
-    the beat's samples by one transform pair and read at ``LAGS``.  The step
-    is 0 on a silent beat.
+    the beat's samples in the frequency domain and read back at ``LAGS``
+    through ``_LAG_IDFT``.  The step is 0 on a silent beat.
     """
     y = fft_pow2(Y, inverse=True)
     power = np.einsum("bn,bn->b", y, y)
@@ -180,7 +193,7 @@ def _gradients(Y: np.ndarray, z: np.ndarray, bits: np.ndarray, mu: float) -> np.
     np.subtract(bits, z, out=e[:, OVERLAP_IN:])
     corr = fft_pow2(e)
     corr *= np.conj(Y)
-    return steps[:, None] * fft_pow2(corr, inverse=True)[:, LAGS]
+    return steps[:, None] * (corr.view(np.float64) @ _LAG_IDFT)
 
 
 def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

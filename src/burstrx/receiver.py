@@ -230,8 +230,6 @@ class BurstReceiver:
     @staticmethod
     def _fill_spo(report: metrics.RunReport, acq: Acquisition) -> None:
         trace = acq.loop.trace
-        split = acq.stage1_trace_len
-        report.spo_trace = [
-            (1 if beat < split else 2, beat, tau / txchain.SPS)
-            for beat, tau in enumerate(trace)
-        ]
+        n, split = len(trace), acq.stage1_trace_len
+        stages = [1] * split + [2] * (n - split)
+        report.spo_trace = list(zip(stages, range(n), (np.asarray(trace) / txchain.SPS).tolist()))

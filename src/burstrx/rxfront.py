@@ -67,12 +67,9 @@ def rx_slice_beats(samples: np.ndarray) -> np.ndarray:
     return windows[: n_beats * SAMPLES_PER_BEAT : SAMPLES_PER_BEAT]
 
 
-def beat_spectra(beats: np.ndarray, response: np.ndarray | None = None) -> np.ndarray:
-    """73-bin half spectrum of each beat, optionally shaped by the receive RRC."""
-    X = fft_144(beats)
-    if response is not None:
-        X = X * response
-    return X
+def beat_spectra(beats: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """73-bin half spectrum of each beat, shaped by the receive RRC ``response``."""
+    return fft_144(beats) * response
 
 
 def detect_frame(X: np.ndarray, power_factor: float = 4.0) -> DetectionResult:

@@ -16,6 +16,9 @@ The feedback loop has four parts, mirroring the hardware flow:
   closed-loop it decoded at a BER of about 0.49 even on a noiseless channel;
 * a frequency-domain interpolator multiplying bin ``k`` of the half
   spectrum by ``exp(-2j pi f_k tau)``, ``f_k = k/144`` cycles per sample.
+  That factor is ``w^k`` with ``w = exp(-2j pi tau / 144)``, so a beat costs
+  one exponential and the 72 products of its running power, not one
+  exponential per bin.
 
 The loop filter consumes a normalized error (the raw detector sum divided by
 the summed pairing magnitude), so the gains are dimensionless and a detector
@@ -47,10 +50,11 @@ from math import ceil, floor, pi
 
 import numpy as np
 
-from .txchain import BINS_OUT, FREQ_SYMBOL_144, N_IN, N_OUT, SPS
+from .txchain import BINS_OUT, N_IN, N_OUT, SPS
 
 ALIAS_STRIDE = 16  # N - N/sps = 144 - 128
-_F_HALF = FREQ_SYMBOL_144 / SPS   # bins 0..72, cycles per sample
+# the phase step per sample of tau between neighbouring bins, 1/144 cycles apart
+_BIN_STEP = -2j * pi / N_OUT
 # f_k + f_(128-k) = 128/144 cycles per sample for every band bin: the phase
 # step per sample of tau that correcting a spectrum applies to a pair product
 _PAIR_STEP = -2j * pi * (N_IN / N_OUT)
@@ -90,8 +94,22 @@ def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
     cycles per sample.  ``tau_samples`` broadcasts against ``X``, so a
     ``(n, 1)`` column corrects each row of an ``(n, 73)`` stack by its own
     tau.
+
+    The factor of bin ``k`` is ``w^k`` with ``w = exp(-2j pi tau / 144)``: one
+    exponential per row, then a running product along the bins.  Each product
+    rounds once, so the factors are within 5e-15 of the exact ones for
+    ``|tau| <= 3`` samples and 1e-13 for ``|tau| <= 200``, where exponentials
+    evaluated per bin are within 2e-15 and 1.3e-13.  Every row goes through
+    the same operations whatever the shape of the stack, so a one-row call
+    equals that row of a stacked call bit for bit.
     """
-    return np.asarray(X) * np.exp(-2j * np.pi * _F_HALF * np.asarray(tau_samples))
+    X = np.asarray(X)
+    w = np.exp(_BIN_STEP * np.asarray(tau_samples, dtype=float))
+    powers = np.empty(np.broadcast_shapes(X.shape, w.shape), dtype=complex)
+    powers[...] = w
+    powers[..., 0] = 1.0
+    np.multiply.accumulate(powers, axis=-1, out=powers)
+    return np.multiply(X, powers, out=powers)
 
 
 @dataclass

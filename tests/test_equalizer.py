@@ -12,6 +12,7 @@ from burstrx.equalizer import (
     DDLMS_MU,
     LAGS,
     FdeState,
+    _gradients,
     apply_fde,
     ddlms_update,
     decide_demap,
@@ -212,6 +213,33 @@ def payload_stack(seed, n):
     blocks, c = training_blocks(seed, n)
     y = circular_filter([0.1, 1.0, -0.2], blocks) + 0.3 + 0.15 * rng.normal(size=blocks.shape)
     return spectra(y), c
+
+
+class TestLagTables:
+    """The two fixed tables against the full transforms they stand in for."""
+
+    @pytest.mark.parametrize("shape", [(40, 33), (33,)])
+    def test_tap_spectrum_is_padded_rfft(self, shape):
+        w = np.random.default_rng(21).normal(size=shape)
+        padded = np.zeros(shape[:-1] + (128,))
+        padded[..., LAGS] = w
+        want = np.fft.rfft(padded)
+        got = tap_spectrum(w)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_gradients_are_lag_readout_of_irfft(self):
+        Y, _ = payload_stack(22, 242)
+        w = np.random.default_rng(22).normal(size=33) * 0.1 + UNIT
+        z = equalize(Y, w)
+        bits = decide_demap(z)
+        y = np.fft.irfft(Y, 128)
+        e = np.zeros((len(Y), 128))
+        e[:, 32:] = bits - z
+        corr = np.fft.irfft(np.fft.rfft(e) * np.conj(Y), 128)[:, LAGS]
+        want = (2.0 * DDLMS_MU / np.sum(y**2, axis=-1))[:, None] * corr
+        got = _gradients(Y, z, bits, DDLMS_MU)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestLoopDelay:

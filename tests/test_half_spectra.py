@@ -16,6 +16,7 @@ import pytest
 
 from burstrx import rxfront, txchain
 from burstrx.equalizer import LAGS, _gradients, equalize, strip_rolloff, tap_spectrum
+from burstrx.fourier import fft_144
 from burstrx.timing import fd_interpolate, godard_band, godard_error
 
 RTOL = 1e-12
@@ -61,7 +62,7 @@ def case(request):
     beats, rolloff = make_case(request.param)
     if rolloff is None:
         return SimpleNamespace(
-            half=rxfront.beat_spectra(beats), full=np.fft.fft(beats), alpha=0.1, shaped=False
+            half=fft_144(beats), full=np.fft.fft(beats), alpha=0.1, shaped=False
         )
     return SimpleNamespace(
         half=rxfront.beat_spectra(beats, txchain.rrc_response(rolloff)),
@@ -96,7 +97,7 @@ def test_detect_frame_ratio_on_noise():
     power = np.abs(np.fft.fft(beats)) ** 2
     floor = np.mean(power[:, np.setdiff1d(np.arange(1, 144), [64, 80])], axis=-1)
     ratio = np.max(power[:, 1:], axis=-1) / floor
-    res = rxfront.detect_frame(rxfront.beat_spectra(beats))
+    res = rxfront.detect_frame(fft_144(beats))
     np.testing.assert_allclose(res.peak_ratio, ratio, rtol=RTOL)
 
 
