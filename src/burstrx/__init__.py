@@ -3,7 +3,7 @@
 Provides a framed transmitter, an impairment channel, and a burst receiver
 (frame detection, frequency-domain timing recovery, frame synchronization,
 frequency-domain equalization), together with the fixed-size FFT kernels the
-hardware flow is built on and a static pipeline rate/latency model.
+hardware flow is built on and the published stage latencies.
 """
 
 import ctypes

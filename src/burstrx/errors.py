@@ -42,4 +42,4 @@ class AlignmentError(BurstRxError, ValueError):
 
 
 class StageLookupError(BurstRxError, KeyError):
-    """Unknown stage name in the pipeline dataset."""
+    """Unknown stage name in ``pipeline.STAGES``."""

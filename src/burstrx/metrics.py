@@ -131,10 +131,6 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))
-
 
 def wilson_interval(errors: int, total: int, z: float = 1.96) -> tuple[float, float]:
     """95% confidence interval for a BER estimate."""

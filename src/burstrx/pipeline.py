@@ -1,112 +1,32 @@
-"""Static model of the hardware dataflow: rates, parallelism, cycle latencies.
+"""The published clock-cycle latency of each hardware pipeline stage.
 
-This is declarative data plus checkers, not a cycle simulator.  The shipped
-dataset preserves the published per-stage clock-cycle counts and the
-parallelism/clock pairs of the FIFO boundaries; the checkers verify that
-samples per second are conserved across every boundary and sum latencies
-along named paths.
+The hardware handles one beat per clock, so the cycles along a path are its
+loop delay in beats.
 """
-
-import json
-from dataclasses import dataclass
-from importlib import resources
 
 from .errors import StageLookupError
 
-
-@dataclass(frozen=True)
-class StageSpec:
-    name: str
-    latency_cycles: int
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class RateLink:
-    """One FIFO or rate-change boundary between two clock/parallelism domains."""
-
-    name: str
-    parallel_in: int
-    clock_in_mhz: float
-    parallel_out: int
-    clock_out_mhz: float
-    sample_ratio: float = 1.0  # output samples per input sample (resampling)
-
-    @property
-    def rate_in_gs(self) -> float:
-        return self.parallel_in * self.clock_in_mhz * 1e-3
-
-    @property
-    def rate_out_gs(self) -> float:
-        return self.parallel_out * self.clock_out_mhz * 1e-3
-
-
-def _load() -> dict:
-    with resources.files("burstrx.data").joinpath("pipeline_stages.json").open() as fh:
-        return json.load(fh)
-
-
-_DATA = _load()
-
 STAGES = {
-    name: StageSpec(name=name, latency_cycles=entry["latency_cycles"], note=entry.get("note", ""))
-    for name, entry in _DATA["stages"].items()
+    "fft128": 46,  # seven radix-2 layers of 64 butterflies
+    "fft144": 53,  # four radix-2 layers then two radix-3 layers
+    "radix2_path": 7,  # two timing-aligned paths per butterfly
+    "radix3_path": 14,  # three paths, 3-cycle multiplier alignment each
+    "detect_tree_search": 29,  # 7-layer power-peak comparison with margin
+    "detect_align": 13,  # aligns detection with the initial phase estimate
+    "godard_sum": 7,  # binary-tree summation of the band products
+    "nco_division": 39,  # pipelined divider for the fractional interval
+    "sync_xcorr": 18,  # 161 add/subtract sliding correlations
+    "sync_metric_combine": 6,  # three sign-weighted matrices summed
+    "sync_tree_max": 61,  # binary-tree maximum search
+    "mmse_division": 59,  # complex divide for the tap estimate
+    "ddlms_error_align": 70,  # aligns selected bins with the decision path
+    "ddlms_update_align": 80,  # aligns consecutive tap iterations
 }
 
-RATE_LINKS = [RateLink(**entry) for entry in _DATA["rate_links"]]
 
-DATASET_VERSION = _DATA["version"]
-CONVERTER_RATE_GS = _DATA["converter_rate_gs"]
-
-
-def check_rate_continuity(links=None, rel_tol: float = 1e-9) -> list[str]:
-    """Verify sample-rate conservation across each boundary.
-
-    Returns a list of violation strings naming the offending link; empty when
-    everything balances.
-    """
-    violations = []
-    for link in links if links is not None else RATE_LINKS:
-        expected = link.rate_in_gs * link.sample_ratio
-        got = link.rate_out_gs
-        if abs(got - expected) > rel_tol * max(expected, 1e-30):
-            violations.append(
-                f"{link.name}: {link.parallel_in}x{link.clock_in_mhz}MHz"
-                f" * {link.sample_ratio} != {link.parallel_out}x{link.clock_out_mhz}MHz"
-                f" ({expected:.6f} vs {got:.6f} GS/s)"
-            )
-    return violations
-
-
-def latency_report(path: list[str], stages=None) -> tuple[int, list[tuple[str, int]]]:
-    """Total cycles and the per-stage table along a named path."""
-    table = stages if stages is not None else STAGES
-    rows = []
+def latency_report(path: list[str]) -> int:
+    """Total clock cycles along a path of named stages."""
     for name in path:
-        if name not in table:
+        if name not in STAGES:
             raise StageLookupError(name)
-        rows.append((name, table[name].latency_cycles))
-    return sum(c for _, c in rows), rows
-
-
-def format_report() -> str:
-    """Human-readable dataset dump with the continuity check result."""
-    lines = ["stage latencies (clock cycles):"]
-    for name in sorted(STAGES):
-        s = STAGES[name]
-        lines.append(f"  {name:22s} {s.latency_cycles:4d}  {s.note}")
-    lines.append("")
-    lines.append("rate links:")
-    for link in RATE_LINKS:
-        lines.append(
-            f"  {link.name:14s} {link.parallel_in:4d} x {link.clock_in_mhz:7.2f} MHz"
-            f" -> {link.parallel_out:4d} x {link.clock_out_mhz:7.2f} MHz"
-            f"  ({link.rate_out_gs:.5f} GS/s)"
-        )
-    violations = check_rate_continuity()
-    lines.append("")
-    lines.append(
-        "rate continuity: " + ("ok" if not violations else "; ".join(violations))
-    )
-    lines.append(f"converter rate: {CONVERTER_RATE_GS} GS/s")
-    return "\n".join(lines)
+    return sum(STAGES[name] for name in path)

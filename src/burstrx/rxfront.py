@@ -18,7 +18,7 @@ frequency-domain interpolator cancels the offset.  This is the spectral-line
 estimate of Oerder & Meyr (IEEE Trans. Commun., 1988): a beat that holds only
 part of the tone adds little to the sum.  The hardware's tree-search
 comparison is functionally an argmax and is modeled as such; its cycle counts
-live in the pipeline dataset.
+are in ``pipeline.STAGES``.
 """
 
 from dataclasses import dataclass

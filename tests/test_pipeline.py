@@ -1,10 +1,9 @@
-"""Pipeline dataset regression and rate-continuity checks."""
+"""Published stage latencies and the path totals read from them."""
 
 import pytest
 
 from burstrx import pipeline
 from burstrx.errors import StageLookupError
-from burstrx.pipeline import RateLink
 
 PUBLISHED_CYCLES = {
     "fft128": 46,
@@ -27,49 +26,20 @@ PUBLISHED_CYCLES = {
 class TestDataset:
     def test_all_published_values(self):
         for name, cycles in PUBLISHED_CYCLES.items():
-            assert pipeline.STAGES[name].latency_cycles == cycles
-
-    def test_versioned(self):
-        assert pipeline.DATASET_VERSION == 1
+            assert pipeline.STAGES[name] == cycles
 
 
 class TestLatencyReport:
     def test_fft_stages(self):
-        assert pipeline.latency_report(["fft128"])[0] == 46
-        assert pipeline.latency_report(["fft144"])[0] == 53
+        assert pipeline.latency_report(["fft128"]) == 46
+        assert pipeline.latency_report(["fft144"]) == 53
 
     def test_frame_sync_path(self):
-        total, rows = pipeline.latency_report(
+        total = pipeline.latency_report(
             ["sync_xcorr", "sync_metric_combine", "sync_tree_max"]
         )
         assert total == 85
-        assert [c for _, c in rows] == [18, 6, 61]
 
     def test_unknown_stage(self):
         with pytest.raises(StageLookupError):
             pipeline.latency_report(["not_a_stage"])
-
-
-class TestRateContinuity:
-    def test_builtin_links_pass(self):
-        assert pipeline.check_rate_continuity() == []
-
-    def test_dac_rate(self):
-        fifo = next(l for l in pipeline.RATE_LINKS if l.name == "tx_fifo_dac")
-        assert fifo.rate_in_gs == pytest.approx(28.20096)
-        assert fifo.rate_out_gs == pytest.approx(28.20096)
-
-    def test_resample_ratio(self):
-        link = next(l for l in pipeline.RATE_LINKS if l.name == "tx_resample")
-        assert link.sample_ratio == pytest.approx(108 / 96)
-
-    def test_wrong_clock_flagged(self):
-        bad = RateLink("bad_fifo", 108, 261.12, 128, 200.0)
-        violations = pipeline.check_rate_continuity([bad])
-        assert len(violations) == 1
-        assert "bad_fifo" in violations[0]
-
-    def test_report_formats(self):
-        text = pipeline.format_report()
-        assert "rate continuity: ok" in text
-        assert "fft128" in text
