@@ -11,8 +11,7 @@ exact tone-bin detection test.  Its constants, and the fixed parts of the
 frame and the channel, are not settable either; each has one definition, in
 the code that reads it:
 
-* the detection threshold, ``power_factor=4.0`` of
-  :func:`burstrx.rxfront.detect_frame`;
+* the detection threshold, :data:`burstrx.rxfront.DETECT_POWER_FACTOR` = 4.0;
 * the timing-loop gains, ``kp=1e-2`` and ``ki=1e-4`` of
   :class:`burstrx.timing.FdtrLoop`;
 * the sync peak ratio, ``ratio_min=1.5`` of

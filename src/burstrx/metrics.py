@@ -10,6 +10,7 @@ import numpy as np
 from .errors import AlignmentError
 
 REPORT_SCHEMA_VERSION = 1
+ERROR_BINS = 10  # equal slices of the payload in the error histogram
 
 
 @dataclass
@@ -66,22 +67,20 @@ class ErrorHistogram:
     p_value: Optional[float]
 
 
-def error_distribution(
-    positions: np.ndarray, frame_len: int, bins: int = 10
-) -> ErrorHistogram:
+def error_distribution(positions: np.ndarray, frame_len: int) -> ErrorHistogram:
     """Decile counts of error positions and a Pearson test against uniform.
 
     With zero errors the test is skipped (stat and p-value are None).
     """
     positions = np.asarray(positions)
-    edges = np.linspace(0, frame_len, bins + 1)
+    edges = np.linspace(0, frame_len, ERROR_BINS + 1)
     counts, _ = np.histogram(positions, bins=edges)
     total = counts.sum()
     if total == 0:
         return ErrorHistogram(counts=counts, chi2_stat=None, p_value=None)
-    expected = total / bins
+    expected = total / ERROR_BINS
     stat = float(np.sum((counts - expected) ** 2 / expected))
-    p = chi2_upper_tail(bins - 1, stat)
+    p = chi2_upper_tail(ERROR_BINS - 1, stat)
     return ErrorHistogram(counts=counts, chi2_stat=stat, p_value=p)
 
 

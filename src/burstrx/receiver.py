@@ -3,17 +3,18 @@
 Reception happens in two passes over the sampled waveform:
 
 * **Acquisition** slices beats from the stream start and looks for the
-  Preamble-A tone peak in chunks of 32 beats.  One stack holds each chunk and
-  the acquisition window a detection on its last beat would need; only hits in
-  the chunk's 32 beats count.  Each pass transforms and tests only the beats
-  the stack does not hold yet, so every beat is transformed once.  The window
-  of the first detected beat is then a slice of that one stack and of its
-  detection mask.  tau0 is the tone-pair phase summed over the window beats
-  that pass detection.  From the beat after the detected one the timing loop
-  runs detection-to-sync: the corrected beats are folded to 65 bins and
-  inverse transformed, and the 96 valid symbols of each are joined into the
-  1-sps stream that frame synchronization scans for Preamble B.  The window is
-  derived from the frame layout:
+  Preamble-A tone peak in chunks of 32 beats.  The spectra and the detection
+  mask are indexed by beat.  Each pass transforms and tests the beats of its
+  chunk and of the window a detection on the chunk's last beat would need,
+  past those an earlier pass already did, so every beat is transformed once;
+  only hits in the chunk's 32 beats count.  The window of the first detected
+  beat is then a slice of those spectra and of the mask.  tau0 is the
+  tone-pair phase summed over the window beats that pass detection.  From
+  the beat after the detected one the timing loop runs detection-to-sync:
+  the corrected beats are folded to 65 bins and inverse transformed, and the
+  96 valid symbols of each are joined into the 1-sps stream that frame
+  synchronization scans for Preamble B.  The window is derived from the frame
+  layout:
   ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats after the
   detected one (24 for the default frame).  Detection may fire on the first
   beat of Preamble A, so the window always reaches past Preamble B, however
@@ -24,11 +25,12 @@ Reception happens in two passes over the sampled waveform:
   slicing restarts at ``p - 144`` samples, which lands Preamble B exactly in
   the first full beat, the training block in the next eight, and each payload
   beat on a 96-bit boundary.  Stage 2 transforms the beats from Preamble B
-  up to the last payload beat, no others.  The fractional residue of
-  ``p1 * 1.125`` is taken off the timing loop's tau, whose state carries over
-  from acquisition.  The timing loop then corrects the Preamble-B, training
-  and payload beats in one call; the eight folded training beats fit the
-  equalizer taps against the known Preamble-C symbols (see
+  up to the last payload beat, no others.  It continues a copy of the timing
+  loop as the acquisition window left it: the same gains and integral, tau
+  less the fractional residue of ``p1 * 1.125``, and a trace of its own, so
+  the acquisition is left unchanged.  The copy corrects the Preamble-B,
+  training and payload beats in one call; the eight folded training beats
+  fit the equalizer taps against the known Preamble-C symbols (see
   :func:`equalizer.fit_taps`): all 33 lags with tap initialization on, lag 0
   alone (a gain) with it off, so the output levels are {0, 1} in every
   setting.  The payload beats are equalized and inverse transformed, and
@@ -63,7 +65,8 @@ gap-free, offset-free channel.  All of this is absorbed by the measured
 ``p1``; nothing downstream needs the gap or channel delay.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import count, repeat
 
 import numpy as np
 
@@ -76,21 +79,22 @@ from .timing import FdtrLoop
 
 SYNC_REALIGN = 144         # samples between sync position and stage-2 origin
 ACQUIRE_MARGIN_BEATS = 21  # acquisition beats past the end of Preamble B
+DETECT_CHUNK = 32          # beats tested for the Preamble-A tone per pass
 
 
 @dataclass
 class Acquisition:
-    detect_beat: int
-    tau0: float
-    loop: FdtrLoop
-    sync: framesync.SyncResult
-    stage1_trace_len: int
+    detect_beat: int                # first beat that passed detection
+    tau0: float                     # tone-pair phase the loop started from, samples
+    loop: FdtrLoop                  # the timing loop as the acquisition window left it
+    sync: framesync.SyncResult      # Preamble-B position in the stage-1 stream
 
 
 @dataclass
 class DemodResult:
-    payload_bits: np.ndarray
-    mse_trace: list
+    payload_bits: np.ndarray        # one decision per payload symbol
+    mse_trace: list                 # squared decision error per payload beat
+    taus: list                      # tau used on each stage-2 beat, samples
 
 
 class BurstReceiver:
@@ -99,9 +103,7 @@ class BurstReceiver:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.layout = cfg.frame
-        self.h_rx = txchain.rrc_response(
-            cfg.tx.rrc_rolloff, txchain.DEFAULT_DELAY_SYMBOLS
-        )
+        self.h_rx = txchain.rrc_response(cfg.tx.rrc_rolloff)
         self.pn = framing.pn_sequence(self.layout.pn_seed)
         self.c_ref = framing.gen_preamble_c(self.layout).reshape(-1, txchain.SYMBOLS_PER_BEAT)
         self.n_c_beats = len(self.c_ref)
@@ -109,52 +111,41 @@ class BurstReceiver:
         self.acquire_beats = -(-preamble_ab // txchain.SYMBOLS_PER_BEAT) + ACQUIRE_MARGIN_BEATS
 
     def tx_waveform(self, symbols: np.ndarray) -> np.ndarray:
-        return txchain.tx_frame(
-            symbols, self.cfg.tx.rrc_rolloff, txchain.DEFAULT_DELAY_SYMBOLS,
-            flush_beats=3,
-        )
+        return txchain.tx_frame(symbols, self.cfg.tx.rrc_rolloff, flush_beats=3)
 
     def acquire(self, waveform: np.ndarray) -> Acquisition:
         """Detect the burst, seed the timing loop, and locate Preamble B."""
         beats = rxfront.rx_slice_beats(waveform)
         n_beats = len(beats)
-        detect_beat = None
-        chunk = 32
-        # Each stack holds a detection chunk and the window of a detection on
-        # its last beat, so the window is a slice of the same spectra.  A pass
-        # transforms and tests only the beats the stack does not hold yet.
-        X = np.empty((0, txchain.BINS_OUT), dtype=np.complex128)
-        detected = np.empty(0, dtype=bool)
-        for start in range(0, n_beats, chunk):
-            X_new = rxfront.beat_spectra(
-                beats[start + len(X) : start + chunk + 1 + self.acquire_beats], self.h_rx
-            )
-            X = np.concatenate([X, X_new])
-            detected = np.concatenate([detected, rxfront.detect_frame(X_new).detected])
-            if detected[:chunk].any():
-                detect_beat = start + int(np.argmax(detected))
+        X = np.empty((n_beats, txchain.BINS_OUT), dtype=np.complex128)
+        tone = np.empty(n_beats, dtype=bool)
+        done = 0
+        # A pass fills the chunk and the window of a detection on its last beat.
+        for start in range(0, n_beats, DETECT_CHUNK):
+            stop = min(start + DETECT_CHUNK + 1 + self.acquire_beats, n_beats)
+            X[done:stop] = rxfront.beat_spectra(beats[done:stop], self.h_rx)
+            tone[done:stop] = rxfront.detect_frame(X[done:stop]).detected
+            done = stop
+            hits = np.flatnonzero(tone[start : start + DETECT_CHUNK])
+            if hits.size:
+                detect_beat = start + int(hits[0])
                 break
-            X, detected = X[chunk:], detected[chunk:]
-        if detect_beat is None or detect_beat + 1 >= n_beats:
+        else:
             raise DetectionError("no burst detected in the waveform")
-
         first_beat = detect_beat + 1
-        window = slice(detect_beat - start, first_beat - start + self.acquire_beats)
-        X_win, tone = X[window], detected[window]
-        tau0 = rxfront.estimate_initial_spo(X_win[tone])
+        if first_beat >= n_beats:
+            raise DetectionError("burst detected on the last beat of the waveform")
+
+        window = slice(detect_beat, first_beat + self.acquire_beats)
+        tau0 = rxfront.estimate_initial_spo(X[window][tone[window]])
         loop = FdtrLoop(alpha=self.cfg.tx.rrc_rolloff, tau=tau0)
-        blocks = fft_pow2(eq.strip_rolloff(loop.process_beat(X_win[1:])), inverse=True)
+        X_acq = X[first_beat : window.stop]
+        blocks = fft_pow2(eq.strip_rolloff(loop.process_beat(X_acq)), inverse=True)
         sync = framesync.find_sync(
             blocks[:, txchain.OVERLAP_IN:].reshape(-1), self.pn,
             offset=txchain.SYMBOLS_PER_BEAT * first_beat + txchain.OVERLAP_IN,
         )
-        return Acquisition(
-            detect_beat=detect_beat,
-            tau0=tau0,
-            loop=loop,
-            sync=sync,
-            stage1_trace_len=len(loop.trace),
-        )
+        return Acquisition(detect_beat=detect_beat, tau0=tau0, loop=loop, sync=sync)
 
     def demodulate(self, waveform: np.ndarray, acq: Acquisition) -> DemodResult:
         """Frame-aligned pass: training, equalization, payload decisions."""
@@ -170,8 +161,7 @@ class BurstReceiver:
         # Beat 0 precedes Preamble B and is not read; beat 1 is Preamble B.
         X = rxfront.beat_spectra(beats[1:last_needed], self.h_rx)
 
-        loop = acq.loop
-        loop.tau -= acq.sync.frac
+        loop = replace(acq.loop, tau=acq.loop.tau - acq.sync.frac, trace=[])
         # Preamble B only drives the timing loop; the rest is folded to 128 bins.
         Y = eq.strip_rolloff(loop.process_beat(X)[1:])
         y_train, y_pay = Y[: self.n_c_beats], Y[self.n_c_beats :]
@@ -189,6 +179,7 @@ class BurstReceiver:
         return DemodResult(
             payload_bits=bits.reshape(-1)[: self.layout.payload_len],
             mse_trace=metrics.mse_point(z, bits).tolist(),
+            taus=loop.trace,
         )
 
     def receive(self, waveform: np.ndarray, payload_bits: np.ndarray) -> metrics.RunReport:
@@ -196,25 +187,22 @@ class BurstReceiver:
         report = metrics.RunReport(seed=self.cfg.seed, config=self.cfg.to_dict())
         try:
             acq = self.acquire(waveform)
+            report.detect_beat = acq.detect_beat
+            report.tau0 = acq.tau0
+            report.sync_p1 = acq.sync.p1
+            report.sync_p = acq.sync.p
+            report.sync_frac = acq.sync.frac
+            report.sync_peak = acq.sync.peak_value
+            report.sync_second_peak = acq.sync.second_peak_value
+            report.spo_trace = _spo_rows(1, acq.loop.trace, 0)
+            demod = self.demodulate(waveform, acq)
         except DetectionError:
             report.status = "detection_failed"
             return report
         except SyncError:
             report.status = "sync_failed"
             return report
-        report.detect_beat = acq.detect_beat
-        report.tau0 = acq.tau0
-        report.sync_p1 = acq.sync.p1
-        report.sync_p = acq.sync.p
-        report.sync_frac = acq.sync.frac
-        report.sync_peak = acq.sync.peak_value
-        report.sync_second_peak = acq.sync.second_peak_value
-        try:
-            demod = self.demodulate(waveform, acq)
-        except SyncError:
-            report.status = "sync_failed"
-            self._fill_spo(report, acq)
-            return report
+        report.spo_trace += _spo_rows(2, demod.taus, len(report.spo_trace))
         ber = metrics.count_ber(demod.payload_bits, payload_bits)
         hist = metrics.error_distribution(ber.positions, self.layout.payload_len)
         report.ber = ber.ber
@@ -224,12 +212,9 @@ class BurstReceiver:
         report.chi2_stat = hist.chi2_stat
         report.chi2_p = hist.p_value
         report.mse_trace = demod.mse_trace
-        self._fill_spo(report, acq)
         return report
 
-    @staticmethod
-    def _fill_spo(report: metrics.RunReport, acq: Acquisition) -> None:
-        trace = acq.loop.trace
-        n, split = len(trace), acq.stage1_trace_len
-        stages = [1] * split + [2] * (n - split)
-        report.spo_trace = list(zip(stages, range(n), (np.asarray(trace) / txchain.SPS).tolist()))
+
+def _spo_rows(stage: int, taus: list, first_beat: int) -> list:
+    """``(stage, beat, tau in UI)`` rows of one stage, beats from ``first_beat`` on."""
+    return list(zip(repeat(stage), count(first_beat), (np.asarray(taus) / txchain.SPS).tolist()))

@@ -30,6 +30,7 @@ from .fourier import fft_144
 from .txchain import BINS_OUT, N_OUT, OVERLAP_OUT, SAMPLES_PER_BEAT, SPS
 
 TONE_BIN = 64   # N / (2 * sps)
+DETECT_POWER_FACTOR = 4.0  # tone peak power over the mean power off the tone pair
 # The detection floor is the mean power of the 141 non-DC bins of the full
 # spectrum off the tone pair 64 and 80: in the half spectrum bins 1..71 but
 # 64 count twice, for themselves and their mirrors, and the Nyquist bin 72
@@ -72,20 +73,20 @@ def beat_spectra(beats: np.ndarray, response: np.ndarray) -> np.ndarray:
     return fft_144(beats) * response
 
 
-def detect_frame(X: np.ndarray, power_factor: float = 4.0) -> DetectionResult:
+def detect_frame(X: np.ndarray) -> DetectionResult:
     """Look for the Preamble-A power peak in each beat spectrum of a stack.
 
     ``X`` holds 73-bin half spectra on its last axis.  A beat is detected
     when its non-DC argmax falls on the tone bin and the peak power is at
-    least ``power_factor`` times the mean power of the full spectrum off the
-    tone pair.  Scaling-invariant by construction.
+    least ``DETECT_POWER_FACTOR`` times the mean power of the full spectrum
+    off the tone pair.  Scaling-invariant by construction.
     """
     power = np.abs(np.asarray(X)) ** 2
     peak_bin = np.argmax(power[..., 1:], axis=-1) + 1
     peak = np.max(power[..., 1:], axis=-1)
     mean_off = power @ _FLOOR_WEIGHTS
     ratio = np.divide(peak, mean_off, out=np.full_like(peak, np.inf), where=mean_off > 0)
-    detected = (peak_bin == TONE_BIN) & (peak > 0) & (peak >= power_factor * mean_off)
+    detected = (peak_bin == TONE_BIN) & (peak > 0) & (peak >= DETECT_POWER_FACTOR * mean_off)
     return DetectionResult(detected=detected, peak_bin=peak_bin, peak_ratio=ratio)
 
 

@@ -80,10 +80,7 @@ def rrc_response(
 
 
 def tx_frame(
-    symbols: np.ndarray,
-    rolloff: float = DEFAULT_ROLLOFF,
-    delay_symbols: float = DEFAULT_DELAY_SYMBOLS,
-    flush_beats: int = 2,
+    symbols: np.ndarray, rolloff: float = DEFAULT_ROLLOFF, flush_beats: int = 2
 ) -> np.ndarray:
     """Shape a whole symbol stream at once (batch form of the beat loop).
 
@@ -100,5 +97,5 @@ def tx_frame(
     body = stream.reshape(n_beats, SYMBOLS_PER_BEAT)
     blocks[:, OVERLAP_IN:] = body
     blocks[1:, :OVERLAP_IN] = body[:-1, -OVERLAP_IN:]
-    Y = resample_up_fd(fft_pow2(blocks)) * rrc_response(rolloff, delay_symbols)
+    Y = resample_up_fd(fft_pow2(blocks)) * rrc_response(rolloff)
     return fft_144(Y, inverse=True)[:, OVERLAP_OUT:].reshape(-1)

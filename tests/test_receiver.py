@@ -142,6 +142,18 @@ def test_truncated_after_sync_is_sync_failure(burst):
     assert [stage for stage, _, _ in report.spo_trace] == [1] * STAGE1_BEATS
 
 
+@pytest.mark.parametrize(
+    "n_beats, status", [(11, "detection_failed"), (12, "sync_failed")], ids=["11_beats", "12_beats"]
+)
+def test_capture_cut_after_detection(n_beats, status):
+    # a noiseless 960-bit burst detects at beat 10: cut to 11 beats detection
+    # fires on the last beat, which leaves no beat to track; cut to 12, the
+    # one tracked beat cannot hold Preamble B
+    rx, wave, bits = make_burst({"frame": {"payload_len": 960}})
+    assert rx.acquire(wave).detect_beat == 10
+    assert rx.receive(wave[: 108 * n_beats], bits).status == status
+
+
 @pytest.mark.parametrize("preamble_a_len", [2304, 4800])
 def test_long_preamble_a_syncs(preamble_a_len):
     # the acquisition window grows with Preamble A, so Preamble B stays in it
@@ -303,6 +315,19 @@ def test_silent_training_region_keeps_unit_taps():
     assert report.bit_errors == no_eq.receive(wave, bits).bit_errors
 
 
+def test_demodulate_leaves_acquisition_unchanged():
+    # stage 2 continues a copy of the acquisition loop, so demodulating one
+    # acquisition twice decides the same bits
+    rx, wave, _ = make_burst(DRIFT_DDLMS)
+    acq = rx.acquire(wave)
+    loop = (acq.loop.tau, acq.loop.integral, list(acq.loop.trace))
+    first = rx.demodulate(wave, acq)
+    second = rx.demodulate(wave, acq)
+    assert np.array_equal(first.payload_bits, second.payload_bits)
+    assert first.mse_trace == second.mse_trace
+    assert (acq.loop.tau, acq.loop.integral, acq.loop.trace) == loop
+
+
 def timing_step(loop, X):
     """One beat of the timing loop, corrected first and detected after."""
     corrected = fd_interpolate(X, loop.tau)
@@ -390,10 +415,10 @@ def test_batched_receiver_matches_per_beat_reference(cfg_dict):
     acq = rx.acquire(wave)
     demod = rx.demodulate(wave, acq)
     bits, mse, p1, taus, stage1 = receive_per_beat(rx, wave, acq.detect_beat)
-    assert (acq.sync.p1, acq.stage1_trace_len) == (p1, stage1)
+    assert (acq.sync.p1, len(acq.loop.trace)) == (p1, stage1)
     assert np.array_equal(demod.payload_bits, bits)
     np.testing.assert_allclose(demod.mse_trace, mse, rtol=1e-12)
-    trace = np.array(acq.loop.trace)
+    trace = np.array(acq.loop.trace + demod.taus)
     assert trace.shape == taus.shape
     assert np.max(np.abs(trace - taus)) <= 1e-12 * np.max(np.abs(taus))
 

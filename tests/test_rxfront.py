@@ -84,13 +84,13 @@ class TestDetection:
         # the 141 full-spectrum bins off DC and the tone pair 64 / 80, the
         # half-spectrum bins 1..71 but 64 once for themselves and once for
         # their mirrors, and the Nyquist bin 72 once
-        def detect_one(x, power_factor=4.0):
+        def detect_one(x):
             power = np.abs(x) ** 2
             peak_bin = int(np.argmax(power[1:])) + 1
             off = np.delete(power[1:72], 63)
             mean_off = float((2 * np.sum(off) + power[72]) / 141)
             peak = power[peak_bin]
-            detected = peak_bin == 64 and peak > 0 and peak >= power_factor * mean_off
+            detected = peak_bin == 64 and peak > 0 and peak >= 4.0 * mean_off
             return detected, peak_bin, peak / mean_off if mean_off > 0 else np.inf
 
         noise = fft_144(np.random.default_rng(98).normal(size=(10_000, 144)))
