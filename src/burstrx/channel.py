@@ -9,7 +9,8 @@ that maps an ROP axis onto it.
 Impairment order in :func:`run_channel`: gain, low-pass, fractional delay,
 clock drift, additive noise, with inter-burst gaps spliced around the frame.
 Each block is a numpy FFT filter: the low-pass and the fixed delay over the
-whole waveform, the drift over one stack of overlapping windows.
+whole waveform, the drift with the same delay filter over one stack of
+overlapping windows.
 """
 
 from dataclasses import dataclass
@@ -73,15 +74,15 @@ def delay_factor(n: int, tau_samples) -> np.ndarray:
     return h
 
 
-def apply_fractional_delay(x: np.ndarray, tau_samples: float) -> np.ndarray:
+def apply_fractional_delay(x: np.ndarray, tau_samples) -> np.ndarray:
     """Delay a waveform by a (fractional) number of samples.
 
     All-pass ``exp(-2j pi f tau)`` applied over the whole waveform in one
-    block, so the shift is exact (circularly; bursts are gap-padded).
+    block, so the shift is exact (circularly; bursts are gap-padded).  On a
+    stack of windows, one per row, a column of taus delays each row by its
+    own.
     """
-    if tau_samples == 0.0:
-        return np.asarray(x, dtype=np.float64).copy()
-    n = len(x)
+    n = x.shape[-1]
     return np.fft.irfft(np.fft.rfft(x) * delay_factor(n, tau_samples), n)
 
 
@@ -118,7 +119,7 @@ def apply_clock_drift(x: np.ndarray, ppm: float) -> np.ndarray:
     padded = np.zeros(len(starts) * DRIFT_CHUNK + 2 * DRIFT_PAD)
     padded[DRIFT_PAD : DRIFT_PAD + n] = x
     windows = sliding_window_view(padded, width)[::DRIFT_CHUNK]
-    shifted = np.fft.irfft(np.fft.rfft(windows) * delay_factor(width, tau[:, None]), width)
+    shifted = apply_fractional_delay(windows, tau[:, None])
     return shifted[:, DRIFT_PAD : DRIFT_PAD + DRIFT_CHUNK].reshape(-1)[:n]
 
 

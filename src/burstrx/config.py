@@ -5,25 +5,33 @@ are rejected so typos fail loudly.  Defaults reproduce the paper-mode
 frame (1056-symbol preamble, 1.3e5 payload) over a clean channel.
 
 Only values that some part of the chain reads are settable.  The receiver's
-structure is fixed: matched RRC filters with the default 16-symbol delay at
-both ends, the Preamble-A tone phase seeding a plain PI timing loop, and an
-exact tone-bin detection test.  Its constants, and the fixed parts of the
-frame and the channel, are not settable either; each has one definition, in
-the code that reads it:
+structure is fixed: matched RRC filters with the same delay at both ends,
+the Preamble-A tone phase seeding a plain PI timing loop, and an exact
+tone-bin detection test.  Its constants, and the fixed parts of the frame and
+the channel, are not settable either, per call or per instance; each is one
+module-level definition, in the code that reads it:
 
 * the detection threshold, :data:`burstrx.rxfront.DETECT_POWER_FACTOR` = 4.0;
-* the timing-loop gains, ``kp=1e-2`` and ``ki=1e-4`` of
-  :class:`burstrx.timing.FdtrLoop`;
-* the sync peak ratio, ``ratio_min=1.5`` of
-  :func:`burstrx.framesync.find_sync`;
+* the timing-loop gains, :data:`burstrx.timing.LOOP_KP` = 1e-2 and
+  :data:`burstrx.timing.LOOP_KI` = 1e-4;
+* the sync peak ratio, :data:`burstrx.framesync.SYNC_RATIO_MIN` = 1.5;
 * the acquisition window, derived from the frame layout by
   :class:`burstrx.receiver.BurstReceiver`:
-  ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats past the
-  detected beat, 24 for the default frame;
-* the DD-LMS step, :data:`burstrx.equalizer.DDLMS_MU`, inside the
-  delayed-LMS stability bound at the loop delay ``DDLMS_DELAY``;
+  ``ceil((preamble_a_len + preamble_b_len) / 96)`` beats plus
+  :data:`burstrx.receiver.ACQUIRE_MARGIN_BEATS` = 21 past the detected beat,
+  24 for the default frame;
+* the DD-LMS step, :data:`burstrx.equalizer.DDLMS_MU` = 1e-4, inside the
+  delayed-LMS stability bound at the loop delay
+  :data:`burstrx.equalizer.DDLMS_DELAY` = 242 beats, the latency of its
+  error path in :data:`burstrx.pipeline.STAGES`;
+* the RRC delay, :data:`burstrx.txchain.DEFAULT_DELAY_SYMBOLS` = 16 symbols
+  per filter, and the zero beats that flush it out of a frame,
+  :data:`burstrx.txchain.TX_FLUSH_BEATS` = 3;
 * the seeds of the fixed Pn and Preamble C, ``pn_seed`` and
   ``preamble_c_seed`` of :class:`burstrx.framing.FrameLayout`.
+
+The default of ``tx.rrc_rolloff`` is :data:`burstrx.txchain.DEFAULT_ROLLOFF`,
+which every roll-off default in the chain reads.
 
 Each value is checked once, when its section is built.  :func:`from_dict`
 checks every given value against its field's annotation; the range checks
@@ -44,6 +52,7 @@ from . import framing
 from .channel import ChannelConfig, Impairments
 from .errors import ChannelError, ConfigError, LayoutError
 from .timing import godard_band
+from .txchain import DEFAULT_ROLLOFF
 
 
 def _is_int(v) -> bool:
@@ -72,7 +81,7 @@ class EqualizerSection:
 
 @dataclass
 class TxSection:
-    rrc_rolloff: float = 0.1
+    rrc_rolloff: float = DEFAULT_ROLLOFF
 
     def __post_init__(self):
         # below 1/64 the timing detector's excess band holds no bin

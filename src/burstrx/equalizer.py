@@ -40,12 +40,12 @@ gradient is projected back onto the 33 real taps,
     g_b = 2 (mu / P_b) A_b^T e_b,   e_b = d_b - A_b w_b,   P_b = sum y_b^2,
 
 with the error decision-minus-output (the opposite sign adds energy along
-the tap direction and diverges) and the step normalized by the beat power.
-In the hardware the error path (decision alignment, tap-update alignment and
-two 128-point FFTs, ``DDLMS_LOOP``) takes ``DDLMS_DELAY`` = 242 clocks, one
-beat each, so a gradient reaches the taps ``D`` beats after the beat that
-formed it.  This is LMS with delayed coefficient adaptation (Long, Ling and
-Proakis, IEEE TASSP 1989):
+the tap direction and diverges) and the fixed step ``mu`` = ``DDLMS_MU``
+normalized by the beat power.  In the hardware the error path (decision
+alignment, tap-update alignment and two 128-point FFTs, ``DDLMS_LOOP``) takes
+``DDLMS_DELAY`` = 242 clocks, one beat each, so a gradient reaches the taps
+``D`` beats after the beat that formed it.  This is LMS with delayed
+coefficient adaptation (Long, Ling and Proakis, IEEE TASSP 1989):
 
     w_b = w_0 + sum_{j <= b - D} g_j.
 
@@ -159,11 +159,9 @@ def decide_demap(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FdeState:
-    """DD-LMS step size, equalizer taps at ``LAGS`` and loop delay for one burst."""
+    """Equalizer taps at ``LAGS`` for one burst."""
 
-    mu: float = DDLMS_MU
     w: np.ndarray = field(default_factory=lambda: (LAGS == 0).astype(float))
-    delay: int = DDLMS_DELAY
 
     def initialize(self, Y_beats: np.ndarray, c_ref: np.ndarray, lags=LAGS) -> None:
         """Set the taps at ``lags`` to the least-squares fit, the others to 0.
@@ -179,8 +177,8 @@ class FdeState:
         self.w[np.asarray(lags) - LAGS[0]] = taps
 
 
-def _gradients(Y: np.ndarray, z: np.ndarray, bits: np.ndarray, mu: float) -> np.ndarray:
-    """``g_b = 2 (mu / P_b) A_b^T e_b`` for each beat, one row per beat.
+def _gradients(Y: np.ndarray, z: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """``g_b = 2 (mu / P_b) A_b^T e_b`` for each beat, ``mu = DDLMS_MU``, one row per beat.
 
     The error on the valid positions, with a zero head, is correlated with
     the beat's samples in the frequency domain and read back at ``LAGS``
@@ -188,7 +186,7 @@ def _gradients(Y: np.ndarray, z: np.ndarray, bits: np.ndarray, mu: float) -> np.
     """
     y = fft_pow2(Y, inverse=True)
     power = np.einsum("bn,bn->b", y, y)
-    steps = np.divide(2.0 * mu, power, out=np.zeros_like(power), where=power > 0)
+    steps = np.divide(2.0 * DDLMS_MU, power, out=np.zeros_like(power), where=power > 0)
     e = np.zeros((len(Y), N_IN))
     np.subtract(bits, z, out=e[:, OVERLAP_IN:])
     corr = fft_pow2(e)
@@ -201,7 +199,7 @@ def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     ``Y`` holds the folded 65-bin payload spectra, one beat per row in time order.
     Beat ``b`` is equalized with ``w_b = w_0 + sum_{j <= b - D} g_j`` (see the
-    module docstring), ``D = state.delay``, and its valid positions 32..127
+    module docstring), ``D = DDLMS_DELAY``, and its valid positions 32..127
     are ``z``.
 
     The stack runs in blocks of ``D`` beats.  A block's taps are the taps
@@ -212,7 +210,7 @@ def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     last beat, so a stack of at most ``D`` beats leaves it unchanged.
     """
     Y = np.asarray(Y)
-    n, delay = len(Y), state.delay
+    n, delay = len(Y), DDLMS_DELAY
     z = np.empty((n, N_IN - OVERLAP_IN))
     bits = np.empty(z.shape, dtype=np.uint8)
     w = state.w
@@ -225,6 +223,6 @@ def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray
         w = taps[-1]
         if stop < n:
             landing = slice(start, start + min(delay, n - stop))
-            grads = _gradients(Y[landing], z[landing], bits[landing], state.mu)
+            grads = _gradients(Y[landing], z[landing], bits[landing])
     state.w = w
     return z, bits

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import SyncError
 from .txchain import SPS
 
+SYNC_RATIO_MIN = 1.5  # the peak over the largest |M| of every other placement
+
 
 @dataclass
 class SyncResult:
@@ -62,25 +64,20 @@ def metric_stream(s: np.ndarray, pn: np.ndarray) -> np.ndarray:
     return c[:-64] + c[32:-32] - c[64:]
 
 
-def find_sync(
-    symbols: np.ndarray,
-    pn: np.ndarray,
-    ratio_min: float = 1.5,
-    offset: int = 0,
-) -> SyncResult:
+def find_sync(symbols: np.ndarray, pn: np.ndarray, offset: int = 0) -> SyncResult:
     """Locate Preamble B in a recovered 1-sps symbol stream.
 
     ``offset`` is added to the local argmax so ``p1`` is reported in the
     caller's absolute stream coordinates.  Raises :class:`SyncError` when the
-    peak does not dominate every other placement by ``ratio_min``.
+    peak does not dominate every other placement by ``SYNC_RATIO_MIN``.
     """
     m = metric_stream(bipolarize(symbols), pn)
     p_local = int(np.argmax(m))
     peak = float(m[p_local])
     rest = np.abs(np.delete(m, p_local))
     second = float(rest.max()) if len(rest) else 0.0
-    if peak <= 0 or (second > 0 and peak / second < ratio_min):
+    if peak <= 0 or (second > 0 and peak / second < SYNC_RATIO_MIN):
         raise SyncError(
-            f"sync peak ratio {peak / max(second, 1e-12):.2f} below {ratio_min}"
+            f"sync peak ratio {peak / max(second, 1e-12):.2f} below {SYNC_RATIO_MIN}"
         )
     return make_sync_result(p_local + offset, peak, second)

@@ -18,7 +18,9 @@ Reception happens in two passes over the sampled waveform:
   ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats after the
   detected one (24 for the default frame).  Detection may fire on the first
   beat of Preamble A, so the window always reaches past Preamble B, however
-  long Preamble A is.
+  long Preamble A is.  When sync finds no Preamble B there, the acquisition
+  holds no sync position, and the ``sync_failed`` report still carries the
+  detected beat, tau0 and the stage-1 taus.
 
 * **Synchronized demodulation** re-slices the waveform so beat boundaries
   align with the frame: with the sync position ``p = floor(p1 * 1.125)``,
@@ -67,6 +69,7 @@ gap-free, offset-free channel.  All of this is absorbed by the measured
 
 from dataclasses import dataclass, replace
 from itertools import count, repeat
+from typing import Optional
 
 import numpy as np
 
@@ -87,7 +90,7 @@ class Acquisition:
     detect_beat: int                # first beat that passed detection
     tau0: float                     # tone-pair phase the loop started from, samples
     loop: FdtrLoop                  # the timing loop as the acquisition window left it
-    sync: framesync.SyncResult      # Preamble-B position in the stage-1 stream
+    sync: Optional[framesync.SyncResult]  # Preamble B in the stage-1 stream; None if not found
 
 
 @dataclass
@@ -111,10 +114,14 @@ class BurstReceiver:
         self.acquire_beats = -(-preamble_ab // txchain.SYMBOLS_PER_BEAT) + ACQUIRE_MARGIN_BEATS
 
     def tx_waveform(self, symbols: np.ndarray) -> np.ndarray:
-        return txchain.tx_frame(symbols, self.cfg.tx.rrc_rolloff, flush_beats=3)
+        return txchain.tx_frame(symbols, self.cfg.tx.rrc_rolloff)
 
     def acquire(self, waveform: np.ndarray) -> Acquisition:
-        """Detect the burst, seed the timing loop, and locate Preamble B."""
+        """Detect the burst, seed the timing loop, and locate Preamble B.
+
+        Raises :class:`DetectionError` when no beat passes detection; a
+        window in which sync finds no Preamble B gives ``sync`` None.
+        """
         beats = rxfront.rx_slice_beats(waveform)
         n_beats = len(beats)
         X = np.empty((n_beats, txchain.BINS_OUT), dtype=np.complex128)
@@ -141,14 +148,19 @@ class BurstReceiver:
         loop = FdtrLoop(alpha=self.cfg.tx.rrc_rolloff, tau=tau0)
         X_acq = X[first_beat : window.stop]
         blocks = fft_pow2(eq.strip_rolloff(loop.process_beat(X_acq)), inverse=True)
-        sync = framesync.find_sync(
-            blocks[:, txchain.OVERLAP_IN:].reshape(-1), self.pn,
-            offset=txchain.SYMBOLS_PER_BEAT * first_beat + txchain.OVERLAP_IN,
-        )
+        try:
+            sync = framesync.find_sync(
+                blocks[:, txchain.OVERLAP_IN:].reshape(-1), self.pn,
+                offset=txchain.SYMBOLS_PER_BEAT * first_beat + txchain.OVERLAP_IN,
+            )
+        except SyncError:
+            sync = None
         return Acquisition(detect_beat=detect_beat, tau0=tau0, loop=loop, sync=sync)
 
     def demodulate(self, waveform: np.ndarray, acq: Acquisition) -> DemodResult:
         """Frame-aligned pass: training, equalization, payload decisions."""
+        if acq.sync is None:
+            raise SyncError("no Preamble B in the acquisition window")
         origin = acq.sync.p - SYNC_REALIGN
         if origin < 0:
             raise SyncError(f"sync position {acq.sync.p} leaves no room to realign")
@@ -189,12 +201,13 @@ class BurstReceiver:
             acq = self.acquire(waveform)
             report.detect_beat = acq.detect_beat
             report.tau0 = acq.tau0
-            report.sync_p1 = acq.sync.p1
-            report.sync_p = acq.sync.p
-            report.sync_frac = acq.sync.frac
-            report.sync_peak = acq.sync.peak_value
-            report.sync_second_peak = acq.sync.second_peak_value
             report.spo_trace = _spo_rows(1, acq.loop.trace, 0)
+            if acq.sync is not None:
+                report.sync_p1 = acq.sync.p1
+                report.sync_p = acq.sync.p
+                report.sync_frac = acq.sync.frac
+                report.sync_peak = acq.sync.peak_value
+                report.sync_second_peak = acq.sync.second_peak_value
             demod = self.demodulate(waveform, acq)
         except DetectionError:
             report.status = "detection_failed"

@@ -13,12 +13,15 @@ The initial sampling-phase estimate reads the phase between those two bins,
 
     tau0 = (sps / 2pi) * arg sum_b X_b(64)^2
 
-in units of samples at 1.125 sps; feeding tau0 straight into the
-frequency-domain interpolator cancels the offset.  This is the spectral-line
-estimate of Oerder & Meyr (IEEE Trans. Commun., 1988): a beat that holds only
-part of the tone adds little to the sum.  The hardware's tree-search
-comparison is functionally an argmax and is modeled as such; its cycle counts
-are in ``pipeline.STAGES``.
+in units of samples at 1.125 sps.  ``X(64)^2`` is the timing detector's pair
+product ``X(k) X(128 - k)`` (:func:`burstrx.timing.pair_products`) at the
+tone bin: tau0 zeroes the detector error read at bin 64 alone, and the loop
+locks where the error summed over the excess band is zero.  Feeding tau0
+straight into the frequency-domain interpolator cancels the offset.  This is
+the spectral-line estimate of Oerder & Meyr (IEEE Trans. Commun., 1988): a
+beat that holds only part of the tone adds little to the sum.  The
+hardware's tree-search comparison is functionally an argmax and is modeled
+as such; its cycle counts are in ``pipeline.STAGES``.
 """
 
 from dataclasses import dataclass
@@ -27,6 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fourier import fft_144
+from .timing import pair_products
 from .txchain import BINS_OUT, N_OUT, OVERLAP_OUT, SAMPLES_PER_BEAT, SPS
 
 TONE_BIN = 64   # N / (2 * sps)
@@ -96,5 +100,5 @@ def estimate_initial_spo(X: np.ndarray) -> float:
     ``X`` holds 73-bin half spectra on its last axis; the tone-pair products
     ``X(64)^2`` of all rows are summed before the phase is taken.
     """
-    prod = np.sum(np.asarray(X)[..., TONE_BIN] ** 2)
+    prod = np.sum(pair_products(X, TONE_BIN))
     return SPS / (2 * np.pi) * float(np.angle(prod))

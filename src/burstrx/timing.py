@@ -23,8 +23,8 @@ The feedback loop has four parts, mirroring the hardware flow:
 The loop filter consumes a normalized error (the raw detector sum divided by
 the summed pairing magnitude), so the gains are dimensionless and a detector
 value of ``-sin(2 pi residual_ui)`` drives the accumulator in samples.
-:class:`FdtrLoop` holds the whole per-burst state: the gains, the detector
-band's roll-off, tau, the error integral and the per-beat tau trace.
+:class:`FdtrLoop` holds the whole per-burst state: the detector band's
+roll-off, tau, the error integral and the per-beat tau trace.
 
 The detector reads the corrected spectrum, but correcting by ``tau`` only
 rotates each pair product ``P = X(k) X(128 - k)`` by
@@ -41,7 +41,8 @@ On random payload the detector has an irreducible per-beat self-noise of
 roughly 8e-2 normalized: the 144-sample analysis window truncates pulse tails
 at its edges, so the paired bins see slightly different data mixtures.  Pure
 preamble-A beats are block-periodic and show no such noise.  Loop gains trade
-acquisition speed against this jitter; see the config defaults.
+acquisition speed against this jitter; they are the fixed constants
+:data:`LOOP_KP` and :data:`LOOP_KI`.
 """
 
 from dataclasses import dataclass, field
@@ -50,9 +51,12 @@ from math import ceil, floor, pi
 
 import numpy as np
 
-from .txchain import BINS_OUT, N_IN, N_OUT, SPS
+from .txchain import BINS_OUT, DEFAULT_ROLLOFF, N_IN, N_OUT, SPS
 
 ALIAS_STRIDE = 16  # N - N/sps = 144 - 128
+# PI loop-filter gains on the normalized detector error (dimensionless)
+LOOP_KP = 1e-2
+LOOP_KI = 1e-4
 # the phase step per sample of tau between neighbouring bins, 1/144 cycles apart
 _BIN_STEP = -2j * pi / N_OUT
 # f_k + f_(128-k) = 128/144 cycles per sample for every band bin: the phase
@@ -60,7 +64,7 @@ _BIN_STEP = -2j * pi / N_OUT
 _PAIR_STEP = -2j * pi * (N_IN / N_OUT)
 
 
-def godard_band(alpha: float = 0.1) -> np.ndarray:
+def godard_band(alpha: float = DEFAULT_ROLLOFF) -> np.ndarray:
     """Integer bin range [ceil((1-a)K), floor((1+a)K)-1] with K = N/(2 sps).
 
     Bin 56, whose partner is the Nyquist bin 72, is left out: the receive RRC
@@ -73,17 +77,27 @@ def godard_band(alpha: float = 0.1) -> np.ndarray:
     return np.arange(lo, hi + 1)
 
 
-def godard_error(X: np.ndarray, alpha: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
-    """Detector sums over the excess band of 73-bin half spectra, per row.
+def pair_products(X: np.ndarray, k) -> np.ndarray:
+    """``P = X(k) conj(X(k+16)) = X(k) X(128-k)`` at the bins ``k`` of 73-bin half spectra.
 
-    With ``P = X(k) conj(X(k+16)) = X(k) X(128-k)`` returns ``(S, sum |P|)``
-    with ``S = sum P``.  The raw timing error of ``X`` is ``Im S``; that of
-    ``X`` corrected by ``tau`` is ``Im S exp(-2j pi (8/9) tau)``.
-    ``sum |P|`` normalizes it and does not depend on ``tau``.
+    The Godard detector sums ``P`` over the excess band; at the Preamble-A
+    tone bin 64, whose partner is the bin itself, ``P = X(64)^2`` is the
+    tone-pair product that seeds tau0 (:func:`burstrx.rxfront.estimate_initial_spo`).
     """
     X = np.asarray(X)
-    k = godard_band(alpha)
-    pair = X[..., k] * X[..., N_IN - k]
+    return X[..., k] * X[..., N_IN - k]
+
+
+def godard_error(X: np.ndarray, alpha: float = DEFAULT_ROLLOFF) -> tuple[np.ndarray, np.ndarray]:
+    """Detector sums over the excess band of 73-bin half spectra, per row.
+
+    With ``P`` the :func:`pair_products` over the band, returns
+    ``(S, sum |P|)`` with ``S = sum P``.  The raw timing error of ``X`` is
+    ``Im S``; that of ``X`` corrected by ``tau`` is
+    ``Im S exp(-2j pi (8/9) tau)``.  ``sum |P|`` normalizes it and does not
+    depend on ``tau``.
+    """
+    pair = pair_products(X, godard_band(alpha))
     return pair.sum(axis=-1), np.sum(np.abs(pair), axis=-1)
 
 
@@ -116,17 +130,15 @@ def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
 class FdtrLoop:
     """Per-burst feedback state: strictly sequential, one owner."""
 
-    kp: float = 1e-2
-    ki: float = 1e-4
-    alpha: float = 0.1                   # RRC roll-off: sets the detector band
+    alpha: float = DEFAULT_ROLLOFF       # RRC roll-off: sets the detector band
     tau: float = 0.0                     # samples at 1.125 sps
     integral: float = 0.0                # running sum of normalized errors
     trace: list = field(default_factory=list)   # tau used on each beat
 
     def update(self, e: float) -> None:
-        """PI step: tau moves by kp*e + ki*(error sum including e)."""
+        """PI step: tau moves by LOOP_KP*e + LOOP_KI*(error sum including e)."""
         self.integral += e
-        self.tau += self.kp * e + self.ki * self.integral
+        self.tau += LOOP_KP * e + LOOP_KI * self.integral
 
     def process_beat(self, X: np.ndarray) -> np.ndarray:
         """Correct a stack of beat spectra in order, updating the loop per beat.

@@ -7,14 +7,14 @@ per symbol), applies the root-raised-cosine response, inverse transforms,
 and emits the last 108 of the 144 time samples.  The 36 discarded samples
 are the overlap-save head.
 
-The RRC here carries a linear-phase delay of half the symbol overlap
-(16 symbols per filter by default).  With the block overlap fixed at 32
-symbols and the discard at the beat head, the shaping kernel must be causal
-and contained within the overlap for the emitted stream to be free of block
-seams; centering the pulse inside the overlap does exactly that, leaving only
-the pulse's own far tails (~1e-3) as residual block error.  An integer-symbol
-delay is invisible to the timing recovery and is absorbed by frame
-synchronization downstream.
+The RRC here carries a linear-phase delay of half the symbol overlap,
+``DEFAULT_DELAY_SYMBOLS`` = 16 symbols per filter.  With the block overlap
+fixed at 32 symbols and the discard at the beat head, the shaping kernel
+must be causal and contained within the overlap for the emitted stream to be
+free of block seams; centering the pulse inside the overlap does exactly
+that, leaving only the pulse's own far tails (~1e-3) as residual block
+error.  An integer-symbol delay is invisible to the timing recovery and is
+absorbed by frame synchronization downstream.
 """
 
 import numpy as np
@@ -33,7 +33,10 @@ OVERLAP_OUT = 36    # samples discarded per beat = OVERLAP_IN * SPS
 BINS_IN = N_IN // 2 + 1    # 65: half spectrum of a 128-point block
 BINS_OUT = N_OUT // 2 + 1  # 73: half spectrum of a 144-point beat
 DEFAULT_ROLLOFF = 0.1
+# Linear-phase delay of each RRC, the same at both ends (see the module docstring).
 DEFAULT_DELAY_SYMBOLS = 16
+# Trailing zero beats that flush the matched filters' delay out of a frame.
+TX_FLUSH_BEATS = 3
 
 # Frequency of each of the 73 half-spectrum bins of a 144-point beat, in
 # cycles per symbol.  The excess band lives in f in (0.45, 0.5625].
@@ -68,29 +71,25 @@ def rc_magnitude(f, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
     return out
 
 
-def rrc_response(
-    rolloff: float = DEFAULT_ROLLOFF, delay_symbols: float = DEFAULT_DELAY_SYMBOLS
-) -> np.ndarray:
-    """73-bin RRC response sqrt(RC) with a linear-phase delay.
+def rrc_response(rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
+    """73-bin RRC response sqrt(RC) delayed by ``DEFAULT_DELAY_SYMBOLS``.
 
     It is 0 on the Nyquist bin 72 at every roll-off up to 0.125.
     """
     mag = np.sqrt(rc_magnitude(FREQ_SYMBOL_144, rolloff))
-    return mag * np.exp(-2j * np.pi * FREQ_SYMBOL_144 * delay_symbols)
+    return mag * np.exp(-2j * np.pi * FREQ_SYMBOL_144 * DEFAULT_DELAY_SYMBOLS)
 
 
-def tx_frame(
-    symbols: np.ndarray, rolloff: float = DEFAULT_ROLLOFF, flush_beats: int = 2
-) -> np.ndarray:
+def tx_frame(symbols: np.ndarray, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
     """Shape a whole symbol stream at once (batch form of the beat loop).
 
     Each 128-symbol block is the previous beat's 32-symbol tail followed by
-    this beat's 96 symbols (zeros before the first beat).  Trailing zero
-    beats flush the shaping-filter delay so the final symbols of the stream
-    appear in the output.
+    this beat's 96 symbols (zeros before the first beat).  ``TX_FLUSH_BEATS``
+    trailing zero beats flush the delay of the transmit and receive filters,
+    so the final symbols of the stream reach the receiver's last beat.
     """
     symbols = np.asarray(symbols, dtype=np.float64)
-    pad = (-len(symbols)) % SYMBOLS_PER_BEAT + flush_beats * SYMBOLS_PER_BEAT
+    pad = (-len(symbols)) % SYMBOLS_PER_BEAT + TX_FLUSH_BEATS * SYMBOLS_PER_BEAT
     stream = np.concatenate([symbols, np.zeros(pad)])
     n_beats = len(stream) // SYMBOLS_PER_BEAT
     blocks = np.zeros((n_beats, N_IN))

@@ -56,6 +56,11 @@ class TestLowpass:
         h = 2.0 ** (-((f / 10e9) ** 2))
         assert np.all(np.diff(h) < 0)
 
+    @pytest.mark.parametrize("f3db_ghz", [0.0, -4.0])
+    def test_nonpositive_cutoff_rejected(self, wave, f3db_ghz):
+        with pytest.raises(ChannelError):
+            channel.apply_lowpass(wave, f3db_ghz)
+
 
 class TestAwgn:
     def test_measured_snr(self):
@@ -110,6 +115,16 @@ class TestRunChannel:
     def test_bad_lowpass_rejected(self, f3db_ghz):
         with pytest.raises(ChannelError):
             ChannelConfig(f3db_ghz=f3db_ghz)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"gap_samples": -1}, {"snr_db": np.inf}, {"snr_db": np.nan}],
+        ids=["gap_negative", "snr_db_inf", "snr_db_nan"],
+    )
+    def test_bad_impairments_rejected(self, kwargs):
+        # built directly, without the config loader's type checks in front
+        with pytest.raises(ChannelError):
+            channel.Impairments(**kwargs)
 
 
 class TestRopMap:

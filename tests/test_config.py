@@ -1,11 +1,14 @@
 """Configuration tests: defaults, round trip, key checks, type and range checks."""
 
+import dataclasses
 import math
 
 import pytest
 
 from burstrx import config
+from burstrx.equalizer import FdeState
 from burstrx.errors import ConfigError
+from burstrx.timing import FdtrLoop
 
 
 class TestLoading:
@@ -31,6 +34,15 @@ class TestLoading:
             "equalizer.mmse_init", "equalizer.ddlms",
             "tx.rrc_rolloff", "seed",
         }
+
+    def test_burst_state_holds_no_setting(self):
+        # the per-burst state objects hold burst state alone; gains, step
+        # and delay are module constants, so none can be set per instance
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert names(FdtrLoop) == {"alpha", "tau", "integral", "trace"}
+        assert names(FdeState) == {"w"}
 
     @pytest.mark.parametrize(
         "data",
@@ -103,6 +115,7 @@ class TestValidate:
             {"equalizer": {"ddlms": "no"}},
             {"frame": {"payload_len": True}},
             {"channel": {"gap_samples": "x"}},
+            {"channel": {"gap_samples": -1}},
             {"channel": {"snr_db": math.inf}},
             {"channel": {"f3db_ghz": 0}},
             {"channel": {"f3db_ghz": -4}},
@@ -114,7 +127,7 @@ class TestValidate:
         ids=[
             "layout", "rrc_rolloff", "rrc_rolloff_empty_band",
             "payload_len_type", "ddlms_type", "payload_len_bool",
-            "gap_samples_type", "snr_db_inf",
+            "gap_samples_type", "gap_samples_negative", "snr_db_inf",
             "f3db_zero", "f3db_negative", "gain_zero", "seed_type", "seed_negative",
             "seed_float",
         ],

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from burstrx import pipeline, txchain
+from burstrx import equalizer, pipeline, txchain
 from burstrx.equalizer import (
     DDLMS_DELAY,
     DDLMS_LOOP,
@@ -21,14 +21,30 @@ from burstrx.equalizer import (
     strip_rolloff,
     tap_spectrum,
 )
+from burstrx.errors import FftSizeError
 from burstrx.fourier import fft_pow2
 
 UNIT = (LAGS == 0).astype(float)
 
 
+@pytest.fixture
+def set_ddlms(monkeypatch):
+    """Sets the DD-LMS step and loop delay, the module's one definitions, for one test."""
+
+    def set_constants(mu, delay):
+        monkeypatch.setattr(equalizer, "DDLMS_MU", mu)
+        monkeypatch.setattr(equalizer, "DDLMS_DELAY", delay)
+
+    return set_constants
+
+
 class TestStripRolloff:
     def test_zero(self):
         assert not strip_rolloff(np.zeros(73, complex)).any()
+
+    def test_size_checked(self):
+        with pytest.raises(FftSizeError):
+            strip_rolloff(np.zeros(65, complex))
 
     def test_inband_tone_passthrough(self):
         X = np.zeros(73, complex)
@@ -37,13 +53,14 @@ class TestStripRolloff:
         assert Y[8] == 1.0
         assert np.sum(np.abs(Y) > 0) == 1
 
-    def test_zero_isi_through_matched_chain(self):
+    def test_zero_isi_through_matched_chain(self, monkeypatch):
         # widen -> tx RRC -> rx RRC -> fold reproduces the original 128-bin
         # spectrum exactly (Nyquist property of the matched pair)
         rng = np.random.default_rng(0)
         x = rng.normal(size=128)
         X = fft_pow2(x)
-        h = txchain.rrc_response(delay_symbols=0)
+        monkeypatch.setattr(txchain, "DEFAULT_DELAY_SYMBOLS", 0)
+        h = txchain.rrc_response()
         folded = strip_rolloff(txchain.resample_up_fd(X) * h * h)
         y = fft_pow2(folded, inverse=True)
         assert np.max(np.abs(y - x)) <= 1e-6
@@ -70,13 +87,14 @@ def circular_filter(taps, blocks):
 
 
 class TestMmse:
-    def test_identity_channel_unit_taps(self):
+    def test_identity_channel_unit_taps(self, monkeypatch):
         # the matched RRC pair with no channel: the fit is the unit tap and
         # the equalized valid positions equal the training symbols
         blocks, c = training_blocks(1)
-        h = txchain.rrc_response(delay_symbols=0)
+        monkeypatch.setattr(txchain, "DEFAULT_DELAY_SYMBOLS", 0)
+        h = txchain.rrc_response()
         Y = strip_rolloff(txchain.resample_up_fd(spectra(blocks)) * h * h)
-        state = FdeState(mu=0.0)
+        state = FdeState()
         state.initialize(Y, c)
         z = equalize(Y, state.w)
         assert np.max(np.abs(state.w - UNIT)) <= 1e-9
@@ -84,7 +102,7 @@ class TestMmse:
 
     def test_scalar_channel_inverted(self):
         blocks, c = training_blocks(2)
-        state = FdeState(mu=0.0)
+        state = FdeState()
         state.initialize(spectra(0.7 * blocks), c)
         assert np.max(np.abs(state.w - UNIT / 0.7)) < 1e-9
 
@@ -93,7 +111,7 @@ class TestMmse:
         blocks, c = training_blocks(3)
         Y = spectra(circular_filter([0.1, 1.0, -0.2], blocks))
         g = 2.5
-        s1, s2 = FdeState(mu=0.0), FdeState(mu=0.0)
+        s1, s2 = FdeState(), FdeState()
         s1.initialize(Y, c)
         s2.initialize(g * Y, c)
         assert np.max(np.abs(s2.w - s1.w / g)) < 1e-9
@@ -115,7 +133,7 @@ class TestMmse:
         blocks, c = training_blocks(10)
         y = circular_filter([0.2, 0.6], blocks)
         gain = np.sum(y[:, 32:] * c) / np.sum(y[:, 32:] ** 2)
-        state = FdeState(mu=0.0)
+        state = FdeState()
         state.initialize(spectra(y), c, lags=[0])
         assert np.allclose(state.w, gain * UNIT, rtol=1e-12, atol=0)
 
@@ -124,7 +142,7 @@ class TestMmse:
         for lags in (LAGS, [0]):
             with pytest.raises(np.linalg.LinAlgError):
                 fit_taps(np.zeros((8, 65), complex), c, lags)
-            state = FdeState(mu=0.0)
+            state = FdeState()
             state.initialize(np.zeros((8, 65), complex), c, lags)
             assert np.array_equal(state.w, UNIT)
 
@@ -157,7 +175,7 @@ class TestApplyFde:
         blocks, c = training_blocks(9)
         noise = 0.02 * rng.normal(size=(8, 128))
         Y = spectra(circular_filter([1.2, 0.25], blocks) + noise)
-        state = FdeState(mu=0.0)
+        state = FdeState()
         state.initialize(Y, c)
         resid = equalize(Y, state.w) - c
         assert np.mean(np.abs(resid) ** 2) < 4 * np.mean(noise**2)
@@ -180,22 +198,24 @@ def oracle_ddlms(state, Y):
 
     Beat b is equalized with w_b = w_0 + sum_{j <= b - D} g_j, decided at 0.5,
     and forms g_b = 2 (mu / P_b) A_b^T e_b with e_b = d_b - z_b and
-    P_b = sum y_b^2 (0 on a silent beat).  Returns ``(z, bits)`` and leaves the
-    taps of the last beat in ``state.w``.
+    P_b = sum y_b^2 (0 on a silent beat); mu and D are the equalizer's
+    ``DDLMS_MU`` and ``DDLMS_DELAY`` as the call finds them.  Returns
+    ``(z, bits)`` and leaves the taps of the last beat in ``state.w``.
     """
+    mu, delay = equalizer.DDLMS_MU, equalizer.DDLMS_DELAY
     w_0 = np.array(state.w)
     w_b = w_0
     grads, z, bits = [], [], []
     for b, Y_b in enumerate(Y):
-        if b >= state.delay:
-            w_b = w_b + grads[b - state.delay]
+        if b >= delay:
+            w_b = w_b + grads[b - delay]
         W = np.zeros(128)
         W[LAGS % 128] = w_b
         z_b = fft_pow2(Y_b * fft_pow2(W), inverse=True)[32:]
         d = (z_b > 0.5).astype(np.uint8)
         y = fft_pow2(Y_b, inverse=True)
         power = np.sum(y**2)
-        step = 2.0 * state.mu / power if power > 0 else 0.0
+        step = 2.0 * mu / power if power > 0 else 0.0
         grads.append(step * tap_reads(y).T @ (d - z_b))
         z.append(z_b)
         bits.append(d)
@@ -238,7 +258,7 @@ class TestLagTables:
         e[:, 32:] = bits - z
         corr = np.fft.irfft(np.fft.rfft(e) * np.conj(Y), 128)[:, LAGS]
         want = (2.0 * DDLMS_MU / np.sum(y**2, axis=-1))[:, None] * corr
-        got = _gradients(Y, z, bits, DDLMS_MU)
+        got = _gradients(Y, z, bits)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -246,7 +266,13 @@ class TestLoopDelay:
     def test_delay_is_the_hardware_error_path(self):
         # one beat per clock: 70 + 80 + 2 x 46 cycles of the DD-LMS error path
         assert DDLMS_DELAY == pipeline.latency_report(DDLMS_LOOP) == 242
-        assert FdeState(mu=0.0).delay == DDLMS_DELAY
+        # ddlms_update reads it: the first gradient lands on beat DDLMS_DELAY
+        Y, _ = payload_stack(23, DDLMS_DELAY + 1)
+        state = FdeState()
+        ddlms_update(state, Y[:DDLMS_DELAY])
+        assert np.array_equal(state.w, UNIT)
+        ddlms_update(state, Y)
+        assert not np.array_equal(state.w, UNIT)
 
     def test_step_inside_delayed_lms_bound(self):
         # LMS with loop delay D is stable while mu * lam < 2 sin(pi / (2 (2D + 1)))
@@ -255,13 +281,14 @@ class TestLoopDelay:
         # from the bound, so a longer loop in the pipeline dataset fails here
         lam = 2 * 96 * 34 / 4 / 64
         bound = 2 * math.sin(math.pi / (2 * (2 * DDLMS_DELAY + 1))) / lam
-        assert FdeState().mu == DDLMS_MU <= bound / 2.5
+        assert DDLMS_MU <= bound / 2.5
 
     @pytest.mark.parametrize("n", [1, 7])
-    def test_stack_within_delay_keeps_taps(self, n):
+    def test_stack_within_delay_keeps_taps(self, n, set_ddlms):
         # no gradient lands before the stack ends: the fitted taps decide all
         Y, c = payload_stack(16, 8 + n)
-        state = FdeState(mu=1e-2, delay=7)
+        set_ddlms(1e-2, 7)
+        state = FdeState()
         state.initialize(Y[:8], c[:8])
         w_fit = state.w.copy()
         z, bits = ddlms_update(state, Y[8:])
@@ -270,57 +297,62 @@ class TestLoopDelay:
 
 
 class TestDdlms:
-    def test_flat_beat_zero_error_fixed_point(self):
+    def test_flat_beat_zero_error_fixed_point(self, set_ddlms):
         # frequency-flat beat decided exactly: zero error and no tap move
         Y = fft_pow2(np.ones(128))
-        state = FdeState(mu=1e-3, delay=1)
+        set_ddlms(1e-3, 1)
+        state = FdeState()
         z, bits = ddlms_update(state, np.array([Y, Y]))
         assert np.array_equal(z, np.ones((2, 96)))
         assert np.array_equal(bits, np.ones((2, 96)))
         assert np.array_equal(state.w, UNIT)
 
-    def test_head_does_not_change_error(self):
+    def test_head_does_not_change_error(self, set_ddlms):
         # the valid positions hold exact levels and the head holds noise:
         # with unit taps the error is zero, so the taps stay put although
         # the head is far from any level
         Y, y = random_beat(2)
         y[:32] = np.random.default_rng(3).normal(size=32)
         Y = fft_pow2(y)
-        state = FdeState(mu=1e-2, delay=1)
+        set_ddlms(1e-2, 1)
+        state = FdeState()
         ddlms_update(state, np.array([Y, Y]))
         assert np.max(np.abs(state.w - UNIT)) <= 1e-15
 
-    def test_single_error_sample_update(self):
+    def test_single_error_sample_update(self, set_ddlms):
         # one valid-position error e at position n moves lag l by
         # 2 (mu / P) e y[(n - l) mod 128]: the error correlated with the input
         Y, y = random_beat(4)
         y[40] += 0.3  # decided as before, with error -0.3
         Y = fft_pow2(y)
-        state = FdeState(mu=1e-3, delay=1)
+        set_ddlms(1e-3, 1)
+        state = FdeState()
         ddlms_update(state, np.array([Y, Y]))
         expected = 2e-3 / np.sum(y**2) * -0.3 * y[(40 - LAGS) % 128]
         assert np.allclose(state.w - UNIT, expected, rtol=1e-9, atol=1e-16)
 
-    def test_small_step_lowers_error(self):
+    def test_small_step_lowers_error(self, set_ddlms):
         Y, _ = random_beat(5)
         Y = Y * fft_pow2(np.r_[1.0, 0.2, np.zeros(126)])  # mild ISI
-        z, bits = ddlms_update(FdeState(mu=1e-3, delay=1), np.array([Y, Y]))
+        set_ddlms(1e-3, 1)
+        z, bits = ddlms_update(FdeState(), np.array([Y, Y]))
         assert np.array_equal(bits[0], bits[1])
         assert np.sum(np.abs(bits[1] - z[1]) ** 2) < np.sum(np.abs(bits[0] - z[0]) ** 2)
 
-    def test_update_uses_conjugated_input(self):
+    def test_update_uses_conjugated_input(self, set_ddlms):
         # a half spectrum with complex DC and Nyquist bins, which no real
         # block has: the gradient correlates the error with the real samples
         # irfft(Y), which read those bins' real parts, at (n - l) mod 128
         rng = np.random.default_rng(9)
         Y = rng.normal(size=65) + 1j * rng.normal(size=65)
-        state = FdeState(mu=1e-3, delay=1)
+        set_ddlms(1e-3, 1)
+        state = FdeState()
         z, bits = ddlms_update(state, np.array([Y, Y]))
         y = fft_pow2(Y, inverse=True)
         g = 2e-3 / np.sum(y**2) * tap_reads(y).T @ (bits[0] - z[0])
         assert np.allclose(state.w - UNIT, g, rtol=1e-9, atol=1e-16)
 
-    def test_tracks_slow_gain_ramp(self):
+    def test_tracks_slow_gain_ramp(self, set_ddlms):
         # gain ramps 1 -> 1.1 over 500 beats with a one-beat loop delay;
         # post-FDE error energy must stay within 3 dB of the static-channel
         # level, set by receiver noise since the valid-position error of a
@@ -329,7 +361,8 @@ class TestDdlms:
             rng = np.random.default_rng(10)
             g = 1.0 + (0.1 * np.arange(n)[:, None] / n if ramp else 0.0)
             y = g * rng.integers(0, 2, (n, 128)) + 0.02 * rng.normal(size=(n, 128))
-            z, bits = ddlms_update(FdeState(mu=mu, delay=1), fft_pow2(y))
+            set_ddlms(mu, 1)
+            z, bits = ddlms_update(FdeState(), fft_pow2(y))
             return np.mean(np.sum(np.abs(bits - z) ** 2, axis=-1)[n // 2 :])
 
         static = run(False)
@@ -338,10 +371,11 @@ class TestDdlms:
         assert run(True, mu=0.0) > 2.0 * static  # untracked, the ramp shows
 
     @pytest.mark.parametrize("mmse_init", [False, True], ids=["unit_taps", "mmse_taps"])
-    def test_matches_per_beat_oracle(self, mmse_init):
+    def test_matches_per_beat_oracle(self, mmse_init, set_ddlms):
         Y, c = payload_stack(13, 8 + 600)
         for delay in (1, 2, 7, 242):
-            states = FdeState(mu=1e-3, delay=delay), FdeState(mu=1e-3, delay=delay)
+            set_ddlms(1e-3, delay)
+            states = FdeState(), FdeState()
             if mmse_init:
                 for state in states:
                     state.initialize(Y[:8], c[:8])
@@ -355,7 +389,7 @@ class TestDdlms:
             assert np.array_equal(bits, bits_ref), delay
             assert np.max(np.abs(states[0].w - w_0)) > 1e-3, delay  # the taps moved
 
-    def test_output_is_real(self):
+    def test_output_is_real(self, set_ddlms):
         # the beats are real samples and the taps real, so the full complex
         # inverse transform's imaginary part is rounding alone, and z, the
         # real inverse of the half spectra, is float64
@@ -369,20 +403,22 @@ class TestDdlms:
         z = equalize(Y, w)
         assert z.dtype == np.float64
         assert np.max(np.abs(z - full.real)) <= 1e-12 * np.max(np.abs(full.real))
-        z, _ = ddlms_update(FdeState(mu=1e-3, delay=7), Y)
+        set_ddlms(1e-3, 7)
+        z, _ = ddlms_update(FdeState(), Y)
         assert z.dtype == np.float64
 
     def test_empty_stack(self):
-        state = FdeState(mu=1e-3, w=np.arange(33.0))
+        state = FdeState(w=np.arange(33.0))
         z, bits = ddlms_update(state, np.zeros((0, 65), complex))
         assert z.shape == bits.shape == (0, 96)
         assert np.array_equal(state.w, np.arange(33.0))
 
-    def test_caller_taps_not_written(self):
+    def test_caller_taps_not_written(self, set_ddlms):
         # the array the state held on entry (here the tap-fit array) keeps
         # its values; the state ends with a new one
         Y, c = payload_stack(15, 8 + 20)
-        state = FdeState(mu=1e-2, delay=1)
+        set_ddlms(1e-2, 1)
+        state = FdeState()
         state.initialize(Y[:8], c[:8])
         w_in = state.w
         w_fit = w_in.copy()
@@ -391,11 +427,12 @@ class TestDdlms:
         assert state.w is not w_in
         assert not np.array_equal(state.w, w_fit)
 
-    def test_silent_beat_leaves_taps(self):
+    def test_silent_beat_leaves_taps(self, set_ddlms):
         # an all-zero beat has zero power: no step, no warning
         Y, _ = payload_stack(14, 3)
         Y[1] = 0.0
-        state, ref = FdeState(mu=1e-2, delay=1), FdeState(mu=1e-2, delay=1)
+        set_ddlms(1e-2, 1)
+        state, ref = FdeState(), FdeState()
         ddlms_update(state, Y)
         ddlms_update(ref, Y[[0, 2]])
         assert np.array_equal(state.w, ref.w)

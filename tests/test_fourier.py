@@ -31,6 +31,10 @@ class TestOracle:
         x = rng.normal(size=100) + 1j * rng.normal(size=100)
         assert rel_err(dft_oracle(dft_oracle(x), inverse=True), x) < 1e-12
 
+    def test_rejects_empty(self):
+        with pytest.raises(FftSizeError):
+            dft_oracle(np.zeros(0, complex))
+
 
 class TestFftPow2:
     def test_impulse_all_ones(self):

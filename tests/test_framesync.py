@@ -70,7 +70,7 @@ class TestFindSync:
     @pytest.mark.parametrize("q", [0, 17, 96, 353, 1000])
     def test_placement_exact(self, q):
         s = self.place_b(q)
-        res = framesync.find_sync(s, PN, ratio_min=1.2)
+        res = framesync.find_sync(s, PN)
         assert res.p1 == q
 
     def test_position_arithmetic(self):
@@ -82,13 +82,13 @@ class TestFindSync:
 
     def test_offset_reporting(self):
         s = self.place_b(353)
-        res = framesync.find_sync(s, PN, ratio_min=1.2, offset=1000)
+        res = framesync.find_sync(s, PN, offset=1000)
         assert res.p1 == 1353
 
     def test_gain_invariance(self):
         s = self.place_b(353)
-        r1 = framesync.find_sync(s, PN, ratio_min=1.2)
-        r2 = framesync.find_sync(s * 12.5, PN, ratio_min=1.2)
+        r1 = framesync.find_sync(s, PN)
+        r2 = framesync.find_sync(s * 12.5, PN)
         assert r1.p1 == r2.p1
 
     def test_single_dominant_peak_in_frame(self):
@@ -101,7 +101,7 @@ class TestFindSync:
     def test_failure_on_noise_only(self):
         rng = np.random.default_rng(4)
         with pytest.raises(SyncError):
-            framesync.find_sync(rng.normal(size=2000), PN, ratio_min=1.5)
+            framesync.find_sync(rng.normal(size=2000), PN)
 
     def test_frac_in_range(self):
         for q in range(0, 32):

@@ -25,6 +25,8 @@ class TestLayout:
             framing.FrameLayout(preamble_a_len=191)
         with pytest.raises(LayoutError):
             framing.FrameLayout(preamble_c_len=700)
+        with pytest.raises(LayoutError):
+            framing.FrameLayout(payload_len=-1)
 
 
 class TestPreambleA:

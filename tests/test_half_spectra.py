@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from burstrx import rxfront, txchain
+from burstrx import equalizer, rxfront, txchain
 from burstrx.equalizer import LAGS, _gradients, equalize, strip_rolloff, tap_spectrum
 from burstrx.fourier import fft_144
 from burstrx.timing import fd_interpolate, godard_band, godard_error
@@ -170,17 +170,18 @@ def test_equalize(case, per_beat):
     close(equalize(Y, w), want)
 
 
-def test_gradients(case):
+def test_gradients(case, monkeypatch):
     Y, Y_full = folded(case)
     z = equalize(Y, (LAGS == 0).astype(float))
     bits = (z > 0.5).astype(np.uint8)
     mu = 1e-3
+    monkeypatch.setattr(equalizer, "DDLMS_MU", mu)
     y = np.fft.ifft(Y_full).real
     power = np.sum(y**2, axis=-1)
     e = np.zeros((40, 128))
     e[:, 32:] = bits - z
     corr = np.fft.ifft(np.fft.fft(e) * np.conj(Y_full)).real[:, LAGS]
-    close(_gradients(Y, z, bits, mu), 2.0 * mu / power[:, None] * corr)
+    close(_gradients(Y, z, bits), 2.0 * mu / power[:, None] * corr)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -191,7 +192,7 @@ def test_tx_frame(name):
     else:
         symbols = rng.integers(0, 2, 96 * 6).astype(float)
         rolloff = 0.125 if name == "rolloff_0.125" else 0.1
-    stream = np.concatenate([symbols, np.zeros(2 * 96)]).reshape(-1, 96)
+    stream = np.concatenate([symbols, np.zeros(txchain.TX_FLUSH_BEATS * 96)]).reshape(-1, 96)
     blocks = np.zeros((len(stream), 128))
     blocks[:, 32:] = stream
     blocks[1:, :32] = stream[:-1, -32:]

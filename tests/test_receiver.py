@@ -151,7 +151,15 @@ def test_capture_cut_after_detection(n_beats, status):
     # one tracked beat cannot hold Preamble B
     rx, wave, bits = make_burst({"frame": {"payload_len": 960}})
     assert rx.acquire(wave).detect_beat == 10
-    assert rx.receive(wave[: 108 * n_beats], bits).status == status
+    report = rx.receive(wave[: 108 * n_beats], bits)
+    assert report.status == status
+    if status == "sync_failed":
+        # the report keeps what acquisition found before sync failed: the
+        # detected beat, tau0 and the tau of the one tracked beat
+        assert report.detect_beat == 10
+        assert math.isfinite(report.tau0)
+        assert report.spo_trace == [(1, 0, report.tau0 / 1.125)]
+        assert report.sync_p is None
 
 
 @pytest.mark.parametrize("preamble_a_len", [2304, 4800])
@@ -387,7 +395,7 @@ def receive_per_beat(rx, wave, detect_beat):
         mse.append(float(np.sum((z - d) ** 2)))
         y = fft_pow2(Y, inverse=True)
         power = float(np.sum(y**2))
-        step = 2.0 * state.mu / power if power > 0 else 0.0
+        step = 2.0 * eq.DDLMS_MU / power if power > 0 else 0.0
         grads.append(step * y[reads].T @ (d - z))
     bits = np.concatenate(payload)[: rx.layout.payload_len]
     return bits, mse, sync.p1, np.array(loop.trace), stage1

@@ -43,7 +43,7 @@ class TestSlicing:
 
     def test_tx_output_realigns(self):
         # tx beats emit 108 samples each; re-slicing walks the same grid
-        wave = txchain.tx_frame(np.tile([0.0, 1.0], 48 * 4), flush_beats=0)
+        wave = txchain.tx_frame(np.tile([0.0, 1.0], 48 * 4))[: 4 * 108]
         beats = rxfront.rx_slice_beats(wave)
         assert beats.shape[0] == 4
         assert np.array_equal(beats[2][36:], wave[2 * 108 : 3 * 108])
@@ -111,7 +111,7 @@ class TestInitialSpo:
     def test_zero_offset_pure_tone(self):
         # interior beat of a long alternating stream: window content is exactly
         # periodic, so the estimate is zero to numerical precision
-        wave = txchain.tx_frame(np.tile([0.0, 1.0], 48 * 8), flush_beats=0)
+        wave = txchain.tx_frame(np.tile([0.0, 1.0], 48 * 8))[: 8 * 108]
         X = rxfront.beat_spectra(rxfront.rx_slice_beats(wave), txchain.rrc_response())
         tau0 = rxfront.estimate_initial_spo(X[4])
         assert rxfront.detect_frame(X[4]).detected

@@ -109,20 +109,34 @@ def tau_step(loop, e):
     return loop.tau - before
 
 
+@pytest.fixture
+def set_gains(monkeypatch):
+    """Sets the loop gains, the module's one definitions, for one test."""
+
+    def set_constants(kp, ki):
+        monkeypatch.setattr(timing, "LOOP_KP", kp)
+        monkeypatch.setattr(timing, "LOOP_KI", ki)
+
+    return set_constants
+
+
 class TestLoopFilter:
-    def test_pure_proportional(self):
-        loop = FdtrLoop(kp=0.5, ki=0.0)
+    def test_pure_proportional(self, set_gains):
+        set_gains(0.5, 0.0)
+        loop = FdtrLoop()
         assert tau_step(loop, 0.2) == pytest.approx(0.1)
 
-    def test_constant_error_series(self):
-        loop = FdtrLoop(kp=2.0, ki=0.1)
+    def test_constant_error_series(self, set_gains):
+        set_gains(2.0, 0.1)
+        loop = FdtrLoop()
         e = 0.3
         for n in range(1, 6):
             W = tau_step(loop, e)
             assert W == pytest.approx(2.0 * e + 0.1 * n * e)
 
-    def test_zero_error_holds_accumulator(self):
-        loop = FdtrLoop(kp=1.0, ki=0.5, integral=2.0)
+    def test_zero_error_holds_accumulator(self, set_gains):
+        set_gains(1.0, 0.5)
+        loop = FdtrLoop(integral=2.0)
         for _ in range(3):
             assert tau_step(loop, 0.0) == pytest.approx(1.0)
 
@@ -179,7 +193,8 @@ class TestInterpolator:
 
         rng = np.random.default_rng(3)
         x = rng.integers(0, 2, 128).astype(float)
-        wave = txchain.tx_frame(np.concatenate([x, np.zeros(96 - 32)]), flush_beats=2)
+        # two beats of symbols and two of the flush
+        wave = txchain.tx_frame(np.concatenate([x, np.zeros(96 - 32)]))[: 4 * 108]
         tau = 0.37
         delayed = channel.apply_fractional_delay(wave, -tau)
         rot = np.exp(-2j * np.pi * np.fft.rfftfreq(len(wave)) * tau)
@@ -189,9 +204,9 @@ class TestInterpolator:
 
 
 class TestClosedLoop:
-    def run_loop(self, offset_ui, init, n_beats=200, kp=1e-2, ki=1e-4):
+    def run_loop(self, offset_ui, init, n_beats=200):
         rng = np.random.default_rng(42)
-        loop = FdtrLoop(kp=kp, ki=ki)
+        loop = FdtrLoop()
         target = -offset_ui * txchain.SPS
         if init:
             loop.tau = target
@@ -206,8 +221,9 @@ class TestClosedLoop:
         resid_ui = np.abs(trace - target) / txchain.SPS
         assert np.all(resid_ui <= 0.02)
 
-    def test_integral_action_converges(self):
-        trace, target = self.run_loop(0.3, init=False, n_beats=200, ki=1e-3)
+    def test_integral_action_converges(self, set_gains):
+        set_gains(1e-2, 1e-3)
+        trace, target = self.run_loop(0.3, init=False, n_beats=200)
         resid_ui = np.abs(trace - target) / txchain.SPS
         assert resid_ui[-1] <= 1e-3
         # and convergence took longer than with init (which starts converged)
@@ -273,7 +289,7 @@ class TestDriftTracking:
         ppm = 50.0
         per_beat_ui = ppm * 1e-6 * 96
         rng = np.random.default_rng(6)
-        loop = FdtrLoop(kp=1e-2, ki=1e-4)
+        loop = FdtrLoop()
         n = 400
         for b in range(n):
             x = rng.integers(0, 2, 128).astype(float)

@@ -11,10 +11,9 @@ from burstrx.fourier import fft_144, fft_pow2
 class TxState:
     """Streaming transmitter state: overlap buffer of the previous beat."""
 
-    def __init__(self, rolloff=txchain.DEFAULT_ROLLOFF,
-                 delay_symbols=txchain.DEFAULT_DELAY_SYMBOLS):
+    def __init__(self, rolloff=txchain.DEFAULT_ROLLOFF):
         self.overlap = np.zeros(txchain.OVERLAP_IN)
-        self.response = txchain.rrc_response(rolloff, delay_symbols)
+        self.response = txchain.rrc_response(rolloff)
 
 
 def tx_process_beat(state, symbols):
@@ -45,12 +44,13 @@ class TestResampleUp:
         with pytest.raises(FftSizeError):
             txchain.resample_up_fd(np.zeros(73, complex))
 
-    def test_tone_keeps_absolute_frequency(self):
+    def test_tone_keeps_absolute_frequency(self, monkeypatch):
         # A bin-8 tone at 1 sps must come out as a bin-8 tone of the 144 grid,
         # i.e. the same absolute frequency at the higher sample rate.
         n = np.arange(128)
         x = np.cos(2 * np.pi * 8 * n / 128)
-        Y = txchain.resample_up_fd(fft_pow2(x)) * txchain.rrc_response(delay_symbols=0)
+        monkeypatch.setattr(txchain, "DEFAULT_DELAY_SYMBOLS", 0)
+        Y = txchain.resample_up_fd(fft_pow2(x)) * txchain.rrc_response()
         y = fft_144(Y, inverse=True)
         # amplitude carries the 128/144 convention factor; frequency must not move
         ref = (128 / 144) * np.cos(2 * np.pi * 8 * np.arange(144) / 144)
@@ -69,9 +69,11 @@ class TestRrcResponse:
         assert np.sqrt(txchain.rc_magnitude(0.55)) == 0.0
         assert np.sqrt(txchain.rc_magnitude(0.6)) == 0.0
 
-    def test_delay_is_pure_phase(self):
-        h0 = txchain.rrc_response(delay_symbols=0)
-        h = txchain.rrc_response(delay_symbols=16)
+    def test_delay_is_pure_phase(self, monkeypatch):
+        monkeypatch.setattr(txchain, "DEFAULT_DELAY_SYMBOLS", 0)
+        h0 = txchain.rrc_response()
+        monkeypatch.setattr(txchain, "DEFAULT_DELAY_SYMBOLS", 16)
+        h = txchain.rrc_response()
         assert np.allclose(np.abs(h), np.abs(h0), atol=1e-12)
 
 
@@ -90,14 +92,11 @@ class TestBeatStreaming:
     def test_batch_matches_streaming(self):
         rng = np.random.default_rng(11)
         symbols = rng.integers(0, 2, 96 * 7).astype(float)
-        batch = txchain.tx_frame(symbols, flush_beats=1)
+        batch = txchain.tx_frame(symbols)
         state = TxState()
-        stream = np.concatenate(
-            [
-                tx_process_beat(state, blk)
-                for blk in np.concatenate([symbols, np.zeros(96)]).reshape(-1, 96)
-            ]
-        )
+        flush = np.zeros(txchain.TX_FLUSH_BEATS * 96)
+        blocks = np.concatenate([symbols, flush]).reshape(-1, 96)
+        stream = np.concatenate([tx_process_beat(state, blk) for blk in blocks])
         assert np.max(np.abs(batch - stream)) < 1e-12
 
     def test_tone_continuity_across_beats(self):
@@ -105,7 +104,7 @@ class TestBeatStreaming:
         # waveform must continue seamlessly across every beat boundary.
         n_beats = 8
         symbols = np.tile([0.0, 1.0], 48 * n_beats)  # preamble-A style tone
-        wave = txchain.tx_frame(symbols, flush_beats=0)
+        wave = txchain.tx_frame(symbols)[: n_beats * 108]
         # interior: compare against a pure sampled tone fitted on one beat
         seg = wave[2 * 108 : 6 * 108]
         t = np.arange(len(seg))
@@ -118,8 +117,8 @@ class TestBeatStreaming:
 
     def test_rate_conservation(self):
         symbols = np.zeros(96 * 5)
-        wave = txchain.tx_frame(symbols, flush_beats=0)
-        assert len(wave) == int(len(symbols) * txchain.SPS)
+        wave = txchain.tx_frame(symbols)
+        assert len(wave) == int((len(symbols) + txchain.TX_FLUSH_BEATS * 96) * txchain.SPS)
 
     def test_spectral_confinement(self):
         # Out-of-band leakage comes only from block-seam residue, i.e. the RRC
@@ -128,7 +127,8 @@ class TestBeatStreaming:
         rng = np.random.default_rng(5)
         symbols = rng.integers(0, 2, 96 * 64).astype(float)
         wave = txchain.tx_frame(symbols)
-        seg = wave[4 * 108 : -4 * 108]
+        # beats 4..61 of the 64 beats of symbols
+        seg = wave[4 * 108 : -(2 + txchain.TX_FLUSH_BEATS) * 108]
         seg = seg - seg.mean()
         W = np.fft.rfft(seg * np.hanning(len(seg)))
         f = np.fft.rfftfreq(len(seg), d=1.0) * txchain.SPS  # cycles/symbol
