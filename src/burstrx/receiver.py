@@ -9,30 +9,29 @@ Reception happens in two passes over the sampled waveform:
   past those an earlier pass already did, so every beat is transformed once;
   only hits in the chunk's 32 beats count.  The window of the first detected
   beat is then a slice of those spectra and of the mask.  tau0 is the
-  tone-pair phase summed over the window beats that pass detection.  From
-  the beat after the detected one the timing loop runs detection-to-sync:
-  the corrected beats are folded to 65 bins and inverse transformed, and the
-  96 valid symbols of each are joined into the 1-sps stream that frame
-  synchronization scans for Preamble B.  The window is derived from the frame
-  layout:
+  tone-pair phase summed over the window beats that pass detection.  Stage 1
+  runs at tau0: from the beat after the detected one, every window beat is
+  corrected by tau0 alone, with no tracking, folded to 65 bins and inverse
+  transformed, and the 96 valid symbols of each are joined into the 1-sps
+  stream that frame synchronization scans for Preamble B.  The window is
   ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats after the
   detected one (24 for the default frame).  Detection may fire on the first
   beat of Preamble A, so the window always reaches past Preamble B, however
   long Preamble A is.  When sync finds no Preamble B there, the acquisition
   holds no sync position, and the ``sync_failed`` report still carries the
-  detected beat, tau0 and the stage-1 taus.
+  detected beat, tau0 and the stage-1 beats it corrected.
 
 * **Synchronized demodulation** re-slices the waveform so beat boundaries
   align with the frame: with the sync position ``p = floor(p1 * 1.125)``,
   slicing restarts at ``p - 144`` samples, which lands Preamble B exactly in
   the first full beat, the training block in the next eight, and each payload
   beat on a 96-bit boundary.  Stage 2 transforms the beats from Preamble B
-  up to the last payload beat, no others.  It continues a copy of the timing
-  loop as the acquisition window left it: the same gains and integral, tau
-  less the fractional residue of ``p1 * 1.125``, and a trace of its own, so
-  the acquisition is left unchanged.  The copy corrects the Preamble-B,
-  training and payload beats in one call; the eight folded training beats
-  fit the equalizer taps against the known Preamble-C symbols (see
+  up to the last payload beat, no others, and has its own taus: one
+  windowed estimate over the timing-detector sums of that stack
+  (:func:`timing.estimate_taus`), on the branch nearest tau0 less the
+  fractional residue of ``p1 * 1.125``.  No other state passes from stage 1.
+  One call corrects the whole stack; the eight folded training beats fit
+  the equalizer taps against the known Preamble-C symbols (see
   :func:`equalizer.fit_taps`): all 33 lags with tap initialization on, lag 0
   alone (a gain) with it off, so the output levels are {0, 1} in every
   setting.  The payload beats are equalized and inverse transformed, and
@@ -48,12 +47,10 @@ from :func:`rxfront.beat_spectra` on, a beat is the 73 bins 0..72 of its
 Each inverse transform is an ``irfft`` to real samples (see
 :mod:`burstrx.fourier`).
 
-Every stage runs as one call over a stack of beats.  Two recursions inside
-those calls carry state from beat to beat: the timing loop's tau (a scalar
-recursion on one detector sum per beat, taken over the whole stack, see
-:meth:`FdtrLoop.process_beat`) and the DD-LMS taps.  With DD-LMS off the taps
-are fixed, so all payload beats are equalized in one multiply and decided in
-one :func:`equalizer.decide_demap` call.  With it on, one
+Every stage runs as one call over a stack of beats.  One recursion inside
+those calls carries state from beat to beat, the DD-LMS taps.  With DD-LMS
+off the taps are fixed, so all payload beats are equalized in one multiply
+and decided in one :func:`equalizer.decide_demap` call.  With it on, one
 :func:`equalizer.ddlms_update` call runs the whole payload.  A tap gradient
 lands ``equalizer.DDLMS_DELAY`` = 242 beats after the beat that formed it, as
 in the hardware's error path, so the taps of each block of 242 beats are known
@@ -67,7 +64,7 @@ gap-free, offset-free channel.  All of this is absorbed by the measured
 ``p1``; nothing downstream needs the gap or channel delay.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count, repeat
 from typing import Optional
 
@@ -78,7 +75,7 @@ from . import framesync, framing, metrics, rxfront, txchain
 from .config import SimConfig
 from .errors import DetectionError, SyncError
 from .fourier import fft_pow2
-from .timing import FdtrLoop
+from .timing import FdtrLoop, fd_interpolate
 
 SYNC_REALIGN = 144         # samples between sync position and stage-2 origin
 ACQUIRE_MARGIN_BEATS = 21  # acquisition beats past the end of Preamble B
@@ -88,8 +85,8 @@ DETECT_CHUNK = 32          # beats tested for the Preamble-A tone per pass
 @dataclass
 class Acquisition:
     detect_beat: int                # first beat that passed detection
-    tau0: float                     # tone-pair phase the loop started from, samples
-    loop: FdtrLoop                  # the timing loop as the acquisition window left it
+    tau0: float                     # tone-pair phase every stage-1 beat is corrected by, samples
+    n_beats: int                    # stage-1 beats, from the one after detect_beat
     sync: Optional[framesync.SyncResult]  # Preamble B in the stage-1 stream; None if not found
 
 
@@ -117,7 +114,7 @@ class BurstReceiver:
         return txchain.tx_frame(symbols, self.cfg.tx.rrc_rolloff)
 
     def acquire(self, waveform: np.ndarray) -> Acquisition:
-        """Detect the burst, seed the timing loop, and locate Preamble B.
+        """Detect the burst, estimate tau0, and locate Preamble B.
 
         Raises :class:`DetectionError` when no beat passes detection; a
         window in which sync finds no Preamble B gives ``sync`` None.
@@ -145,9 +142,8 @@ class BurstReceiver:
 
         window = slice(detect_beat, first_beat + self.acquire_beats)
         tau0 = rxfront.estimate_initial_spo(X[window][tone[window]])
-        loop = FdtrLoop(alpha=self.cfg.tx.rrc_rolloff, tau=tau0)
         X_acq = X[first_beat : window.stop]
-        blocks = fft_pow2(eq.strip_rolloff(loop.process_beat(X_acq)), inverse=True)
+        blocks = fft_pow2(eq.strip_rolloff(fd_interpolate(X_acq, tau0)), inverse=True)
         try:
             sync = framesync.find_sync(
                 blocks[:, txchain.OVERLAP_IN:].reshape(-1), self.pn,
@@ -155,7 +151,7 @@ class BurstReceiver:
             )
         except SyncError:
             sync = None
-        return Acquisition(detect_beat=detect_beat, tau0=tau0, loop=loop, sync=sync)
+        return Acquisition(detect_beat=detect_beat, tau0=tau0, n_beats=len(X_acq), sync=sync)
 
     def demodulate(self, waveform: np.ndarray, acq: Acquisition) -> DemodResult:
         """Frame-aligned pass: training, equalization, payload decisions."""
@@ -173,9 +169,11 @@ class BurstReceiver:
         # Beat 0 precedes Preamble B and is not read; beat 1 is Preamble B.
         X = rxfront.beat_spectra(beats[1:last_needed], self.h_rx)
 
-        loop = replace(acq.loop, tau=acq.loop.tau - acq.sync.frac, trace=[])
-        # Preamble B only drives the timing loop; the rest is folded to 128 bins.
-        Y = eq.strip_rolloff(loop.process_beat(X)[1:])
+        fdtr = FdtrLoop(alpha=self.cfg.tx.rrc_rolloff, tau_ref=acq.tau0 - acq.sync.frac)
+        corrected, taus = fdtr.process_beat(X)
+        # Preamble B only feeds the timing estimate; the rest is folded to 128 bins.
+        Y = eq.strip_rolloff(corrected[1:])
+        del corrected  # not held through the equalizer: 1.6 MB on the default frame
         y_train, y_pay = Y[: self.n_c_beats], Y[self.n_c_beats :]
         eq_cfg = self.cfg.equalizer
         state = eq.FdeState()
@@ -191,7 +189,7 @@ class BurstReceiver:
         return DemodResult(
             payload_bits=bits.reshape(-1)[: self.layout.payload_len],
             mse_trace=metrics.mse_point(z, bits).tolist(),
-            taus=loop.trace,
+            taus=taus.tolist(),
         )
 
     def receive(self, waveform: np.ndarray, payload_bits: np.ndarray) -> metrics.RunReport:
@@ -201,7 +199,7 @@ class BurstReceiver:
             acq = self.acquire(waveform)
             report.detect_beat = acq.detect_beat
             report.tau0 = acq.tau0
-            report.spo_trace = _spo_rows(1, acq.loop.trace, 0)
+            report.spo_trace = _spo_rows(1, [acq.tau0] * acq.n_beats, 0)
             if acq.sync is not None:
                 report.sync_p1 = acq.sync.p1
                 report.sync_p = acq.sync.p

@@ -15,8 +15,9 @@ The initial sampling-phase estimate reads the phase between those two bins,
 
 in units of samples at 1.125 sps.  ``X(64)^2`` is the timing detector's pair
 product ``X(k) X(128 - k)`` (:func:`burstrx.timing.pair_products`) at the
-tone bin: tau0 zeroes the detector error read at bin 64 alone, and the loop
-locks where the error summed over the excess band is zero.  Feeding tau0
+tone bin: tau0 zeroes the detector error read at bin 64 alone, and stage 2
+reads its taus from the phase of the pair products summed over the excess
+band (:func:`burstrx.timing.estimate_taus`).  Feeding tau0
 straight into the frequency-domain interpolator cancels the offset.  This is
 the spectral-line estimate of Oerder & Meyr (IEEE Trans. Commun., 1988): a
 beat that holds only part of the tone adds little to the sum.  The

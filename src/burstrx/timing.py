@@ -1,67 +1,56 @@
-"""Burst-mode frequency-domain timing recovery.
+"""Burst-mode frequency-domain timing recovery: a windowed feedforward estimate.
 
-The feedback loop has four parts, mirroring the hardware flow:
+* A Godard-style error detector correlates the spectral excess band with its
+  alias one symbol rate away.  On the 144-bin grid at 1.125 samples per
+  symbol the alias partner of bin ``k`` is ``k + 16``: both bins carry the
+  same transmitted content, and ``Im X(k) conj(X(k+16))`` is an odd function
+  of the sampling-phase error.  The beats are real, so
+  ``conj(X(k+16)) = X(128 - k)`` and both bins come from the half spectrum.
+* :func:`estimate_taus` reads every beat's tau from the detector sums of the
+  whole stack.
+* A frequency-domain interpolator multiplies bin ``k`` by
+  ``exp(-2j pi f_k tau)``, ``f_k = k/144`` cycles per sample: that is
+  ``w^k`` with ``w = exp(-2j pi tau / 144)``, one exponential per beat.
 
-* a Godard-style error detector that correlates the spectral excess band with
-  its alias one symbol rate away.  On the 144-bin grid at 1.125 samples per
-  symbol the alias partner of bin ``k`` is ``k + 16``, so both bins carry the
-  *same* transmitted frequency content and the imaginary part of
-  ``X(k) conj(X(k+16))`` is an odd function of the sampling-phase error.
-  The beats are real, so ``conj(X(k+16)) = X(128 - k)``, and the detector
-  reads both bins of each pair from the 73-bin half spectrum;
-* a proportional-integral loop filter and a numerically controlled
-  oscillator, the accumulator ``tau <- tau + W``; both are the one method
-  :meth:`FdtrLoop.update`.  The paper's Mod-1 form is not modelled: its
-  fractional interval ``eta/W`` is unbounded for small control words, and
-  closed-loop it decoded at a BER of about 0.49 even on a noiseless channel;
-* a frequency-domain interpolator multiplying bin ``k`` of the half
-  spectrum by ``exp(-2j pi f_k tau)``, ``f_k = k/144`` cycles per sample.
-  That factor is ``w^k`` with ``w = exp(-2j pi tau / 144)``, so a beat costs
-  one exponential and the 72 products of its running power, not one
-  exponential per bin.
+Correcting a beat by ``tau`` turns each pair product ``P = X(k) X(128 - k)``
+by ``exp(-2j pi (f_k + f_(128-k)) tau)``, and ``f_k + f_(128-k)`` is 8/9
+cycles per sample for every band bin.  So the beat's sum ``S_b = sum P``
+turns by one phase, and the tau that zeroes its error on the stable side is
+``angle(S_b) (9/8) / 2pi``, modulo one symbol, 9/8 samples (bin 56, which
+breaks the 8/9, is left out, see :func:`godard_band`).  This is the
+spectral-line estimate of Oerder & Meyr (IEEE Trans. Commun., 1988), which
+:func:`burstrx.rxfront.estimate_initial_spo` applies to the tone.
 
-The loop filter consumes a normalized error (the raw detector sum divided by
-the summed pairing magnitude), so the gains are dimensionless and a detector
-value of ``-sin(2 pi residual_ui)`` drives the accumulator in samples.
-:class:`FdtrLoop` holds the whole per-burst state: the detector band's
-roll-off, tau, the error integral and the per-beat tau trace.
+On random payload one beat's sum carries a self-noise of roughly 8e-2 of
+``sum |P|``: the 144-sample window truncates pulse tails, so paired bins see
+slightly different data.  Hence the sum over :data:`W1` = 24 beats, the
+unwrapped phase, and a line fit over :data:`W2` = 192 beats; a linear drift
+passes all three unchanged.  At 300 ppm the phase turns 0.7 UI over one
+sum, which 32 beats could not hold; 16 beats slipped a cycle at 5 GHz / 12 dB.
 
-The detector reads the corrected spectrum, but correcting by ``tau`` only
-rotates each pair product ``P = X(k) X(128 - k)`` by
-``exp(-2j pi (f_k + f_(128-k)) tau)`` and leaves ``|P|`` alone.  The
-frequency sum is 128/144 = 8/9 cycles per sample for every band bin, so the
-whole sum ``S`` turns by one phase.  The one bin that breaks this in the
-full spectrum, bin 56, pairs with the Nyquist bin 72, which the receive RRC
-sets to exactly 0 at every accepted roll-off; its product is 0, and
-:func:`godard_band` leaves it out.  So :meth:`FdtrLoop.process_beat`
-takes ``S`` and ``sum |P|`` of a whole stack of beats at once, runs the
-recursion on one complex scalar per beat, and corrects the stack in one call.
-
-On random payload the detector has an irreducible per-beat self-noise of
-roughly 8e-2 normalized: the 144-sample analysis window truncates pulse tails
-at its edges, so the paired bins see slightly different data mixtures.  Pure
-preamble-A beats are block-periodic and show no such noise.  Loop gains trade
-acquisition speed against this jitter; they are the fixed constants
-:data:`LOOP_KP` and :data:`LOOP_KI`.
+Paper fidelity: the paper's FDTR is a feedback loop, a PI filter driving a
+numerically controlled oscillator (``godard_sum`` and ``nco_division`` in
+:data:`burstrx.pipeline.STAGES`); this estimate is an extension.  It holds
+300 ppm and roll-off 1/64, where the loop lost lock, and carries no state
+from stage 1 to stage 2.  In hardware it buffers up to 192 beats of detector
+sums and beat spectra at the burst start, where the chain already has the
+242-beat delay of the DD-LMS error path.
 """
 
-from dataclasses import dataclass, field
-from cmath import exp as cexp
+from dataclasses import dataclass
 from math import ceil, floor, pi
 
 import numpy as np
 
-from .txchain import BINS_OUT, DEFAULT_ROLLOFF, N_IN, N_OUT, SPS
+from .txchain import DEFAULT_ROLLOFF, N_IN, N_OUT, SPS
 
 ALIAS_STRIDE = 16  # N - N/sps = 144 - 128
-# PI loop-filter gains on the normalized detector error (dimensionless)
-LOOP_KP = 1e-2
-LOOP_KI = 1e-4
+W1 = 24    # beats in the moving sum of the detector sums
+W2 = 192   # beats in the local line fit of the unwrapped phase
 # the phase step per sample of tau between neighbouring bins, 1/144 cycles apart
 _BIN_STEP = -2j * pi / N_OUT
-# f_k + f_(128-k) = 128/144 cycles per sample for every band bin: the phase
-# step per sample of tau that correcting a spectrum applies to a pair product
-_PAIR_STEP = -2j * pi * (N_IN / N_OUT)
+# a pair product turns by 2 pi (8/9) per sample of tau: radians to samples
+_SAMPLES_PER_RADIAN = SPS / (2 * pi)
 
 
 def godard_band(alpha: float = DEFAULT_ROLLOFF) -> np.ndarray:
@@ -88,17 +77,45 @@ def pair_products(X: np.ndarray, k) -> np.ndarray:
     return X[..., k] * X[..., N_IN - k]
 
 
-def godard_error(X: np.ndarray, alpha: float = DEFAULT_ROLLOFF) -> tuple[np.ndarray, np.ndarray]:
-    """Detector sums over the excess band of 73-bin half spectra, per row.
+def godard_error(X: np.ndarray, alpha: float = DEFAULT_ROLLOFF) -> np.ndarray:
+    """Detector sums ``S = sum P`` over the excess band of 73-bin half spectra, per row.
 
-    With ``P`` the :func:`pair_products` over the band, returns
-    ``(S, sum |P|)`` with ``S = sum P``.  The raw timing error of ``X`` is
-    ``Im S``; that of ``X`` corrected by ``tau`` is
-    ``Im S exp(-2j pi (8/9) tau)``.  ``sum |P|`` normalizes it and does not
-    depend on ``tau``.
+    ``P`` are the :func:`pair_products` over the band.  The timing error of
+    ``X`` corrected by ``tau`` is ``Im S exp(-2j pi (8/9) tau)``.
     """
-    pair = pair_products(X, godard_band(alpha))
-    return pair.sum(axis=-1), np.sum(np.abs(pair), axis=-1)
+    return pair_products(X, godard_band(alpha)).sum(axis=-1)
+
+
+def estimate_taus(S: np.ndarray, tau_ref: float) -> np.ndarray:
+    """Tau of each beat, in samples, from the detector sums ``S`` of a stack in time order.
+
+    1. Sum ``S`` over the :data:`W1` beats ``b - 12 .. b + 11`` of each beat
+       ``b``, cut short at the stack ends.
+    2. Unwrap the phase of those sums and scale it to samples.
+    3. Fit a line over :data:`W2` beats around each beat and read it at the
+       beat.  Near an end the window shifts inward instead of shrinking; a
+       stack shorter than ``W2`` beats gets one line.
+    4. Shift all by the multiple of 9/8 samples that puts the first beat's
+       tau nearest ``tau_ref``.
+    """
+    n = len(S)
+    beat = np.arange(n)
+    sums = np.zeros(n + 1, dtype=complex)
+    np.cumsum(S, out=sums[1:])
+    moving = sums[np.minimum(beat + W1 // 2, n)] - sums[np.maximum(beat - W1 // 2, 0)]
+    phase = np.unwrap(np.angle(moving)) * _SAMPLES_PER_RADIAN
+
+    # Line fit on u = beat - centre: sum u = 0 and sum u^2 = w (w^2 - 1) / 12.
+    w = min(W2, n)
+    start = np.clip(beat - w // 2, 0, n - w)
+    moments = np.zeros((2, n + 1))
+    np.cumsum([phase, beat * phase], axis=1, out=moments[:, 1:])
+    sum_y, sum_by = moments[:, start + w] - moments[:, start]
+    centre = start + (w - 1) / 2
+    # one beat has no slope; its sum u*y is 0 as well
+    slope = (sum_by - centre * sum_y) / max(w * (w * w - 1) / 12, 1)
+    taus = sum_y / w + slope * (beat - centre)
+    return taus + SPS * np.round((tau_ref - taus[0]) / SPS)
 
 
 def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
@@ -128,34 +145,16 @@ def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
 
 @dataclass
 class FdtrLoop:
-    """Per-burst feedback state: strictly sequential, one owner."""
+    """Stage-2 timing recovery of one burst, named for the paper's FDTR loop it replaces."""
 
-    alpha: float = DEFAULT_ROLLOFF       # RRC roll-off: sets the detector band
-    tau: float = 0.0                     # samples at 1.125 sps
-    integral: float = 0.0                # running sum of normalized errors
-    trace: list = field(default_factory=list)   # tau used on each beat
+    alpha: float = DEFAULT_ROLLOFF   # RRC roll-off: sets the detector band
+    tau_ref: float = 0.0             # samples: picks the 9/8-sample branch at the first beat
 
-    def update(self, e: float) -> None:
-        """PI step: tau moves by LOOP_KP*e + LOOP_KI*(error sum including e)."""
-        self.integral += e
-        self.tau += LOOP_KP * e + LOOP_KI * self.integral
+    def process_beat(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Correct an ``(n, 73)`` stack of beat spectra in time order, each by its own tau.
 
-    def process_beat(self, X: np.ndarray) -> np.ndarray:
-        """Correct a stack of beat spectra in order, updating the loop per beat.
-
-        ``X`` has shape ``(..., 73)``, one beat per row in time order.  Each
-        row is corrected with the tau of its own beat; the error it exhibits
-        only moves tau for later rows (strict causality).  The detector sum of
-        every row is taken once over the uncorrected stack, so the recursion
-        rotates one complex scalar per beat, and the correction runs once at
-        the end.
+        Returns the corrected stack and the taus of :func:`estimate_taus`
+        over the stack's detector sums.
         """
-        X = np.asarray(X)
-        sums, mags = godard_error(X.reshape(-1, BINS_OUT), self.alpha)
-        taus = []
-        for s, mag in zip(sums.tolist(), mags.tolist()):
-            taus.append(self.tau)
-            err = (s * cexp(_PAIR_STEP * self.tau)).imag
-            self.update(err / mag if mag > 0 else 0.0)
-        self.trace.extend(taus)
-        return fd_interpolate(X, np.reshape(taus, X.shape[:-1] + (1,)))
+        taus = estimate_taus(godard_error(X, self.alpha), self.tau_ref)
+        return fd_interpolate(X, taus[:, None]), taus

@@ -36,12 +36,13 @@ class TestLoading:
         }
 
     def test_burst_state_holds_no_setting(self):
-        # the per-burst state objects hold burst state alone; gains, step
-        # and delay are module constants, so none can be set per instance
+        # the per-burst state objects hold burst state alone; the timing
+        # windows, the DD-LMS step and delay are module constants, so none
+        # can be set per instance
         def names(cls):
             return {f.name for f in dataclasses.fields(cls)}
 
-        assert names(FdtrLoop) == {"alpha", "tau", "integral", "trace"}
+        assert names(FdtrLoop) == {"alpha", "tau_ref"}
         assert names(FdeState) == {"w"}
 
     @pytest.mark.parametrize(

@@ -112,9 +112,8 @@ def test_estimate_initial_spo(case):
 def test_godard_error(case):
     k = godard_band(case.alpha)
     pair = case.full[:, k] * np.conj(case.full[:, k + 16])
-    sums, mags = godard_error(case.half, case.alpha)
+    sums = godard_error(case.half, case.alpha)
     close(sums, pair.sum(axis=-1), scale=np.max(np.abs(pair).sum(axis=-1)))
-    close(mags, np.abs(pair).sum(axis=-1))
 
 
 def corrected(case):

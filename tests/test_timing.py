@@ -1,11 +1,11 @@
-"""Timing-recovery tests: detector S-curve, loop filter, interpolator, closed loop."""
+"""Timing-recovery tests: detector S-curve, interpolator, windowed tau estimate."""
 
 import numpy as np
 import pytest
 
-from burstrx import timing, txchain
+from burstrx import channel, rxfront, timing, txchain
 from burstrx.fourier import fft_144
-from burstrx.timing import FdtrLoop, fd_interpolate, godard_error
+from burstrx.timing import W1, W2, FdtrLoop, estimate_taus, fd_interpolate, godard_error
 
 
 def shaped_block(symbols128):
@@ -17,7 +17,7 @@ def shaped_block(symbols128):
 
 def raw_error(X):
     """Im of the summed pair products: the detector error before normalizing."""
-    return godard_error(X)[0].imag
+    return godard_error(X).imag
 
 
 ROLLOFFS = [1 / 64, 0.05, 0.1, 0.125]   # the ends of the accepted range and between
@@ -53,16 +53,14 @@ class TestGodardBand:
 
 class TestGodardError:
     def test_zero_input(self):
-        assert godard_error(np.zeros(73, complex)) == (0.0, 0.0)
+        assert godard_error(np.zeros(73, complex)) == 0.0
 
     def test_zero_at_perfect_timing(self):
         rng = np.random.default_rng(2)
         x = rng.integers(0, 2, 128).astype(float)
         X = shaped_block(x)
-        e, mag = raw_error(X), godard_error(X)[1]
         k = timing.godard_band()
-        assert mag == pytest.approx(np.sum(np.abs(X[k] * X[128 - k])))
-        assert abs(e) <= 1e-3 * mag
+        assert abs(raw_error(X)) <= 1e-3 * np.sum(np.abs(X[k] * X[128 - k]))
 
     def test_sign_consistent_for_small_delay(self):
         rng = np.random.default_rng(3)
@@ -80,11 +78,10 @@ class TestGodardError:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(6, 73)) + 1j * rng.normal(size=(6, 73))
         tau = rng.uniform(-0.6, 0.6, size=6)
-        sums, mag = godard_error(X, alpha)
-        direct, direct_mag = godard_error(fd_interpolate(X, tau[:, None]), alpha)
+        sums = godard_error(X, alpha)
+        direct = godard_error(fd_interpolate(X, tau[:, None]), alpha)
         rotated = sums * np.exp(-2j * np.pi * (128 / 144) * tau)
         np.testing.assert_allclose(rotated, direct, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(mag, direct_mag, rtol=1e-12, atol=0)
 
     def test_s_curve_odd_and_zero_crossing(self):
         rng = np.random.default_rng(4)
@@ -100,45 +97,6 @@ class TestGodardError:
         # monotone (decreasing) through the origin for this sign convention
         mid = curve[8:13]
         assert np.all(np.diff(mid) < 0)
-
-
-def tau_step(loop, e):
-    """How far one loop-filter update moves tau."""
-    before = loop.tau
-    loop.update(e)
-    return loop.tau - before
-
-
-@pytest.fixture
-def set_gains(monkeypatch):
-    """Sets the loop gains, the module's one definitions, for one test."""
-
-    def set_constants(kp, ki):
-        monkeypatch.setattr(timing, "LOOP_KP", kp)
-        monkeypatch.setattr(timing, "LOOP_KI", ki)
-
-    return set_constants
-
-
-class TestLoopFilter:
-    def test_pure_proportional(self, set_gains):
-        set_gains(0.5, 0.0)
-        loop = FdtrLoop()
-        assert tau_step(loop, 0.2) == pytest.approx(0.1)
-
-    def test_constant_error_series(self, set_gains):
-        set_gains(2.0, 0.1)
-        loop = FdtrLoop()
-        e = 0.3
-        for n in range(1, 6):
-            W = tau_step(loop, e)
-            assert W == pytest.approx(2.0 * e + 0.1 * n * e)
-
-    def test_zero_error_holds_accumulator(self, set_gains):
-        set_gains(1.0, 0.5)
-        loop = FdtrLoop(integral=2.0)
-        for _ in range(3):
-            assert tau_step(loop, 0.0) == pytest.approx(1.0)
 
 
 class TestInterpolator:
@@ -189,8 +147,6 @@ class TestInterpolator:
     def test_inverse_pair_with_channel_delay(self):
         # fd_interpolate(tau) cancels apply_fractional_delay(-tau) on a
         # band-limited block
-        from burstrx import channel
-
         rng = np.random.default_rng(3)
         x = rng.integers(0, 2, 128).astype(float)
         # two beats of symbols and two of the flush
@@ -203,98 +159,71 @@ class TestInterpolator:
         assert np.max(np.abs(np.fft.irfft(W1, len(wave)) - wave)) < 1e-9
 
 
-class TestClosedLoop:
-    def run_loop(self, offset_ui, init, n_beats=200):
-        rng = np.random.default_rng(42)
-        loop = FdtrLoop()
-        target = -offset_ui * txchain.SPS
-        if init:
-            loop.tau = target
-        for _ in range(n_beats):
-            x = rng.integers(0, 2, 128).astype(float)
-            X = fd_interpolate(shaped_block(x), offset_ui * txchain.SPS)
-            loop.process_beat(X)
-        return np.array(loop.trace), target
-
-    def test_with_init_flat(self):
-        trace, target = self.run_loop(0.3, init=True)
-        resid_ui = np.abs(trace - target) / txchain.SPS
-        assert np.all(resid_ui <= 0.02)
-
-    def test_integral_action_converges(self, set_gains):
-        set_gains(1e-2, 1e-3)
-        trace, target = self.run_loop(0.3, init=False, n_beats=200)
-        resid_ui = np.abs(trace - target) / txchain.SPS
-        assert resid_ui[-1] <= 1e-3
-        # and convergence took longer than with init (which starts converged)
-        assert np.argmax(resid_ui < 0.02) > 0
-
-    def test_causality(self):
-        # the corrected spectrum for beat n uses tau from beats < n only:
-        # feeding a huge error on the last beat must not change its own output
-        loop_a = FdtrLoop()
-        loop_b = FdtrLoop()
-        rng = np.random.default_rng(5)
-        x = rng.integers(0, 2, 128).astype(float)
-        X = shaped_block(x)
-        for loop in (loop_a, loop_b):
-            loop.process_beat(X)
-        out_a = loop_a.process_beat(X)
-        out_b = loop_b.process_beat(X * 50)  # scaled: same normalized error path
-        assert np.allclose(out_a, out_b / 50)
+def random_stack(n, seed, **impairments):
+    """Spectra of ``n`` consecutive beats of a random-payload stream through the channel."""
+    bits = np.random.default_rng(seed).integers(0, 2, 96 * (n + 4)).astype(float)
+    cfg = channel.ChannelConfig(gap_samples=0, **impairments)
+    wave = channel.run_channel(txchain.tx_frame(bits), cfg)
+    # the first two beats hold the transmit filter's ramp
+    return rxfront.beat_spectra(rxfront.rx_slice_beats(wave)[2 : n + 2], txchain.rrc_response())
 
 
-    @pytest.mark.parametrize("alpha", [0.1, 0.125])
-    def test_stack_equals_row_calls(self, alpha):
-        rng = np.random.default_rng(7)
-        X = np.array([
-            fd_interpolate(shaped_block(rng.integers(0, 2, 128).astype(float)), 0.2)
-            for _ in range(40)
-        ])
-        stacked = FdtrLoop(alpha=alpha, tau=0.1)
-        by_row = FdtrLoop(alpha=alpha, tau=0.1)
-        out = stacked.process_beat(X)
-        rows = np.concatenate([by_row.process_beat(X[m : m + 1]) for m in range(len(X))])
-        # numpy sums the rows of a stack in another order than a single row,
-        # so the two agree to rounding, not bit for bit
-        taus = np.array(by_row.trace)
-        assert np.max(np.abs(np.array(stacked.trace) - taus)) <= 1e-12 * np.max(np.abs(taus))
-        assert np.max(np.abs(out - rows)) <= 1e-12 * np.max(np.abs(rows))
-        assert stacked.tau == pytest.approx(by_row.tau, rel=1e-12)
+class TestEstimate:
+    @pytest.mark.parametrize("branch", [-2, 0, 1, 3])
+    @pytest.mark.parametrize("nudge_ui", [-0.4, 0.0, 0.4])
+    def test_constant_offset_any_branch(self, branch, nudge_ui):
+        # a 0.3 UI delay is undone by tau = -0.3 UI, on the branch of whole
+        # symbols nearest the reference, wherever the reference lies
+        X = random_stack(200, seed=42, timing_offset_ui=0.3)
+        target = (-0.3 + branch) * txchain.SPS
+        _, taus = FdtrLoop(tau_ref=target + nudge_ui * txchain.SPS).process_beat(X)
+        assert np.max(np.abs(taus - target)) / txchain.SPS <= 0.02
 
+    @pytest.mark.parametrize("n", [2, 29, W2 - 1])
+    def test_short_stack_gets_one_line(self, n):
+        # the fit window cannot shift inside a stack shorter than W2 beats,
+        # so every beat reads the one line fitted over the whole stack
+        rng = np.random.default_rng(n)
+        S = np.exp(2j * np.pi * (0.01 * np.arange(n) + rng.normal(0, 0.05, n)))
+        taus = estimate_taus(S, 0.0)
+        sums = np.array([S[max(b - W1 // 2, 0) : b + W1 // 2].sum() for b in range(n)])
+        phase = np.unwrap(np.angle(sums)) * txchain.SPS / (2 * np.pi)
+        line = np.polyval(np.polyfit(np.arange(n), phase, 1), np.arange(n))
+        np.testing.assert_allclose(taus, line, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.1, 0.125])
-    def test_matches_detector_on_corrected_beats(self, alpha):
+    def test_one_beat_reads_its_phase(self):
+        S = np.array([np.exp(-2j * np.pi * 0.2)])
+        assert estimate_taus(S, 2.0) == pytest.approx([(2 - 0.2) * txchain.SPS], abs=1e-15)
+
+    def test_scale_leaves_taus_unchanged(self):
+        X = random_stack(300, seed=5, clock_ppm=100.0)
+        out, taus = FdtrLoop(tau_ref=0.2).process_beat(X)
+        out_50, taus_50 = FdtrLoop(tau_ref=0.2).process_beat(X * 50)
+        np.testing.assert_allclose(taus_50, taus, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out_50, out * 50, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("alpha", [1 / 64, 0.125])
+    def test_corrects_each_beat_by_its_tau(self, alpha):
         # random spectra keep the Nyquist bin 72, which the receive RRC
         # nulls; the band leaves out bin 56, its partner, at every roll-off
         rng = np.random.default_rng(9)
         X = rng.normal(size=(30, 73)) + 1j * rng.normal(size=(30, 73))
-        loop = FdtrLoop(alpha=alpha, tau=0.3)
-        out = loop.process_beat(X)
-        ref = FdtrLoop(alpha=alpha, tau=0.3)
-        for x in X:
-            ref.trace.append(ref.tau)
-            s, mag = godard_error(fd_interpolate(x, ref.tau), alpha)
-            ref.update(s.imag / mag)
-        taus = np.array(ref.trace)
-        assert np.max(np.abs(np.array(loop.trace) - taus)) <= 1e-12 * np.max(np.abs(taus))
-        want = fd_interpolate(X, taus[:, None])
-        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+        out, taus = FdtrLoop(alpha=alpha, tau_ref=0.3).process_beat(X)
+        assert np.array_equal(taus, estimate_taus(godard_error(X, alpha), 0.3))
+        assert np.array_equal(out, fd_interpolate(X, taus[:, None]))
 
 
 class TestDriftTracking:
     def test_slope_matches_clock_ppm(self):
-        # emulate a 50 ppm sampling-frequency offset: per-beat delay grows by
-        # ppm * 1e-6 * 96 UI; the loop's tau slope must match within 10%
-        ppm = 50.0
-        per_beat_ui = ppm * 1e-6 * 96
-        rng = np.random.default_rng(6)
-        loop = FdtrLoop()
+        # a sampling-frequency offset moves the delay by ppm * 1e-6 * 96 UI
+        # per beat; the taus follow it with the slope within 10% and no step
+        # of a whole symbol, at 50 ppm and at 300 ppm, where the phase turns
+        # 0.7 UI over one W1-beat sum
         n = 400
-        for b in range(n):
-            x = rng.integers(0, 2, 128).astype(float)
-            X = fd_interpolate(shaped_block(x), per_beat_ui * b * txchain.SPS)
-            loop.process_beat(X)
-        trace = np.array(loop.trace) / txchain.SPS
-        slope = np.polyfit(np.arange(n // 2, n), -trace[n // 2 :], 1)[0]
-        assert abs(slope - per_beat_ui) <= 0.1 * per_beat_ui
+        for ppm in (50.0, 300.0):
+            per_beat_ui = ppm * 1e-6 * 96
+            _, taus = FdtrLoop().process_beat(random_stack(n, seed=6, clock_ppm=ppm))
+            taus_ui = -taus / txchain.SPS
+            slope = np.polyfit(np.arange(n), taus_ui, 1)[0]
+            assert abs(slope - per_beat_ui) <= 0.1 * per_beat_ui, ppm
+            assert np.max(np.abs(np.diff(taus_ui))) <= 3 * per_beat_ui, ppm
