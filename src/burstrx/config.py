@@ -17,10 +17,12 @@ definition, in the code that reads it:
   and :data:`burstrx.timing.W2` = 192 beats;
 * the sync peak ratio, :data:`burstrx.framesync.SYNC_RATIO_MIN` = 1.5;
 * the acquisition window, derived from the frame layout by
-  :class:`burstrx.receiver.BurstReceiver`:
+  :class:`burstrx.receiver.BurstReceiver`: the detected beat and
   ``ceil((preamble_a_len + preamble_b_len) / 96)`` beats plus
-  :data:`burstrx.receiver.ACQUIRE_MARGIN_BEATS` = 21 past the detected beat,
-  24 for the default frame;
+  :data:`burstrx.receiver.ACQUIRE_MARGIN_BEATS` = 21 after it, 24 for the
+  default frame.  A detection on the frame's own tone needs one beat of
+  that margin; the other 20 keep Preamble B in the window after a false
+  alarm in the leading gap;
 * the DD-LMS step, :data:`burstrx.equalizer.DDLMS_MU` = 1e-4, inside the
   delayed-LMS stability bound at the loop delay
   :data:`burstrx.equalizer.DDLMS_DELAY` = 242 beats, the latency of its

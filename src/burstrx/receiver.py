@@ -8,18 +8,21 @@ Reception happens in two passes over the sampled waveform:
   chunk and of the window a detection on the chunk's last beat would need,
   past those an earlier pass already did, so every beat is transformed once;
   only hits in the chunk's 32 beats count.  The window of the first detected
-  beat is then a slice of those spectra and of the mask.  tau0 is the
-  tone-pair phase summed over the window beats that pass detection.  Stage 1
-  runs at tau0: from the beat after the detected one, every window beat is
-  corrected by tau0 alone, with no tracking, folded to 65 bins and inverse
-  transformed, and the 96 valid symbols of each are joined into the 1-sps
-  stream that frame synchronization scans for Preamble B.  The window is
-  ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats after the
-  detected one (24 for the default frame).  Detection may fire on the first
+  beat is then a slice of those spectra and of the mask, and one window
+  feeds both tau0 and stage 1: the detected beat and the
+  ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats after it (25
+  beats for the default frame).  tau0 is the tone-pair phase summed over
+  the window beats that pass detection.  Stage 1 runs at tau0: starting at
+  the detected beat, every window beat is corrected by tau0 alone, with no
+  tracking, folded to 65 bins and inverse transformed, and the 96 valid
+  symbols of each are joined into the 1-sps stream that frame
+  synchronization scans for Preamble B.  Detection may fire on the first
   beat of Preamble A, so the window always reaches past Preamble B, however
-  long Preamble A is.  When sync finds no Preamble B there, the acquisition
-  holds no sync position, and the ``sync_failed`` report still carries the
-  detected beat, tau0 and the stage-1 beats it corrected.
+  long Preamble A is; the margin past it covers a false alarm in the
+  leading gap (see :data:`ACQUIRE_MARGIN_BEATS`).  When sync finds no
+  Preamble B there, the acquisition holds no sync position, and the
+  ``sync_failed`` report still carries the detected beat and tau0.  The
+  report's ``spo_trace`` holds the stage-2 taus, one row per stage-2 beat.
 
 * **Synchronized demodulation** re-slices the waveform so beat boundaries
   align with the frame: with the sync position ``p = floor(p1 * 1.125)``,
@@ -65,7 +68,6 @@ gap-free, offset-free channel.  All of this is absorbed by the measured
 """
 
 from dataclasses import dataclass
-from itertools import count, repeat
 from typing import Optional
 
 import numpy as np
@@ -78,15 +80,17 @@ from .fourier import fft_pow2
 from .timing import FdtrLoop, fd_interpolate
 
 SYNC_REALIGN = 144         # samples between sync position and stage-2 origin
-ACQUIRE_MARGIN_BEATS = 21  # acquisition beats past the end of Preamble B
+# Acquisition beats past the end of Preamble B.  A detection on the frame's own
+# tone needs at most one; the rest keep Preamble B in the window after a false
+# alarm in the leading gap, which noise raises on about 2.7e-4 of its beats.
+ACQUIRE_MARGIN_BEATS = 21
 DETECT_CHUNK = 32          # beats tested for the Preamble-A tone per pass
 
 
 @dataclass
 class Acquisition:
-    detect_beat: int                # first beat that passed detection
-    tau0: float                     # tone-pair phase every stage-1 beat is corrected by, samples
-    n_beats: int                    # stage-1 beats, from the one after detect_beat
+    detect_beat: int                # first beat that passed detection; stage 1 starts here
+    tau0: float                     # tone-pair phase over the window, stage 1's correction, samples
     sync: Optional[framesync.SyncResult]  # Preamble B in the stage-1 stream; None if not found
 
 
@@ -136,22 +140,18 @@ class BurstReceiver:
                 break
         else:
             raise DetectionError("no burst detected in the waveform")
-        first_beat = detect_beat + 1
-        if first_beat >= n_beats:
-            raise DetectionError("burst detected on the last beat of the waveform")
 
-        window = slice(detect_beat, first_beat + self.acquire_beats)
+        window = slice(detect_beat, detect_beat + 1 + self.acquire_beats)
         tau0 = rxfront.estimate_initial_spo(X[window][tone[window]])
-        X_acq = X[first_beat : window.stop]
-        blocks = fft_pow2(eq.strip_rolloff(fd_interpolate(X_acq, tau0)), inverse=True)
+        blocks = fft_pow2(eq.strip_rolloff(fd_interpolate(X[window], tau0)), inverse=True)
         try:
             sync = framesync.find_sync(
                 blocks[:, txchain.OVERLAP_IN:].reshape(-1), self.pn,
-                offset=txchain.SYMBOLS_PER_BEAT * first_beat + txchain.OVERLAP_IN,
+                offset=txchain.SYMBOLS_PER_BEAT * detect_beat + txchain.OVERLAP_IN,
             )
         except SyncError:
             sync = None
-        return Acquisition(detect_beat=detect_beat, tau0=tau0, n_beats=len(X_acq), sync=sync)
+        return Acquisition(detect_beat=detect_beat, tau0=tau0, sync=sync)
 
     def demodulate(self, waveform: np.ndarray, acq: Acquisition) -> DemodResult:
         """Frame-aligned pass: training, equalization, payload decisions."""
@@ -199,7 +199,6 @@ class BurstReceiver:
             acq = self.acquire(waveform)
             report.detect_beat = acq.detect_beat
             report.tau0 = acq.tau0
-            report.spo_trace = _spo_rows(1, [acq.tau0] * acq.n_beats, 0)
             if acq.sync is not None:
                 report.sync_p1 = acq.sync.p1
                 report.sync_p = acq.sync.p
@@ -213,7 +212,7 @@ class BurstReceiver:
         except SyncError:
             report.status = "sync_failed"
             return report
-        report.spo_trace += _spo_rows(2, demod.taus, len(report.spo_trace))
+        report.spo_trace = [(2, beat, tau / txchain.SPS) for beat, tau in enumerate(demod.taus)]
         ber = metrics.count_ber(demod.payload_bits, payload_bits)
         hist = metrics.error_distribution(ber.positions, self.layout.payload_len)
         report.ber = ber.ber
@@ -225,7 +224,3 @@ class BurstReceiver:
         report.mse_trace = demod.mse_trace
         return report
 
-
-def _spo_rows(stage: int, taus: list, first_beat: int) -> list:
-    """``(stage, beat, tau in UI)`` rows of one stage, beats from ``first_beat`` on."""
-    return list(zip(repeat(stage), count(first_beat), (np.asarray(taus) / txchain.SPS).tolist()))
