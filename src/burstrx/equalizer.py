@@ -41,11 +41,15 @@ gradient is projected back onto the 33 real taps,
 
 with the error decision-minus-output (the opposite sign adds energy along
 the tap direction and diverges) and the fixed step ``mu`` = ``DDLMS_MU``
-normalized by the beat power.  In the hardware the error path (decision
-alignment, tap-update alignment and two 128-point FFTs, ``DDLMS_LOOP``) takes
-``DDLMS_DELAY`` = 242 clocks, one beat each, so a gradient reaches the taps
-``D`` beats after the beat that formed it.  This is LMS with delayed
-coefficient adaptation (Long, Ling and Proakis, IEEE TASSP 1989):
+normalized by the beat power ``P_b``.  By Parseval, ``P_b`` is read from the
+half spectrum ``Y_b`` itself, with no inverse transform, so each payload
+beat takes two 128-point transforms: one ``irfft`` to equalize it and one
+``rfft`` of its error for the gradient.  In the hardware the error path
+(decision alignment, tap-update alignment and those two 128-point FFTs,
+``DDLMS_LOOP``) takes ``DDLMS_DELAY`` = 242 clocks, one beat each, so a
+gradient reaches the taps ``D`` beats after the beat that formed it.  This
+is LMS with delayed coefficient adaptation (Long, Ling and Proakis, IEEE
+TASSP 1989):
 
     w_b = w_0 + sum_{j <= b - D} g_j.
 
@@ -99,6 +103,12 @@ DDLMS_MU = 1e-4
 # pairs of ``complex128.view(float64)``.
 _TAP_DFT = fft_pow2(np.eye(N_IN)[LAGS]).view(np.float64)                       # 33 x 130
 _LAG_IDFT = fft_pow2(np.eye(2 * BINS_IN).view(complex), inverse=True)[:, LAGS]  # 130 x 33
+# Parseval on the same pairs: sum y^2 of y = irfft(Y) is
+# (Y_0^2 + 2 sum_{k=1..63} |Y_k|^2 + Y_64^2) / 128, where the DC and Nyquist
+# bins count by their real parts only, the parts irfft reads.
+_PARSEVAL = np.full(2 * BINS_IN, 2.0 / N_IN)
+_PARSEVAL[[0, -2]] = 1.0 / N_IN
+_PARSEVAL[[1, -1]] = 0.0
 
 
 def strip_rolloff(X: np.ndarray) -> np.ndarray:
@@ -182,10 +192,12 @@ def _gradients(Y: np.ndarray, z: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
     The error on the valid positions, with a zero head, is correlated with
     the beat's samples in the frequency domain and read back at ``LAGS``
-    through ``_LAG_IDFT``.  The step is 0 on a silent beat.
+    through ``_LAG_IDFT``.  The beat power ``P_b`` is read from ``Y`` by
+    Parseval (``_PARSEVAL``), with no inverse transform, so each beat takes
+    one transform here, the ``rfft`` of its error.  The step is 0 on a
+    silent beat.
     """
-    y = fft_pow2(Y, inverse=True)
-    power = np.einsum("bn,bn->b", y, y)
+    power = np.square(Y.view(np.float64)) @ _PARSEVAL
     steps = np.divide(2.0 * DDLMS_MU, power, out=np.zeros_like(power), where=power > 0)
     e = np.zeros((len(Y), N_IN))
     np.subtract(bits, z, out=e[:, OVERLAP_IN:])

@@ -7,9 +7,10 @@ Reception happens in two passes over the sampled waveform:
   mask are indexed by beat.  Each pass transforms and tests the beats of its
   chunk and of the window a detection on the chunk's last beat would need,
   past those an earlier pass already did, so every beat is transformed once;
-  only hits in the chunk's 32 beats count.  The window of the first detected
-  beat is then a slice of those spectra and of the mask, and one window
-  feeds both tau0 and stage 1: the detected beat and the
+  only hits in the chunk's 32 beats count.  A pass slices only the samples
+  of its own beats, never the whole waveform.  The window of the first
+  detected beat is then a slice of those spectra and of the mask, and one
+  window feeds both tau0 and stage 1: the detected beat and the
   ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats after it (25
   beats for the default frame).  tau0 is the tone-pair phase summed over
   the window beats that pass detection.  Stage 1 runs at tau0: starting at
@@ -28,8 +29,8 @@ Reception happens in two passes over the sampled waveform:
   align with the frame: with the sync position ``p = floor(p1 * 1.125)``,
   slicing restarts at ``p - 144`` samples, which lands Preamble B exactly in
   the first full beat, the training block in the next eight, and each payload
-  beat on a 96-bit boundary.  Stage 2 transforms the beats from Preamble B
-  up to the last payload beat, no others, and has its own taus: one
+  beat on a 96-bit boundary.  Stage 2 slices and transforms the beats from
+  Preamble B up to the last payload beat, no others, and has its own taus: one
   windowed estimate over the timing-detector sums of that stack
   (:func:`timing.estimate_taus`), on the branch nearest tau0 less the
   fractional residue of ``p1 * 1.125``.  No other state passes from stage 1.
@@ -98,7 +99,7 @@ class Acquisition:
 class DemodResult:
     payload_bits: np.ndarray        # one decision per payload symbol
     mse_trace: list                 # squared decision error per payload beat
-    taus: list                      # tau used on each stage-2 beat, samples
+    taus: np.ndarray                # tau used on each stage-2 beat, samples
 
 
 class BurstReceiver:
@@ -123,15 +124,20 @@ class BurstReceiver:
         Raises :class:`DetectionError` when no beat passes detection; a
         window in which sync finds no Preamble B gives ``sync`` None.
         """
-        beats = rxfront.rx_slice_beats(waveform)
-        n_beats = len(beats)
+        n_beats = len(waveform) // txchain.SAMPLES_PER_BEAT
         X = np.empty((n_beats, txchain.BINS_OUT), dtype=np.complex128)
         tone = np.empty(n_beats, dtype=bool)
         done = 0
         # A pass fills the chunk and the window of a detection on its last beat.
         for start in range(0, n_beats, DETECT_CHUNK):
-            stop = min(start + DETECT_CHUNK + 1 + self.acquire_beats, n_beats)
-            X[done:stop] = rxfront.beat_spectra(beats[done:stop], self.h_rx)
+            stop = min(start + DETECT_CHUNK + self.acquire_beats, n_beats)
+            # A slice's first row is zero-padded where the beat before it would
+            # overlap, so slice from one beat before ``done`` and drop that row.
+            lo = max(done - 1, 0)
+            beats = rxfront.rx_slice_beats(
+                waveform[lo * txchain.SAMPLES_PER_BEAT : stop * txchain.SAMPLES_PER_BEAT]
+            )
+            X[done:stop] = rxfront.beat_spectra(beats[done - lo :], self.h_rx)
             tone[done:stop] = rxfront.detect_frame(X[done:stop]).detected
             done = stop
             hits = np.flatnonzero(tone[start : start + DETECT_CHUNK])
@@ -160,14 +166,15 @@ class BurstReceiver:
         origin = acq.sync.p - SYNC_REALIGN
         if origin < 0:
             raise SyncError(f"sync position {acq.sync.p} leaves no room to realign")
-        beats = rxfront.rx_slice_beats(waveform[origin:])
-
         n_pay_beats = -(-self.layout.payload_len // txchain.SYMBOLS_PER_BEAT)
         last_needed = 2 + self.n_c_beats + n_pay_beats
+        beats = rxfront.rx_slice_beats(
+            waveform[origin : origin + last_needed * txchain.SAMPLES_PER_BEAT]
+        )
         if last_needed > len(beats):
             raise SyncError("waveform too short past the sync position")
         # Beat 0 precedes Preamble B and is not read; beat 1 is Preamble B.
-        X = rxfront.beat_spectra(beats[1:last_needed], self.h_rx)
+        X = rxfront.beat_spectra(beats[1:], self.h_rx)
 
         fdtr = FdtrLoop(alpha=self.cfg.tx.rrc_rolloff, tau_ref=acq.tau0 - acq.sync.frac)
         corrected, taus = fdtr.process_beat(X)
@@ -189,7 +196,7 @@ class BurstReceiver:
         return DemodResult(
             payload_bits=bits.reshape(-1)[: self.layout.payload_len],
             mse_trace=metrics.mse_point(z, bits).tolist(),
-            taus=taus.tolist(),
+            taus=taus,
         )
 
     def receive(self, waveform: np.ndarray, payload_bits: np.ndarray) -> metrics.RunReport:
@@ -212,7 +219,8 @@ class BurstReceiver:
         except SyncError:
             report.status = "sync_failed"
             return report
-        report.spo_trace = [(2, beat, tau / txchain.SPS) for beat, tau in enumerate(demod.taus)]
+        taus_ui = (demod.taus / txchain.SPS).tolist()
+        report.spo_trace = list(zip([2] * len(taus_ui), range(len(taus_ui)), taus_ui))
         ber = metrics.count_ber(demod.payload_bits, payload_bits)
         hist = metrics.error_distribution(ber.positions, self.layout.payload_len)
         report.ber = ber.ber

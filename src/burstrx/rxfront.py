@@ -75,7 +75,9 @@ def rx_slice_beats(samples: np.ndarray) -> np.ndarray:
 
 def beat_spectra(beats: np.ndarray, response: np.ndarray) -> np.ndarray:
     """73-bin half spectrum of each beat, shaped by the receive RRC ``response``."""
-    return fft_144(beats) * response
+    X = fft_144(beats)
+    X *= response
+    return X
 
 
 def detect_frame(X: np.ndarray) -> DetectionResult:

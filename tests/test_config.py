@@ -21,6 +21,37 @@ class TestLoading:
         )
         assert config.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            {
+                "frame": {"preamble_a_len": 256, "preamble_c_len": 960, "payload_len": 960},
+                "channel": {
+                    "snr_db": 14.0, "timing_offset_ui": 0.3, "clock_ppm": 50.0,
+                    "f3db_ghz": 6.0, "gap_samples": 500, "gain": 2.0,
+                },
+                "equalizer": {"mmse_init": False, "ddlms": False},
+                "tx": {"rrc_rolloff": 0.05},
+                "seed": 9,
+            },
+        ],
+        ids=["defaults", "every_section_set"],
+    )
+    def test_to_dict_is_asdict(self, data):
+        # the same values in the same key order, and every section a new dict
+        cfg = config.from_dict(data)
+        d, again, want = cfg.to_dict(), cfg.to_dict(), dataclasses.asdict(cfg)
+        assert d == want
+        sections = ["frame", "channel", "equalizer", "tx"]
+        assert list(d) == list(want) == sections + ["seed"]
+        for name in sections:
+            assert list(d[name]) == list(want[name])
+            assert d[name] is not again[name]
+            assert d[name] is not vars(getattr(cfg, name))
+        d["frame"]["payload_len"] = -1
+        assert cfg.to_dict() == want
+
     def test_settable_values(self):
         # every value a user can set; receiver constants are not among them
         flat = set()

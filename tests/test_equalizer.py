@@ -261,6 +261,29 @@ class TestLagTables:
         got = _gradients(Y, z, bits)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_gradient_power_is_parseval(self):
+        # the step's beat power P_b is read from the half spectrum, equal to
+        # sum y^2 of y = irfft(Y): on complex DC and Nyquist bins, which irfft
+        # reads by their real parts, and on two silent beats, all-zero and
+        # with only those bins' imaginary parts, which take no step
+        rng = np.random.default_rng(24)
+        Y = rng.normal(size=(50, 65)) + 1j * rng.normal(size=(50, 65))
+        Y[-2] = 0.0
+        Y[-1] = 0.0
+        Y[-1, [0, 64]] = 1j * rng.normal(size=2)
+        z = rng.normal(size=(50, 96)) * 0.3 + 0.5
+        bits = decide_demap(z)
+        e = np.zeros((50, 128))
+        e[:, 32:] = bits - z
+        corr = np.fft.irfft(np.fft.rfft(e) * np.conj(Y), 128)[:, LAGS]
+        want = np.sum(np.fft.irfft(Y, 128) ** 2, axis=-1)
+        g = _gradients(Y, z, bits)
+        # g_b = (2 mu / P_b) corr_b, so P_b = 2 mu (corr_b . g_b) / (g_b . g_b)
+        used = 2.0 * DDLMS_MU * np.sum(corr[:-2] * g[:-2], axis=-1) / np.sum(g[:-2] ** 2, axis=-1)
+        np.testing.assert_allclose(used, want[:-2], rtol=1e-12, atol=0)
+        assert np.array_equal(want[-2:], [0.0, 0.0])
+        assert not np.any(g[-2:])
+
 
 class TestLoopDelay:
     def test_delay_is_the_hardware_error_path(self):

@@ -11,7 +11,7 @@ import pytest
 from burstrx import channel, config, framesync, framing, metrics, rxfront, txchain
 from burstrx import equalizer as eq
 from burstrx.fourier import fft_pow2
-from burstrx.receiver import ACQUIRE_MARGIN_BEATS, SYNC_REALIGN, BurstReceiver
+from burstrx.receiver import ACQUIRE_MARGIN_BEATS, DETECT_CHUNK, SYNC_REALIGN, BurstReceiver
 from burstrx.timing import W1, W2, fd_interpolate, godard_band
 
 PAYLOAD_LEN = 1920
@@ -246,17 +246,80 @@ def test_early_false_alarm_keeps_preamble_b_in_window():
     assert (report.status, report.bit_errors) == ("ok", 0)
 
 
+def record_calls(monkeypatch, module, name, record):
+    """Wraps ``module.name`` to append ``record(first argument)`` to the returned list per call."""
+    records = []
+    wrapped = getattr(module, name)
+
+    def recorded(x, *args, **kwargs):
+        records.append(record(x))
+        return wrapped(x, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return records
+
+
 def test_acquisition_transforms_each_beat_once(monkeypatch):
-    # detection fires at beat 100, in the chunk from beat 96, whose window
-    # ends at beat 96 + 33 + 24 = 153; no beat before that is transformed twice
-    rx, wave, _ = make_burst({"frame": {"payload_len": 960}, "channel": {"gap_samples": 108 * 100}})
-    rows = []
-    beat_spectra = rxfront.beat_spectra
-    monkeypatch.setattr(
-        rxfront, "beat_spectra", lambda beats, h: rows.append(len(beats)) or beat_spectra(beats, h)
+    # detection fires at beat 100, in the chunk from beat 96; a pass stops
+    # where the window of a detection on its chunk's last beat ends, at beat
+    # 96 + 32 + 24 = 152, so beats 0..151 are each transformed once, and each
+    # pass's rows are those beats of the whole waveform (the gap holds noise,
+    # so a zero-padded overlap would show)
+    rx, wave, _ = make_burst(
+        {"frame": {"payload_len": 960}, "channel": {"gap_samples": 108 * 100, "snr_db": 20.0}}
     )
+    passes = record_calls(monkeypatch, rxfront, "beat_spectra", np.array)
     assert rx.acquire(wave).detect_beat == 100
-    assert sum(rows) <= 153
+    rows = [len(beats) for beats in passes]
+    assert rows == [56, 32, 32, 32]
+    assert sum(rows) == 152
+    assert np.array_equal(np.concatenate(passes), rxfront.rx_slice_beats(wave)[:152])
+
+
+def test_demodulate_transform_rows(monkeypatch):
+    # the default frame with DD-LMS: the 8 training beats are transformed to
+    # fit the taps, each of the n payload beats once to equalize it, and each
+    # of the n - DDLMS_DELAY beats whose gradient lands once more, the rfft of
+    # its error; the beat power of the step takes no transform
+    rx, wave, _ = make_burst({})
+    acq = rx.acquire(wave)
+    rows = record_calls(monkeypatch, eq, "fft_pow2", lambda x: int(np.prod(np.shape(x)[:-1])))
+    rx.demodulate(wave, acq)
+    n = -(-rx.layout.payload_len // 96)
+    assert n == 1355
+    assert sum(rows) == 8 + n + (n - eq.DDLMS_DELAY) == 2476
+
+
+def test_stages_read_only_their_samples(monkeypatch):
+    # a burst detected in the first pass: acquisition reads the beats up to
+    # DETECT_CHUNK + acquire_beats, demodulation those up to the last payload
+    # beat past its origin; each copies only those samples, and samples past
+    # them, here NaN, change nothing
+    rx, wave, _ = make_burst({"frame": {"payload_len": 3840}})
+    acq = rx.acquire(wave)
+    demod = rx.demodulate(wave, acq)
+    assert acq.detect_beat < DETECT_CHUNK
+    copied = record_calls(monkeypatch, rxfront, "rx_slice_beats", len)
+
+    acquired = 108 * (DETECT_CHUNK + rx.acquire_beats)
+    assert acquired < len(wave)
+    cut = wave.copy()
+    cut[acquired:] = np.nan
+    assert rx.acquire(cut) == acq
+    assert copied == [acquired]
+
+    origin = acq.sync.p - SYNC_REALIGN
+    last_needed = 2 + rx.n_c_beats + 3840 // 96
+    demodulated = origin + 108 * last_needed
+    assert demodulated < len(wave)
+    cut = wave.copy()
+    cut[demodulated:] = np.nan
+    copied.clear()
+    again = rx.demodulate(cut, acq)
+    assert copied == [108 * last_needed]
+    assert np.array_equal(again.payload_bits, demod.payload_bits)
+    assert again.mse_trace == demod.mse_trace
+    assert np.array_equal(again.taus, demod.taus)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the heap thresholds are set on Linux")
@@ -418,7 +481,7 @@ def test_demodulate_leaves_acquisition_unchanged():
     second = rx.demodulate(wave, acq)
     assert np.array_equal(first.payload_bits, second.payload_bits)
     assert first.mse_trace == second.mse_trace
-    assert first.taus == second.taus
+    assert np.array_equal(first.taus, second.taus)
     assert acq == kept
 
 
@@ -505,10 +568,11 @@ def receive_per_beat(rx, wave, detect_beat):
         {"frame": {"payload_len": 1920}, "tx": {"rrc_rolloff": 0.125}},
         LONG_DDLMS,
         {"frame": {"payload_len": 1920}, "channel": {"gap_samples": 108 * 31 + 99}},
+        {"frame": {"payload_len": 1920}, "channel": {"gap_samples": 108 * 100}},
     ],
     ids=[
         "14dB_100ppm_ddlms", "4GHz_20dB_mmse", "noiseless_rolloff_0.125", "600_beats_ddlms",
-        "detected_on_chunk_end",
+        "detected_on_chunk_end", "detected_in_fourth_pass",
     ],
 )
 def test_batched_receiver_matches_per_beat_reference(cfg_dict):
