@@ -78,7 +78,7 @@ import numpy as np
 
 from .errors import FftSizeError
 from .fourier import fft_pow2
-from .pipeline import latency_report
+from .pipeline import STAGES
 from .txchain import BINS_IN, BINS_OUT, N_IN, OVERLAP_IN
 
 LAGS = np.arange(-(OVERLAP_IN // 2), OVERLAP_IN // 2 + 1)  # -16..16
@@ -87,7 +87,7 @@ _VALID = np.arange(OVERLAP_IN, N_IN)
 # The hardware's DD-LMS error path; it handles one beat per clock, so its
 # latency in clock cycles is the loop delay in beats.
 DDLMS_LOOP = ["ddlms_error_align", "ddlms_update_align", "fft128", "fft128"]
-DDLMS_DELAY = latency_report(DDLMS_LOOP)
+DDLMS_DELAY = sum(STAGES[name] for name in DDLMS_LOOP)
 # The DD-LMS step, divided by each beat's power P = sum y^2.  LMS with the
 # loop delay D = DDLMS_DELAY is stable only while
 # mu * lam < 2 sin(pi / (2 (2D + 1))) ~ 6.5e-3 for every eigenvalue lam of

@@ -39,7 +39,3 @@ class SyncError(BurstRxError, RuntimeError):
 
 class AlignmentError(BurstRxError, ValueError):
     """Sequences to compare are not aligned."""
-
-
-class StageLookupError(BurstRxError, KeyError):
-    """Unknown stage name in ``pipeline.STAGES``."""

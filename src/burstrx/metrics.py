@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import AlignmentError
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 ERROR_BINS = 10  # equal slices of the payload in the error histogram
 
 
@@ -112,7 +112,7 @@ class RunReport:
     sync_peak: Optional[float] = None
     sync_second_peak: Optional[float] = None
     mse_trace: list = field(default_factory=list)
-    spo_trace: list = field(default_factory=list)       # [stage, beat, tau_ui]
+    spo_trace: list = field(default_factory=list)       # tau in UI per stage-2 beat
     error_histogram: list = field(default_factory=list)
     chi2_stat: Optional[float] = None
     chi2_p: Optional[float] = None
@@ -123,7 +123,7 @@ class RunReport:
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
         d["mse_trace"] = [float(x) for x in self.mse_trace]
-        d["spo_trace"] = [[int(s), int(b), float(t)] for s, b, t in self.spo_trace]
+        d["spo_trace"] = [float(t) for t in self.spo_trace]
         d["error_histogram"] = [int(x) for x in self.error_histogram]
         return d
 

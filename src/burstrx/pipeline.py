@@ -4,8 +4,6 @@ The hardware handles one beat per clock, so the cycles along a path are its
 loop delay in beats.
 """
 
-from .errors import StageLookupError
-
 STAGES = {
     "fft128": 46,  # seven radix-2 layers of 64 butterflies
     "fft144": 53,  # four radix-2 layers then two radix-3 layers
@@ -22,11 +20,3 @@ STAGES = {
     "ddlms_error_align": 70,  # aligns selected bins with the decision path
     "ddlms_update_align": 80,  # aligns consecutive tap iterations
 }
-
-
-def latency_report(path: list[str]) -> int:
-    """Total clock cycles along a path of named stages."""
-    for name in path:
-        if name not in STAGES:
-            raise StageLookupError(name)
-    return sum(STAGES[name] for name in path)

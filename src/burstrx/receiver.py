@@ -7,10 +7,11 @@ Reception happens in two passes over the sampled waveform:
   mask are indexed by beat.  Each pass transforms and tests the beats of its
   chunk and of the window a detection on the chunk's last beat would need,
   past those an earlier pass already did, so every beat is transformed once;
-  only hits in the chunk's 32 beats count.  A pass slices only the samples
-  of its own beats, never the whole waveform.  The window of the first
-  detected beat is then a slice of those spectra and of the mask, and one
-  window feeds both tau0 and stage 1: the detected beat and the
+  only hits in the chunk's 32 beats count.  A pass slices just its own
+  beats of the grid that starts at sample 0 (see
+  :func:`rxfront.rx_slice_beats`).  The window of the first detected beat
+  is then a slice of those spectra and of the mask, and one window feeds
+  both tau0 and stage 1: the detected beat and the
   ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats after it (25
   beats for the default frame).  tau0 is the tone-pair phase summed over
   the window beats that pass detection.  Stage 1 runs at tau0: starting at
@@ -23,27 +24,27 @@ Reception happens in two passes over the sampled waveform:
   leading gap (see :data:`ACQUIRE_MARGIN_BEATS`).  When sync finds no
   Preamble B there, the acquisition holds no sync position, and the
   ``sync_failed`` report still carries the detected beat and tau0.  The
-  report's ``spo_trace`` holds the stage-2 taus, one row per stage-2 beat.
+  report's ``spo_trace`` holds the stage-2 taus, one per stage-2 beat.
 
 * **Synchronized demodulation** re-slices the waveform so beat boundaries
-  align with the frame: with the sync position ``p = floor(p1 * 1.125)``,
-  slicing restarts at ``p - 144`` samples, which lands Preamble B exactly in
-  the first full beat, the training block in the next eight, and each payload
-  beat on a 96-bit boundary.  Stage 2 slices and transforms the beats from
-  Preamble B up to the last payload beat, no others, and has its own taus: one
-  windowed estimate over the timing-detector sums of that stack
-  (:func:`timing.estimate_taus`), on the branch nearest tau0 less the
-  fractional residue of ``p1 * 1.125``.  No other state passes from stage 1.
-  One call corrects the whole stack; the eight folded training beats fit
-  the equalizer taps against the known Preamble-C symbols (see
-  :func:`equalizer.fit_taps`): all 33 lags with tap initialization on, lag 0
-  alone (a gain) with it off, so the output levels are {0, 1} in every
-  setting.  The payload beats are equalized and inverse transformed, and
-  their valid positions 32..127 are the time samples ``z`` that are decided
-  against a fixed 0.5; ``z`` is real, as the beats' samples and the taps
-  are.  Each payload symbol gets one decision, the bit the receiver outputs:
-  DD-LMS forms its error against it and the MSE trace, scored over all
-  payload beats at once, measures ``z`` against it.
+  align with the frame: the sync position ``p = floor(p1 * 1.125)`` counts
+  samples from beat 0's window, 36 samples before sample 0, so the beat
+  grid restarts with Preamble B's body at sample ``p - 36``.  Preamble B is
+  the first beat, the training block the next eight, and each payload beat
+  holds 96 payload bits.  Stage 2 slices and transforms just those beats,
+  and has its own taus: one windowed estimate over the timing-detector sums
+  of that stack (:func:`timing.estimate_taus`), on the branch nearest tau0
+  less the fractional residue of ``p1 * 1.125``.  No other state passes
+  from stage 1.  One call corrects the whole stack; the eight folded
+  training beats fit the equalizer taps against the known Preamble-C
+  symbols (see :func:`equalizer.fit_taps`): all 33 lags with tap
+  initialization on, lag 0 alone (a gain) with it off, so the output levels
+  are {0, 1} in every setting.  The payload beats are equalized and inverse
+  transformed, and their valid positions 32..127 are the time samples ``z``
+  that are decided against a fixed 0.5; ``z`` is real, as the beats'
+  samples and the taps are.  Each payload symbol gets one decision, the bit
+  the receiver outputs: DD-LMS forms its error against it and the MSE
+  trace, scored over all payload beats at once, measures ``z`` against it.
 
 Every signal in the chain is real, so every spectrum is a half spectrum:
 from :func:`rxfront.beat_spectra` on, a beat is the 73 bins 0..72 of its
@@ -80,7 +81,6 @@ from .errors import DetectionError, SyncError
 from .fourier import fft_pow2
 from .timing import FdtrLoop, fd_interpolate
 
-SYNC_REALIGN = 144         # samples between sync position and stage-2 origin
 # Acquisition beats past the end of Preamble B.  A detection on the frame's own
 # tone needs at most one; the rest keep Preamble B in the window after a false
 # alarm in the leading gap, which noise raises on about 2.7e-4 of its beats.
@@ -131,13 +131,8 @@ class BurstReceiver:
         # A pass fills the chunk and the window of a detection on its last beat.
         for start in range(0, n_beats, DETECT_CHUNK):
             stop = min(start + DETECT_CHUNK + self.acquire_beats, n_beats)
-            # A slice's first row is zero-padded where the beat before it would
-            # overlap, so slice from one beat before ``done`` and drop that row.
-            lo = max(done - 1, 0)
-            beats = rxfront.rx_slice_beats(
-                waveform[lo * txchain.SAMPLES_PER_BEAT : stop * txchain.SAMPLES_PER_BEAT]
-            )
-            X[done:stop] = rxfront.beat_spectra(beats[done - lo :], self.h_rx)
+            beats = rxfront.rx_slice_beats(waveform, txchain.SAMPLES_PER_BEAT * done, stop - done)
+            X[done:stop] = rxfront.beat_spectra(beats, self.h_rx)
             tone[done:stop] = rxfront.detect_frame(X[done:stop]).detected
             done = stop
             hits = np.flatnonzero(tone[start : start + DETECT_CHUNK])
@@ -163,18 +158,17 @@ class BurstReceiver:
         """Frame-aligned pass: training, equalization, payload decisions."""
         if acq.sync is None:
             raise SyncError("no Preamble B in the acquisition window")
-        origin = acq.sync.p - SYNC_REALIGN
-        if origin < 0:
-            raise SyncError(f"sync position {acq.sync.p} leaves no room to realign")
+        # The sync position counts samples from beat 0's window, one overlap
+        # before sample 0, so Preamble B's body starts one overlap before it.
+        start = acq.sync.p - txchain.OVERLAP_OUT
+        if start < txchain.OVERLAP_OUT:
+            raise SyncError(f"sync position {acq.sync.p} puts Preamble B before the capture")
         n_pay_beats = -(-self.layout.payload_len // txchain.SYMBOLS_PER_BEAT)
-        last_needed = 2 + self.n_c_beats + n_pay_beats
-        beats = rxfront.rx_slice_beats(
-            waveform[origin : origin + last_needed * txchain.SAMPLES_PER_BEAT]
-        )
-        if last_needed > len(beats):
+        n_rows = 1 + self.n_c_beats + n_pay_beats
+        beats = rxfront.rx_slice_beats(waveform, start, n_rows)
+        if len(beats) < n_rows:
             raise SyncError("waveform too short past the sync position")
-        # Beat 0 precedes Preamble B and is not read; beat 1 is Preamble B.
-        X = rxfront.beat_spectra(beats[1:], self.h_rx)
+        X = rxfront.beat_spectra(beats, self.h_rx)
 
         fdtr = FdtrLoop(alpha=self.cfg.tx.rrc_rolloff, tau_ref=acq.tau0 - acq.sync.frac)
         corrected, taus = fdtr.process_beat(X)
@@ -219,8 +213,7 @@ class BurstReceiver:
         except SyncError:
             report.status = "sync_failed"
             return report
-        taus_ui = (demod.taus / txchain.SPS).tolist()
-        report.spo_trace = list(zip([2] * len(taus_ui), range(len(taus_ui)), taus_ui))
+        report.spo_trace = (demod.taus / txchain.SPS).tolist()
         ber = metrics.count_ber(demod.payload_bits, payload_bits)
         hist = metrics.error_distribution(ber.positions, self.layout.payload_len)
         report.ber = ber.ber

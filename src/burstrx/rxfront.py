@@ -1,8 +1,12 @@
 """Receiver front end: beat slicing, frame detection, initial SPO estimate.
 
-The incoming waveform is cut into 144-sample beats that advance 108 samples
-per beat (36 samples of overlap with the previous beat).  Each beat is real,
-so its 144-point FFT is carried as the 73-bin half spectrum, bins 0..72.
+One rule cuts the incoming waveform into beats (:func:`rx_slice_beats`): a
+beat is the 144-sample window of its 108-sample body and the 36 samples
+before it, which it shares with the beat before, and a run of beats
+advances 108 samples from the body start it is given.  Acquisition runs
+the grid from sample 0; demodulation runs it from Preamble B's body, so
+each beat it reads holds 96 symbols of the frame.  Each beat is real, so
+its 144-point FFT is carried as the 73-bin half spectrum, bins 0..72.
 Detection looks for the Preamble-A tone: after the FFT and RRC, a pure
 alternating preamble concentrates all non-DC power in bin 64, the point at
 ``N/(2*sps)``, and its mirror 80 = 144 - 64, which the half spectrum leaves
@@ -56,21 +60,26 @@ class DetectionResult:
     peak_ratio: np.ndarray
 
 
-def rx_slice_beats(samples: np.ndarray) -> np.ndarray:
-    """Slice a waveform into (n_beats, 144) windows advancing 108 samples.
+def rx_slice_beats(samples: np.ndarray, start: int, n_beats: int) -> np.ndarray:
+    """The ``(rows, 144)`` windows of the beats whose bodies start at ``start``.
 
-    The first beat's overlap region is zero-padded; every other beat's first
-    36 samples equal the tail of the previous beat.  A stream shorter than
-    one beat gives no rows.  The rows are a read-only strided view of one
-    zero-padded copy of the samples, so overlapping beats share memory.
+    Row ``j`` is ``samples[start - 36 + 108 j : start + 108 + 108 j]``: the
+    36 samples that overlap the beat before, then the beat's 108-sample body
+    at ``start + 108 j``.  Samples before index 0 read as 0.  At most
+    ``n_beats`` rows are returned, fewer where the samples end before a
+    body does.  The rows are a read-only strided view, so overlapping beats
+    share memory; from ``start >= 36`` on it is a view of ``samples``
+    itself, with no copy.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    n_beats = len(samples) // SAMPLES_PER_BEAT
+    n_beats = min(n_beats, (len(samples) - start) // SAMPLES_PER_BEAT)
     if n_beats < 1:
         return np.zeros((0, N_OUT))
-    padded = np.concatenate([np.zeros(OVERLAP_OUT), samples])
-    windows = sliding_window_view(padded, N_OUT)
-    return windows[: n_beats * SAMPLES_PER_BEAT : SAMPLES_PER_BEAT]
+    lo, end = start - OVERLAP_OUT, start + n_beats * SAMPLES_PER_BEAT
+    if lo < 0:
+        samples = np.concatenate([np.zeros(-lo), samples[:end]])
+        lo, end = 0, end - lo
+    return sliding_window_view(samples[lo:end], N_OUT)[::SAMPLES_PER_BEAT]
 
 
 def beat_spectra(beats: np.ndarray, response: np.ndarray) -> np.ndarray:

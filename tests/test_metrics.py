@@ -113,7 +113,7 @@ class TestRunReport:
     def test_json_round_trip_and_determinism(self):
         rep = metrics.RunReport(
             ber=1e-3, bit_errors=10, bits_total=10_000,
-            spo_trace=[(1, 0, 0.001), (2, 5, -0.002)],
+            spo_trace=[0.001, np.float64(-0.002)],
             mse_trace=[0.5, 0.1], error_histogram=[1, 2, 3],
             seed=7, config={"snr_db": 12.0},
         )
@@ -122,7 +122,8 @@ class TestRunReport:
         assert text1 == text2
         back = json.loads(text1)
         assert back == rep.to_dict()
-        assert back["spo_trace"] == [[1, 0, 0.001], [2, 5, -0.002]]
+        assert back["spo_trace"] == [0.001, -0.002]
+        assert back["schema_version"] == 2
 
 
 class TestWilson:

@@ -1,9 +1,6 @@
-"""Published stage latencies and the path totals read from them."""
-
-import pytest
+"""Published stage latencies."""
 
 from burstrx import pipeline
-from burstrx.errors import StageLookupError
 
 PUBLISHED_CYCLES = {
     "fft128": 46,
@@ -27,19 +24,3 @@ class TestDataset:
     def test_all_published_values(self):
         for name, cycles in PUBLISHED_CYCLES.items():
             assert pipeline.STAGES[name] == cycles
-
-
-class TestLatencyReport:
-    def test_fft_stages(self):
-        assert pipeline.latency_report(["fft128"]) == 46
-        assert pipeline.latency_report(["fft144"]) == 53
-
-    def test_frame_sync_path(self):
-        total = pipeline.latency_report(
-            ["sync_xcorr", "sync_metric_combine", "sync_tree_max"]
-        )
-        assert total == 85
-
-    def test_unknown_stage(self):
-        with pytest.raises(StageLookupError):
-            pipeline.latency_report(["not_a_stage"])

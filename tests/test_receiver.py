@@ -10,8 +10,9 @@ import pytest
 
 from burstrx import channel, config, framesync, framing, metrics, rxfront, txchain
 from burstrx import equalizer as eq
+from burstrx.errors import SyncError
 from burstrx.fourier import fft_pow2
-from burstrx.receiver import ACQUIRE_MARGIN_BEATS, DETECT_CHUNK, SYNC_REALIGN, BurstReceiver
+from burstrx.receiver import ACQUIRE_MARGIN_BEATS, DETECT_CHUNK, BurstReceiver
 from burstrx.timing import W1, W2, fd_interpolate, godard_band
 
 PAYLOAD_LEN = 1920
@@ -75,8 +76,10 @@ def test_noiseless_loopback(mmse_init, ddlms):
     assert report.bits_total == PAYLOAD_LEN
     assert len(report.mse_trace) == PAYLOAD_BEATS
     assert all(math.isfinite(v) and v >= 0 for v in report.mse_trace)
-    # one (stage, beat, tau in UI) row per stage-2 beat; tau0 is reported once
-    assert [row[:2] for row in report.spo_trace] == [(2, b) for b in range(STAGE2_BEATS)]
+    # one tau in UI per stage-2 beat; tau0 is reported once
+    taus = rx.demodulate(wave, rx.acquire(wave)).taus
+    assert len(report.spo_trace) == STAGE2_BEATS
+    assert report.spo_trace == [tau / 1.125 for tau in taus]
 
 
 @pytest.mark.parametrize("rolloff", [1 / 64, 0.125], ids=["rolloff_min", "rolloff_max"])
@@ -273,7 +276,9 @@ def test_acquisition_transforms_each_beat_once(monkeypatch):
     rows = [len(beats) for beats in passes]
     assert rows == [56, 32, 32, 32]
     assert sum(rows) == 152
-    assert np.array_equal(np.concatenate(passes), rxfront.rx_slice_beats(wave)[:152])
+    padded = np.concatenate([np.zeros(36), wave])
+    ref = [padded[108 * b : 108 * b + 144] for b in range(152)]
+    assert np.array_equal(np.concatenate(passes), ref)
 
 
 def test_demodulate_transform_rows(monkeypatch):
@@ -291,35 +296,54 @@ def test_demodulate_transform_rows(monkeypatch):
 
 
 def test_stages_read_only_their_samples(monkeypatch):
-    # a burst detected in the first pass: acquisition reads the beats up to
-    # DETECT_CHUNK + acquire_beats, demodulation those up to the last payload
-    # beat past its origin; each copies only those samples, and samples past
-    # them, here NaN, change nothing
-    rx, wave, _ = make_burst({"frame": {"payload_len": 3840}})
+    # a burst detected in the second pass: acquisition reads the beats up to
+    # 2 * DETECT_CHUNK + acquire_beats, demodulation the windows of Preamble
+    # B, the 8 training beats and the 40 payload beats, the first at
+    # p - 72; samples outside them, here NaN, change nothing, and every
+    # slice past the first acquisition pass reads the capture itself
+    rx, wave, _ = make_burst({"frame": {"payload_len": 3840}, "channel": {"gap_samples": 108 * 40}})
     acq = rx.acquire(wave)
     demod = rx.demodulate(wave, acq)
-    assert acq.detect_beat < DETECT_CHUNK
-    copied = record_calls(monkeypatch, rxfront, "rx_slice_beats", len)
+    assert DETECT_CHUNK <= acq.detect_beat < 2 * DETECT_CHUNK
+    sliced = record_calls(monkeypatch, rxfront, "beat_spectra", lambda beats: beats)
 
-    acquired = 108 * (DETECT_CHUNK + rx.acquire_beats)
+    acquired = 108 * (2 * DETECT_CHUNK + rx.acquire_beats)
     assert acquired < len(wave)
     cut = wave.copy()
     cut[acquired:] = np.nan
     assert rx.acquire(cut) == acq
-    assert copied == [acquired]
+    assert len(sliced) == 2
+    assert np.shares_memory(sliced[1], cut)
 
-    origin = acq.sync.p - SYNC_REALIGN
-    last_needed = 2 + rx.n_c_beats + 3840 // 96
-    demodulated = origin + 108 * last_needed
-    assert demodulated < len(wave)
+    first = acq.sync.p - 72
+    demodulated = first + 144 + 108 * (8 + 3840 // 96)
+    assert 0 < first and demodulated < len(wave)
     cut = wave.copy()
+    cut[:first] = np.nan
     cut[demodulated:] = np.nan
-    copied.clear()
+    sliced.clear()
     again = rx.demodulate(cut, acq)
-    assert copied == [108 * last_needed]
+    assert len(sliced) == 1
+    assert np.shares_memory(sliced[0], cut)
     assert np.array_equal(again.payload_bits, demod.payload_bits)
     assert again.mse_trace == demod.mse_trace
     assert np.array_equal(again.taus, demod.taus)
+
+
+@pytest.mark.parametrize("p", [71, 72])
+def test_sync_fails_only_where_preamble_b_precedes_the_capture(burst, monkeypatch, p):
+    # stage 2's first window, Preamble B's, is wave[p - 72 : p + 72]; sync
+    # fails only where it would start before sample 0
+    rx, wave, _ = burst
+    acq = rx.acquire(wave)
+    acq = replace(acq, sync=replace(acq.sync, p=p))
+    if p < 72:
+        with pytest.raises(SyncError):
+            rx.demodulate(wave, acq)
+        return
+    sliced = record_calls(monkeypatch, rxfront, "beat_spectra", np.array)
+    assert len(rx.demodulate(wave, acq).payload_bits) == PAYLOAD_LEN
+    assert np.array_equal(sliced[0][0], wave[p - 72 : p + 72])
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the heap thresholds are set on Linux")
@@ -521,28 +545,32 @@ def receive_per_beat(rx, wave, detect_beat):
     each lag.
     """
     cfg = rx.cfg
-    beats = rxfront.rx_slice_beats(wave)
-    X_win = rxfront.beat_spectra(beats[detect_beat : detect_beat + 1 + rx.acquire_beats], rx.h_rx)
+    # acquisition beat b is the window padded[108 b : 108 b + 144]
+    padded = np.concatenate([np.zeros(36), wave])
+    window = range(detect_beat, min(detect_beat + 1 + rx.acquire_beats, len(wave) // 108))
+    beats = np.array([padded[108 * b : 108 * b + 144] for b in window])
+    X_win = rxfront.beat_spectra(beats, rx.h_rx)
     tau0 = rxfront.estimate_initial_spo(X_win[rxfront.detect_frame(X_win).detected])
     symbols = np.concatenate(
         [fft_pow2(eq.strip_rolloff(fd_interpolate(X, tau0)), inverse=True)[32:] for X in X_win]
     )
     sync = framesync.find_sync(symbols, rx.pn, offset=96 * detect_beat + 32)
 
-    beats = rxfront.rx_slice_beats(wave[sync.p - SYNC_REALIGN :])
+    # stage-2 beat j, Preamble B first, is the window wave[p - 72 + 108 j : p + 72 + 108 j]
     n_pay = -(-rx.layout.payload_len // 96)
-    first_pay = 2 + rx.n_c_beats
-    X = rxfront.beat_spectra(beats[1 : first_pay + n_pay], rx.h_rx)
+    first_pay = 1 + rx.n_c_beats
+    beats = [wave[sync.p - 72 + 108 * j : sync.p + 72 + 108 * j] for j in range(first_pay + n_pay)]
+    X = rxfront.beat_spectra(np.array(beats), rx.h_rx)
     k = godard_band(cfg.tx.rrc_rolloff)
     S = [np.sum(x[k] * x[128 - k]) for x in X]
     taus = stage2_taus(S, tau0 - sync.frac)
     corrected = [fd_interpolate(x, tau) for x, tau in zip(X, taus)]
-    y_train = eq.strip_rolloff(np.array(corrected[1 : first_pay - 1]))
+    y_train = eq.strip_rolloff(np.array(corrected[1:first_pay]))
     state = eq.FdeState()
     state.initialize(y_train, rx.c_ref, eq.LAGS if cfg.equalizer.mmse_init else [0])
     reads = (np.arange(32, 128)[:, None] - eq.LAGS) % 128
     w, grads, payload, mse = state.w, [], [], []
-    for b, x in enumerate(corrected[first_pay - 1 :]):
+    for b, x in enumerate(corrected[first_pay:]):
         if cfg.equalizer.ddlms and b >= eq.DDLMS_DELAY:
             w = w + grads[b - eq.DDLMS_DELAY]
         Y = eq.strip_rolloff(x)

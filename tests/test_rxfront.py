@@ -17,15 +17,20 @@ def preamble_waveform(offset_ui=0.0):
     return wave
 
 
+def all_beats(wave):
+    """Every beat of the grid from sample 0 that ``wave`` holds."""
+    return rxfront.rx_slice_beats(wave, 0, len(wave) // 108)
+
+
 class TestSlicing:
     def test_two_beats(self):
-        beats = rxfront.rx_slice_beats(np.arange(216, dtype=float))
+        beats = rxfront.rx_slice_beats(np.arange(216, dtype=float), 0, 5)
         assert beats.shape == (2, 144)
 
     def test_overlap_identity(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=108 * 5)
-        beats = rxfront.rx_slice_beats(x)
+        beats = rxfront.rx_slice_beats(x, 0, 5)
         for b in range(1, 5):
             assert np.array_equal(beats[b][:36], beats[b - 1][-36:])
 
@@ -34,17 +39,51 @@ class TestSlicing:
         x = np.random.default_rng(1).normal(size=108 * 7 + 50)
         padded = np.concatenate([np.zeros(36), x])
         ref = np.array([padded[b * 108 : b * 108 + 144] for b in range(7)])
-        assert np.array_equal(rxfront.rx_slice_beats(x), ref)
+        assert np.array_equal(rxfront.rx_slice_beats(x, 0, 7), ref)
 
     def test_first_beat_zero_padded(self):
         x = np.ones(108 * 2)
-        beats = rxfront.rx_slice_beats(x)
+        beats = rxfront.rx_slice_beats(x, 0, 2)
         assert not beats[0][:36].any()
+
+    @pytest.mark.parametrize("start", [36, 37, 108, 500])
+    def test_rows_are_views_of_the_samples(self, start):
+        # row j is samples[start - 36 + 108 j : start + 108 + 108 j], read
+        # from the samples themselves
+        x = np.random.default_rng(2).normal(size=2000)
+        beats = rxfront.rx_slice_beats(x, start, 6)
+        ref = np.array([x[start - 36 + 108 * j : start + 108 + 108 * j] for j in range(6)])
+        assert np.array_equal(beats, ref)
+        assert np.shares_memory(beats, x)
+        assert not beats.flags.writeable
+
+    @pytest.mark.parametrize("start", [0, 1, 35])
+    def test_samples_before_zero_read_as_zero(self, start):
+        x = np.random.default_rng(3).normal(size=1000)
+        beats = rxfront.rx_slice_beats(x, start, 4)
+        assert beats.shape == (4, 144)
+        lead = 36 - start
+        assert not beats[0, :lead].any()
+        assert np.array_equal(beats[0, lead:], x[: start + 108])
+        for j in range(1, 4):
+            assert np.array_equal(beats[j], x[start - 36 + 108 * j : start + 108 + 108 * j])
+        assert not beats.flags.writeable
+
+    @pytest.mark.parametrize(
+        "n_samples, start, n_beats, rows",
+        [(1000, 500, 20, 4), (1000, 460, 20, 5), (1000, 461, 20, 4), (1000, 0, 20, 9),
+         (1000, 36, 3, 3), (1000, 36, 0, 0), (107, 0, 20, 0), (143, 36, 20, 0),
+         (144, 36, 20, 1), (1000, 1000, 20, 0), (1000, 2000, 20, 0)],
+    )
+    def test_rows_end_with_the_samples(self, n_samples, start, n_beats, rows):
+        # at most n_beats rows, and a beat only when its whole body is in the samples
+        beats = rxfront.rx_slice_beats(np.ones(n_samples), start, n_beats)
+        assert beats.shape == (rows, 144)
 
     def test_tx_output_realigns(self):
         # tx beats emit 108 samples each; re-slicing walks the same grid
         wave = txchain.tx_frame(np.tile([0.0, 1.0], 48 * 4))[: 4 * 108]
-        beats = rxfront.rx_slice_beats(wave)
+        beats = all_beats(wave)
         assert beats.shape[0] == 4
         assert np.array_equal(beats[2][36:], wave[2 * 108 : 3 * 108])
 
@@ -52,7 +91,7 @@ class TestSlicing:
 class TestDetection:
     def test_clean_preamble_detected(self):
         wave = preamble_waveform()
-        beats = rxfront.rx_slice_beats(wave)
+        beats = all_beats(wave)
         X = rxfront.beat_spectra(beats, txchain.rrc_response())
         res = rxfront.detect_frame(X[1])
         assert res.detected
@@ -64,7 +103,7 @@ class TestDetection:
 
     def test_scale_invariant(self):
         wave = preamble_waveform()
-        beats = rxfront.rx_slice_beats(wave)
+        beats = all_beats(wave)
         X = rxfront.beat_spectra(beats, txchain.rrc_response())
         a = rxfront.detect_frame(X[1])
         b = rxfront.detect_frame(X[1] * 123.4)
@@ -94,7 +133,7 @@ class TestDetection:
             return detected, peak_bin, peak / mean_off if mean_off > 0 else np.inf
 
         noise = fft_144(np.random.default_rng(98).normal(size=(10_000, 144)))
-        beats = rxfront.rx_slice_beats(preamble_waveform())
+        beats = all_beats(preamble_waveform())
         X = np.concatenate(
             [noise, rxfront.beat_spectra(beats, txchain.rrc_response()), np.zeros((1, 73))]
         )
@@ -112,7 +151,7 @@ class TestInitialSpo:
         # interior beat of a long alternating stream: window content is exactly
         # periodic, so the estimate is zero to numerical precision
         wave = txchain.tx_frame(np.tile([0.0, 1.0], 48 * 8))[: 8 * 108]
-        X = rxfront.beat_spectra(rxfront.rx_slice_beats(wave), txchain.rrc_response())
+        X = rxfront.beat_spectra(all_beats(wave), txchain.rrc_response())
         tau0 = rxfront.estimate_initial_spo(X[4])
         assert rxfront.detect_frame(X[4]).detected
         assert abs(tau0) < 1e-9
@@ -121,7 +160,7 @@ class TestInitialSpo:
         # in the real frame the following preamble leaks tails into the window
         # edge; the estimate stays well under the 0.01 UI budget
         wave = preamble_waveform()
-        X = rxfront.beat_spectra(rxfront.rx_slice_beats(wave), txchain.rrc_response())
+        X = rxfront.beat_spectra(all_beats(wave), txchain.rrc_response())
         tau0 = rxfront.estimate_initial_spo(X[1])
         assert rxfront.detect_frame(X[1]).detected
         assert abs(tau0) / txchain.SPS < 1e-3
@@ -131,7 +170,7 @@ class TestInitialSpo:
         # apply tau0 with the FD interpolator and re-estimate: the residual
         # must be near zero, pinning sign and units of the estimate
         wave = preamble_waveform(offset_ui=offset)
-        beats = rxfront.rx_slice_beats(wave)
+        beats = all_beats(wave)
         X = rxfront.beat_spectra(beats, txchain.rrc_response())
         tau0 = rxfront.estimate_initial_spo(X[1])
         corrected = fd_interpolate(X[1], tau0)
@@ -142,7 +181,7 @@ class TestInitialSpo:
         # tau0 should equal -offset (in samples) up to edge leakage
         for offset in (-0.3, 0.2):
             wave = preamble_waveform(offset_ui=offset)
-            beats = rxfront.rx_slice_beats(wave)
+            beats = all_beats(wave)
             X = rxfront.beat_spectra(beats, txchain.rrc_response())
             tau0 = rxfront.estimate_initial_spo(X[1])
             assert abs(tau0 - (-offset * txchain.SPS)) < 0.02
@@ -152,14 +191,14 @@ class TestInitialSpo:
         taus = []
         for offset in (0.2, 1.2):
             wave = preamble_waveform(offset_ui=offset)
-            beats = rxfront.rx_slice_beats(wave)
+            beats = all_beats(wave)
             X = rxfront.beat_spectra(beats, txchain.rrc_response())
             taus.append(rxfront.estimate_initial_spo(X[1]))
         assert abs(taus[0] - taus[1]) < 0.02
 
     def test_scale_invariant(self):
         wave = preamble_waveform(offset_ui=0.25)
-        beats = rxfront.rx_slice_beats(wave)
+        beats = all_beats(wave)
         X = rxfront.beat_spectra(beats, txchain.rrc_response())
         t1 = rxfront.estimate_initial_spo(X[1])
         t2 = rxfront.estimate_initial_spo(X[1] * 7.7)
@@ -170,7 +209,7 @@ class TestInitialSpo:
         # X(64) conj(X(80)) = X(64)^2, so each beat counts with its tone
         # power; one row is the one-beat value
         wave = preamble_waveform(offset_ui=0.25)
-        X = rxfront.beat_spectra(rxfront.rx_slice_beats(wave), txchain.rrc_response())
+        X = rxfront.beat_spectra(all_beats(wave), txchain.rrc_response())
         stack = X[1:3]
         prod = sum(x[64] ** 2 for x in stack)
         expected = txchain.SPS / (2 * np.pi) * np.angle(prod)

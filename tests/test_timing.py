@@ -165,7 +165,7 @@ def random_stack(n, seed, **impairments):
     cfg = channel.ChannelConfig(gap_samples=0, **impairments)
     wave = channel.run_channel(txchain.tx_frame(bits), cfg)
     # the first two beats hold the transmit filter's ramp
-    return rxfront.beat_spectra(rxfront.rx_slice_beats(wave)[2 : n + 2], txchain.rrc_response())
+    return rxfront.beat_spectra(rxfront.rx_slice_beats(wave, 216, n), txchain.rrc_response())
 
 
 class TestEstimate:
