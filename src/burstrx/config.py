@@ -23,10 +23,10 @@ definition, in the code that reads it:
   default frame.  A detection on the frame's own tone needs one beat of
   that margin; the other 20 keep Preamble B in the window after a false
   alarm in the leading gap;
-* the DD-LMS step, :data:`burstrx.equalizer.DDLMS_MU` = 1e-4, inside the
-  delayed-LMS stability bound at the loop delay
-  :data:`burstrx.equalizer.DDLMS_DELAY` = 242 beats, the latency of its
-  error path in :data:`burstrx.pipeline.STAGES`;
+* the DD-LMS step, :data:`burstrx.equalizer.DDLMS_MU` = 1.5e-3, divided in
+  each bin by that bin's power, inside the delayed-LMS stability bound at
+  the loop delay :data:`burstrx.equalizer.DDLMS_DELAY` = 242 beats, the
+  latency of its error path in :data:`burstrx.pipeline.STAGES`;
 * the RRC delay, :data:`burstrx.txchain.DEFAULT_DELAY_SYMBOLS` = 16 symbols
   per filter, and the zero beats that flush it out of a frame,
   :data:`burstrx.txchain.TX_FLUSH_BEATS` = 3;

@@ -33,17 +33,26 @@ with ``c_b`` the beat's 96 training symbols.  With tap initialization on it
 fits all 33 lags; with it off it fits lag 0 alone, a gain.  Either way the
 output levels are {0, 1}, so every sample is decided against a fixed 0.5.
 
-Tracking is decision-directed LMS in the constrained form of Shynk,
-"Frequency-domain and multirate adaptive filtering", IEEE SP Mag. 1992: the
-gradient is projected back onto the 33 real taps,
+Tracking is decision-directed LMS in the constrained frequency-domain form
+of Ferrara (IEEE TASSP 1980) and Shynk ("Frequency-domain and multirate
+adaptive filtering", IEEE SP Mag. 1992): each bin takes its own step, and
+the gradient is projected back onto the 33 real taps,
 
-    g_b = 2 (mu / P_b) A_b^T e_b,   e_b = d_b - A_b w_b,   P_b = sum y_b^2,
+    g_b = 2 mu IFFT128(E_b conj(Y_b) / P)  read at LAGS,
+    e_b = d_b - A_b w_b,   P_k = mean_b |Y_b,k|^2,
 
-with the error decision-minus-output (the opposite sign adds energy along
-the tap direction and diverges) and the fixed step ``mu`` = ``DDLMS_MU``
-normalized by the beat power ``P_b``.  By Parseval, ``P_b`` is read from the
-half spectrum ``Y_b`` itself, with no inverse transform, so each payload
-beat takes two 128-point transforms: one ``irfft`` to equalize it and one
+with ``E_b`` the ``FFT128`` of the error on the valid positions (a zero
+head), the error decision-minus-output (the opposite sign adds energy along
+the tap direction and diverges) and the fixed step ``mu`` = ``DDLMS_MU``.
+In time, ``g_b = 2 mu A'_b^T e_b``: the error correlated with the beat
+whitened by the per-bin power, ``A'_b`` read from ``IFFT128(Y_b / P)``.
+The whitening gives the 33 tap modes one eigenvalue: the step matrix
+``2 E[A'^T A]`` is close to ``2 (96 / 128) I``, lam ~ 1.5, where a step
+divided by the beat power would leave the tap-sum mode of on-off symbols
+35 times the others.  ``P`` is fixed once per burst, over the first
+``DDLMS_DELAY`` payload beats, which have all arrived when the first
+gradient lands; a bin with ``P_k`` = 0 takes no step.  Each payload beat
+takes two 128-point transforms: one ``irfft`` to equalize it and one
 ``rfft`` of its error for the gradient.  In the hardware the error path
 (decision alignment, tap-update alignment and those two 128-point FFTs,
 ``DDLMS_LOOP``) takes ``DDLMS_DELAY`` = 242 clocks, one beat each, so a
@@ -61,15 +70,14 @@ most ``D`` beats ends before its first gradient lands and is decided with
 the fitted taps alone.
 
 Only 33 of the 128 samples of ``w`` are live, and the gradient is read at
-the same 33 lags: ``A_b^T e_b`` is ``IFFT128(FFT128(e_b) conj(Y_b))`` read
-at ``LAGS`` (Shynk's gradient constraint).  So neither transform runs in
-full.  :func:`tap_spectrum` is a product with the fixed 33 x 65 table of the
+the same 33 lags (Shynk's gradient constraint).  So neither transform
+runs in full.  :func:`tap_spectrum` is a product with the fixed 33 x 65 table of the
 ``FFT128`` of a unit tap at each lag, and the gradient readout a product
 with the 65 x 33 table of the ``IFFT128`` of a unit real and a unit
-imaginary part in each bin, read at ``LAGS``.  Both tables come from
-:func:`fourier.fft_pow2`, the chain's one FFT, and hold complex values as
-interleaved real and imaginary parts, so each product is one real matrix
-multiply.
+imaginary part in each bin, read at ``LAGS``, each bin's rows scaled by
+its step ``2 mu / P_k``.  Both tables come from :func:`fourier.fft_pow2`,
+the chain's one FFT, and hold complex values as interleaved real and
+imaginary parts, so each product is one real matrix multiply.
 """
 
 from dataclasses import dataclass, field
@@ -88,27 +96,20 @@ _VALID = np.arange(OVERLAP_IN, N_IN)
 # latency in clock cycles is the loop delay in beats.
 DDLMS_LOOP = ["ddlms_error_align", "ddlms_update_align", "fft128", "fft128"]
 DDLMS_DELAY = sum(STAGES[name] for name in DDLMS_LOOP)
-# The DD-LMS step, divided by each beat's power P = sum y^2.  LMS with the
-# loop delay D = DDLMS_DELAY is stable only while
-# mu * lam < 2 sin(pi / (2 (2D + 1))) ~ 6.5e-3 for every eigenvalue lam of
-# the step matrix 2 E[A^T A] / P (Long, Ling and Proakis, IEEE TASSP 1989).
-# For on-off symbols the mean 1/2, common to all 33 taps, gives
-# lam ~ 2 * 96 * (1 + 33) / 4 / 64 = 25.5, so mu < 2.5e-4; this step keeps a
-# factor 2.5 from that.  A larger step diverges once the burst outlasts the
-# growth of that mode: the default frame at 14 dB still decodes at
-# mu = 5e-4 and fails at 1e-3.
-DDLMS_MU = 1e-4
+# The DD-LMS step, divided in each bin by that bin's mean power.  LMS with
+# the loop delay D = DDLMS_DELAY is stable only while
+# mu * lam < 2 sin(pi / (2 (2D + 1))) ~ 6.48e-3 for every eigenvalue lam of
+# the step matrix (Long, Ling and Proakis, IEEE TASSP 1989).  The per-bin
+# power puts every eigenvalue near 2 * 96 / 128 = 1.5: 1.39..1.63 on shaped
+# random on-off beats, spread by the power's estimate over D beats.  So
+# mu < 4.0e-3; this step keeps a factor 2.6 from that, with a time constant
+# of about 1 / (mu * lam) ~ 450 beats.
+DDLMS_MU = 1.5e-3
 
 # The two tables of the module docstring, complex values as the (re, im)
 # pairs of ``complex128.view(float64)``.
 _TAP_DFT = fft_pow2(np.eye(N_IN)[LAGS]).view(np.float64)                       # 33 x 130
 _LAG_IDFT = fft_pow2(np.eye(2 * BINS_IN).view(complex), inverse=True)[:, LAGS]  # 130 x 33
-# Parseval on the same pairs: sum y^2 of y = irfft(Y) is
-# (Y_0^2 + 2 sum_{k=1..63} |Y_k|^2 + Y_64^2) / 128, where the DC and Nyquist
-# bins count by their real parts only, the parts irfft reads.
-_PARSEVAL = np.full(2 * BINS_IN, 2.0 / N_IN)
-_PARSEVAL[[0, -2]] = 1.0 / N_IN
-_PARSEVAL[[1, -1]] = 0.0
 
 
 def strip_rolloff(X: np.ndarray) -> np.ndarray:
@@ -187,23 +188,29 @@ class FdeState:
         self.w[np.asarray(lags) - LAGS[0]] = taps
 
 
-def _gradients(Y: np.ndarray, z: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """``g_b = 2 (mu / P_b) A_b^T e_b`` for each beat, ``mu = DDLMS_MU``, one row per beat.
+def _bin_steps(Y: np.ndarray) -> np.ndarray:
+    """``2 mu / P_k`` for each bin, ``P_k = mean_b |Y_b,k|^2`` over the beats ``Y``.
+
+    ``mu = DDLMS_MU``; a bin with ``P_k`` = 0 takes step 0.
+    """
+    power = np.mean(np.abs(Y) ** 2, axis=0)
+    return np.divide(2.0 * DDLMS_MU, power, out=np.zeros_like(power), where=power > 0)
+
+
+def _gradients(Y: np.ndarray, z: np.ndarray, bits: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``g_b = IFFT128(steps E_b conj(Y_b))`` at ``LAGS`` for each beat, one row per beat.
 
     The error on the valid positions, with a zero head, is correlated with
     the beat's samples in the frequency domain and read back at ``LAGS``
-    through ``_LAG_IDFT``.  The beat power ``P_b`` is read from ``Y`` by
-    Parseval (``_PARSEVAL``), with no inverse transform, so each beat takes
-    one transform here, the ``rfft`` of its error.  The step is 0 on a
-    silent beat.
+    through ``_LAG_IDFT``, whose rows are scaled by the step of their bin
+    (:func:`_bin_steps`).  Each beat takes one transform here, the ``rfft``
+    of its error.
     """
-    power = np.square(Y.view(np.float64)) @ _PARSEVAL
-    steps = np.divide(2.0 * DDLMS_MU, power, out=np.zeros_like(power), where=power > 0)
     e = np.zeros((len(Y), N_IN))
     np.subtract(bits, z, out=e[:, OVERLAP_IN:])
     corr = fft_pow2(e)
     corr *= np.conj(Y)
-    return steps[:, None] * (corr.view(np.float64) @ _LAG_IDFT)
+    return corr.view(np.float64) @ (np.repeat(steps, 2)[:, None] * _LAG_IDFT)
 
 
 def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,8 +225,10 @@ def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     that had landed before it plus the running sum of the previous block's
     gradients; then the block is equalized, decided and turned into the
     gradients of the next block in one pass each.  Gradients that would land
-    after the last beat are not formed.  ``state.w`` ends as the taps of the
-    last beat, so a stack of at most ``D`` beats leaves it unchanged.
+    after the last beat are not formed, and the per-bin step is fixed from
+    the first ``D`` beats only when a gradient lands.  ``state.w`` ends as
+    the taps of the last beat, so a stack of at most ``D`` beats leaves it
+    unchanged.
     """
     Y = np.asarray(Y)
     n, delay = len(Y), DDLMS_DELAY
@@ -227,6 +236,7 @@ def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     bits = np.empty(z.shape, dtype=np.uint8)
     w = state.w
     grads = np.zeros((min(delay, n), LAGS.size))
+    steps = _bin_steps(Y[:delay]) if n > delay else None
     for start in range(0, n, delay):
         stop = min(start + delay, n)
         taps = w + np.cumsum(grads[: stop - start], axis=0)
@@ -235,6 +245,6 @@ def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray
         w = taps[-1]
         if stop < n:
             landing = slice(start, start + min(delay, n - stop))
-            grads = _gradients(Y[landing], z[landing], bits[landing])
+            grads = _gradients(Y[landing], z[landing], bits[landing], steps)
     state.w = w
     return z, bits

@@ -3,9 +3,9 @@
 The frame is ``A || B || C || payload`` at one sample per symbol with the
 unipolar PAM2 alphabet {0, 1}:
 
-* Preamble A, 192 symbols by default: the repeated pair ``[0, 1]``, i.e. a
-  tone at half the baud rate, used for frame detection and the initial
-  sampling-phase estimate.
+* Preamble A, 192 symbols by default and at least 128: the repeated pair
+  ``[0, 1]``, i.e. a tone at half the baud rate, used for frame detection
+  and the initial sampling-phase estimate.
 * Preamble B, 96 symbols: three copies of a fixed 32-symbol sequence Pn with
   bipolar signs ``[+1, +1, -1]`` (the third block is the bit-flip of the
   first), used for frame synchronization.
@@ -30,7 +30,12 @@ PN_LEN = 32
 
 @dataclass(frozen=True)
 class FrameLayout:
-    """Lengths and seeds shared by transmitter and receiver."""
+    """Lengths and seeds shared by transmitter and receiver.
+
+    Preamble A is at least 128 symbols, one 144-sample beat window of tone:
+    the shortest that decodes at every arrival phase on the beat grid.
+    Shorter ones fail at some phases (124 symbols at 1 of 36, 96 at 12).
+    """
 
     # not settings: three Pn blocks, and the seeds of the fixed Pn and Preamble C
     preamble_b_len: ClassVar[int] = 3 * PN_LEN
@@ -41,8 +46,8 @@ class FrameLayout:
     payload_len: int = 130_000
 
     def __post_init__(self):
-        if self.preamble_a_len <= 0 or self.preamble_a_len % 2:
-            raise LayoutError("preamble_a_len must be positive and even")
+        if self.preamble_a_len < 128 or self.preamble_a_len % 2:
+            raise LayoutError("preamble_a_len must be even and at least 128, one beat of tone")
         if self.preamble_c_len <= 0 or self.preamble_c_len % 96:
             raise LayoutError("preamble_c_len must be a positive multiple of 96")
         if self.payload_len < 0:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import AlignmentError
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 ERROR_BINS = 10  # equal slices of the payload in the error histogram
 
 

@@ -27,9 +27,9 @@ Reception happens in two passes over the sampled waveform:
   report's ``spo_trace`` holds the stage-2 taus, one per stage-2 beat.
 
 * **Synchronized demodulation** re-slices the waveform so beat boundaries
-  align with the frame: the sync position ``p = floor(p1 * 1.125)`` counts
-  samples from beat 0's window, 36 samples before sample 0, so the beat
-  grid restarts with Preamble B's body at sample ``p - 36``.  Preamble B is
+  align with the frame: the sync position ``p = floor(p1 * 1.125)`` is the
+  capture sample where Preamble B's body starts, and the beat grid
+  restarts there.  Preamble B is
   the first beat, the training block the next eight, and each payload beat
   holds 96 payload bits.  Stage 2 slices and transforms just those beats,
   and has its own taus: one windowed estimate over the timing-detector sums
@@ -62,11 +62,11 @@ in the hardware's error path, so the taps of each block of 242 beats are known
 when the block starts and the block is processed in one pass.
 
 Both ends shape with the same RRC response, each with the default 16-symbol
-linear-phase delay.  Index bookkeeping: the matched filter pair therefore
-delays the stream by 32 symbols and the valid block region trails the beat by
-another 32, so stage-1 symbol ``m`` is transmit symbol ``m - 64`` for a
-gap-free, offset-free channel.  All of this is absorbed by the measured
-``p1``; nothing downstream needs the gap or channel delay.
+linear-phase delay.  Index bookkeeping: stage-1 symbol ``m`` is the one at
+capture sample ``1.125 m``, and the matched filter pair delays the stream by
+32 symbols, so it is transmit symbol ``m - 32`` for a gap-free, offset-free
+channel.  All of this is absorbed by the measured ``p1``; nothing downstream
+needs the gap or channel delay.
 """
 
 from dataclasses import dataclass
@@ -148,7 +148,7 @@ class BurstReceiver:
         try:
             sync = framesync.find_sync(
                 blocks[:, txchain.OVERLAP_IN:].reshape(-1), self.pn,
-                offset=txchain.SYMBOLS_PER_BEAT * detect_beat + txchain.OVERLAP_IN,
+                offset=txchain.SYMBOLS_PER_BEAT * detect_beat,
             )
         except SyncError:
             sync = None
@@ -158,11 +158,11 @@ class BurstReceiver:
         """Frame-aligned pass: training, equalization, payload decisions."""
         if acq.sync is None:
             raise SyncError("no Preamble B in the acquisition window")
-        # The sync position counts samples from beat 0's window, one overlap
-        # before sample 0, so Preamble B's body starts one overlap before it.
-        start = acq.sync.p - txchain.OVERLAP_OUT
+        # Preamble B's body starts at the sync position; its window reaches
+        # one overlap before that.
+        start = acq.sync.p
         if start < txchain.OVERLAP_OUT:
-            raise SyncError(f"sync position {acq.sync.p} puts Preamble B before the capture")
+            raise SyncError(f"sync position {start} puts Preamble B before the capture")
         n_pay_beats = -(-self.layout.payload_len // txchain.SYMBOLS_PER_BEAT)
         n_rows = 1 + self.n_c_beats + n_pay_beats
         beats = rxfront.rx_slice_beats(waveform, start, n_rows)

@@ -141,6 +141,7 @@ class TestValidate:
         "data",
         [
             {"frame": {"preamble_c_len": 100}},
+            {"frame": {"preamble_a_len": 126}},
             {"tx": {"rrc_rolloff": 0.2}},
             {"tx": {"rrc_rolloff": 0.015}},
             {"frame": {"payload_len": "x"}},
@@ -157,7 +158,7 @@ class TestValidate:
             {"seed": 2.7},
         ],
         ids=[
-            "layout", "rrc_rolloff", "rrc_rolloff_empty_band",
+            "layout", "preamble_a_short", "rrc_rolloff", "rrc_rolloff_empty_band",
             "payload_len_type", "ddlms_type", "payload_len_bool",
             "gap_samples_type", "gap_samples_negative", "snr_db_inf",
             "f3db_zero", "f3db_negative", "gain_zero", "seed_type", "seed_negative",

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from burstrx import equalizer, pipeline, txchain
+from burstrx import equalizer, pipeline, rxfront, txchain
 from burstrx.equalizer import (
     DDLMS_DELAY,
     DDLMS_LOOP,
     DDLMS_MU,
     LAGS,
     FdeState,
+    _bin_steps,
     _gradients,
     apply_fde,
     ddlms_update,
@@ -193,32 +194,35 @@ def tap_reads(y):
     return np.array([[y[(n - l) % 128] for l in LAGS] for n in range(32, 128)])
 
 
-def oracle_ddlms(state, Y):
-    """Delayed, constrained, power-normalized LMS, one beat at a time.
+def whitened(Y_b, power):
+    """Samples of the beat ``Y_b`` with each bin divided by its power, 0 where that is 0."""
+    return fft_pow2(np.divide(Y_b, power, out=np.zeros(65, complex), where=power > 0), inverse=True)
 
-    Beat b is equalized with w_b = w_0 + sum_{j <= b - D} g_j, decided at 0.5,
-    and forms g_b = 2 (mu / P_b) A_b^T e_b with e_b = d_b - z_b and
-    P_b = sum y_b^2 (0 on a silent beat); mu and D are the equalizer's
-    ``DDLMS_MU`` and ``DDLMS_DELAY`` as the call finds them.  Returns
-    ``(z, bits)`` and leaves the taps of the last beat in ``state.w``.
+
+def oracle_ddlms(state, Y):
+    """Delayed, constrained LMS with a per-bin step, one beat at a time.
+
+    Beat b is equalized with w_b = w_0 + sum_{j <= b - D} g_j and decided at
+    0.5.  When g_j lands, at beat j + D, it is 2 mu A'_j^T e_j with
+    e_j = d_j - z_j and A'_j read from beat j's samples whitened by the
+    per-bin power P_k = mean |Y_k|^2 over beats 0..D-1 (:func:`whitened`);
+    mu and D are the equalizer's ``DDLMS_MU`` and ``DDLMS_DELAY`` as the
+    call finds them.  Returns ``(z, bits)`` and leaves the taps of the last
+    beat in ``state.w``.
     """
     mu, delay = equalizer.DDLMS_MU, equalizer.DDLMS_DELAY
-    w_0 = np.array(state.w)
-    w_b = w_0
-    grads, z, bits = [], [], []
+    w_b = np.array(state.w)
+    z, bits = [], []
     for b, Y_b in enumerate(Y):
         if b >= delay:
-            w_b = w_b + grads[b - delay]
+            if b == delay:
+                power = np.mean(np.abs(Y[:delay]) ** 2, axis=0)
+            j = b - delay
+            w_b = w_b + 2.0 * mu * tap_reads(whitened(Y[j], power)).T @ (bits[j] - z[j])
         W = np.zeros(128)
         W[LAGS % 128] = w_b
-        z_b = fft_pow2(Y_b * fft_pow2(W), inverse=True)[32:]
-        d = (z_b > 0.5).astype(np.uint8)
-        y = fft_pow2(Y_b, inverse=True)
-        power = np.sum(y**2)
-        step = 2.0 * mu / power if power > 0 else 0.0
-        grads.append(step * tap_reads(y).T @ (d - z_b))
-        z.append(z_b)
-        bits.append(d)
+        z.append(fft_pow2(Y_b * fft_pow2(W), inverse=True)[32:])
+        bits.append((z[-1] > 0.5).astype(np.uint8))
     state.w = w_b
     return np.reshape(z, (-1, 96)), np.reshape(bits, (-1, 96))
 
@@ -253,36 +257,21 @@ class TestLagTables:
         w = np.random.default_rng(22).normal(size=33) * 0.1 + UNIT
         z = equalize(Y, w)
         bits = decide_demap(z)
-        y = np.fft.irfft(Y, 128)
+        steps = 2.0 * DDLMS_MU / np.mean(np.abs(np.fft.rfft(np.fft.irfft(Y, 128))) ** 2, axis=0)
         e = np.zeros((len(Y), 128))
         e[:, 32:] = bits - z
-        corr = np.fft.irfft(np.fft.rfft(e) * np.conj(Y), 128)[:, LAGS]
-        want = (2.0 * DDLMS_MU / np.sum(y**2, axis=-1))[:, None] * corr
-        got = _gradients(Y, z, bits)
+        want = np.fft.irfft(np.fft.rfft(e) * np.conj(Y) * steps, 128)[:, LAGS]
+        got = _gradients(Y, z, bits, _bin_steps(Y))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_gradient_power_is_parseval(self):
-        # the step's beat power P_b is read from the half spectrum, equal to
-        # sum y^2 of y = irfft(Y): on complex DC and Nyquist bins, which irfft
-        # reads by their real parts, and on two silent beats, all-zero and
-        # with only those bins' imaginary parts, which take no step
-        rng = np.random.default_rng(24)
-        Y = rng.normal(size=(50, 65)) + 1j * rng.normal(size=(50, 65))
-        Y[-2] = 0.0
-        Y[-1] = 0.0
-        Y[-1, [0, 64]] = 1j * rng.normal(size=2)
-        z = rng.normal(size=(50, 96)) * 0.3 + 0.5
-        bits = decide_demap(z)
-        e = np.zeros((50, 128))
-        e[:, 32:] = bits - z
-        corr = np.fft.irfft(np.fft.rfft(e) * np.conj(Y), 128)[:, LAGS]
-        want = np.sum(np.fft.irfft(Y, 128) ** 2, axis=-1)
-        g = _gradients(Y, z, bits)
-        # g_b = (2 mu / P_b) corr_b, so P_b = 2 mu (corr_b . g_b) / (g_b . g_b)
-        used = 2.0 * DDLMS_MU * np.sum(corr[:-2] * g[:-2], axis=-1) / np.sum(g[:-2] ** 2, axis=-1)
-        np.testing.assert_allclose(used, want[:-2], rtol=1e-12, atol=0)
-        assert np.array_equal(want[-2:], [0.0, 0.0])
-        assert not np.any(g[-2:])
+    def test_silent_bins_take_no_step(self):
+        # a bin silent on every beat has power 0 and step 0, with no warning
+        Y, _ = payload_stack(24, 20)
+        Y[:, [3, 40]] = 0.0
+        steps = _bin_steps(Y)
+        assert np.array_equal(steps[[3, 40]], [0.0, 0.0])
+        assert np.all(steps[np.r_[:3, 4:40, 41:65]] > 0)
+        assert not np.any(_bin_steps(np.zeros((5, 65), complex)))
 
 
 class TestLoopDelay:
@@ -297,14 +286,33 @@ class TestLoopDelay:
         ddlms_update(state, Y)
         assert not np.array_equal(state.w, UNIT)
 
-    def test_step_inside_delayed_lms_bound(self):
-        # LMS with loop delay D is stable while mu * lam < 2 sin(pi / (2 (2D + 1)))
-        # (Long, Ling and Proakis 1989); the tap-sum mode of on-off symbols has
-        # lam = 2 * 96 * 34 / 4 / 64 = 25.5, and the step keeps a factor 2.5
-        # from the bound, so a longer loop in the pipeline dataset fails here
-        lam = 2 * 96 * 34 / 4 / 64
-        bound = 2 * math.sin(math.pi / (2 * (2 * DDLMS_DELAY + 1))) / lam
-        assert DDLMS_MU <= bound / 2.5
+    def test_step_inside_delayed_lms_bound(self, set_ddlms):
+        # With every decision 0 the taps of beat b move by
+        # -mu sum_{j <= b - D} R_j w_j, R_j = 2 A'_j^T A_j the step matrix of
+        # beat j.  Shaped random on-off beats of the chain are scaled so
+        # small that every decision is 0 (the per-bin step makes the
+        # gradients scale-free), and a step so small that the taps stay at
+        # w_0 reads the mean of R_j over n landing gradients, one column per
+        # unit w_0.  Every eigenvalue is ~ 2 * 96 / 128 = 1.5, and LMS with
+        # loop delay D is stable while mu * lam < 2 sin(pi / (2 (2D + 1)))
+        # (Long, Ling and Proakis 1989); the step keeps a factor 2.5 from
+        # that bound, so a longer loop in the pipeline dataset fails here.
+        n, mu = 8 * DDLMS_DELAY, 1e-9
+        rng = np.random.default_rng(25)
+        wave = txchain.tx_frame(rng.integers(0, 2, 96 * (n + DDLMS_DELAY + 1)).astype(float))
+        beats = rxfront.rx_slice_beats(wave, 36, n + DDLMS_DELAY)
+        Y = 1e-9 * strip_rolloff(rxfront.beat_spectra(beats, txchain.rrc_response()))
+        set_ddlms(mu, DDLMS_DELAY)
+        R = np.empty((33, 33))
+        for i, w_0 in enumerate(np.eye(33)):
+            state = FdeState(w=w_0)
+            _, bits = ddlms_update(state, Y)
+            assert not bits.any()
+            R[:, i] = (w_0 - state.w) / (mu * n)
+        lam = np.linalg.eigvals(R)
+        assert np.all(np.abs(lam - 1.5) <= 0.15), lam
+        bound = 2 * math.sin(math.pi / (2 * (2 * DDLMS_DELAY + 1)))
+        assert DDLMS_MU * np.max(np.abs(lam)) <= bound / 2.5
 
     @pytest.mark.parametrize("n", [1, 7])
     def test_stack_within_delay_keeps_taps(self, n, set_ddlms):
@@ -344,14 +352,15 @@ class TestDdlms:
 
     def test_single_error_sample_update(self, set_ddlms):
         # one valid-position error e at position n moves lag l by
-        # 2 (mu / P) e y[(n - l) mod 128]: the error correlated with the input
+        # 2 mu e y'[(n - l) mod 128]: the error correlated with the input
+        # whitened by the per-bin power, here that of the beat itself
         Y, y = random_beat(4)
         y[40] += 0.3  # decided as before, with error -0.3
         Y = fft_pow2(y)
         set_ddlms(1e-3, 1)
         state = FdeState()
         ddlms_update(state, np.array([Y, Y]))
-        expected = 2e-3 / np.sum(y**2) * -0.3 * y[(40 - LAGS) % 128]
+        expected = 2e-3 * -0.3 * whitened(Y, np.abs(Y) ** 2)[(40 - LAGS) % 128]
         assert np.allclose(state.w - UNIT, expected, rtol=1e-9, atol=1e-16)
 
     def test_small_step_lowers_error(self, set_ddlms):
@@ -363,16 +372,17 @@ class TestDdlms:
         assert np.sum(np.abs(bits[1] - z[1]) ** 2) < np.sum(np.abs(bits[0] - z[0]) ** 2)
 
     def test_update_uses_conjugated_input(self, set_ddlms):
-        # a half spectrum with complex DC and Nyquist bins, which no real
-        # block has: the gradient correlates the error with the real samples
-        # irfft(Y), which read those bins' real parts, at (n - l) mod 128
+        # half spectra with complex DC and Nyquist bins, which no real block
+        # has: the gradient of beat 0, landing on beat 2, correlates the
+        # error with the real samples of beat 0 whitened by the power of
+        # beats 0 and 1, which read those bins' real parts, at (n - l) mod 128
         rng = np.random.default_rng(9)
-        Y = rng.normal(size=65) + 1j * rng.normal(size=65)
-        set_ddlms(1e-3, 1)
+        Y = rng.normal(size=(2, 65)) + 1j * rng.normal(size=(2, 65))
+        set_ddlms(1e-3, 2)
         state = FdeState()
-        z, bits = ddlms_update(state, np.array([Y, Y]))
-        y = fft_pow2(Y, inverse=True)
-        g = 2e-3 / np.sum(y**2) * tap_reads(y).T @ (bits[0] - z[0])
+        z, bits = ddlms_update(state, Y[[0, 1, 1]])
+        y = whitened(Y[0], np.mean(np.abs(Y) ** 2, axis=0))
+        g = 2e-3 * tap_reads(y).T @ (bits[0] - z[0])
         assert np.allclose(state.w - UNIT, g, rtol=1e-9, atol=1e-16)
 
     def test_tracks_slow_gain_ramp(self, set_ddlms):

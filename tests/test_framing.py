@@ -24,6 +24,8 @@ class TestLayout:
         with pytest.raises(LayoutError):
             framing.FrameLayout(preamble_a_len=191)
         with pytest.raises(LayoutError):
+            framing.FrameLayout(preamble_a_len=126)
+        with pytest.raises(LayoutError):
             framing.FrameLayout(preamble_c_len=700)
         with pytest.raises(LayoutError):
             framing.FrameLayout(payload_len=-1)
@@ -35,9 +37,9 @@ class TestPreambleA:
         assert list(a[:4]) == [0, 1, 0, 1]
         assert len(a) == 192
 
-    def test_single_period(self):
-        lay = framing.FrameLayout(preamble_a_len=2, payload_len=0)
-        assert list(framing.gen_preamble_a(lay)) == [0, 1]
+    def test_shortest(self):
+        lay = framing.FrameLayout(preamble_a_len=128, payload_len=0)
+        assert list(framing.gen_preamble_a(lay)) == [0, 1] * 64
 
     def test_spectrum_single_tone(self):
         # 128-symbol window, mean removed: all energy in bin 64 (and none at DC).

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from burstrx import equalizer, rxfront, txchain
+from burstrx import rxfront, txchain
 from burstrx.equalizer import LAGS, _gradients, equalize, strip_rolloff, tap_spectrum
 from burstrx.fourier import fft_144
 from burstrx.timing import fd_interpolate, godard_band, godard_error
@@ -169,18 +169,17 @@ def test_equalize(case, per_beat):
     close(equalize(Y, w), want)
 
 
-def test_gradients(case, monkeypatch):
+def test_gradients(case):
+    # one step per bin, the same on the two mirror bins of the full spectrum
     Y, Y_full = folded(case)
     z = equalize(Y, (LAGS == 0).astype(float))
     bits = (z > 0.5).astype(np.uint8)
-    mu = 1e-3
-    monkeypatch.setattr(equalizer, "DDLMS_MU", mu)
-    y = np.fft.ifft(Y_full).real
-    power = np.sum(y**2, axis=-1)
+    steps = np.random.default_rng(21).uniform(0.5e-3, 2e-3, 65)
     e = np.zeros((40, 128))
     e[:, 32:] = bits - z
-    corr = np.fft.ifft(np.fft.fft(e) * np.conj(Y_full)).real[:, LAGS]
-    close(_gradients(Y, z, bits), 2.0 * mu / power[:, None] * corr)
+    steps_full = np.concatenate([steps, steps[63:0:-1]])
+    corr = np.fft.ifft(np.fft.fft(e) * np.conj(Y_full) * steps_full).real[:, LAGS]
+    close(_gradients(Y, z, bits, steps), corr)
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -123,7 +123,7 @@ class TestRunReport:
         back = json.loads(text1)
         assert back == rep.to_dict()
         assert back["spo_trace"] == [0.001, -0.002]
-        assert back["schema_version"] == 2
+        assert back["schema_version"] == 3
 
 
 class TestWilson:
