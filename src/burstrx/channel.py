@@ -86,18 +86,35 @@ def apply_fractional_delay(x: np.ndarray, tau_samples) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x) * delay_factor(n, tau_samples), n)
 
 
+def smooth_length(n: int) -> int:
+    """The smallest ``2**a 3**b 5**c`` that is at least ``n``: a fast FFT length."""
+    best = 1 << max(n - 1, 0).bit_length()
+    odd = 1
+    while odd < best:
+        part = odd
+        while part < best:
+            best = min(best, part << max(-(-n // part) - 1, 0).bit_length())
+            part *= 3
+        odd *= 5
+    return best
+
+
 def apply_lowpass(x: np.ndarray, f3db_ghz: float) -> np.ndarray:
     """Gaussian low-pass with |H(f3db)| = 1/sqrt(2) and zero phase.
 
     The exponent is scaled so the 3 dB point sits exactly at ``f3db``, i.e.
-    ``|H| = 2**(-0.5 * (f/f3db)**2)``.
+    ``|H| = 2**(-0.5 * (f/f3db)**2)``.  The transform runs at
+    :func:`smooth_length` of the waveform, zero-padded, and the first ``n``
+    samples are kept: the filter's circular wrap runs into those zeros, not
+    into the other end of the waveform (the frame's flush tail).
     """
     if f3db_ghz <= 0:
         raise ChannelError("f3db_ghz must be positive")
     n = len(x)
-    f = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE_HZ)
+    m = smooth_length(n)
+    f = np.fft.rfftfreq(m, d=1.0 / SAMPLE_RATE_HZ)
     h = 2.0 ** (-0.5 * (f / (f3db_ghz * 1e9)) ** 2)
-    return np.fft.irfft(np.fft.rfft(x) * h, n)
+    return np.fft.irfft(np.fft.rfft(x, m) * h, m)[:n]
 
 
 def apply_clock_drift(x: np.ndarray, ppm: float) -> np.ndarray:

@@ -14,10 +14,13 @@ unipolar PAM2 alphabet {0, 1}:
 
 Pn and Preamble C are fixed, as in the hardware: each is drawn from the
 documented xorshift64* generator (see :mod:`burstrx.prng`) with a seed that
-is a constant of :class:`FrameLayout`, not a setting.
+is a constant of :class:`FrameLayout`, not a setting.  So ``A || B || C``
+is built once per preamble geometry (:func:`fixed_preamble`), and each frame
+is a copy of it followed by the payload.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -94,19 +97,28 @@ def gen_payload_bits(layout: FrameLayout, seed: int) -> np.ndarray:
     return prng.bits(seed, layout.payload_len)
 
 
+def fixed_preamble(layout: FrameLayout) -> np.ndarray:
+    """The fixed symbols ``A || B || C``, built once per pair of preamble lengths; read-only."""
+    return _fixed_preamble(layout.preamble_a_len, layout.preamble_c_len)
+
+
+@lru_cache(maxsize=None)
+def _fixed_preamble(preamble_a_len: int, preamble_c_len: int) -> np.ndarray:
+    layout = FrameLayout(preamble_a_len, preamble_c_len, payload_len=0)
+    out = np.concatenate([gen_preamble_a(layout), gen_preamble_b(layout), gen_preamble_c(layout)])
+    out.flags.writeable = False
+    return out
+
+
 def build_frame(layout: FrameLayout, payload_bits: np.ndarray) -> np.ndarray:
-    """Assemble the PAM2 symbols ``A || B || C || payload``."""
+    """Assemble the PAM2 symbols ``A || B || C || payload`` in a new array."""
     payload_bits = np.asarray(payload_bits)
     if len(payload_bits) != layout.payload_len:
         raise PayloadError(
             f"payload has {len(payload_bits)} bits, layout declares {layout.payload_len}"
         )
-    return np.concatenate(
-        [
-            gen_preamble_a(layout),
-            gen_preamble_b(layout),
-            gen_preamble_c(layout),
-            payload_bits.astype(np.float64),
-        ]
-    )
-
+    head = fixed_preamble(layout)
+    frame = np.empty(len(head) + len(payload_bits))
+    frame[: len(head)] = head
+    frame[len(head) :] = payload_bits
+    return frame

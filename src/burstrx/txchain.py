@@ -18,6 +18,7 @@ absorbed by frame synchronization downstream.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FftSizeError
 from .fourier import fft_144, fft_pow2
@@ -83,18 +84,18 @@ def rrc_response(rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
 def tx_frame(symbols: np.ndarray, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
     """Shape a whole symbol stream at once (batch form of the beat loop).
 
-    Each 128-symbol block is the previous beat's 32-symbol tail followed by
-    this beat's 96 symbols (zeros before the first beat).  ``TX_FLUSH_BEATS``
-    trailing zero beats flush the delay of the transmit and receive filters,
-    so the final symbols of the stream reach the receiver's last beat.
+    The symbols are written once into a zero stream after a 32-symbol head,
+    and the 128-symbol blocks are a strided view of it, one every 96
+    symbols: each is the previous beat's 32-symbol tail followed by this
+    beat's 96 symbols, the transmit twin of
+    :func:`burstrx.rxfront.rx_slice_beats`.  ``TX_FLUSH_BEATS`` trailing
+    zero beats flush the delay of the transmit and receive filters, so the
+    final symbols of the stream reach the receiver's last beat.
     """
-    symbols = np.asarray(symbols, dtype=np.float64)
-    pad = (-len(symbols)) % SYMBOLS_PER_BEAT + TX_FLUSH_BEATS * SYMBOLS_PER_BEAT
-    stream = np.concatenate([symbols, np.zeros(pad)])
-    n_beats = len(stream) // SYMBOLS_PER_BEAT
-    blocks = np.zeros((n_beats, N_IN))
-    body = stream.reshape(n_beats, SYMBOLS_PER_BEAT)
-    blocks[:, OVERLAP_IN:] = body
-    blocks[1:, :OVERLAP_IN] = body[:-1, -OVERLAP_IN:]
-    Y = resample_up_fd(fft_pow2(blocks)) * rrc_response(rolloff)
+    n_beats = -(-len(symbols) // SYMBOLS_PER_BEAT) + TX_FLUSH_BEATS
+    stream = np.zeros(OVERLAP_IN + n_beats * SYMBOLS_PER_BEAT)
+    stream[OVERLAP_IN : OVERLAP_IN + len(symbols)] = symbols
+    blocks = sliding_window_view(stream, N_IN)[::SYMBOLS_PER_BEAT]
+    Y = resample_up_fd(fft_pow2(blocks))
+    Y *= rrc_response(rolloff)
     return fft_144(Y, inverse=True)[:, OVERLAP_OUT:].reshape(-1)

@@ -8,6 +8,15 @@ from burstrx.channel import ChannelConfig
 from burstrx.errors import ChannelError
 
 
+def prime_factors(m):
+    p = 2
+    while m > 1:
+        while m % p == 0:
+            yield p
+            m //= p
+        p += 1
+
+
 @pytest.fixture
 def wave():
     rng = np.random.default_rng(1)
@@ -50,6 +59,28 @@ class TestLowpass:
         out = channel.apply_lowpass(x, f_k / 1e9)
         gain = np.max(np.abs(np.fft.rfft(out))) / np.max(np.abs(np.fft.rfft(x)))
         assert abs(gain - 1 / np.sqrt(2)) < 1e-9
+
+    def test_smooth_length(self):
+        smooth = [m for m in range(1, 3001) if all(p in (2, 3, 5) for p in prime_factors(m))]
+        for n in range(1, 3001):
+            assert channel.smooth_length(n) == min(m for m in smooth if m >= n)
+        assert channel.smooth_length(35_316) == 36_000
+
+    @pytest.mark.parametrize("f3db_ghz, tol", [(3.0, 1e-12), (4.0, 1e-11)])
+    def test_impulse_response_at_any_length(self, f3db_ghz, tol):
+        # 35 316 = 2**2 3**4 109, the lowpass_mmse waveform, runs padded to a
+        # 5-smooth length; 34 992 = 2**4 3**7 runs at its own.  An impulse far
+        # from both ends sees the same filter either way.  At 4 GHz |H| is
+        # still 0.014 at Nyquist, so the response has a slow tail that wraps
+        # around any circular length at the 5e-12 level.
+        pos = 17_000
+        long, short = np.zeros(35_316), np.zeros(34_992)
+        long[pos] = short[pos] = 1.0
+        out_long = channel.apply_lowpass(long, f3db_ghz)
+        out_short = channel.apply_lowpass(short, f3db_ghz)
+        assert len(out_long) == 35_316
+        assert np.max(np.abs(out_long[: len(short)] - out_short)) < tol
+        assert out_long[pos] > 0.1
 
     def test_monotone_decreasing(self):
         f = np.linspace(0, 30e9, 100)

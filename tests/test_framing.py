@@ -125,6 +125,27 @@ class TestBuildFrame:
         assert np.array_equal(s[a + b : a + b + c], framing.gen_preamble_c(lay))
         assert np.array_equal(s[a + b + c :], bits.astype(float))
 
+    def test_fresh_writable_frame(self):
+        lay = paper_layout(96)
+        bits = framing.gen_payload_bits(lay, seed=2)
+        first = framing.build_frame(lay, bits)
+        expected = first.copy()
+        assert first.flags.writeable and first.flags.owndata
+        first[:] = -1.0
+        assert np.array_equal(framing.build_frame(lay, bits), expected)
+        assert np.array_equal(framing.fixed_preamble(lay), expected[: lay.preamble_len])
+
+    def test_fixed_preamble_read_only(self):
+        head = framing.fixed_preamble(paper_layout())
+        assert not head.flags.writeable
+        with pytest.raises(ValueError):
+            head[0] = 2.0
+        lay = paper_layout(0)
+        expected = np.concatenate(
+            [framing.gen_preamble_a(lay), framing.gen_preamble_b(lay), framing.gen_preamble_c(lay)]
+        )
+        assert np.array_equal(head, expected)
+
     def test_symbols_binary(self):
         lay = paper_layout(96)
         frame = framing.build_frame(lay, framing.gen_payload_bits(lay, seed=2))

@@ -1,9 +1,11 @@
 """Transmitter chain tests: resampling, shaping, streaming."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from burstrx import txchain
+from burstrx import framing, txchain
 from burstrx.errors import FftSizeError
 from burstrx.fourier import fft_144, fft_pow2
 
@@ -136,3 +138,23 @@ class TestBeatStreaming:
         p_in = np.sum(np.abs(W[inband]) ** 2)
         p_out = np.sum(np.abs(W[~inband]) ** 2)
         assert p_out <= 10 ** (-55 / 10) * p_in
+
+
+# sha256 of tx_frame(build_frame(layout, gen_payload_bits(layout, 1000))), pinned
+# from the beat-by-beat transmitter this batch form was checked against
+TX_DIGESTS = {
+    (130_000, 0.1): "385fa66409f72305eedf876a83258f5d9bcced765248b9a9e90cbe8d52b9d049",
+    (1, 0.1): "65d5700d971ddf7d4c81a8e4f7c4362e0f5544dbc580b01149f5bc05cfef7947",
+    (95, 0.1): "9adbb8a3bc35fd752200d9b846280c83eb48c8f07d8bf6f8a1c5dbe863b21a18",
+    (130_000, 0.03): "5608607f159fd83c8a4b10afd6337c982a01eab2a53de38f7735a9c87186faf9",
+}
+
+
+@pytest.mark.parametrize("payload_len, rolloff", sorted(TX_DIGESTS))
+def test_waveform_pinned(payload_len, rolloff):
+    layout = framing.FrameLayout(payload_len=payload_len)
+    frame = framing.build_frame(layout, framing.gen_payload_bits(layout, 1000))
+    wave = txchain.tx_frame(frame, rolloff)
+    assert wave.dtype == np.float64 and wave.flags.c_contiguous
+    digest = hashlib.sha256(wave.tobytes()).hexdigest()
+    assert digest == TX_DIGESTS[payload_len, rolloff]
