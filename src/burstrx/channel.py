@@ -20,9 +20,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ChannelError
+from .txchain import SPS
 
 BAUD_HZ = 25e9
-SAMPLE_RATE_HZ = BAUD_HZ * 1.125
+SAMPLE_RATE_HZ = BAUD_HZ * SPS
 # The drift is piecewise constant over chunks of DRIFT_CHUNK samples, each
 # filtered with DRIFT_PAD samples of context on both sides.
 DRIFT_CHUNK = 432
@@ -176,7 +177,7 @@ def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     if cfg.f3db_ghz is not None:
         x = apply_lowpass(x, cfg.f3db_ghz)
     if cfg.timing_offset_ui:
-        x = apply_fractional_delay(x, cfg.timing_offset_ui * 1.125)
+        x = apply_fractional_delay(x, cfg.timing_offset_ui * SPS)
     if cfg.clock_ppm:
         x = apply_clock_drift(x, cfg.clock_ppm)
     power_ref = signal_power_ac(x) if cfg.snr_db is not None else None

@@ -7,12 +7,13 @@ frame (1056-symbol preamble, 1.3e5 payload) over a clean channel.
 Only values that some part of the chain reads are settable.  The receiver's
 structure is fixed: matched RRC filters with the same delay at both ends,
 the Preamble-A tone phase setting stage 1's timing, a windowed estimate
-from the timing detector setting stage 2's, and an exact tone-bin detection
-test.  Its constants, and the fixed parts of the frame and the channel, are
-not settable either, per call or per instance; each is one module-level
-definition, in the code that reads it:
+from the timing detector setting stage 2's, and a threshold on the tone
+bin's power as the detection test.  Its constants, and the fixed parts of
+the frame and the channel, are not settable either, per call or per
+instance; each is one module-level definition, in the code that reads it:
 
-* the detection threshold, :data:`burstrx.rxfront.DETECT_POWER_FACTOR` = 4.0;
+* the detection threshold, :data:`burstrx.rxfront.DETECT_POWER_FACTOR` = 4.7,
+  the tone bin's power over the mean power off DC and the tone pair;
 * the windows of the stage-2 timing estimate, :data:`burstrx.timing.W1` = 24
   and :data:`burstrx.timing.W2` = 192 beats;
 * the sync peak ratio, :data:`burstrx.framesync.SYNC_RATIO_MIN` = 1.5;

@@ -35,9 +35,10 @@ PN_LEN = 32
 class FrameLayout:
     """Lengths and seeds shared by transmitter and receiver.
 
-    Preamble A is at least 128 symbols, one 144-sample beat window of tone:
-    the shortest that decodes at every arrival phase on the beat grid.
-    Shorter ones fail at some phases (124 symbols at 1 of 36, 96 at 12).
+    Preamble A is at least 128 symbols, one 144-sample beat window of tone.
+    The floor has room: noiseless 960-bit bursts with 96 symbols of
+    Preamble A decode at all 108 arrival phases on the beat grid at
+    roll-offs 1/64, 0.0324 and 0.125.
     """
 
     # not settings: three Pn blocks, and the seeds of the fixed Pn and Preamble C

@@ -82,22 +82,18 @@ def xorshift64star_words(seed: int, n_words: int) -> np.ndarray:
     x = seed & _MASK64
     if x == 0:
         x = 0x9E3779B97F4A7C15  # zero state is absorbing; remap like splitmix
-    states = np.empty(n_words, dtype=np.uint64)
+    n_rows = -(-n_words // LANES)
+    grid = np.empty((n_rows, LANES), dtype=np.uint64)
     for i in range(min(n_words, LANES)):
         x ^= (x >> 12)
         x ^= (x << 25) & _MASK64
         x ^= (x >> 27)
-        states[i] = x
-    if n_words > LANES:
-        tables = _jump_tables()
-        base = states[:LANES]
-        for start in range(0, n_words, LANES * JUMP_BLOCKS):
-            if start:
-                base = _jump(tables[-1], base)
-            chunk = states[start : start + LANES * JUMP_BLOCKS]
-            rows = np.vstack([base, _jump(tables[: (len(chunk) - 1) // LANES], base)])
-            chunk[:] = rows.reshape(-1)[: len(chunk)]
-    return states * np.uint64(_MULT)
+        grid[0, i] = x
+    # rows r+1 .. r+32 from row r; row r+32 is the base of the next span
+    for r in range(0, n_rows - 1, JUMP_BLOCKS):
+        span = min(JUMP_BLOCKS, n_rows - 1 - r)
+        grid[r + 1 : r + 1 + span] = _jump(_jump_tables()[:span], grid[r])
+    return grid.reshape(-1)[:n_words] * np.uint64(_MULT)
 
 
 def bits(seed: int, n_bits: int) -> np.ndarray:

@@ -83,7 +83,8 @@ from .timing import FdtrLoop, fd_interpolate
 
 # Acquisition beats past the end of Preamble B.  A detection on the frame's own
 # tone needs at most one; the rest keep Preamble B in the window after a false
-# alarm in the leading gap, which noise raises on about 2.7e-4 of its beats.
+# alarm in the leading gap, which RRC-shaped white noise raises on about
+# 3.6e-4 of its beats.
 ACQUIRE_MARGIN_BEATS = 21
 DETECT_CHUNK = 32          # beats tested for the Preamble-A tone per pass
 

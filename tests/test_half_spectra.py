@@ -80,23 +80,21 @@ def test_beat_spectra(case):
 def test_detect_frame(case):
     half, full = case.half, case.full
     power = np.abs(full) ** 2
-    peak_bin = np.argmax(power[:, 1:], axis=-1) + 1
-    peak = np.max(power[:, 1:], axis=-1)
+    tone = power[:, 64]
     floor = np.mean(power[:, np.setdiff1d(np.arange(1, 144), [64, 80])], axis=-1)
-    detected = ((peak_bin == 64) | (peak_bin == 80)) & (peak > 0) & (peak >= 4.0 * floor)
+    detected = (tone > 0) & (tone >= rxfront.DETECT_POWER_FACTOR * floor)
 
     res = rxfront.detect_frame(half)
     assert np.array_equal(res.detected, detected)
-    assert np.array_equal(res.peak_bin, np.minimum(peak_bin, 144 - peak_bin))
-    # the floor, to rounding of the peak: a pure tone's floor is rounding alone
-    close(peak / res.peak_ratio, floor, scale=np.max(peak))
+    # the floor, to rounding of the tone: a pure tone's floor is rounding alone
+    close(tone / res.peak_ratio, floor, scale=np.max(tone))
 
 
 def test_detect_frame_ratio_on_noise():
     beats, _ = make_case("random")
     power = np.abs(np.fft.fft(beats)) ** 2
     floor = np.mean(power[:, np.setdiff1d(np.arange(1, 144), [64, 80])], axis=-1)
-    ratio = np.max(power[:, 1:], axis=-1) / floor
+    ratio = power[:, 64] / floor
     res = rxfront.detect_frame(fft_144(beats))
     np.testing.assert_allclose(res.peak_ratio, ratio, rtol=RTOL)
 
