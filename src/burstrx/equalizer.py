@@ -90,7 +90,10 @@ from .pipeline import STAGES
 from .txchain import BINS_IN, BINS_OUT, N_IN, OVERLAP_IN
 
 LAGS = np.arange(-(OVERLAP_IN // 2), OVERLAP_IN // 2 + 1)  # -16..16
-_VALID = np.arange(OVERLAP_IN, N_IN)
+# The reads of the 96 x 33 block A_b of the module docstring: row j, column
+# i is the sample (n - l) mod 128 that valid output n = 32 + j reads at lag
+# l = LAGS[i].
+_READS = (np.arange(OVERLAP_IN, N_IN)[:, None] - LAGS) % N_IN
 
 # The hardware's DD-LMS error path; it handles one beat per clock, so its
 # latency in clock cycles is the loop delay in beats.
@@ -139,7 +142,7 @@ def fit_taps(Y_beats: np.ndarray, c_ref: np.ndarray, lags=LAGS) -> np.ndarray:
     """
     lags = np.asarray(lags)
     y = fft_pow2(Y_beats, inverse=True)
-    A = np.take(y, (_VALID[:, None] - lags) % N_IN, axis=-1).reshape(-1, lags.size)
+    A = np.take(y, _READS[:, lags - LAGS[0]], axis=-1).reshape(-1, lags.size)
     return np.linalg.solve(A.T @ A, A.T @ np.ravel(c_ref))
 
 

@@ -74,8 +74,11 @@ def find_sync(symbols: np.ndarray, pn: np.ndarray, offset: int = 0) -> SyncResul
     m = metric_stream(bipolarize(symbols), pn)
     p_local = int(np.argmax(m))
     peak = float(m[p_local])
-    rest = np.abs(np.delete(m, p_local))
-    second = float(rest.max()) if len(rest) else 0.0
+    # every other placement's |M|; the peak's own slot reads 0, the value
+    # of an empty rest
+    rest = np.abs(m)
+    rest[p_local] = 0.0
+    second = float(rest.max())
     if peak <= 0 or (second > 0 and peak / second < SYNC_RATIO_MIN):
         raise SyncError(
             f"sync peak ratio {peak / max(second, 1e-12):.2f} below {SYNC_RATIO_MIN}"

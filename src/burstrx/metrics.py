@@ -70,11 +70,14 @@ class ErrorHistogram:
 def error_distribution(positions: np.ndarray, frame_len: int) -> ErrorHistogram:
     """Decile counts of error positions and a Pearson test against uniform.
 
-    With zero errors the test is skipped (stat and p-value are None).
+    ``positions`` lie in ``[0, frame_len)``; decile ``i`` counts those in
+    ``[e_i, e_(i+1))`` of the edges ``e = linspace(0, frame_len, 11)``, as
+    ``np.histogram`` does on those edges.  With zero errors the test is
+    skipped (stat and p-value are None).
     """
-    positions = np.asarray(positions)
     edges = np.linspace(0, frame_len, ERROR_BINS + 1)
-    counts, _ = np.histogram(positions, bins=edges)
+    deciles = np.searchsorted(edges, np.asarray(positions), "right") - 1
+    counts = np.bincount(deciles, minlength=ERROR_BINS)
     total = counts.sum()
     if total == 0:
         return ErrorHistogram(counts=counts, chi2_stat=None, p_value=None)

@@ -42,7 +42,7 @@ test did at factor 4.0.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .fourier import fft_144
 from .timing import pair_products
@@ -87,8 +87,12 @@ def rx_slice_beats(samples: np.ndarray, start: int, n_beats: int) -> np.ndarray:
     lo, end = start - OVERLAP_OUT, start + n_beats * SAMPLES_PER_BEAT
     if lo < 0:
         samples = np.concatenate([np.zeros(-lo), samples[:end]])
-        lo, end = 0, end - lo
-    return sliding_window_view(samples[lo:end], N_OUT)[::SAMPLES_PER_BEAT]
+        lo = 0
+    step = samples.strides[0]
+    return as_strided(
+        samples[lo:], shape=(n_beats, N_OUT), strides=(SAMPLES_PER_BEAT * step, step),
+        writeable=False,
+    )
 
 
 def beat_spectra(beats: np.ndarray, response: np.ndarray) -> np.ndarray:

@@ -57,7 +57,11 @@ def resample_up_fd(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X)
     if X.shape[-1] != BINS_IN:
         raise FftSizeError(f"resample_up_fd expects {BINS_IN} bins, got {X.shape[-1]}")
-    return np.concatenate([X, np.conj(X[..., 63:56:-1]), X[..., 56:57]], axis=-1)
+    wide = np.empty(X.shape[:-1] + (BINS_OUT,), dtype=X.dtype)
+    wide[..., :BINS_IN] = X
+    np.conj(X[..., 63:56:-1], out=wide[..., BINS_IN:-1])
+    wide[..., -1] = X[..., 56]
+    return wide
 
 
 def rc_magnitude(f, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:

@@ -138,6 +138,19 @@ class TestMmse:
         state.initialize(spectra(y), c, lags=[0])
         assert np.allclose(state.w, gain * UNIT, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("lags", [LAGS, [0]])
+    def test_fit_reads_match_index_build(self, lags):
+        # the fixed read table gives the taps of reads built per call,
+        # (n - l) mod 128 for valid output n and lag l
+        rng = np.random.default_rng(12)
+        blocks, c = training_blocks(12)
+        Y = spectra(circular_filter([0.15, 1.0, 0.3], blocks) + 0.05 * rng.normal(size=(8, 128)))
+        y = fft_pow2(Y, inverse=True)
+        reads = (np.arange(32, 128)[:, None] - np.asarray(lags)) % 128
+        A = np.take(y, reads, axis=-1).reshape(-1, len(reads[0]))
+        want = np.linalg.solve(A.T @ A, A.T @ c.reshape(-1))
+        assert np.array_equal(fit_taps(Y, c, lags), want)
+
     def test_silent_training_keeps_unit_taps(self):
         _, c = training_blocks(6)
         for lags in (LAGS, [0]):

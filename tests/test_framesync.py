@@ -103,6 +103,26 @@ class TestFindSync:
         with pytest.raises(SyncError):
             framesync.find_sync(rng.normal(size=2000), PN)
 
+    @pytest.mark.parametrize("case", ["placed", "noise", "tie", "one_placement"])
+    def test_second_peak_is_largest_other_placement(self, case, monkeypatch):
+        # the second peak is the largest |M| over every placement but the
+        # peak's, 0 when there is none; the ratio test is switched off to
+        # read it on every stream
+        monkeypatch.setattr(framesync, "SYNC_RATIO_MIN", 0.0)
+        s = {
+            "placed": self.place_b(353),
+            "noise": np.random.default_rng(4).normal(size=2000),
+            "tie": np.concatenate([self.place_b(100, total=600), self.place_b(100, total=600)]),
+            "one_placement": framing.gen_preamble_b(LAYOUT),
+        }[case]
+        m = framesync.metric_stream(framesync.bipolarize(s), PN)
+        p = int(np.argmax(m))
+        rest = np.abs(np.delete(m, p))
+        want = float(rest.max()) if len(rest) else 0.0
+        assert framesync.find_sync(s, PN).second_peak_value == want
+        if case == "tie":
+            assert want == m[p]
+
     def test_frac_in_range(self):
         for q in range(0, 32):
             r = framesync.make_sync_result(q, 1.0, 0.0)

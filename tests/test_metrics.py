@@ -49,6 +49,18 @@ class TestErrorDistribution:
         h = metrics.error_distribution(pos, 5000)
         assert h.p_value < 1e-6
 
+    @pytest.mark.parametrize("frame_len", [1920, 1921, 29_999, 130_000])
+    def test_counts_equal_histogram(self, frame_len):
+        # the decile counts are np.histogram's on the same edges, with
+        # positions on and beside every edge
+        edges = np.linspace(0, frame_len, 11)
+        near = np.concatenate([np.floor(edges) + d for d in (-1, 0, 1)] + [np.ceil(edges)])
+        rng = np.random.default_rng(frame_len)
+        pos = np.concatenate([near, rng.integers(0, frame_len, 500)]).astype(np.int64)
+        pos = np.sort(pos[(pos >= 0) & (pos < frame_len)])
+        want, _ = np.histogram(pos, edges)
+        assert np.array_equal(metrics.error_distribution(pos, frame_len).counts, want)
+
     def test_histogram_sums_to_errors(self):
         pos = np.array([0, 1, 4999])
         h = metrics.error_distribution(pos, 5000)

@@ -137,6 +137,25 @@ class TestInterpolator:
             assert np.array_equal(fd_interpolate(X[b], taus[b, 0]), stacked[b])
             assert np.array_equal(fd_interpolate(X[b : b + 1], taus[b : b + 1]), stacked[b : b + 1])
 
+    @pytest.mark.parametrize("n", [1, 26, 1400])
+    def test_one_tau_over_stack_equals_row_calls(self, n):
+        # stage 1 corrects its whole window by tau0: one row of powers,
+        # broadcast over the stack, gives each row what a one-row call gives
+        rng = np.random.default_rng(n + 7)
+        X = rng.normal(size=(n, 73)) + 1j * rng.normal(size=(n, 73))
+        for tau in rng.uniform(-3.0, 3.0, size=5):
+            stacked = fd_interpolate(X, tau)
+            for b in range(n):
+                assert np.array_equal(fd_interpolate(X[b], tau), stacked[b])
+
+    def test_powers_close_to_per_bin_exponentials(self):
+        # the doubled powers of w against exp(-2j pi k tau / 144) evaluated
+        # bin by bin, at taus up to 3 samples
+        taus = np.concatenate([[-3.0, 3.0], np.random.default_rng(5).uniform(-3.0, 3.0, 4000)])
+        exact = np.exp(-2j * np.pi * np.arange(73) / 144 * taus[:, None])
+        powers = fd_interpolate(np.ones((len(taus), 73), complex), taus[:, None])
+        assert np.max(np.abs(powers - exact)) <= 1e-14
+
     def test_integer_delay_is_circular_shift(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=144)
