@@ -143,8 +143,7 @@ def apply_clock_drift(x: np.ndarray, ppm: float) -> np.ndarray:
 
 def signal_power_ac(x: np.ndarray) -> float:
     """Mean-removed power, the reference for the SNR definition."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.mean((x - x.mean()) ** 2))
+    return float(np.var(np.asarray(x, dtype=np.float64)))
 
 
 def apply_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator,

@@ -111,20 +111,7 @@ class SimConfig:
         )
 
     def to_dict(self) -> dict:
-        """``dataclasses.asdict(self)`` without its recursive deep copy.
-
-        Every value of a section is a scalar, so a new dict per section is
-        already a deep copy.
-        """
-        d = _field_values(self)
-        for name, value in d.items():
-            if dataclasses.is_dataclass(value):
-                d[name] = _field_values(value)
-        return d
-
-
-def _field_values(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return dataclasses.asdict(self)
 
 
 def _build_section(cls, data: dict, name: str):

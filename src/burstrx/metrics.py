@@ -2,14 +2,14 @@
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import AlignmentError
 
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 ERROR_BINS = 10  # equal slices of the payload in the error histogram
 
 
@@ -25,16 +25,18 @@ class BerCount:
 
 
 def count_ber(decided_bits: np.ndarray, reference_bits: np.ndarray) -> BerCount:
-    """Exact Hamming distance plus the error position list."""
-    decided = np.asarray(decided_bits).astype(np.uint8)
-    reference = np.asarray(reference_bits).astype(np.uint8)
+    """Exact Hamming distance plus the error position list.
+
+    Bits compare by value, so 0/1 arrays of any dtype count alike.
+    """
+    decided = np.asarray(decided_bits)
+    reference = np.asarray(reference_bits)
     if decided.shape != reference.shape:
         raise AlignmentError(
             f"length mismatch: {decided.shape} vs {reference.shape}"
         )
-    diff = decided != reference
-    positions = np.flatnonzero(diff)
-    return BerCount(errors=int(diff.sum()), total=int(decided.size), positions=positions)
+    positions = np.flatnonzero(decided != reference)
+    return BerCount(errors=positions.size, total=decided.size, positions=positions)
 
 
 def chi2_upper_tail(k: int, x: float) -> float:
@@ -101,7 +103,12 @@ def mse_point(z: np.ndarray, decisions: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RunReport:
-    """Everything one simulated burst produces, serializable to JSON."""
+    """What one burst produced, each value already a JSON value.
+
+    The receiver stores lists of Python numbers, so :meth:`to_dict` converts
+    nothing.  The configuration and seeds that made the burst are the
+    caller's to record; a report holds no copy of them.
+    """
 
     status: str = "ok"                      # ok | detection_failed | sync_failed
     ber: float = 0.0
@@ -119,16 +126,10 @@ class RunReport:
     error_histogram: list = field(default_factory=list)
     chi2_stat: Optional[float] = None
     chi2_p: Optional[float] = None
-    seed: int = 0
-    config: dict = field(default_factory=dict)
     schema_version: int = REPORT_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["mse_trace"] = [float(x) for x in self.mse_trace]
-        d["spo_trace"] = [float(t) for t in self.spo_trace]
-        d["error_histogram"] = [int(x) for x in self.error_histogram]
-        return d
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)

@@ -100,6 +100,4 @@ def bits(seed: int, n_bits: int) -> np.ndarray:
     """Return ``n_bits`` pseudo-random bits in {0, 1} as uint8."""
     n_words = (n_bits + 63) // 64
     words = xorshift64star_words(seed, n_words)
-    octets = words.astype(">u8").view(np.uint8).reshape(-1, 8)  # MSByte first
-    b = np.unpackbits(octets, axis=1)
-    return b.reshape(-1)[:n_bits]
+    return np.unpackbits(words.astype(">u8").view(np.uint8), count=n_bits)  # MSByte first

@@ -195,8 +195,12 @@ class BurstReceiver:
         )
 
     def receive(self, waveform: np.ndarray, payload_bits: np.ndarray) -> metrics.RunReport:
-        """Full chain with structured failure reporting."""
-        report = metrics.RunReport(seed=self.cfg.seed, config=self.cfg.to_dict())
+        """Full chain with structured failure reporting.
+
+        The report holds what this burst produced, as JSON values; a failure
+        is its ``status``, with the fields filled up to the failed stage.
+        """
+        report = metrics.RunReport()
         try:
             acq = self.acquire(waveform)
             report.detect_beat = acq.detect_beat
@@ -220,7 +224,7 @@ class BurstReceiver:
         report.ber = ber.ber
         report.bit_errors = ber.errors
         report.bits_total = ber.total
-        report.error_histogram = list(hist.counts)
+        report.error_histogram = hist.counts.tolist()
         report.chi2_stat = hist.chi2_stat
         report.chi2_p = hist.p_value
         report.mse_trace = demod.mse_trace

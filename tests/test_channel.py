@@ -112,6 +112,12 @@ class TestAwgn:
         with pytest.raises(ChannelError):
             channel.apply_awgn(np.zeros(100), 10.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 1000, 30_001, 300_001])
+    def test_power_equals_two_pass_mean(self, n):
+        x = 0.5 + np.random.default_rng(n).normal(size=n)
+        two_pass = float(np.mean((x - x.mean()) ** 2))
+        assert channel.signal_power_ac(x) == two_pass
+
 
 class TestRunChannel:
     def test_all_off_identity(self, wave):

@@ -27,6 +27,22 @@ class TestCountBer:
         assert res.errors == 1
         assert list(res.positions) == [7]
 
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.float64])
+    @pytest.mark.parametrize("n_bits", [1920, 30_000])
+    def test_equals_copying_count(self, dtype, n_bits):
+        # the count on the caller's arrays equals the one on uint8 copies
+        rng = np.random.default_rng(n_bits)
+        ref = rng.integers(0, 2, n_bits).astype(dtype)
+        dec = ref.copy()
+        flips = rng.choice(n_bits, 90, replace=False)
+        dec[flips] = 1 - dec[flips]
+        res = metrics.count_ber(dec, ref)
+        copied_diff = dec.astype(np.uint8) != ref.astype(np.uint8)
+        assert type(res.errors) is int and type(res.total) is int
+        assert (res.errors, res.total) == (int(copied_diff.sum()), n_bits) == (90, n_bits)
+        assert np.array_equal(res.positions, np.flatnonzero(copied_diff))
+        assert np.array_equal(res.positions, np.sort(flips))
+
     def test_mismatch_raises(self):
         with pytest.raises(AlignmentError):
             metrics.count_ber(np.zeros(5), np.zeros(6))
@@ -127,7 +143,6 @@ class TestRunReport:
             ber=1e-3, bit_errors=10, bits_total=10_000,
             spo_trace=[0.001, np.float64(-0.002)],
             mse_trace=[0.5, 0.1], error_histogram=[1, 2, 3],
-            seed=7, config={"snr_db": 12.0},
         )
         text1 = rep.to_json()
         text2 = rep.to_json()
@@ -135,7 +150,14 @@ class TestRunReport:
         back = json.loads(text1)
         assert back == rep.to_dict()
         assert back["spo_trace"] == [0.001, -0.002]
-        assert back["schema_version"] == 3
+        assert back["schema_version"] == 4
+
+    def test_dict_shares_no_list_with_report(self):
+        rep = metrics.RunReport(mse_trace=[0.5], spo_trace=[0.1], error_histogram=[1])
+        d = rep.to_dict()
+        for name in ("mse_trace", "spo_trace", "error_histogram"):
+            d[name].append(9)
+        assert (rep.mse_trace, rep.spo_trace, rep.error_histogram) == ([0.5], [0.1], [1])
 
 
 class TestWilson:

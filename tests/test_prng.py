@@ -59,3 +59,14 @@ def test_receiver_setup_builds_no_jump_tables():
     assert prng._jump_tables.cache_info().currsize == 0
     prng.xorshift64star_words(1, prng.LANES + 1)
     assert prng._jump_tables.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n_bits", [0, 1, 7, 63, 64, 65, 1920, 130_000])
+@pytest.mark.parametrize("seed", [1, 0x5EED0001])
+def test_bits_equal_bytewise_unpack(seed, n_bits):
+    # each word's eight bytes, most significant first, unpacked MSB first
+    words = prng.xorshift64star_words(seed, (n_bits + 63) // 64)
+    octets = words.astype(">u8").view(np.uint8).reshape(-1, 8)
+    want = np.unpackbits(octets, axis=1).reshape(-1)[:n_bits]
+    got = prng.bits(seed, n_bits)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)

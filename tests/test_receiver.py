@@ -1,6 +1,7 @@
 """End-to-end receiver tests on short bursts, against a per-beat reference."""
 
 import hashlib
+import json
 import math
 import sys
 from dataclasses import replace
@@ -156,6 +157,28 @@ def test_truncated_after_sync_is_sync_failure(burst):
     assert report.sync_p is not None
     assert math.isfinite(report.tau0)
     assert report.spo_trace == []  # no stage-2 beat was corrected
+
+
+@pytest.mark.parametrize(
+    "capture, status",
+    [
+        (lambda wave: wave, "ok"),
+        (np.zeros_like, "detection_failed"),
+        (lambda wave: wave[:4000], "sync_failed"),  # cut after Preamble B
+    ],
+    ids=["ok", "silent", "cut_after_preamble_b"],
+)
+def test_report_dict_is_plain_json(burst, capture, status):
+    # the dict holds JSON values alone, and no configuration or seed
+    rx, wave, bits = burst
+    report = rx.receive(capture(wave), bits)
+    assert report.status == status
+    d = report.to_dict()
+    assert json.loads(json.dumps(d)) == d
+    values = [x for v in d.values() for x in (v if isinstance(v, list) else [v])]
+    assert {type(v) for v in values} <= {str, int, float, type(None)}
+    assert "config" not in d and "seed" not in d
+    assert d["schema_version"] == 4
 
 
 @pytest.mark.parametrize("n_beats", [11, 12], ids=["11_beats", "12_beats"])
