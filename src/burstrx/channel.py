@@ -11,9 +11,19 @@ clock drift, additive noise, with inter-burst gaps spliced around the frame.
 Each block is a numpy FFT filter: the low-pass and the fixed delay over the
 whole waveform, the drift with the same delay filter over one stack of
 overlapping windows.
+
+The filter responses depend on the configuration and the waveform length
+alone, so each is built once per key and then shared, read-only, by every
+burst that has the same key (a bounded ``lru_cache``):
+
+* the drift's delay factors, one row per chunk, keyed on the waveform
+  length and ``clock_ppm`` (:func:`drift_factors`);
+* the low-pass response, keyed on the transform length and ``f3db_ghz``
+  (:func:`lowpass_response`).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -113,9 +123,16 @@ def apply_lowpass(x: np.ndarray, f3db_ghz: float) -> np.ndarray:
         raise ChannelError("f3db_ghz must be positive")
     n = len(x)
     m = smooth_length(n)
+    return np.fft.irfft(np.fft.rfft(x, m) * lowpass_response(m, f3db_ghz), m)[:n]
+
+
+@lru_cache(maxsize=4)
+def lowpass_response(m: int, f3db_ghz: float) -> np.ndarray:
+    """``rfft``-domain response of :func:`apply_lowpass` at transform length ``m``; read-only."""
     f = np.fft.rfftfreq(m, d=1.0 / SAMPLE_RATE_HZ)
     h = 2.0 ** (-0.5 * (f / (f3db_ghz * 1e9)) ** 2)
-    return np.fft.irfft(np.fft.rfft(x, m) * h, m)[:n]
+    h.flags.writeable = False
+    return h
 
 
 def apply_clock_drift(x: np.ndarray, ppm: float) -> np.ndarray:
@@ -124,21 +141,34 @@ def apply_clock_drift(x: np.ndarray, ppm: float) -> np.ndarray:
     Each chunk of ``DRIFT_CHUNK`` samples is delayed by tau = ppm * 1e-6 * t
     at its center ``t``, filtered in its own window with ``DRIFT_PAD``
     samples of context on both sides (silence past the waveform's ends), all
-    windows in one stacked transform.
+    windows in one stacked transform with the factors of :func:`drift_factors`.
     """
     x = np.asarray(x, dtype=np.float64)
     if ppm == 0.0 or len(x) == 0:
         return x.copy()
     n = len(x)
+    factors = drift_factors(n, ppm)
+    width = DRIFT_CHUNK + 2 * DRIFT_PAD
+    padded = np.zeros(len(factors) * DRIFT_CHUNK + 2 * DRIFT_PAD)
+    padded[DRIFT_PAD : DRIFT_PAD + n] = x
+    windows = sliding_window_view(padded, width)[::DRIFT_CHUNK]
+    shifted = np.fft.irfft(np.fft.rfft(windows) * factors, width)
+    return shifted[:, DRIFT_PAD : DRIFT_PAD + DRIFT_CHUNK].reshape(-1)[:n]
+
+
+@lru_cache(maxsize=4)
+def drift_factors(n: int, ppm: float) -> np.ndarray:
+    """Delay factors of the drift windows of an ``n``-sample waveform; read-only.
+
+    One row per chunk: row ``i`` is :func:`delay_factor` of the window of chunk ``i`` at the
+    chunk's tau, ``ppm * 1e-6`` times its centre sample.
+    """
     starts = np.arange(0, n, DRIFT_CHUNK)
     stops = np.minimum(starts + DRIFT_CHUNK, n)
     tau = ppm * 1e-6 * 0.5 * (starts + stops)
-    width = DRIFT_CHUNK + 2 * DRIFT_PAD
-    padded = np.zeros(len(starts) * DRIFT_CHUNK + 2 * DRIFT_PAD)
-    padded[DRIFT_PAD : DRIFT_PAD + n] = x
-    windows = sliding_window_view(padded, width)[::DRIFT_CHUNK]
-    shifted = apply_fractional_delay(windows, tau[:, None])
-    return shifted[:, DRIFT_PAD : DRIFT_PAD + DRIFT_CHUNK].reshape(-1)[:n]
+    h = delay_factor(DRIFT_CHUNK + 2 * DRIFT_PAD, tau[:, None])
+    h.flags.writeable = False
+    return h
 
 
 def signal_power_ac(x: np.ndarray) -> float:

@@ -81,6 +81,7 @@ imaginary parts, so each product is one real matrix multiply.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,10 +91,6 @@ from .pipeline import STAGES
 from .txchain import BINS_IN, BINS_OUT, N_IN, OVERLAP_IN
 
 LAGS = np.arange(-(OVERLAP_IN // 2), OVERLAP_IN // 2 + 1)  # -16..16
-# The reads of the 96 x 33 block A_b of the module docstring: row j, column
-# i is the sample (n - l) mod 128 that valid output n = 32 + j reads at lag
-# l = LAGS[i].
-_READS = (np.arange(OVERLAP_IN, N_IN)[:, None] - LAGS) % N_IN
 
 # The hardware's DD-LMS error path; it handles one beat per clock, so its
 # latency in clock cycles is the loop delay in beats.
@@ -140,10 +137,22 @@ def fit_taps(Y_beats: np.ndarray, c_ref: np.ndarray, lags=LAGS) -> np.ndarray:
     valid positions; raises ``numpy.linalg.LinAlgError`` when they are
     singular, as for a silent training region.
     """
-    lags = np.asarray(lags)
+    reads = lag_reads(tuple(np.asarray(lags).tolist()))
     y = fft_pow2(Y_beats, inverse=True)
-    A = np.take(y, _READS[:, lags - LAGS[0]], axis=-1).reshape(-1, lags.size)
-    return np.linalg.solve(A.T @ A, A.T @ np.ravel(c_ref))
+    A = np.take(y, reads, axis=-1).reshape(-1, reads.shape[1])
+    return np.linalg.solve(A.T @ A, A.T @ c_ref.reshape(-1))
+
+
+@lru_cache(maxsize=4)
+def lag_reads(lags: tuple) -> np.ndarray:
+    """The reads of the block ``A_b`` at ``lags``, built once per lag set; read-only.
+
+    Row j, column i is the sample (n - l) mod 128 that valid output
+    n = 32 + j reads at lag l = ``lags[i]`` (see the module docstring).
+    """
+    reads = (np.arange(OVERLAP_IN, N_IN)[:, None] - np.array(lags, dtype=int)) % N_IN
+    reads.flags.writeable = False
+    return reads
 
 
 def tap_spectrum(w: np.ndarray) -> np.ndarray:

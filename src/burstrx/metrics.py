@@ -2,7 +2,8 @@
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -77,12 +78,14 @@ def error_distribution(positions: np.ndarray, frame_len: int) -> ErrorHistogram:
     ``np.histogram`` does on those edges.  With zero errors the test is
     skipped (stat and p-value are None).
     """
-    edges = np.linspace(0, frame_len, ERROR_BINS + 1)
-    deciles = np.searchsorted(edges, np.asarray(positions), "right") - 1
-    counts = np.bincount(deciles, minlength=ERROR_BINS)
-    total = counts.sum()
-    if total == 0:
+    positions = np.asarray(positions)
+    if not positions.size:
+        counts = np.zeros(ERROR_BINS, dtype=np.intp)
         return ErrorHistogram(counts=counts, chi2_stat=None, p_value=None)
+    edges = np.linspace(0, frame_len, ERROR_BINS + 1)
+    deciles = np.searchsorted(edges, positions, "right") - 1
+    counts = np.bincount(deciles, minlength=ERROR_BINS)
+    total = positions.size
     expected = total / ERROR_BINS
     stat = float(np.sum((counts - expected) ** 2 / expected))
     p = chi2_upper_tail(ERROR_BINS - 1, stat)
@@ -129,7 +132,8 @@ class RunReport:
     schema_version: int = REPORT_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a dict, equal to ``dataclasses.asdict``; each list is a new copy."""
+        return {f.name: copy(getattr(self, f.name)) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)

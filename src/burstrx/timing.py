@@ -102,22 +102,29 @@ def estimate_taus(S: np.ndarray, tau_ref: float) -> np.ndarray:
     """
     n = len(S)
     beat = np.arange(n)
-    sums = np.zeros(n + 1, dtype=complex)
-    np.cumsum(S, out=sums[1:])
-    moving = sums[np.minimum(beat + W1 // 2, n)] - sums[np.maximum(beat - W1 // 2, 0)]
-    phase = np.unwrap(np.angle(moving)) * _SAMPLES_PER_RADIAN
+    # the cumulative sums of S, 0 before the first beat and held after the
+    # last, so that the sum over beats b - 12 .. b + 11 is sums[b + 24] - sums[b]
+    half = W1 // 2
+    sums = np.zeros(n + W1 + 1, dtype=complex)
+    np.cumsum(S, out=sums[half + 1 : half + 1 + n])
+    sums[half + 1 + n :] = sums[half + n]
+    moving = sums[W1 : W1 + n] - sums[:n]
+    phase = np.unwrap(np.angle(moving))
 
     # Line fit on u = beat - centre: sum u = 0 and sum u^2 = w (w^2 - 1) / 12.
     w = min(W2, n)
-    start = np.minimum(np.maximum(beat - w // 2, 0), n - w)
+    terms = np.empty((2, n))
+    np.multiply(phase, _SAMPLES_PER_RADIAN, out=terms[0])
+    np.multiply(beat, terms[0], out=terms[1])
     moments = np.zeros((2, n + 1))
-    np.cumsum([phase, beat * phase], axis=1, out=moments[:, 1:])
-    sum_y, sum_by = moments[:, start + w] - moments[:, start]
+    np.cumsum(terms, axis=1, out=moments[:, 1:])
+    start = np.minimum(np.maximum(beat - w // 2, 0), n - w)
+    sum_y, sum_by = (moments[:, w:] - moments[:, : n - w + 1])[:, start]
     centre = start + (w - 1) / 2
     # one beat has no slope; its sum u*y is 0 as well
     slope = (sum_by - centre * sum_y) / max(w * (w * w - 1) / 12, 1)
     taus = sum_y / w + slope * (beat - centre)
-    return taus + SPS * np.round((tau_ref - taus[0]) / SPS)
+    return taus + SPS * np.rint((tau_ref - taus[0]) / SPS)
 
 
 def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
@@ -129,36 +136,38 @@ def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
     an ``(n, 73)`` stack by its own tau, one tau corrects every row alike.
 
     The factor of bin ``k`` is ``w^k`` with ``w = exp(-2j pi tau / 144)``,
-    one exponential per tau.  The table of powers has the shape of the taus
-    with the 73 bins on the last axis, and is built by doubling: bins 0 and
-    1 hold 1 and ``w``, bin 2 is ``w^2``, and then bins ``m+1..2m`` are
-    bins ``1..m`` times bin ``m``, ``w^m``, for m = 2, 4, .., 64, up to bin
-    72.  Bin ``2m`` is ``w^m`` squared, the multiplier of the next step.
-    Bin ``k`` is reached in at most seven products, and the factors are
-    within 8e-15 of the exact ones for ``|tau| <= 3`` samples and 1.1e-13
-    for ``|tau| <= 200``, where exponentials evaluated per bin are within
-    2.4e-15 and 1.6e-13.  Every row goes through the same operations
-    whatever the shape of the stack, so a one-row call equals that row of a
-    stacked call bit for bit.
+    one exponential per tau.  The table of powers is built bins-major: row
+    ``k`` holds ``w^k`` of every tau, a ``(73, n)`` table for a column of
+    ``n`` taus, so each product below runs over whole contiguous rows, and
+    the stack is multiplied by the table's transpose.  It is built by
+    doubling: rows 0 and 1 hold 1 and ``w``, row 2 is ``w^2``, and then
+    rows ``m+1..2m`` are rows ``1..m`` times row ``m``, ``w^m``, for
+    m = 2, 4, .., 64, up to row 72.  Row ``2m`` is ``w^m`` squared, the
+    multiplier of the next step.  Bin ``k`` is reached in at most seven
+    products, and the factors are within 8e-15 of the exact ones for
+    ``|tau| <= 3`` samples and 1.1e-13 for ``|tau| <= 200``, where
+    exponentials evaluated per bin are within 2.4e-15 and 1.6e-13.  A
+    stack with its own taus is corrected in the table's transpose, so one
+    ``(n, 73)`` array is made per call, and the result is column-major.
+    Every tau goes through the same operations whatever the shape of the
+    stack, so a one-row call equals that row of a stacked call bit for bit.
     """
     X = np.asarray(X)
-    w = np.exp(_BIN_STEP * np.asarray(tau_samples, dtype=float))
-    powers = np.empty(w.shape[:-1] + (BINS_OUT,), dtype=complex)
-    powers[..., 0] = 1.0
-    powers[..., 1:2] = w
-    # w^2 from w, not from bin 1: across the rows of a stack, bins 1 and 2
-    # span overlapping memory, and numpy multiplies overlapping operands in
-    # a loop that rounds differently from the one a single row takes
-    np.multiply(w, w, out=powers[..., 2:3])
+    tau = np.asarray(tau_samples, dtype=float)
+    powers = np.empty((BINS_OUT, tau.size), dtype=complex)
+    powers[0] = 1.0
+    np.exp(_BIN_STEP * tau.reshape(-1), out=powers[1])
+    # row 2 as the product of two whole rows: for a single tau, one row
+    # times a broadcast row would take a numpy loop that rounds differently
+    np.multiply(powers[1], powers[1], out=powers[2])
     m = 2
     while m < BINS_OUT - 1:
         top = min(2 * m, BINS_OUT - 1)
-        np.multiply(
-            powers[..., 1 : top - m + 1], powers[..., m : m + 1], out=powers[..., m + 1 : top + 1]
-        )
+        np.multiply(powers[1 : top - m + 1], powers[m], out=powers[m + 1 : top + 1])
         m = top
+    table = powers.reshape((BINS_OUT,) + tau.shape[:-1]).T
     # a stack with its own taus is corrected in its table: one (n, 73) array
-    return np.multiply(X, powers, out=powers if X.shape == powers.shape else None)
+    return np.multiply(X, table, out=table if X.shape == table.shape else None)
 
 
 @dataclass

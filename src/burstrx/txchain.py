@@ -17,6 +17,8 @@ error.  An integer-symbol delay is invisible to the timing recovery and is
 absorbed by frame synchronization downstream.
 """
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -77,12 +79,21 @@ def rc_magnitude(f, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
 
 
 def rrc_response(rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
-    """73-bin RRC response sqrt(RC) delayed by ``DEFAULT_DELAY_SYMBOLS``.
+    """73-bin RRC response sqrt(RC) delayed by ``DEFAULT_DELAY_SYMBOLS``; read-only.
 
-    It is 0 on the Nyquist bin 72 at every roll-off up to 0.125.
+    It is 0 on the Nyquist bin 72 at every roll-off up to 0.125.  Built once
+    per roll-off and delay and shared by the transmitter and every receiver.
     """
+    return rrc_table(rolloff, DEFAULT_DELAY_SYMBOLS)
+
+
+@lru_cache(maxsize=8)
+def rrc_table(rolloff: float, delay_symbols: float) -> np.ndarray:
+    """The table of :func:`rrc_response`, keyed on everything it depends on."""
     mag = np.sqrt(rc_magnitude(FREQ_SYMBOL_144, rolloff))
-    return mag * np.exp(-2j * np.pi * FREQ_SYMBOL_144 * DEFAULT_DELAY_SYMBOLS)
+    h = mag * np.exp(-2j * np.pi * FREQ_SYMBOL_144 * delay_symbols)
+    h.flags.writeable = False
+    return h
 
 
 def tx_frame(symbols: np.ndarray, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:

@@ -140,8 +140,9 @@ class TestMmse:
 
     @pytest.mark.parametrize("lags", [LAGS, [0]])
     def test_fit_reads_match_index_build(self, lags):
-        # the fixed read table gives the taps of reads built per call,
-        # (n - l) mod 128 for valid output n and lag l
+        # the shared read table of each of the receiver's two lag sets gives
+        # the taps of reads built per call, (n - l) mod 128 for valid output
+        # n and lag l, and the state holds them at their lags, 0 elsewhere
         rng = np.random.default_rng(12)
         blocks, c = training_blocks(12)
         Y = spectra(circular_filter([0.15, 1.0, 0.3], blocks) + 0.05 * rng.normal(size=(8, 128)))
@@ -150,6 +151,10 @@ class TestMmse:
         A = np.take(y, reads, axis=-1).reshape(-1, len(reads[0]))
         want = np.linalg.solve(A.T @ A, A.T @ c.reshape(-1))
         assert np.array_equal(fit_taps(Y, c, lags), want)
+        state = FdeState()
+        state.initialize(Y, c, lags)
+        assert np.array_equal(state.w[np.asarray(lags) + 16], want)
+        assert not np.delete(state.w, np.asarray(lags) + 16).any()
 
     def test_silent_training_keeps_unit_taps(self):
         _, c = training_blocks(6)

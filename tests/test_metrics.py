@@ -1,5 +1,6 @@
 """Metrics tests: BER counting, error distribution, MSE, report round trip."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -50,9 +51,15 @@ class TestCountBer:
 
 class TestErrorDistribution:
     def test_zero_errors_skipped(self):
-        h = metrics.error_distribution(np.array([], dtype=int), 1000)
-        assert not h.counts.any()
-        assert h.chi2_stat is None and h.p_value is None
+        # an error-free burst gets the counts that the decile count gives an
+        # empty position list, in shape and dtype too, and no test
+        edges = np.linspace(0, 1000, metrics.ERROR_BINS + 1)
+        want = np.bincount(np.searchsorted(edges, [], "right") - 1, minlength=metrics.ERROR_BINS)
+        for positions in (np.array([], dtype=int), []):
+            h = metrics.error_distribution(positions, 1000)
+            assert not h.counts.any()
+            assert (h.counts.shape, h.counts.dtype) == (want.shape, want.dtype)
+            assert h.chi2_stat is None and h.p_value is None
 
     def test_uniform_synthetic(self):
         rng = np.random.default_rng(1)
@@ -151,6 +158,19 @@ class TestRunReport:
         assert back == rep.to_dict()
         assert back["spo_trace"] == [0.001, -0.002]
         assert back["schema_version"] == 4
+
+    def test_dict_equals_asdict(self):
+        # a paper_frame-sized report: one MSE point per payload beat and one
+        # tau per stage-2 beat
+        rng = np.random.default_rng(2)
+        rep = metrics.RunReport(
+            ber=0.0, bits_total=130_000, detect_beat=3, tau0=0.25, sync_p1=412,
+            mse_trace=rng.random(1355).tolist(), spo_trace=rng.normal(size=1364).tolist(),
+            error_histogram=[0] * 10,
+        )
+        d = rep.to_dict()
+        assert d == dataclasses.asdict(rep)
+        assert list(d) == [f.name for f in dataclasses.fields(rep)]
 
     def test_dict_shares_no_list_with_report(self):
         rep = metrics.RunReport(mse_trace=[0.5], spo_trace=[0.1], error_histogram=[1])

@@ -23,6 +23,42 @@ def raw_error(X):
 ROLLOFFS = [1 / 64, 0.05, 0.1, 0.125]   # the ends of the accepted range and between
 
 
+def unwrap_form_taus(S, tau_ref):
+    """The tau estimate with clipped window indices and a list-built ``cumsum``."""
+    n = len(S)
+    beat = np.arange(n)
+    sums = np.zeros(n + 1, dtype=complex)
+    np.cumsum(S, out=sums[1:])
+    moving = sums[np.minimum(beat + W1 // 2, n)] - sums[np.maximum(beat - W1 // 2, 0)]
+    phase = np.unwrap(np.angle(moving)) * timing._SAMPLES_PER_RADIAN
+    w = min(W2, n)
+    start = np.minimum(np.maximum(beat - w // 2, 0), n - w)
+    moments = np.zeros((2, n + 1))
+    np.cumsum([phase, beat * phase], axis=1, out=moments[:, 1:])
+    sum_y, sum_by = moments[:, start + w] - moments[:, start]
+    centre = start + (w - 1) / 2
+    slope = (sum_by - centre * sum_y) / max(w * (w * w - 1) / 12, 1)
+    taus = sum_y / w + slope * (beat - centre)
+    return taus + txchain.SPS * np.round((tau_ref - taus[0]) / txchain.SPS)
+
+
+def bins_last_interpolate(X, tau):
+    """Fractional-delay rotation with the powers of ``w`` doubled along the last axis."""
+    w = np.exp(-2j * np.pi / 144 * np.asarray(tau, dtype=float))
+    powers = np.empty(w.shape[:-1] + (73,), dtype=complex)
+    powers[..., 0] = 1.0
+    powers[..., 1:2] = w
+    np.multiply(w, w, out=powers[..., 2:3])
+    m = 2
+    while m < 72:
+        top = min(2 * m, 72)
+        np.multiply(
+            powers[..., 1 : top - m + 1], powers[..., m : m + 1], out=powers[..., m + 1 : top + 1]
+        )
+        m = top
+    return np.multiply(X, powers, out=powers if X.shape == powers.shape else None)
+
+
 class TestGodardBand:
     def test_integerized_bounds(self):
         band = timing.godard_band(alpha=0.1)
@@ -125,7 +161,7 @@ class TestInterpolator:
             close(fd_interpolate(H[0], tau), full(X[0], tau)[:73])
             close(fd_interpolate(H[:4], tau), full(X[:4], tau)[..., :73])
 
-    @pytest.mark.parametrize("n", [1, 24, 1400])
+    @pytest.mark.parametrize("n", [1, 24, 29, 1400])
     def test_one_row_equals_row_of_stack(self, n):
         # every row goes through the same operations whatever the stack, so
         # the per-beat reference receiver sees the batched values exactly
@@ -147,6 +183,19 @@ class TestInterpolator:
             stacked = fd_interpolate(X, tau)
             for b in range(n):
                 assert np.array_equal(fd_interpolate(X[b], tau), stacked[b])
+
+    @pytest.mark.parametrize("n", [1, 26, 29, 1364])
+    def test_equals_bins_last_table(self, n):
+        # the bins-major table multiplies the same pairs of powers as a
+        # table with the bins on the last axis, so the rotation is the same
+        rng = np.random.default_rng(n + 11)
+        X = rng.normal(size=(n, 73)) + 1j * rng.normal(size=(n, 73))
+        taus = np.concatenate([rng.uniform(-3.0, 3.0, (n, 1)), rng.uniform(-200.0, 200.0, (n, 1))])
+        for column in (taus[:n], taus[n:]):
+            assert np.array_equal(fd_interpolate(X, column), bins_last_interpolate(X, column))
+        for tau in (0.0, 0.41, -2.9, 150.5):
+            assert np.array_equal(fd_interpolate(X, tau), bins_last_interpolate(X, tau))
+            assert np.array_equal(fd_interpolate(X[0], tau), bins_last_interpolate(X[0], tau))
 
     def test_powers_close_to_per_bin_exponentials(self):
         # the doubled powers of w against exp(-2j pi k tau / 144) evaluated
@@ -209,6 +258,19 @@ class TestEstimate:
         phase = np.unwrap(np.angle(sums)) * txchain.SPS / (2 * np.pi)
         line = np.polyval(np.polyfit(np.arange(n), phase, 1), np.arange(n))
         np.testing.assert_allclose(taus, line, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 29, 313])
+    @pytest.mark.parametrize("turn", [0.0, 0.3, -2.0])
+    def test_equals_unwrap_form(self, n, turn):
+        # random sums, and sums whose phase turns by ``turn`` rad a beat, so
+        # the windowed phase wraps many times: the padded window sums and
+        # the preallocated line-fit moments give the clipped form's taus
+        # exactly
+        rng = np.random.default_rng(n)
+        S = rng.normal(size=n) + 1j * rng.normal(size=n)
+        S *= np.exp(1j * turn * np.arange(n) ** 2 / 2)
+        for tau_ref in (0.0, 2.7, -40.0):
+            assert np.array_equal(estimate_taus(S, tau_ref), unwrap_form_taus(S, tau_ref))
 
     def test_one_beat_reads_its_phase(self):
         S = np.array([np.exp(-2j * np.pi * 0.2)])
