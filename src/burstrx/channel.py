@@ -22,6 +22,7 @@ burst that has the same key (a bounded ``lru_cache``):
   (:func:`lowpass_response`).
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -57,11 +58,14 @@ class Impairments:
     def __post_init__(self):
         if self.gap_samples < 0:
             raise ChannelError("gap_samples must be >= 0")
-        if self.gain <= 0:
-            raise ChannelError("gain must be positive")
-        if self.snr_db is not None and not np.isfinite(self.snr_db):
+        # math, not numpy: this runs on every burst
+        if not (math.isfinite(self.timing_offset_ui) and math.isfinite(self.clock_ppm)):
+            raise ChannelError("timing_offset_ui and clock_ppm must be finite")
+        if not 0 < self.gain < math.inf:
+            raise ChannelError("gain must be positive and finite")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ChannelError("snr_db must be finite or None")
-        if self.f3db_ghz is not None and not 0 < self.f3db_ghz < np.inf:
+        if self.f3db_ghz is not None and not 0 < self.f3db_ghz < math.inf:
             raise ChannelError("f3db_ghz must be positive and finite, or None")
 
 

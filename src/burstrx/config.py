@@ -24,6 +24,8 @@ instance; each is one module-level definition, in the code that reads it:
   default frame.  A detection on the frame's own tone needs one beat of
   that margin; the other 20 keep Preamble B in the window after a false
   alarm in the leading gap;
+* the equalizer's tap span, :data:`burstrx.equalizer.LAGS` = -16..16, the
+  lags that ``equalizer.mmse_init`` fits and DD-LMS adapts;
 * the DD-LMS step, :data:`burstrx.equalizer.DDLMS_MU` = 1.5e-3, divided in
   each bin by that bin's power, inside the delayed-LMS stability bound at
   the loop delay :data:`burstrx.equalizer.DDLMS_DELAY` = 242 beats, the
@@ -78,7 +80,8 @@ _ACCEPTS = {
 
 @dataclass
 class EqualizerSection:
-    # Fit all 33 taps on Preamble C; when off, fit lag 0 alone (a gain).
+    # Fit the taps at every lag of equalizer.LAGS on Preamble C; when off,
+    # fit lag 0 alone (a gain).
     mmse_init: bool = True
     ddlms: bool = True
 

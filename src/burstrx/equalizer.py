@@ -15,14 +15,17 @@ are both measured on the valid positions only, each against one value per
 symbol: the known Preamble-C symbol during training, and on the payload the
 bit the receiver outputs.
 
-The equalizer is a real FIR ``w`` at the 33 lags -16..16, applied per bin as
-the 65-bin ``W = FFT128(w)``.  A 128-point block with 96 valid outputs
-filters exactly with at most 128 - 96 + 1 = OVERLAP_IN + 1 = 33 taps: at
-lags -16..16 the valid outputs read each head position in one role only,
-positions 16..31 as the past of output 32 and 0..15 as the wrap that
-follows output 127.  Valid output ``n`` of beat ``b`` is row ``n`` of
-``A_b w``, where ``A_b`` is the 96 x 33 block of the beat's real samples
-read at ``(n - l) mod 128``.
+The equalizer is a real FIR ``w`` at the lags ``LAGS``, applied per bin as
+the 65-bin ``W = FFT128(w)``.  ``LAGS`` is the one definition of the span:
+the fit's read table, both lag tables below and the taps of
+:class:`FdeState` are sized from it.  A 128-point block with 96 valid
+outputs filters exactly with at most 128 - 96 + 1 = OVERLAP_IN + 1 = 33
+taps: at lags -16..16 the valid outputs read each head position in one role
+only, positions 16..31 as the past of output 32 and 0..15 as the wrap that
+follows output 127.  ``LAGS`` is that widest span, -16..16.  Valid output
+``n`` of beat ``b`` is row ``n`` of ``A_b w``, where ``A_b`` is the
+96 x ``LAGS.size`` block of the beat's real samples read at
+``(n - l) mod 128``.
 
 Every setting starts from a least-squares fit over the eight training beats
 (768 equations):
@@ -30,13 +33,14 @@ Every setting starts from a least-squares fit over the eight training beats
     min_w  sum_b || A_b w - c_b ||^2
 
 with ``c_b`` the beat's 96 training symbols.  With tap initialization on it
-fits all 33 lags; with it off it fits lag 0 alone, a gain.  Either way the
-output levels are {0, 1}, so every sample is decided against a fixed 0.5.
+fits every lag of ``LAGS``; with it off it fits lag 0 alone, a gain.  Either
+way the output levels are {0, 1}, so every sample is decided against a fixed
+0.5.
 
 Tracking is decision-directed LMS in the constrained frequency-domain form
 of Ferrara (IEEE TASSP 1980) and Shynk ("Frequency-domain and multirate
 adaptive filtering", IEEE SP Mag. 1992): each bin takes its own step, and
-the gradient is projected back onto the 33 real taps,
+the gradient is projected back onto the real taps at ``LAGS``,
 
     g_b = 2 mu IFFT128(E_b conj(Y_b) / P)  read at LAGS,
     e_b = d_b - A_b w_b,   P_k = mean_b |Y_b,k|^2,
@@ -46,7 +50,7 @@ head), the error decision-minus-output (the opposite sign adds energy along
 the tap direction and diverges) and the fixed step ``mu`` = ``DDLMS_MU``.
 In time, ``g_b = 2 mu A'_b^T e_b``: the error correlated with the beat
 whitened by the per-bin power, ``A'_b`` read from ``IFFT128(Y_b / P)``.
-The whitening gives the 33 tap modes one eigenvalue: the step matrix
+The whitening gives the tap modes one eigenvalue: the step matrix
 ``2 E[A'^T A]`` is close to ``2 (96 / 128) I``, lam ~ 1.5, where a step
 divided by the beat power would leave the tap-sum mode of on-off symbols
 35 times the others.  ``P`` is fixed once per burst, over the first
@@ -69,19 +73,19 @@ block in one pass, ``ceil(n / D)`` passes for ``n`` beats.  A payload of at
 most ``D`` beats ends before its first gradient lands and is decided with
 the fitted taps alone.
 
-Only 33 of the 128 samples of ``w`` are live, and the gradient is read at
-the same 33 lags (Shynk's gradient constraint).  So neither transform
-runs in full.  :func:`tap_spectrum` is a product with the fixed 33 x 65 table of the
-``FFT128`` of a unit tap at each lag, and the gradient readout a product
-with the 65 x 33 table of the ``IFFT128`` of a unit real and a unit
-imaginary part in each bin, read at ``LAGS``, each bin's rows scaled by
-its step ``2 mu / P_k``.  Both tables come from :func:`fourier.fft_pow2`,
-the chain's one FFT, and hold complex values as interleaved real and
-imaginary parts, so each product is one real matrix multiply.
+Only ``LAGS.size`` of the 128 samples of ``w`` are live, and the gradient is
+read at the same lags (Shynk's gradient constraint).  So neither transform
+runs in full.  :func:`tap_spectrum` is a product with the fixed
+``LAGS.size`` x 65 table of the ``FFT128`` of a unit tap at each lag, and the
+gradient readout a product with the 65 x ``LAGS.size`` table of the
+``IFFT128`` of a unit real and a unit imaginary part in each bin, read at
+``LAGS``, each bin's rows scaled by its step ``2 mu / P_k`` once per burst.
+Both tables come from :func:`fourier.fft_pow2`, the chain's one FFT, and
+hold complex values as interleaved real and imaginary parts, so each
+product is one real matrix multiply.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -91,6 +95,11 @@ from .pipeline import STAGES
 from .txchain import BINS_IN, BINS_OUT, N_IN, OVERLAP_IN
 
 LAGS = np.arange(-(OVERLAP_IN // 2), OVERLAP_IN // 2 + 1)  # -16..16
+# The reads of the 96 x LAGS.size block A_b of the module docstring: row j,
+# column i is the sample (n - l) mod 128 that valid output n = 32 + j reads
+# at lag l = LAGS[i].
+_READS = (np.arange(OVERLAP_IN, N_IN)[:, None] - LAGS) % N_IN
+_READS.flags.writeable = False
 
 # The hardware's DD-LMS error path; it handles one beat per clock, so its
 # latency in clock cycles is the loop delay in beats.
@@ -108,8 +117,8 @@ DDLMS_MU = 1.5e-3
 
 # The two tables of the module docstring, complex values as the (re, im)
 # pairs of ``complex128.view(float64)``.
-_TAP_DFT = fft_pow2(np.eye(N_IN)[LAGS]).view(np.float64)                       # 33 x 130
-_LAG_IDFT = fft_pow2(np.eye(2 * BINS_IN).view(complex), inverse=True)[:, LAGS]  # 130 x 33
+_TAP_DFT = fft_pow2(np.eye(N_IN)[LAGS]).view(np.float64)                       # LAGS.size x 130
+_LAG_IDFT = fft_pow2(np.eye(2 * BINS_IN).view(complex), inverse=True)[:, LAGS]  # 130 x LAGS.size
 
 
 def strip_rolloff(X: np.ndarray) -> np.ndarray:
@@ -137,22 +146,10 @@ def fit_taps(Y_beats: np.ndarray, c_ref: np.ndarray, lags=LAGS) -> np.ndarray:
     valid positions; raises ``numpy.linalg.LinAlgError`` when they are
     singular, as for a silent training region.
     """
-    reads = lag_reads(tuple(np.asarray(lags).tolist()))
+    reads = _READS[:, np.asarray(lags) - LAGS[0]]
     y = fft_pow2(Y_beats, inverse=True)
     A = np.take(y, reads, axis=-1).reshape(-1, reads.shape[1])
     return np.linalg.solve(A.T @ A, A.T @ c_ref.reshape(-1))
-
-
-@lru_cache(maxsize=4)
-def lag_reads(lags: tuple) -> np.ndarray:
-    """The reads of the block ``A_b`` at ``lags``, built once per lag set; read-only.
-
-    Row j, column i is the sample (n - l) mod 128 that valid output
-    n = 32 + j reads at lag l = ``lags[i]`` (see the module docstring).
-    """
-    reads = (np.arange(OVERLAP_IN, N_IN)[:, None] - np.array(lags, dtype=int)) % N_IN
-    reads.flags.writeable = False
-    return reads
 
 
 def tap_spectrum(w: np.ndarray) -> np.ndarray:
@@ -209,20 +206,20 @@ def _bin_steps(Y: np.ndarray) -> np.ndarray:
     return np.divide(2.0 * DDLMS_MU, power, out=np.zeros_like(power), where=power > 0)
 
 
-def _gradients(Y: np.ndarray, z: np.ndarray, bits: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def _gradients(Y: np.ndarray, z: np.ndarray, bits: np.ndarray, readout: np.ndarray) -> np.ndarray:
     """``g_b = IFFT128(steps E_b conj(Y_b))`` at ``LAGS`` for each beat, one row per beat.
 
     The error on the valid positions, with a zero head, is correlated with
     the beat's samples in the frequency domain and read back at ``LAGS``
-    through ``_LAG_IDFT``, whose rows are scaled by the step of their bin
-    (:func:`_bin_steps`).  Each beat takes one transform here, the ``rfft``
-    of its error.
+    through ``readout``: ``_LAG_IDFT`` with the two rows of each bin scaled
+    by that bin's step (:func:`_bin_steps`).  Each beat takes one transform
+    here, the ``rfft`` of its error.
     """
     e = np.zeros((len(Y), N_IN))
     np.subtract(bits, z, out=e[:, OVERLAP_IN:])
     corr = fft_pow2(e)
     corr *= np.conj(Y)
-    return corr.view(np.float64) @ (np.repeat(steps, 2)[:, None] * _LAG_IDFT)
+    return corr.view(np.float64) @ readout
 
 
 def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,10 +234,10 @@ def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     that had landed before it plus the running sum of the previous block's
     gradients; then the block is equalized, decided and turned into the
     gradients of the next block in one pass each.  Gradients that would land
-    after the last beat are not formed, and the per-bin step is fixed from
-    the first ``D`` beats only when a gradient lands.  ``state.w`` ends as
-    the taps of the last beat, so a stack of at most ``D`` beats leaves it
-    unchanged.
+    after the last beat are not formed.  Only when a gradient lands is the
+    per-bin step fixed from the first ``D`` beats, and the gradient readout
+    scaled by it, once for the whole stack.  ``state.w`` ends as the taps of
+    the last beat, so a stack of at most ``D`` beats leaves it unchanged.
     """
     Y = np.asarray(Y)
     n, delay = len(Y), DDLMS_DELAY
@@ -248,7 +245,7 @@ def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     bits = np.empty(z.shape, dtype=np.uint8)
     w = state.w
     grads = np.zeros((min(delay, n), LAGS.size))
-    steps = _bin_steps(Y[:delay]) if n > delay else None
+    readout = np.repeat(_bin_steps(Y[:delay]), 2)[:, None] * _LAG_IDFT if n > delay else None
     for start in range(0, n, delay):
         stop = min(start + delay, n)
         taps = w + np.cumsum(grads[: stop - start], axis=0)
@@ -257,6 +254,6 @@ def ddlms_update(state: FdeState, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray
         w = taps[-1]
         if stop < n:
             landing = slice(start, start + min(delay, n - stop))
-            grads = _gradients(Y[landing], z[landing], bits[landing], steps)
+            grads = _gradients(Y[landing], z[landing], bits[landing], readout)
     state.w = w
     return z, bits

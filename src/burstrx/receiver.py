@@ -37,14 +37,15 @@ Reception happens in two passes over the sampled waveform:
   less the fractional residue of ``p1 * 1.125``.  No other state passes
   from stage 1.  One call corrects the whole stack; the eight folded
   training beats fit the equalizer taps against the known Preamble-C
-  symbols (see :func:`equalizer.fit_taps`): all 33 lags with tap
-  initialization on, lag 0 alone (a gain) with it off, so the output levels
-  are {0, 1} in every setting.  The payload beats are equalized and inverse
-  transformed, and their valid positions 32..127 are the time samples ``z``
-  that are decided against a fixed 0.5; ``z`` is real, as the beats'
-  samples and the taps are.  Each payload symbol gets one decision, the bit
-  the receiver outputs: DD-LMS forms its error against it and the MSE
-  trace, scored over all payload beats at once, measures ``z`` against it.
+  symbols (see :func:`equalizer.fit_taps`): every lag of
+  :data:`equalizer.LAGS` with tap initialization on, lag 0 alone (a gain)
+  with it off, so the output levels are {0, 1} in every setting.  The
+  payload beats are equalized and inverse transformed, and their valid
+  positions 32..127 are the time samples ``z`` that are decided against a
+  fixed 0.5; ``z`` is real, as the beats' samples and the taps are.  Each
+  payload symbol gets one decision, the bit the receiver outputs: DD-LMS
+  forms its error against it and the MSE trace, scored over all payload
+  beats at once, measures ``z`` against it.
 
 Every signal in the chain is real, so every spectrum is a half spectrum:
 from :func:`rxfront.beat_spectra` on, a beat is the 73 bins 0..72 of its

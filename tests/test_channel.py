@@ -119,6 +119,13 @@ class TestAwgn:
         assert channel.signal_power_ac(x) == two_pass
 
 
+NON_FINITE = [
+    (name, value)
+    for name in ("timing_offset_ui", "clock_ppm", "gain")
+    for value in (np.nan, np.inf, -np.inf)
+]
+
+
 class TestRunChannel:
     def test_all_off_identity(self, wave):
         cfg = ChannelConfig(gap_samples=0)
@@ -155,11 +162,15 @@ class TestRunChannel:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"gap_samples": -1}, {"snr_db": np.inf}, {"snr_db": np.nan}],
-        ids=["gap_negative", "snr_db_inf", "snr_db_nan"],
+        [{"gap_samples": -1}, {"snr_db": np.inf}, {"snr_db": np.nan}]
+        + [{name: value} for name, value in NON_FINITE],
+        ids=["gap_negative", "snr_db_inf", "snr_db_nan"]
+        + [f"{name}_{value}" for name, value in NON_FINITE],
     )
     def test_bad_impairments_rejected(self, kwargs):
-        # built directly, without the config loader's type checks in front
+        # built directly, without the config loader's type checks in front;
+        # unchecked, a NaN drift or gain gives an all-NaN capture, and an
+        # infinite offset or gain a RuntimeWarning inside run_channel
         with pytest.raises(ChannelError):
             channel.Impairments(**kwargs)
 

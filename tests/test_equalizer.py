@@ -12,6 +12,7 @@ from burstrx.equalizer import (
     DDLMS_MU,
     LAGS,
     FdeState,
+    _LAG_IDFT,
     _bin_steps,
     _gradients,
     apply_fde,
@@ -119,13 +120,13 @@ class TestMmse:
 
     def test_per_bin_channel_with_noise_vs_least_squares(self):
         # a frequency-selective channel with noise: the taps equal an
-        # independent least-squares fit of the stacked 768 x 33 system
+        # independent least-squares fit of the stacked 768 x LAGS.size system
         rng = np.random.default_rng(4)
         blocks, c = training_blocks(5)
         y = circular_filter([0.15, 1.0, 0.3, -0.1], blocks) + 0.05 * rng.normal(size=(8, 128))
         A = np.array([[y[b, (n - l) % 128] for l in LAGS] for b in range(8) for n in range(32, 128)])
         oracle = np.linalg.lstsq(A, c.reshape(-1), rcond=None)[0]
-        assert A.shape == (768, 33)
+        assert A.shape == (768, LAGS.size)
         assert np.max(np.abs(fit_taps(spectra(y), c) - oracle)) <= 1e-9
 
     def test_gain_only_fit(self):
@@ -140,9 +141,10 @@ class TestMmse:
 
     @pytest.mark.parametrize("lags", [LAGS, [0]])
     def test_fit_reads_match_index_build(self, lags):
-        # the shared read table of each of the receiver's two lag sets gives
-        # the taps of reads built per call, (n - l) mod 128 for valid output
-        # n and lag l, and the state holds them at their lags, 0 elsewhere
+        # the columns of the one read table that each of the receiver's two
+        # lag sets selects give the taps of reads built per call,
+        # (n - l) mod 128 for valid output n and lag l, and the state holds
+        # them at their lags, 0 elsewhere
         rng = np.random.default_rng(12)
         blocks, c = training_blocks(12)
         Y = spectra(circular_filter([0.15, 1.0, 0.3], blocks) + 0.05 * rng.normal(size=(8, 128)))
@@ -153,8 +155,8 @@ class TestMmse:
         assert np.array_equal(fit_taps(Y, c, lags), want)
         state = FdeState()
         state.initialize(Y, c, lags)
-        assert np.array_equal(state.w[np.asarray(lags) + 16], want)
-        assert not np.delete(state.w, np.asarray(lags) + 16).any()
+        assert np.array_equal(state.w[np.asarray(lags) - LAGS[0]], want)
+        assert not np.delete(state.w, np.asarray(lags) - LAGS[0]).any()
 
     def test_silent_training_keeps_unit_taps(self):
         _, c = training_blocks(6)
@@ -170,7 +172,7 @@ class TestApplyFde:
     def test_tap_spectrum(self):
         # lag l sits at block position l mod 128; one spectrum per row
         rng = np.random.default_rng(6)
-        w = rng.normal(size=(3, 33))
+        w = rng.normal(size=(3, LAGS.size))
         full = np.zeros((3, 128))
         for i, l in enumerate(LAGS):
             full[:, l % 128] = w[:, i]
@@ -208,7 +210,7 @@ def random_beat(seed):
 
 
 def tap_reads(y):
-    """The 96 x 33 block A_b: valid output n reads sample (n - l) mod 128 for lag l."""
+    """The 96 x LAGS.size block A_b: valid output n reads sample (n - l) mod 128 for lag l."""
     return np.array([[y[(n - l) % 128] for l in LAGS] for n in range(32, 128)])
 
 
@@ -260,7 +262,7 @@ def payload_stack(seed, n):
 class TestLagTables:
     """The two fixed tables against the full transforms they stand in for."""
 
-    @pytest.mark.parametrize("shape", [(40, 33), (33,)])
+    @pytest.mark.parametrize("shape", [(40, LAGS.size), (LAGS.size,)])
     def test_tap_spectrum_is_padded_rfft(self, shape):
         w = np.random.default_rng(21).normal(size=shape)
         padded = np.zeros(shape[:-1] + (128,))
@@ -272,14 +274,14 @@ class TestLagTables:
 
     def test_gradients_are_lag_readout_of_irfft(self):
         Y, _ = payload_stack(22, 242)
-        w = np.random.default_rng(22).normal(size=33) * 0.1 + UNIT
+        w = np.random.default_rng(22).normal(size=LAGS.size) * 0.1 + UNIT
         z = equalize(Y, w)
         bits = decide_demap(z)
         steps = 2.0 * DDLMS_MU / np.mean(np.abs(np.fft.rfft(np.fft.irfft(Y, 128))) ** 2, axis=0)
         e = np.zeros((len(Y), 128))
         e[:, 32:] = bits - z
         want = np.fft.irfft(np.fft.rfft(e) * np.conj(Y) * steps, 128)[:, LAGS]
-        got = _gradients(Y, z, bits, _bin_steps(Y))
+        got = _gradients(Y, z, bits, np.repeat(_bin_steps(Y), 2)[:, None] * _LAG_IDFT)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_silent_bins_take_no_step(self):
@@ -321,8 +323,8 @@ class TestLoopDelay:
         beats = rxfront.rx_slice_beats(wave, 36, n + DDLMS_DELAY)
         Y = 1e-9 * strip_rolloff(rxfront.beat_spectra(beats, txchain.rrc_response()))
         set_ddlms(mu, DDLMS_DELAY)
-        R = np.empty((33, 33))
-        for i, w_0 in enumerate(np.eye(33)):
+        R = np.empty((LAGS.size, LAGS.size))
+        for i, w_0 in enumerate(np.eye(LAGS.size)):
             state = FdeState(w=w_0)
             _, bits = ddlms_update(state, Y)
             assert not bits.any()
@@ -445,7 +447,7 @@ class TestDdlms:
         # inverse transform's imaginary part is rounding alone, and z, the
         # real inverse of the half spectra, is float64
         Y, _ = payload_stack(14, 300)
-        w = np.random.default_rng(14).normal(size=33)
+        w = np.random.default_rng(14).normal(size=LAGS.size)
         taps = np.zeros(128)
         taps[LAGS % 128] = w
         y = fft_pow2(Y, inverse=True)
@@ -459,10 +461,10 @@ class TestDdlms:
         assert z.dtype == np.float64
 
     def test_empty_stack(self):
-        state = FdeState(w=np.arange(33.0))
+        state = FdeState(w=np.arange(float(LAGS.size)))
         z, bits = ddlms_update(state, np.zeros((0, 65), complex))
         assert z.shape == bits.shape == (0, 96)
-        assert np.array_equal(state.w, np.arange(33.0))
+        assert np.array_equal(state.w, np.arange(float(LAGS.size)))
 
     def test_caller_taps_not_written(self, set_ddlms):
         # the array the state held on entry (here the tap-fit array) keeps

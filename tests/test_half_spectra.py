@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from burstrx import rxfront, txchain
-from burstrx.equalizer import LAGS, _gradients, equalize, strip_rolloff, tap_spectrum
+from burstrx.equalizer import LAGS, _LAG_IDFT, _gradients, equalize, strip_rolloff, tap_spectrum
 from burstrx.fourier import fft_144
 from burstrx.timing import fd_interpolate, godard_band, godard_error
 
@@ -154,7 +154,7 @@ def taps_at_lags(w):
 
 
 def test_tap_spectrum():
-    w = np.random.default_rng(18).normal(size=(40, 33))
+    w = np.random.default_rng(18).normal(size=(40, LAGS.size))
     close(tap_spectrum(w), np.fft.fft(taps_at_lags(w))[:, :65])
 
 
@@ -162,7 +162,7 @@ def test_tap_spectrum():
 def test_equalize(case, per_beat):
     Y, Y_full = folded(case)
     rng = np.random.default_rng(19)
-    w = rng.normal(size=(40, 33) if per_beat else 33) * 0.1 + (LAGS == 0)
+    w = rng.normal(size=(40, LAGS.size) if per_beat else LAGS.size) * 0.1 + (LAGS == 0)
     want = np.fft.ifft(Y_full * np.fft.fft(taps_at_lags(w)))[:, 32:].real
     close(equalize(Y, w), want)
 
@@ -177,7 +177,7 @@ def test_gradients(case):
     e[:, 32:] = bits - z
     steps_full = np.concatenate([steps, steps[63:0:-1]])
     corr = np.fft.ifft(np.fft.fft(e) * np.conj(Y_full) * steps_full).real[:, LAGS]
-    close(_gradients(Y, z, bits, steps), corr)
+    close(_gradients(Y, z, bits, np.repeat(steps, 2)[:, None] * _LAG_IDFT), corr)
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -609,7 +609,7 @@ def receive_per_beat(rx, wave, detect_beat):
     sums of its own beats (:func:`stage2_taus`).  The payload runs the delayed,
     constrained LMS of the equalizer: beat b is equalized with the fitted
     taps plus every gradient of beats up to b - DDLMS_DELAY and decided at
-    0.5.  A gradient is formed when it lands, from the 96 x 33 block of its
+    0.5.  A gradient is formed when it lands, from the 96 x LAGS.size block of its
     beat's samples read at each lag, each bin of the beat divided first by
     its mean power over the first DDLMS_DELAY payload beats.
     """

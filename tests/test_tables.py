@@ -4,6 +4,8 @@ Each table here depends only on the configuration or the waveform length, so
 the chain builds it on first use and every later burst with the same key
 shares it.  A shared table must give what building it afresh gives, keep
 one entry per key, refuse writes, and hold a bounded number of entries.
+The tap fit's read table, ``equalizer._READS``, depends on neither and is
+built once at import; it too must refuse writes.
 """
 
 import numpy as np
@@ -17,13 +19,12 @@ CACHES = {
     "drift_factors": channel.drift_factors,
     "lowpass_response": channel.lowpass_response,
     "rrc_table": txchain.rrc_table,
-    "lag_reads": equalizer.lag_reads,
 }
 ARRAY_TABLES = {
     "drift_factors": lambda: channel.drift_factors(3672, 100.0),
     "lowpass_response": lambda: channel.lowpass_response(4000, 4.0),
     "rrc_table": lambda: txchain.rrc_response(0.1),
-    "lag_reads": lambda: equalizer.lag_reads(tuple(equalizer.LAGS.tolist())),
+    "_READS": lambda: equalizer._READS,
 }
 
 
