@@ -30,6 +30,13 @@ unwrapped phase, and a line fit over :data:`W2` = 192 beats; a linear drift
 passes all three unchanged.  At 300 ppm the phase turns 0.7 UI over one
 sum, which 32 beats could not hold; 16 beats slipped a cycle at 5 GHz / 12 dB.
 
+The moving sum limits the drift it holds.  Drift turns ``S_b`` by
+``2 pi (8/9) ppm 1e-6 108`` rad per beat, 0.24 rad at 400 ppm, so the
+:data:`W1` sum adds turning phasors: it has its first null where 24 beats
+turn ``2 pi``, at ~430 ppm, and the estimate fails from ~360 ppm, where the
+sum has shrunk to about a fifth of its static size.  Such a burst still
+reports ``ok``, with a BER of 0.3-0.5.
+
 Paper fidelity: the paper's FDTR is a feedback loop, a PI filter driving a
 numerically controlled oscillator (``godard_sum`` and ``nco_division`` in
 :data:`burstrx.pipeline.STAGES`); this estimate is an extension.  It holds

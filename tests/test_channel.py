@@ -188,20 +188,64 @@ class TestClockDrift:
 
     @pytest.mark.parametrize("n", [4096 + 100, 300, 0], ids=["partial_chunk", "short", "empty"])
     def test_matches_per_chunk_delay(self, n):
-        # each chunk is its zero-padded window delayed by the chunk-centre tau
+        # each chunk's tau splits as m + f with m = rint(tau): the chunk's
+        # window is read m samples earlier from the zero-padded waveform and
+        # delayed by f; at 1 000 ppm m reaches 4 here, at -1 000 ppm -4
         x = np.random.default_rng(2).normal(size=n)
-        ppm = 100.0
         chunk, pad = channel.DRIFT_CHUNK, channel.DRIFT_PAD
-        padded = np.concatenate([np.zeros(pad), x, np.zeros(chunk + pad)])
-        expect = np.empty(n)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            tau = ppm * 1e-6 * 0.5 * (start + stop)
-            window = channel.apply_fractional_delay(padded[start : start + chunk + 2 * pad], tau)
-            expect[start:stop] = window[pad : pad + stop - start]
-        out = channel.apply_clock_drift(x, ppm)
-        assert out.shape == (n,)
-        assert np.max(np.abs(out - expect), initial=0.0) < 1e-12
+        lead = pad + 16  # more than any |m| at these lengths
+        padded = np.concatenate([np.zeros(lead), x, np.zeros(chunk + lead)])
+        for ppm in (1000.0, -1000.0):
+            expect = np.empty(n)
+            for start in range(0, n, chunk):
+                stop = min(start + chunk, n)
+                tau = ppm * 1e-6 * 0.5 * (start + stop)
+                m = round(tau)
+                first = lead - pad + start - m
+                window = padded[first : first + chunk + 2 * pad]
+                delayed = channel.apply_fractional_delay(window, tau - m)
+                expect[start:stop] = delayed[pad : pad + stop - start]
+            out = channel.apply_clock_drift(x, ppm)
+            assert out.shape == (n,)
+            assert np.max(np.abs(out - expect), initial=0.0) < 1e-12
+
+    @staticmethod
+    def tone_error(ppm, n):
+        """Largest error of a drifted 0.45 cycle/sample tone against the true ramp.
+
+        The first and last 1 024 samples, and the samples the drift moves
+        past the waveform's end, are left out: the drift reads silence there.
+        """
+        t = np.arange(n)
+        freq = 0.45
+        out = channel.apply_clock_drift(np.cos(2 * np.pi * freq * t), ppm)
+        want = np.cos(2 * np.pi * freq * (t - ppm * 1e-6 * t))
+        edge = 1024 + int(abs(ppm) * 1e-6 * n)
+        return np.max(np.abs(out - want)[edge : n - edge])
+
+    # The drift is a staircase: within a chunk tau is off the ramp by up to
+    # ppm * 1e-6 * 72 samples, which turns this tone by up to 0.20 rad at
+    # 1 000 ppm.  The bounds hold that and the window's truncation.
+    TONE_BOUND = {100.0: 0.045, 1000.0: 0.25, -1000.0: 0.25}
+
+    @pytest.mark.parametrize("ppm", sorted(TONE_BOUND))
+    def test_tone_follows_the_ramp(self, ppm):
+        assert self.tone_error(ppm, 8192) < self.TONE_BOUND[ppm]
+
+    @pytest.mark.parametrize("ppm", [1000.0, -1000.0])
+    def test_delay_past_the_pad(self, ppm):
+        # 400 samples of delay at the end, more than DRIFT_PAD: the integer
+        # part is a shifted read, so no window reads wrapped samples
+        n = 400_000
+        assert abs(ppm) * 1e-6 * n > channel.DRIFT_PAD
+        assert self.tone_error(ppm, n) < self.TONE_BOUND[ppm]
+
+    @pytest.mark.parametrize("ppm", [1e30, -1e30])
+    def test_any_finite_ppm(self, ppm):
+        # every window moves further than the waveform is long and reads
+        # silence; the read index must not overflow into a cast warning
+        for n in (1, 1000):
+            assert np.array_equal(channel.apply_clock_drift(np.ones(n), ppm), np.zeros(n))
 
     def test_drift_shifts_late_samples_more(self):
         # a tone's local delay near the end should be ~ppm*1e-6*t samples;

@@ -10,7 +10,6 @@ built once at import; it too must refuse writes.
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from burstrx import channel, equalizer, txchain
 from burstrx.channel import DRIFT_CHUNK, DRIFT_PAD, SAMPLE_RATE_HZ, ChannelConfig
@@ -21,7 +20,8 @@ CACHES = {
     "rrc_table": txchain.rrc_table,
 }
 ARRAY_TABLES = {
-    "drift_factors": lambda: channel.drift_factors(3672, 100.0),
+    "drift_factors": lambda: channel.drift_factors(3672, 100.0)[1],
+    "drift_reads": lambda: channel.drift_factors(3672, 100.0)[0],
     "lowpass_response": lambda: channel.lowpass_response(4000, 4.0),
     "rrc_table": lambda: txchain.rrc_response(0.1),
     "_READS": lambda: equalizer._READS,
@@ -29,14 +29,21 @@ ARRAY_TABLES = {
 
 
 def fresh_drift(x, ppm):
-    """The drift of ``channel.apply_clock_drift``, each window's factor built in place."""
+    """The drift of ``channel.apply_clock_drift``, each window read and filtered in place.
+
+    Chunk ``i``'s tau splits as ``m + f`` with ``m = rint(tau)``; its window
+    is read ``m`` samples earlier from the zero-padded waveform and delayed
+    by ``f``.
+    """
     n = len(x)
     starts = np.arange(0, n, DRIFT_CHUNK)
     tau = ppm * 1e-6 * 0.5 * (starts + np.minimum(starts + DRIFT_CHUNK, n))
-    padded = np.zeros(len(starts) * DRIFT_CHUNK + 2 * DRIFT_PAD)
-    padded[DRIFT_PAD : DRIFT_PAD + n] = x
-    windows = sliding_window_view(padded, DRIFT_CHUNK + 2 * DRIFT_PAD)[::DRIFT_CHUNK]
-    shifted = channel.apply_fractional_delay(windows, tau[:, None])
+    m = np.rint(tau).astype(int)
+    lead = DRIFT_PAD + np.abs(m).max()
+    padded = np.concatenate([np.zeros(lead), x, np.zeros(DRIFT_CHUNK + lead)])
+    first = lead - DRIFT_PAD + starts - m
+    windows = np.stack([padded[i : i + DRIFT_CHUNK + 2 * DRIFT_PAD] for i in first])
+    shifted = channel.apply_fractional_delay(windows, (tau - m)[:, None])
     return shifted[:, DRIFT_PAD : DRIFT_PAD + DRIFT_CHUNK].reshape(-1)[:n]
 
 
