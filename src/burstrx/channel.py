@@ -24,23 +24,27 @@ largest error against the true ramp ``x(t - ppm * 1e-6 * t)`` (evaluated
 exactly from the DFT of the zero-padded waveform), as a share of the
 waveform's RMS, on transmitted frames of the default layout:
 
-========================  ================================  ================
-payload (samples), ppm    chunk 432, pad 256, no split      chunk 144, split
-========================  ================================  ================
-1 920 bits (3 672), 100   5.4%                              1.9%
-1 920 bits (3 672), 1000  58%                               20%
-9 600 bits (12 312), 400  23%                               7.7%
-30 000 bits (35 316), 20  1.6%                              1.4%
-========================  ================================  ================
+========================  ======
+payload (samples), ppm    error
+========================  ======
+1 920 bits (3 672), 100   1.9%
+1 920 bits (3 672), 1000  20%
+9 600 bits (12 312), 400  7.7%
+30 000 bits (35 316), 20  1.4%
+========================  ======
 
-Most of what is left is the tau step between chunks, ``ppm * 1e-6 *
-DRIFT_CHUNK`` samples: the drift is a staircase, not a ramp.
+Two errors make it up.  The drift is a staircase, not a ramp: tau steps by
+``ppm * 1e-6 * DRIFT_CHUNK`` samples between chunks.  And each window's
+fractional delay is filtered over its :data:`DRIFT_WIDTH` samples alone, a
+truncation of the filter's response.  At 100 ppm and above the staircase
+is most of it (about 2% against 0.4% at 1 920 bits and 100 ppm); at
+20 ppm the truncation is (about 1.2% against 0.4% at 30 000 bits).
 
 The filter responses depend on the configuration and the waveform length
 alone, so each is built once per key and then shared, read-only, by every
 burst that has the same key (a bounded ``lru_cache``):
 
-* the drift's window reads and fractional-delay factors, one row per
+* the drift's window starts and fractional-delay factors, one per
   chunk, keyed on the waveform length and ``clock_ppm``
   (:func:`drift_factors`);
 * the low-pass response, keyed on the transform length and ``f3db_ghz``
@@ -53,6 +57,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ChannelError
 from .txchain import SPS
@@ -118,9 +123,12 @@ def apply_fractional_delay(x: np.ndarray, tau_samples) -> np.ndarray:
     """Delay a waveform by a (fractional) number of samples.
 
     All-pass ``exp(-2j pi f tau)`` applied over the whole waveform in one
-    block, so the shift is exact (circularly; bursts are gap-padded).  On a
-    stack of windows, one per row, a column of taus delays each row by its
-    own.
+    block, so the shift is exact but circular: a positive tau moves the
+    last tau samples to the head, a negative one the first ``|tau|`` to the
+    tail.  :func:`run_channel` delays the frame before the gaps are added,
+    so those samples land in the frame's flush beats, past the last beat
+    the receiver reads.  On a stack of windows, one per row, a column of
+    taus delays each row by its own.
     """
     n = x.shape[-1]
     return np.fft.irfft(np.fft.rfft(x) * delay_factor(n, tau_samples), n)
@@ -178,35 +186,37 @@ def apply_clock_drift(x: np.ndarray, ppm: float) -> np.ndarray:
     if ppm == 0.0 or len(x) == 0:
         return x.copy()
     n = len(x)
-    reads, factors = drift_factors(n, ppm)
-    # a read of n is the silence appended past the waveform
-    windows = np.append(x, 0.0)[reads]
-    shifted = np.fft.irfft(np.fft.rfft(windows) * factors, DRIFT_WIDTH)
+    starts, factors = drift_factors(n, ppm)
+    padded = np.zeros(n + 2 * DRIFT_WIDTH)
+    padded[DRIFT_WIDTH : DRIFT_WIDTH + n] = x
+    step = padded.strides[0]
+    # row j of the view is the window that starts at sample j of the padded copy
+    rows = as_strided(padded, shape=(n + DRIFT_WIDTH + 1, DRIFT_WIDTH), strides=(step, step),
+                      writeable=False)
+    shifted = np.fft.irfft(np.fft.rfft(rows[starts]) * factors, DRIFT_WIDTH)
     return shifted[:, DRIFT_PAD : DRIFT_PAD + DRIFT_CHUNK].reshape(-1)[:n]
 
 
 @lru_cache(maxsize=4)
 def drift_factors(n: int, ppm: float) -> tuple[np.ndarray, np.ndarray]:
-    """Window reads and delay factors of the drift of an ``n``-sample waveform; read-only.
+    """Window starts and delay factors of the drift of an ``n``-sample waveform; read-only.
 
-    One row per chunk.  Chunk ``i``'s tau, ``ppm * 1e-6`` times its centre
-    sample, splits as ``m + f`` with ``m = rint(tau)``.  Row ``i`` of the
-    reads indexes the samples of the chunk's window moved ``m`` samples
-    earlier, with ``n`` wherever that leaves the waveform; row ``i`` of the
-    factors is :func:`delay_factor` of the window at ``f``.
+    One entry per chunk.  Chunk ``i``'s tau, ``ppm * 1e-6`` times its centre
+    sample, splits as ``m + f`` with ``m = rint(tau)``.  Start ``i`` is where
+    the chunk's window, moved ``m`` samples earlier, begins in the waveform
+    padded with ``DRIFT_WIDTH`` zeros on each side; row ``i`` of the factors
+    is :func:`delay_factor` of the window at ``f``.
     """
-    starts = np.arange(0, n, DRIFT_CHUNK)
-    tau = ppm * 1e-6 * 0.5 * (starts + np.minimum(starts + DRIFT_CHUNK, n))
+    chunks = np.arange(0, n, DRIFT_CHUNK)
+    tau = ppm * 1e-6 * 0.5 * (chunks + np.minimum(chunks + DRIFT_CHUNK, n))
     m = np.rint(tau)
-    # a window moved a width past either end reads only silence; clipped
-    # there, any finite ppm gives an index
-    first = np.clip(starts - m, -n - DRIFT_WIDTH, n + DRIFT_WIDTH).astype(np.intp) - DRIFT_PAD
-    reads = first[:, None] + np.arange(DRIFT_WIDTH)
-    reads[(reads < 0) | (reads >= n)] = n
+    # a window moved wholly past either end reads only silence; clipped
+    # there, any finite ppm gives a start inside the padded copy
+    starts = (np.clip(chunks - DRIFT_PAD - m, -DRIFT_WIDTH, n) + DRIFT_WIDTH).astype(np.intp)
     h = delay_factor(DRIFT_WIDTH, (tau - m)[:, None])
-    reads.flags.writeable = False
+    starts.flags.writeable = False
     h.flags.writeable = False
-    return reads, h
+    return starts, h
 
 
 def signal_power_ac(x: np.ndarray) -> float:

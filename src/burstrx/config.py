@@ -2,7 +2,7 @@
 
 A configuration is a mapping with one section per subsystem; unknown keys
 are rejected so typos fail loudly.  Defaults reproduce the paper-mode
-frame (1056-symbol preamble, 1.3e5 payload) over a clean channel.
+frame over a clean channel.
 
 Only values that some part of the chain reads are settable.  The receiver's
 structure is fixed: matched RRC filters with the same delay at both ends,
@@ -12,27 +12,26 @@ bin's power as the detection test.  Its constants, and the fixed parts of
 the frame and the channel, are not settable either, per call or per
 instance; each is one module-level definition, in the code that reads it:
 
-* the detection threshold, :data:`burstrx.rxfront.DETECT_POWER_FACTOR` = 4.7,
+* the detection threshold, :data:`burstrx.rxfront.DETECT_POWER_FACTOR`,
   the tone bin's power over the mean power off DC and the tone pair;
-* the windows of the stage-2 timing estimate, :data:`burstrx.timing.W1` = 24
-  and :data:`burstrx.timing.W2` = 192 beats;
-* the sync peak ratio, :data:`burstrx.framesync.SYNC_RATIO_MIN` = 1.5;
+* the windows of the stage-2 timing estimate, :data:`burstrx.timing.W1`
+  and :data:`burstrx.timing.W2`, in beats;
+* the sync peak ratio, :data:`burstrx.framesync.SYNC_RATIO_MIN`;
 * the acquisition window, derived from the frame layout by
-  :class:`burstrx.receiver.BurstReceiver`: the detected beat and
-  ``ceil((preamble_a_len + preamble_b_len) / 96)`` beats plus
-  :data:`burstrx.receiver.ACQUIRE_MARGIN_BEATS` = 21 after it, 24 for the
-  default frame.  A detection on the frame's own tone needs one beat of
-  that margin; the other 20 keep Preamble B in the window after a false
-  alarm in the leading gap;
-* the equalizer's tap span, :data:`burstrx.equalizer.LAGS` = -16..16, the
-  lags that ``equalizer.mmse_init`` fits and DD-LMS adapts;
-* the DD-LMS step, :data:`burstrx.equalizer.DDLMS_MU` = 1.5e-3, divided in
-  each bin by that bin's power, inside the delayed-LMS stability bound at
-  the loop delay :data:`burstrx.equalizer.DDLMS_DELAY` = 242 beats, the
-  latency of its error path in :data:`burstrx.pipeline.STAGES`;
-* the RRC delay, :data:`burstrx.txchain.DEFAULT_DELAY_SYMBOLS` = 16 symbols
-  per filter, and the zero beats that flush it out of a frame,
-  :data:`burstrx.txchain.TX_FLUSH_BEATS` = 3;
+  :class:`burstrx.receiver.BurstReceiver`: the detected beat, the beats
+  that reach past Preamble B, and
+  :data:`burstrx.receiver.ACQUIRE_MARGIN_BEATS` more.  A detection on the
+  frame's own tone needs one beat of that margin; the others keep
+  Preamble B in the window after a false alarm in the leading gap;
+* the equalizer's tap span, :data:`burstrx.equalizer.LAGS`, the lags that
+  ``equalizer.mmse_init`` fits and DD-LMS adapts;
+* the DD-LMS step, :data:`burstrx.equalizer.DDLMS_MU`, divided in each bin
+  by that bin's power, inside the delayed-LMS stability bound at the loop
+  delay :data:`burstrx.equalizer.DDLMS_DELAY`, the latency of its error
+  path in :data:`burstrx.pipeline.STAGES`;
+* the RRC delay, :data:`burstrx.txchain.DEFAULT_DELAY_SYMBOLS` per filter,
+  and the zero beats that flush it out of a frame,
+  :data:`burstrx.txchain.TX_FLUSH_BEATS`;
 * the seeds of the fixed Pn and Preamble C, ``pn_seed`` and
   ``preamble_c_seed`` of :class:`burstrx.framing.FrameLayout`.
 

@@ -15,8 +15,9 @@ unipolar PAM2 alphabet {0, 1}:
 Pn and Preamble C are fixed, as in the hardware: each is drawn from the
 documented xorshift64* generator (see :mod:`burstrx.prng`) with a seed that
 is a constant of :class:`FrameLayout`, not a setting.  So ``A || B || C``
-is built once per preamble geometry (:func:`fixed_preamble`), and each frame
-is a copy of it followed by the payload.
+is built once per preamble geometry (:func:`fixed_preamble`), each frame
+is a copy of it followed by the payload, and the receiver reads its Pn and
+Preamble-C references from that same array.
 """
 
 from dataclasses import dataclass
@@ -71,11 +72,6 @@ def gen_preamble_a(layout: FrameLayout) -> np.ndarray:
     out = np.zeros(layout.preamble_a_len, dtype=np.float64)
     out[1::2] = 1.0
     return out
-
-
-def pn_sequence(seed: int) -> np.ndarray:
-    """The 32-symbol bipolar +-1 synchronization sequence for a seed."""
-    return 2.0 * prng.bits(seed, PN_LEN).astype(np.float64) - 1.0
 
 
 def gen_preamble_b(layout: FrameLayout) -> np.ndarray:

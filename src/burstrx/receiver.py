@@ -111,8 +111,11 @@ class BurstReceiver:
         self.cfg = cfg
         self.layout = cfg.frame
         self.h_rx = txchain.rrc_response(cfg.tx.rrc_rolloff)
-        self.pn = framing.pn_sequence(self.layout.pn_seed)
-        self.c_ref = framing.gen_preamble_c(self.layout).reshape(-1, txchain.SYMBOLS_PER_BEAT)
+        # the references are the sent symbols: bipolar Pn, and a view of Preamble C
+        head = framing.fixed_preamble(self.layout)
+        b0 = self.layout.preamble_a_len
+        self.pn = 2.0 * head[b0 : b0 + framing.PN_LEN] - 1.0
+        self.c_ref = head[b0 + self.layout.preamble_b_len :].reshape(-1, txchain.SYMBOLS_PER_BEAT)
         self.n_c_beats = len(self.c_ref)
         preamble_ab = self.layout.preamble_a_len + self.layout.preamble_b_len
         self.acquire_beats = -(-preamble_ab // txchain.SYMBOLS_PER_BEAT) + ACQUIRE_MARGIN_BEATS

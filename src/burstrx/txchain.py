@@ -59,11 +59,7 @@ def resample_up_fd(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X)
     if X.shape[-1] != BINS_IN:
         raise FftSizeError(f"resample_up_fd expects {BINS_IN} bins, got {X.shape[-1]}")
-    wide = np.empty(X.shape[:-1] + (BINS_OUT,), dtype=X.dtype)
-    wide[..., :BINS_IN] = X
-    np.conj(X[..., 63:56:-1], out=wide[..., BINS_IN:-1])
-    wide[..., -1] = X[..., 56]
-    return wide
+    return np.concatenate([X, np.conj(X[..., 63:56:-1]), X[..., 56:57]], axis=-1)
 
 
 def rc_magnitude(f, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
@@ -78,20 +74,15 @@ def rc_magnitude(f, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
 def rrc_response(rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
     """73-bin RRC response sqrt(RC) delayed by ``DEFAULT_DELAY_SYMBOLS``; read-only.
 
     It is 0 on the Nyquist bin 72 at every roll-off up to 0.125.  Built once
-    per roll-off and delay and shared by the transmitter and every receiver.
+    per roll-off and shared by the transmitter and every receiver.
     """
-    return rrc_table(rolloff, DEFAULT_DELAY_SYMBOLS)
-
-
-@lru_cache(maxsize=8)
-def rrc_table(rolloff: float, delay_symbols: float) -> np.ndarray:
-    """The table of :func:`rrc_response`, keyed on everything it depends on."""
     mag = np.sqrt(rc_magnitude(FREQ_SYMBOL_144, rolloff))
-    h = mag * np.exp(-2j * np.pi * FREQ_SYMBOL_144 * delay_symbols)
+    h = mag * np.exp(-2j * np.pi * FREQ_SYMBOL_144 * DEFAULT_DELAY_SYMBOLS)
     h.flags.writeable = False
     return h
 

@@ -55,14 +55,13 @@ class TestStripRolloff:
         assert Y[8] == 1.0
         assert np.sum(np.abs(Y) > 0) == 1
 
-    def test_zero_isi_through_matched_chain(self, monkeypatch):
+    def test_zero_isi_through_matched_chain(self):
         # widen -> tx RRC -> rx RRC -> fold reproduces the original 128-bin
         # spectrum exactly (Nyquist property of the matched pair)
         rng = np.random.default_rng(0)
         x = rng.normal(size=128)
         X = fft_pow2(x)
-        monkeypatch.setattr(txchain, "DEFAULT_DELAY_SYMBOLS", 0)
-        h = txchain.rrc_response()
+        h = np.sqrt(txchain.rc_magnitude(txchain.FREQ_SYMBOL_144))  # zero-phase RRC
         folded = strip_rolloff(txchain.resample_up_fd(X) * h * h)
         y = fft_pow2(folded, inverse=True)
         assert np.max(np.abs(y - x)) <= 1e-6
@@ -89,12 +88,11 @@ def circular_filter(taps, blocks):
 
 
 class TestMmse:
-    def test_identity_channel_unit_taps(self, monkeypatch):
+    def test_identity_channel_unit_taps(self):
         # the matched RRC pair with no channel: the fit is the unit tap and
         # the equalized valid positions equal the training symbols
         blocks, c = training_blocks(1)
-        monkeypatch.setattr(txchain, "DEFAULT_DELAY_SYMBOLS", 0)
-        h = txchain.rrc_response()
+        h = np.sqrt(txchain.rc_magnitude(txchain.FREQ_SYMBOL_144))  # zero-phase RRC
         Y = strip_rolloff(txchain.resample_up_fd(spectra(blocks)) * h * h)
         state = FdeState()
         state.initialize(Y, c)

@@ -7,7 +7,7 @@ from burstrx import framesync, framing
 from burstrx.errors import SyncError
 
 LAYOUT = framing.FrameLayout(payload_len=0)
-PN = framing.pn_sequence(LAYOUT.pn_seed)
+PN = 2 * framing.gen_preamble_b(LAYOUT)[: framing.PN_LEN] - 1
 
 
 class TestXcorr:

@@ -61,13 +61,13 @@ class TestPreambleB:
         assert np.array_equal(b[:32], b[32:64])
 
     def test_pn_autocorrelation_peak(self):
-        pn = framing.pn_sequence(paper_layout().pn_seed)
+        pn = 2 * framing.gen_preamble_b(paper_layout())[: framing.PN_LEN] - 1
         assert np.dot(pn, pn) == 32.0
 
     def test_default_seed_peak_uniqueness(self):
         # the sync metric over the clean bipolar Preamble B, flanked by
         # silence: the true peak dominates every other placement
-        pn = framing.pn_sequence(framing.FrameLayout.pn_seed)
+        pn = 2 * framing.gen_preamble_b(framing.FrameLayout())[: framing.PN_LEN] - 1
         guard = np.zeros(96)
         metric = framesync.metric_stream(np.concatenate([guard, pn, pn, -pn, guard]), pn)
         peak_pos = int(np.argmax(metric))
@@ -77,7 +77,7 @@ class TestPreambleB:
     def test_preamble_a_uncorrelated_with_pn(self):
         lay = paper_layout()
         a_bip = 2 * framing.gen_preamble_a(lay) - 1
-        pn = framing.pn_sequence(lay.pn_seed)
+        pn = 2 * framing.gen_preamble_b(lay)[: framing.PN_LEN] - 1
         corr = np.correlate(a_bip, pn, mode="valid")
         assert np.max(np.abs(corr)) < 32 / 2
 

@@ -387,6 +387,19 @@ def test_sync_fails_only_where_preamble_b_precedes_the_capture(burst, monkeypatc
     assert np.array_equal(sliced[0][0], wave[p - 36 : p + 108])
 
 
+@pytest.mark.parametrize("preamble_a_len", [128, 192, 1000])
+def test_references_are_the_sent_preamble(preamble_a_len):
+    # Pn and Preamble C are read from the symbols the transmitter sends, not
+    # derived a second time from the seeds
+    rx = BurstReceiver(config.from_dict({"frame": {"preamble_a_len": preamble_a_len}}))
+    head = framing.fixed_preamble(rx.layout)
+    assert np.shares_memory(rx.c_ref, head)
+    assert np.array_equal(rx.c_ref.reshape(-1), head[rx.layout.preamble_len - 768 :])
+    b0 = rx.layout.preamble_a_len
+    assert np.array_equal(rx.pn, 2.0 * head[b0 : b0 + framing.PN_LEN] - 1.0)
+    assert set(rx.pn) == {-1.0, 1.0}
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="the heap thresholds are set on Linux")
 def test_repeated_burst_keeps_its_memory():
     # freed arrays stay with the process, so a second burst of the same size

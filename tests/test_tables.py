@@ -12,18 +12,18 @@ import numpy as np
 import pytest
 
 from burstrx import channel, equalizer, txchain
-from burstrx.channel import DRIFT_CHUNK, DRIFT_PAD, SAMPLE_RATE_HZ, ChannelConfig
+from burstrx.channel import DRIFT_CHUNK, DRIFT_PAD, DRIFT_WIDTH, SAMPLE_RATE_HZ, ChannelConfig
 
 CACHES = {
     "drift_factors": channel.drift_factors,
     "lowpass_response": channel.lowpass_response,
-    "rrc_table": txchain.rrc_table,
+    "rrc_response": txchain.rrc_response,
 }
 ARRAY_TABLES = {
     "drift_factors": lambda: channel.drift_factors(3672, 100.0)[1],
     "drift_reads": lambda: channel.drift_factors(3672, 100.0)[0],
     "lowpass_response": lambda: channel.lowpass_response(4000, 4.0),
-    "rrc_table": lambda: txchain.rrc_response(0.1),
+    "rrc_response": lambda: txchain.rrc_response(0.1),
     "_READS": lambda: equalizer._READS,
 }
 
@@ -107,22 +107,18 @@ class TestChannelTables:
         tables = {id(channel.drift_factors(len(x), ppm)) for x in waves for ppm in (100.0, -250.0)}
         assert len(tables) == 4
 
+    @pytest.mark.parametrize("n", [1, 144, 145, 3672])
+    def test_drift_table_holds_one_start_per_window(self, n):
+        starts, factors = channel.drift_factors(n, 100.0)
+        assert starts.shape == (-(-n // DRIFT_CHUNK),)
+        assert factors.shape == (len(starts), DRIFT_WIDTH // 2 + 1)
+
     def test_rrc_response_equals_fresh_build(self):
         f = txchain.FREQ_SYMBOL_144
         for rolloff in (1 / 64, 0.1, 0.125):
             mag = np.sqrt(txchain.rc_magnitude(f, rolloff))
             want = mag * np.exp(-2j * np.pi * f * txchain.DEFAULT_DELAY_SYMBOLS)
             assert np.array_equal(txchain.rrc_response(rolloff), want)
-
-    @pytest.mark.parametrize("delay", [0, 16, 5.5])
-    def test_rrc_response_follows_the_delay(self, monkeypatch, delay):
-        # the table is keyed on the delay too: a response built at the
-        # default delay is not handed out under another one
-        txchain.rrc_response()
-        monkeypatch.setattr(txchain, "DEFAULT_DELAY_SYMBOLS", delay)
-        f = txchain.FREQ_SYMBOL_144
-        want = np.sqrt(txchain.rc_magnitude(f)) * np.exp(-2j * np.pi * f * delay)
-        assert np.array_equal(txchain.rrc_response(), want)
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_TABLES))

@@ -46,13 +46,13 @@ class TestResampleUp:
         with pytest.raises(FftSizeError):
             txchain.resample_up_fd(np.zeros(73, complex))
 
-    def test_tone_keeps_absolute_frequency(self, monkeypatch):
+    def test_tone_keeps_absolute_frequency(self):
         # A bin-8 tone at 1 sps must come out as a bin-8 tone of the 144 grid,
         # i.e. the same absolute frequency at the higher sample rate.
         n = np.arange(128)
         x = np.cos(2 * np.pi * 8 * n / 128)
-        monkeypatch.setattr(txchain, "DEFAULT_DELAY_SYMBOLS", 0)
-        Y = txchain.resample_up_fd(fft_pow2(x)) * txchain.rrc_response()
+        h0 = np.sqrt(txchain.rc_magnitude(txchain.FREQ_SYMBOL_144))  # zero-phase RRC
+        Y = txchain.resample_up_fd(fft_pow2(x)) * h0
         y = fft_144(Y, inverse=True)
         # amplitude carries the 128/144 convention factor; frequency must not move
         ref = (128 / 144) * np.cos(2 * np.pi * 8 * np.arange(144) / 144)
@@ -71,12 +71,10 @@ class TestRrcResponse:
         assert np.sqrt(txchain.rc_magnitude(0.55)) == 0.0
         assert np.sqrt(txchain.rc_magnitude(0.6)) == 0.0
 
-    def test_delay_is_pure_phase(self, monkeypatch):
-        monkeypatch.setattr(txchain, "DEFAULT_DELAY_SYMBOLS", 0)
-        h0 = txchain.rrc_response()
-        monkeypatch.setattr(txchain, "DEFAULT_DELAY_SYMBOLS", 16)
+    def test_delay_is_pure_phase(self):
+        h0 = np.sqrt(txchain.rc_magnitude(txchain.FREQ_SYMBOL_144))
         h = txchain.rrc_response()
-        assert np.allclose(np.abs(h), np.abs(h0), atol=1e-12)
+        assert np.allclose(np.abs(h), h0, atol=1e-12)
 
 
 class TestBeatStreaming:
