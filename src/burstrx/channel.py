@@ -125,9 +125,9 @@ def apply_fractional_delay(x: np.ndarray, tau_samples) -> np.ndarray:
     All-pass ``exp(-2j pi f tau)`` applied over the whole waveform in one
     block, so the shift is exact but circular: a positive tau moves the
     last tau samples to the head, a negative one the first ``|tau|`` to the
-    tail.  :func:`run_channel` delays the frame before the gaps are added,
-    so those samples land in the frame's flush beats, past the last beat
-    the receiver reads.  On a stack of windows, one per row, a column of
+    tail.  :func:`run_channel` delays the frame alone, not its gaps, so
+    those samples land in the frame's flush beats, past the last beat the
+    receiver reads.  On a stack of windows, one per row, a column of
     taus delays each row by its own.
     """
     n = x.shape[-1]
@@ -249,18 +249,24 @@ def rop_to_snr(rop: float, cal: dict) -> float:
 
 
 def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
-    """Gap-pad a frame and push it through the configured impairments."""
-    x = np.asarray(frame_samples, dtype=np.float64) * cfg.gain
+    """Gap-pad a frame and push it through the configured impairments.
+
+    The gap-padded capture is allocated once and the frame times the gain
+    written into its middle; each filter that is on leaves its own output,
+    which is copied back there.  The input is not modified.
+    """
+    frame = np.asarray(frame_samples, dtype=np.float64)
+    gap = cfg.gap_samples
+    out = np.zeros(len(frame) + 2 * gap)
+    x = out[gap : gap + len(frame)]
+    np.multiply(frame, cfg.gain, out=x)
     if cfg.f3db_ghz is not None:
-        x = apply_lowpass(x, cfg.f3db_ghz)
+        x[:] = apply_lowpass(x, cfg.f3db_ghz)
     if cfg.timing_offset_ui:
-        x = apply_fractional_delay(x, cfg.timing_offset_ui * SPS)
+        x[:] = apply_fractional_delay(x, cfg.timing_offset_ui * SPS)
     if cfg.clock_ppm:
-        x = apply_clock_drift(x, cfg.clock_ppm)
-    power_ref = signal_power_ac(x) if cfg.snr_db is not None else None
-    gap = np.zeros(cfg.gap_samples)
-    out = np.concatenate([gap, x, gap])
+        x[:] = apply_clock_drift(x, cfg.clock_ppm)
     if cfg.snr_db is not None:
         rng = np.random.default_rng(cfg.rng_seed)
-        out = apply_awgn(out, cfg.snr_db, rng, power_ref=power_ref)
+        out = apply_awgn(out, cfg.snr_db, rng, power_ref=signal_power_ac(x))
     return out

@@ -200,9 +200,12 @@ class FdeState:
 def _bin_steps(Y: np.ndarray) -> np.ndarray:
     """``2 mu / P_k`` for each bin, ``P_k = mean_b |Y_b,k|^2`` over the beats ``Y``.
 
-    ``mu = DDLMS_MU``; a bin with ``P_k`` = 0 takes step 0.
+    ``mu = DDLMS_MU``; a bin with ``P_k`` = 0 takes step 0.  Each bin's
+    powers are laid out beats-contiguous before the mean, so the sum over
+    the beats runs in numpy's pairwise order whatever the layout of ``Y``,
+    and a stack gives the same steps in C or Fortran order.
     """
-    power = np.mean(np.abs(Y) ** 2, axis=0)
+    power = np.mean(np.abs(Y.T, order="C") ** 2, axis=-1)
     return np.divide(2.0 * DDLMS_MU, power, out=np.zeros_like(power), where=power > 0)
 
 

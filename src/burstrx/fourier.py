@@ -146,16 +146,18 @@ def _length(x: np.ndarray, inverse: bool, name: str) -> tuple[np.ndarray, int]:
     return x, x.shape[-1]
 
 
-def fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+def fft_pow2(x: np.ndarray, inverse: bool = False, out=None) -> np.ndarray:
     """Real FFT for power-of-two lengths (128 points in this chain).
 
     Forward, ``N`` real samples give ``N/2 + 1`` bins; inverse, ``N/2 + 1``
-    bins give ``N`` real samples.
+    bins give ``N`` real samples.  ``out``, when given, receives the result
+    and is returned, as in numpy's ``rfft`` and ``irfft``; the input is
+    checked before anything is written to it.
     """
     x, n = _length(x, inverse, "fft_pow2")
     if n < 2 or (n & (n - 1)) != 0:
         raise FftSizeError(f"fft_pow2 requires a power-of-two length, got {n}")
-    return np.fft.irfft(x, n) if inverse else np.fft.rfft(x)
+    return np.fft.irfft(x, n, out=out) if inverse else np.fft.rfft(x, out=out)
 
 
 def fft_144(x: np.ndarray, inverse: bool = False) -> np.ndarray:

@@ -53,10 +53,14 @@ from :func:`rxfront.beat_spectra` on, a beat is the 73 bins 0..72 of its
 Each inverse transform is an ``irfft`` to real samples (see
 :mod:`burstrx.fourier`).
 
-Every stage runs as one call over a stack of beats.  One recursion inside
-those calls carries state from beat to beat, the DD-LMS taps.  With DD-LMS
-off the taps are fixed, so all payload beats are equalized in one multiply
-and decided in one :func:`equalizer.decide_demap` call.  With it on, one
+Every stage runs as one call over a stack of beats.  Each stage-2 stack is
+beats-major, one beat per contiguous row: the beat spectra, the corrected
+stack that :func:`timing.fd_interpolate` returns, the folded spectra and the
+equalized samples, since every stage after the correction walks the stack
+beat by beat.  One recursion inside those calls carries state from beat to
+beat, the DD-LMS taps.  With DD-LMS off the taps are fixed, so all payload
+beats are equalized in one multiply and decided in one
+:func:`equalizer.decide_demap` call.  With it on, one
 :func:`equalizer.ddlms_update` call runs the whole payload.  A tap gradient
 lands ``equalizer.DDLMS_DELAY`` = 242 beats after the beat that formed it, as
 in the hardware's error path, so the taps of each block of 242 beats are known

@@ -153,11 +153,13 @@ def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
     multiplier of the next step.  Bin ``k`` is reached in at most seven
     products, and the factors are within 8e-15 of the exact ones for
     ``|tau| <= 3`` samples and 1.1e-13 for ``|tau| <= 200``, where
-    exponentials evaluated per bin are within 2.4e-15 and 1.6e-13.  A
-    stack with its own taus is corrected in the table's transpose, so one
-    ``(n, 73)`` array is made per call, and the result is column-major.
-    Every tau goes through the same operations whatever the shape of the
-    stack, so a one-row call equals that row of a stacked call bit for bit.
+    exponentials evaluated per bin are within 2.4e-15 and 1.6e-13.  The
+    product is a new row-major array, one beat per contiguous row, not
+    written into the table's transpose: every later stage, the fold, the
+    tap fit, the DD-LMS steps and each 128-point inverse transform, walks
+    the stack beat by beat.  Every tau goes through the same operations
+    whatever the shape of the stack, so a one-row call equals that row of a
+    stacked call bit for bit.
     """
     X = np.asarray(X)
     tau = np.asarray(tau_samples, dtype=float)
@@ -173,8 +175,7 @@ def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
         np.multiply(powers[1 : top - m + 1], powers[m], out=powers[m + 1 : top + 1])
         m = top
     table = powers.reshape((BINS_OUT,) + tau.shape[:-1]).T
-    # a stack with its own taus is corrected in its table: one (n, 73) array
-    return np.multiply(X, table, out=table if X.shape == table.shape else None)
+    return np.multiply(X, table, order="C")
 
 
 @dataclass

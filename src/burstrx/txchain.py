@@ -49,17 +49,30 @@ FREQ_SYMBOL_144 = np.arange(BINS_OUT) / N_IN
 def resample_up_fd(X: np.ndarray) -> np.ndarray:
     """Widen a 65-bin half spectrum to 73 bins (1 sps -> 1.125 sps).
 
-    Bin ``k`` of the 144-point grid takes the symbol-rate bin ``k``:
-    ``X(k)`` for k <= 64 and ``conj(X(128 - k))`` for 65..71, and the
-    Nyquist bin 72 takes the symbol-rate bin 72 - 128 = -56, ``X(56)``.  So
-    symbol-rate bins 56..71 appear twice, carrying the aliased excess band
-    that the RRC then shapes: the periodic extension of the symbol-rate
-    spectrum onto the wider sample-rate grid.
+    The 65 bins are copied into a new 73-bin array, and
+    :func:`_fill_excess_band` writes the other 8.
     """
     X = np.asarray(X)
     if X.shape[-1] != BINS_IN:
         raise FftSizeError(f"resample_up_fd expects {BINS_IN} bins, got {X.shape[-1]}")
-    return np.concatenate([X, np.conj(X[..., 63:56:-1]), X[..., 56:57]], axis=-1)
+    Y = np.empty(X.shape[:-1] + (BINS_OUT,), dtype=X.dtype)
+    Y[..., :BINS_IN] = X
+    return _fill_excess_band(Y)
+
+
+def _fill_excess_band(Y: np.ndarray) -> np.ndarray:
+    """Write bins 65..72 of 73-bin half spectra from their bins 0..64, in place; returns ``Y``.
+
+    Bin ``k`` of the 144-point grid takes the symbol-rate bin ``k``:
+    ``Y(k)`` for k <= 64 and ``conj(Y(128 - k))`` for 65..71, and the
+    Nyquist bin 72 takes the symbol-rate bin 72 - 128 = -56, ``Y(56)``.  So
+    symbol-rate bins 56..71 appear twice, carrying the aliased excess band
+    that the RRC then shapes: the periodic extension of the symbol-rate
+    spectrum onto the wider sample-rate grid.
+    """
+    np.conj(Y[..., 63:56:-1], out=Y[..., BINS_IN : BINS_OUT - 1])
+    Y[..., BINS_OUT - 1] = Y[..., 56]
+    return Y
 
 
 def rc_magnitude(f, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
@@ -94,14 +107,20 @@ def tx_frame(symbols: np.ndarray, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarra
     and the 128-symbol blocks are a strided view of it, one every 96
     symbols: each is the previous beat's 32-symbol tail followed by this
     beat's 96 symbols, the transmit twin of
-    :func:`burstrx.rxfront.rx_slice_beats`.  ``TX_FLUSH_BEATS`` trailing
-    zero beats flush the delay of the transmit and receive filters, so the
-    final symbols of the stream reach the receiver's last beat.
+    :func:`burstrx.rxfront.rx_slice_beats`.  The ``(beats, 73)`` spectra
+    are allocated once: the 128-point transform writes its 65 bins straight
+    into bins 0..64, :func:`_fill_excess_band` fills the other 8 in place
+    from them and the RRC multiplies in place, so no 65-bin stack is made.
+    ``TX_FLUSH_BEATS`` trailing zero beats flush the delay of the transmit
+    and receive filters, so the final symbols of the stream reach the
+    receiver's last beat.
     """
     n_beats = -(-len(symbols) // SYMBOLS_PER_BEAT) + TX_FLUSH_BEATS
     stream = np.zeros(OVERLAP_IN + n_beats * SYMBOLS_PER_BEAT)
     stream[OVERLAP_IN : OVERLAP_IN + len(symbols)] = symbols
     blocks = sliding_window_view(stream, N_IN)[::SYMBOLS_PER_BEAT]
-    Y = resample_up_fd(fft_pow2(blocks))
+    Y = np.empty((n_beats, BINS_OUT), dtype=complex)
+    fft_pow2(blocks, out=Y[:, :BINS_IN])
+    _fill_excess_band(Y)
     Y *= rrc_response(rolloff)
     return fft_144(Y, inverse=True)[:, OVERLAP_OUT:].reshape(-1)

@@ -1,9 +1,11 @@
 """Impairment model tests: each block, its neutral point, and determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from burstrx import channel
+from burstrx import channel, framing, txchain
 from burstrx.channel import ChannelConfig
 from burstrx.errors import ChannelError
 
@@ -173,6 +175,31 @@ class TestRunChannel:
         # infinite offset or gain a RuntimeWarning inside run_channel
         with pytest.raises(ChannelError):
             channel.Impairments(**kwargs)
+
+
+# sha256 of run_channel on tx_frame of a 1 920-bit frame (payload seed 1000),
+# pinned from the channel that built the frame times the gain, the gap-padded
+# capture and each filter's output as separate arrays
+CHANNEL_DIGESTS = {
+    "all_on": "c6174670c8615547d9c20507147ee35487d7001efa2deee94af62e6197dbfd86",
+    "all_off": "90c8d6cedfea953e9da25f384e314693ee6c8ac36611cb6289aa28d9c1018c83",
+}
+CHANNEL_CONFIGS = {
+    "all_on": ChannelConfig(snr_db=14.0, timing_offset_ui=-0.3, clock_ppm=100.0, f3db_ghz=8.0,
+                            gap_samples=500, gain=0.7, rng_seed=3),
+    "all_off": ChannelConfig(gap_samples=1080),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_DIGESTS))
+def test_capture_pinned(name):
+    layout = framing.FrameLayout(payload_len=1920)
+    wave = txchain.tx_frame(framing.build_frame(layout, framing.gen_payload_bits(layout, 1000)))
+    sent = wave.copy()
+    out = channel.run_channel(wave, CHANNEL_CONFIGS[name])
+    assert np.array_equal(wave, sent)  # the input is not modified
+    assert len(out) == len(wave) + 2 * CHANNEL_CONFIGS[name].gap_samples
+    assert hashlib.sha256(out.tobytes()).hexdigest() == CHANNEL_DIGESTS[name]
 
 
 class TestRopMap:

@@ -458,6 +458,19 @@ class TestDdlms:
         z, _ = ddlms_update(FdeState(), Y)
         assert z.dtype == np.float64
 
+    def test_same_bits_in_c_and_fortran_order(self):
+        # the per-bin power sums each bin over the beats in one order, so the
+        # steps, and everything after them, do not depend on the stack layout
+        Y, c = payload_stack(16, 8 + 600)
+        runs = []
+        for stack in (np.ascontiguousarray(Y), np.asfortranarray(Y)):
+            state = FdeState()
+            state.initialize(stack[:8], c[:8])
+            runs.append((*ddlms_update(state, stack[8:]), state.w))
+        for got, want in zip(runs[1], runs[0]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(_bin_steps(np.asfortranarray(Y)), _bin_steps(np.ascontiguousarray(Y)))
+
     def test_empty_stack(self):
         state = FdeState(w=np.arange(float(LAGS.size)))
         z, bits = ddlms_update(state, np.zeros((0, 65), complex))

@@ -117,6 +117,34 @@ def test_forward_rejects_complex(fft, n):
         fft(np.ones((3, n)) + 0j)
 
 
+class TestOut:
+    def test_forward_into_a_wider_stack(self):
+        # the transmitter's use: 65 bins written into bins 0..64 of 73
+        x = np.random.default_rng(10).normal(size=(6, 128))
+        stack = np.zeros((6, 73), complex)
+        buf = stack[:, :65]
+        assert fft_pow2(x, out=buf) is buf
+        assert np.array_equal(stack[:, :65], fft_pow2(x))
+        assert not stack[:, 65:].any()
+
+    def test_inverse(self):
+        X = fft_pow2(np.random.default_rng(11).normal(size=(3, 128)))
+        buf = np.empty((3, 128))
+        assert fft_pow2(X, inverse=True, out=buf) is buf
+        assert np.array_equal(buf, fft_pow2(X, inverse=True))
+
+    @pytest.mark.parametrize("x, inverse, error", [
+        (np.ones(96), False, FftSizeError),
+        (np.ones(128, complex), False, FftInputError),
+        (np.ones(64, complex), True, FftSizeError),
+    ], ids=["size", "complex", "inverse_size"])
+    def test_checked_before_writing(self, x, inverse, error):
+        buf = np.full(65 if not inverse else 126, 7.0, dtype=complex if not inverse else float)
+        with pytest.raises(error):
+            fft_pow2(x, inverse=inverse, out=buf)
+        assert np.all(buf == 7.0)
+
+
 class TestButterflyReference:
     @pytest.mark.parametrize("n", [8, 128, 144])
     def test_matches_oracle(self, n):

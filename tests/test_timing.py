@@ -197,6 +197,18 @@ class TestInterpolator:
             assert np.array_equal(fd_interpolate(X, tau), bins_last_interpolate(X, tau))
             assert np.array_equal(fd_interpolate(X[0], tau), bins_last_interpolate(X[0], tau))
 
+    @pytest.mark.parametrize("n", [1, 29, 1364])
+    def test_stack_comes_back_row_major(self, n):
+        # every later stage walks the stack beat by beat: one beat per
+        # contiguous row, not the transpose of the bins-major table
+        rng = np.random.default_rng(n + 13)
+        X = rng.normal(size=(n, 73)) + 1j * rng.normal(size=(n, 73))
+        taus = rng.uniform(-3.0, 3.0, size=(n, 1))
+        out = fd_interpolate(X, taus)
+        assert out.flags.c_contiguous and out.shape == (n, 73)
+        assert np.array_equal(out, bins_last_interpolate(X, taus))
+        assert np.array_equal(fd_interpolate(X[-1], taus[-1, 0]), out[-1])
+
     def test_powers_close_to_per_bin_exponentials(self):
         # the doubled powers of w against exp(-2j pi k tau / 144) evaluated
         # bin by bin, at taus up to 3 samples

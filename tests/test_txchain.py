@@ -42,6 +42,18 @@ class TestResampleUp:
     def test_zeros(self):
         assert not txchain.resample_up_fd(np.zeros(65, complex)).any()
 
+    @pytest.mark.parametrize("shape", [(65,), (7, 65), (2, 3, 65)])
+    def test_in_place_widening_equals_resample(self, shape):
+        # tx_frame fills the excess band of its own 73-bin stack in place
+        rng = np.random.default_rng(len(shape))
+        X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stack = np.full(shape[:-1] + (73,), np.nan, dtype=complex)
+        stack[..., :65] = X
+        assert txchain._fill_excess_band(stack) is stack
+        assert np.array_equal(stack, txchain.resample_up_fd(X))
+        ref = np.concatenate([X, np.conj(X[..., 63:56:-1]), X[..., 56:57]], axis=-1)
+        assert np.array_equal(stack, ref)
+
     def test_size_checked(self):
         with pytest.raises(FftSizeError):
             txchain.resample_up_fd(np.zeros(73, complex))
