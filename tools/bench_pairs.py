@@ -112,7 +112,7 @@ def main(argv=None) -> int:
                 report, result = run_once(checkouts[side], workload, args.seed, args.seconds)
                 run[side] = {k: v["value"] for k, v in result["metrics"].items()}
                 seen.setdefault(side, decisions(report, result))
-                bench["checkouts"].setdefault(side, {"path": str(checkouts[side]), **report["meta"]})
+                bench["checkouts"].setdefault(side, report["meta"])
             runs.append(run)
             print(f"{workload} pair {pair + 1}/{args.pairs}: " + ", ".join(
                 f"{side} {run[side].get('chain_mbit_s', float('nan')):.3f}" for side in SIDES),
