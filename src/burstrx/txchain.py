@@ -46,30 +46,19 @@ TX_FLUSH_BEATS = 3
 FREQ_SYMBOL_144 = np.arange(BINS_OUT) / N_IN
 
 
-def resample_up_fd(X: np.ndarray) -> np.ndarray:
-    """Widen a 65-bin half spectrum to 73 bins (1 sps -> 1.125 sps).
+def resample_up_fd(Y: np.ndarray) -> np.ndarray:
+    """Widen 65-bin half spectra to 73 bins (1 sps -> 1.125 sps) in place; returns ``Y``.
 
-    The 65 bins are copied into a new 73-bin array, and
-    :func:`_fill_excess_band` writes the other 8.
+    ``Y`` holds the 65 symbol-rate bins in its bins 0..64, and bins 65..72
+    are written from them.  Bin ``k`` of the 144-point grid takes the
+    symbol-rate bin ``k``: ``Y(k)`` for k <= 64 and ``conj(Y(128 - k))`` for
+    65..71, and the Nyquist bin 72 takes the symbol-rate bin 72 - 128 = -56,
+    ``Y(56)``.  So symbol-rate bins 56..71 appear twice, carrying the
+    aliased excess band that the RRC then shapes: the periodic extension of
+    the symbol-rate spectrum onto the wider sample-rate grid.
     """
-    X = np.asarray(X)
-    if X.shape[-1] != BINS_IN:
-        raise FftSizeError(f"resample_up_fd expects {BINS_IN} bins, got {X.shape[-1]}")
-    Y = np.empty(X.shape[:-1] + (BINS_OUT,), dtype=X.dtype)
-    Y[..., :BINS_IN] = X
-    return _fill_excess_band(Y)
-
-
-def _fill_excess_band(Y: np.ndarray) -> np.ndarray:
-    """Write bins 65..72 of 73-bin half spectra from their bins 0..64, in place; returns ``Y``.
-
-    Bin ``k`` of the 144-point grid takes the symbol-rate bin ``k``:
-    ``Y(k)`` for k <= 64 and ``conj(Y(128 - k))`` for 65..71, and the
-    Nyquist bin 72 takes the symbol-rate bin 72 - 128 = -56, ``Y(56)``.  So
-    symbol-rate bins 56..71 appear twice, carrying the aliased excess band
-    that the RRC then shapes: the periodic extension of the symbol-rate
-    spectrum onto the wider sample-rate grid.
-    """
+    if Y.shape[-1] != BINS_OUT:
+        raise FftSizeError(f"resample_up_fd expects {BINS_OUT} bins, got {Y.shape[-1]}")
     np.conj(Y[..., 63:56:-1], out=Y[..., BINS_IN : BINS_OUT - 1])
     Y[..., BINS_OUT - 1] = Y[..., 56]
     return Y
@@ -109,7 +98,7 @@ def tx_frame(symbols: np.ndarray, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarra
     beat's 96 symbols, the transmit twin of
     :func:`burstrx.rxfront.rx_slice_beats`.  The ``(beats, 73)`` spectra
     are allocated once: the 128-point transform writes its 65 bins straight
-    into bins 0..64, :func:`_fill_excess_band` fills the other 8 in place
+    into bins 0..64, :func:`resample_up_fd` fills the other 8 in place
     from them and the RRC multiplies in place, so no 65-bin stack is made.
     ``TX_FLUSH_BEATS`` trailing zero beats flush the delay of the transmit
     and receive filters, so the final symbols of the stream reach the
@@ -121,6 +110,6 @@ def tx_frame(symbols: np.ndarray, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarra
     blocks = sliding_window_view(stream, N_IN)[::SYMBOLS_PER_BEAT]
     Y = np.empty((n_beats, BINS_OUT), dtype=complex)
     fft_pow2(blocks, out=Y[:, :BINS_IN])
-    _fill_excess_band(Y)
+    resample_up_fd(Y)
     Y *= rrc_response(rolloff)
     return fft_144(Y, inverse=True)[:, OVERLAP_OUT:].reshape(-1)

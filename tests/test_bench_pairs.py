@@ -1,6 +1,7 @@
 """tools/bench_pairs.py summary: medians, quartiles, wins and the gain rule."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,6 @@ def pairs(parent, change, name):
 def test_quartiles_of_ten():
     q = bench_pairs.quartiles([float(v) for v in range(1, 11)])
     assert q == {"median": 5.5, "q1": 3.25, "q3": 7.75}
-    assert bench_pairs.quartiles([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0}
 
 
 @pytest.mark.parametrize("name, parent, change", [
@@ -43,6 +43,22 @@ def test_no_gain_on_eight_wins_or_a_small_gap():
 
 
 def test_ties_count_for_neither_side():
-    m = bench_pairs.summarise(pairs([1.0] * 10, [1.0] * 10, "burst_ms_p50"), DIRECTIONS)["burst_ms_p50"]
+    summary = bench_pairs.summarise(pairs([1.0] * 10, [1.0] * 10, "burst_ms_p50"), DIRECTIONS)
+    m = summary["burst_ms_p50"]
     assert (m["wins"], m["losses"], m["gain_shown"]) == (0, 0, False)
-    assert "chain_mbit_s" not in bench_pairs.summarise(pairs([1.0], [1.0], "burst_ms_p50"), DIRECTIONS)
+    assert "chain_mbit_s" not in summary
+
+
+@pytest.mark.parametrize("status, failed, passes", [(0, 0, True), (1, 0, False), (0, 2, False)])
+def test_a_run_with_a_failed_check_or_burst_stops_the_tool(tmp_path, status, failed, passes):
+    # a stand-in perfbench/run.py that prints a report and a result line
+    report = {"report": {"decisions": {"digest": "d"}}}
+    result = {"correct": status == 0, "attempted": 5, "failed": failed, "metrics": {}}
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"import sys\nprint({json.dumps(report)!r})\nprint({json.dumps(result)!r})\nsys.exit({status})\n")
+    if passes:
+        assert bench_pairs.run_once(tmp_path, "w", 3, 1.0) == (report["report"], result)
+    else:
+        with pytest.raises(RuntimeError):
+            bench_pairs.run_once(tmp_path, "w", 3, 1.0)

@@ -40,6 +40,14 @@ def set_ddlms(monkeypatch):
     return set_constants
 
 
+def widened(x):
+    """73-bin half spectra of the real blocks ``x``, widened by ``resample_up_fd``."""
+    x = np.asarray(x, dtype=float)
+    Y = np.empty(x.shape[:-1] + (73,), dtype=complex)
+    fft_pow2(x, out=Y[..., :65])
+    return txchain.resample_up_fd(Y)
+
+
 class TestStripRolloff:
     def test_zero(self):
         assert not strip_rolloff(np.zeros(73, complex)).any()
@@ -60,9 +68,8 @@ class TestStripRolloff:
         # spectrum exactly (Nyquist property of the matched pair)
         rng = np.random.default_rng(0)
         x = rng.normal(size=128)
-        X = fft_pow2(x)
         h = np.sqrt(txchain.rc_magnitude(txchain.FREQ_SYMBOL_144))  # zero-phase RRC
-        folded = strip_rolloff(txchain.resample_up_fd(X) * h * h)
+        folded = strip_rolloff(widened(x) * h * h)
         y = fft_pow2(folded, inverse=True)
         assert np.max(np.abs(y - x)) <= 1e-6
 
@@ -93,7 +100,7 @@ class TestMmse:
         # the equalized valid positions equal the training symbols
         blocks, c = training_blocks(1)
         h = np.sqrt(txchain.rc_magnitude(txchain.FREQ_SYMBOL_144))  # zero-phase RRC
-        Y = strip_rolloff(txchain.resample_up_fd(spectra(blocks)) * h * h)
+        Y = strip_rolloff(widened(blocks) * h * h)
         state = FdeState()
         state.initialize(Y, c)
         z = equalize(Y, state.w)

@@ -11,8 +11,9 @@ from burstrx.timing import W1, W2, FdtrLoop, estimate_taus, fd_interpolate, goda
 def shaped_block(symbols128):
     """73-bin half spectrum of one isolated block after tx and rx RRC."""
     h = txchain.rrc_response()
-    X = txchain.resample_up_fd(np.fft.rfft(np.asarray(symbols128, float)))
-    return X * h * h
+    X = np.empty(73, dtype=complex)
+    X[:65] = np.fft.rfft(np.asarray(symbols128, float))
+    return txchain.resample_up_fd(X) * h * h
 
 
 def raw_error(X):

@@ -10,6 +10,13 @@ from burstrx.errors import FftSizeError
 from burstrx.fourier import fft_144, fft_pow2
 
 
+def widen(X):
+    """``X``'s 65-bin half spectra widened to 73 bins by ``resample_up_fd``."""
+    Y = np.empty(X.shape[:-1] + (73,), dtype=complex)
+    Y[..., :65] = X
+    return txchain.resample_up_fd(Y)
+
+
 class TxState:
     """Streaming transmitter state: overlap buffer of the previous beat."""
 
@@ -24,7 +31,7 @@ def tx_process_beat(state, symbols):
     assert symbols.shape == (txchain.SYMBOLS_PER_BEAT,)
     block = np.concatenate([state.overlap, symbols])
     state.overlap = block[-txchain.OVERLAP_IN :].copy()
-    Y = txchain.resample_up_fd(fft_pow2(block)) * state.response
+    Y = widen(fft_pow2(block)) * state.response
     return fft_144(Y, inverse=True)[txchain.OVERLAP_OUT :]
 
 
@@ -33,30 +40,29 @@ class TestResampleUp:
         # half-spectrum bin k of the 144 grid is symbol-rate bin k: X(k) up
         # to 64, conj(X(128 - k)) for 65..71, and X(56) at the Nyquist bin 72
         X = np.arange(65) + 1j * np.arange(65, 130)
-        Y = txchain.resample_up_fd(X)
+        Y = widen(X)
         assert Y.shape == (73,)
         assert Y[72] == X[56]
         assert np.array_equal(Y[:65], X)
         assert np.array_equal(Y[65:72], np.conj(X[63:56:-1]))
 
     def test_zeros(self):
-        assert not txchain.resample_up_fd(np.zeros(65, complex)).any()
+        assert not widen(np.zeros(65, complex)).any()
 
     @pytest.mark.parametrize("shape", [(65,), (7, 65), (2, 3, 65)])
-    def test_in_place_widening_equals_resample(self, shape):
+    def test_widens_stacks_in_place(self, shape):
         # tx_frame fills the excess band of its own 73-bin stack in place
         rng = np.random.default_rng(len(shape))
         X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         stack = np.full(shape[:-1] + (73,), np.nan, dtype=complex)
         stack[..., :65] = X
-        assert txchain._fill_excess_band(stack) is stack
-        assert np.array_equal(stack, txchain.resample_up_fd(X))
+        assert txchain.resample_up_fd(stack) is stack
         ref = np.concatenate([X, np.conj(X[..., 63:56:-1]), X[..., 56:57]], axis=-1)
         assert np.array_equal(stack, ref)
 
     def test_size_checked(self):
         with pytest.raises(FftSizeError):
-            txchain.resample_up_fd(np.zeros(73, complex))
+            txchain.resample_up_fd(np.zeros(65, complex))
 
     def test_tone_keeps_absolute_frequency(self):
         # A bin-8 tone at 1 sps must come out as a bin-8 tone of the 144 grid,
@@ -64,7 +70,7 @@ class TestResampleUp:
         n = np.arange(128)
         x = np.cos(2 * np.pi * 8 * n / 128)
         h0 = np.sqrt(txchain.rc_magnitude(txchain.FREQ_SYMBOL_144))  # zero-phase RRC
-        Y = txchain.resample_up_fd(fft_pow2(x)) * h0
+        Y = widen(fft_pow2(x)) * h0
         y = fft_144(Y, inverse=True)
         # amplitude carries the 128/144 convention factor; frequency must not move
         ref = (128 / 144) * np.cos(2 * np.pi * 8 * np.arange(144) / 144)

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Alternated parent/change benchmark pairs, summarised into a BENCH_*.json file.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_35.json \\
-        --pairs 10 --seconds 25 --seed 3
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_35.json --seed 3
 
-PARENT and CHANGE are two source checkouts.  For each workload, each pair
-runs ``perfbench/run.py --trace 0`` once in each checkout, one process at a
-time; even pairs run the parent first, odd pairs the change, so a drift in
-host speed falls on both sides alike.  Only the last two lines of a run's
-output are read: the report (decision digest, bit errors, burst statuses,
-run metadata) and the result (end-to-end metrics).
+PARENT and CHANGE are two source checkouts.  For every workload of
+``BENCHMARK.json``, each of 10 pairs runs ``perfbench/run.py --trace 0`` for
+the file's ``run_seconds`` once in each checkout, one process at a time; even
+pairs run the parent first, odd pairs the change, so a drift in host speed
+falls on both sides alike.  Only the last two lines of a run's output are
+read: the report (decision digest, bit errors, burst statuses, run metadata)
+and the result (end-to-end metrics).  A run that fails a check or has a burst
+whose receive raised stops the tool, and so do two runs of one checkout whose
+decisions differ: every pair summarised had the same decisions on its side,
+and each run entry records them.
 
 For every end-to-end metric of ``BENCHMARK.json`` the summary gives each
 side's median and quartiles over the pairs and the change's wins (ties count
@@ -27,23 +30,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 WIN_SHARE = 0.9
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One untraced ``perfbench/run.py`` run in ``checkout``: its report and its result."""
+    """One untraced ``perfbench/run.py`` run in ``checkout``: its report and its result.
+
+    Raises unless the run passed its checks and no burst's receive raised.
+    """
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
-    if proc.returncode not in (0, 1) or len(lines) < 2:
-        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    if proc.returncode != 0 or len(lines) < 2 or json.loads(lines[-1])["failed"]:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: "
+                           f"{lines[-1] if lines else ''} {proc.stderr[-2000:]}")
     return json.loads(lines[-2])["report"], json.loads(lines[-1])
 
 
 def quartiles(values: list) -> dict:
-    if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
@@ -75,11 +81,10 @@ def summarise(runs: list, directions: dict) -> dict:
     return out
 
 
-def decisions(report: dict, result: dict) -> dict:
+def decisions(report: dict) -> dict:
     d = report["decisions"]
     return {"digest": d["digest"], "bit_errors": d["bit_errors"], "bits_total": d["bits_total"],
-            "status_counts": d["status_counts"], "correct": result["correct"],
-            "attempted": result["attempted"], "failed": result["failed"]}
+            "status_counts": d["status_counts"]}
 
 
 def main(argv=None) -> int:
@@ -87,45 +92,42 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--workload", action="append",
-                        help="workload to run (repeatable); default: every workload of BENCHMARK.json")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     directions = {m["name"]: (m["unit"], m["better"]) for m in spec["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    bench = {"command": f"perfbench/run.py --seed {args.seed} --seconds {args.seconds} --trace 0",
-             "pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
+    bench = {"command": f"perfbench/run.py --seed {args.seed} --seconds {seconds} --trace 0",
+             "pairs": PAIRS, "seed": args.seed, "seconds": seconds,
              "checkouts": {}, "workloads": {}}
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs, seen = [], {}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            run = {"pair": pair, "first": order[0]}
+            run = {"pair": pair, "first": order[0], "decisions": {}}
             for side in order:
-                report, result = run_once(checkouts[side], workload, args.seed, args.seconds)
+                report, result = run_once(checkouts[side], workload, args.seed, seconds)
                 run[side] = {k: v["value"] for k, v in result["metrics"].items()}
-                seen.setdefault(side, decisions(report, result))
+                run["decisions"][side] = decisions(report)
+                if seen.setdefault(side, run["decisions"][side]) != run["decisions"][side]:
+                    raise RuntimeError(f"{workload} pair {pair}: {side} decisions differ from "
+                                       f"its first run: {run['decisions'][side]} != {seen[side]}")
                 bench["checkouts"].setdefault(side, report["meta"])
             runs.append(run)
-            print(f"{workload} pair {pair + 1}/{args.pairs}: " + ", ".join(
+            print(f"{workload} pair {pair + 1}/{PAIRS}: " + ", ".join(
                 f"{side} {run[side].get('chain_mbit_s', float('nan')):.3f}" for side in SIDES),
                 file=sys.stderr, flush=True)
         metrics = summarise(runs, directions)
         bench["workloads"][workload] = {"decisions": seen, "metrics": metrics, "runs": runs}
-        print(f"== {workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s per run")
+        print(f"== {workload}: {PAIRS} pairs, seed {args.seed}, {seconds:g} s per run")
         for name, m in metrics.items():
             p, c = m["parent"], m["change"]
             print(f"  {name:14s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                   f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {m['unit']}"
                   f"  wins {m['wins']}/{m['pairs']}  gain_shown {m['gain_shown']}")
-        same = seen["parent"]["digest"] == seen["change"]["digest"]
+        same = seen["parent"] == seen["change"]
         print(f"  decisions {'equal' if same else 'DIFFER'}: digest {seen['change']['digest'][:8]}, "
               f"{seen['change']['bit_errors']} bit errors, statuses {seen['change']['status_counts']}")
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
