@@ -253,7 +253,10 @@ def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
 
     The gap-padded capture is allocated once and the frame times the gain
     written into its middle; each filter that is on leaves its own output,
-    which is copied back there.  The input is not modified.
+    which is copied back there.  The input is not modified.  Each filter
+    acts on the frame alone, so without noise the gaps stay exactly 0: what
+    a filter rings past the frame's ends is dropped, or by the fixed delay
+    wrapped onto the frame's other end, and never written into a gap.
     """
     frame = np.asarray(frame_samples, dtype=np.float64)
     gap = cfg.gap_samples

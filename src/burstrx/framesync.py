@@ -15,6 +15,7 @@ The synchronization position at 1.125 sps is ``p = floor(p1 * 1.125)`` and
 the fractional remainder of ``p1 * 1.125`` is handed to the timing loop.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,19 +29,18 @@ SYNC_RATIO_MIN = 1.5  # the peak over the largest |M| of every other placement
 @dataclass
 class SyncResult:
     p1: int                 # position at 1 sps
-    p: int                  # floor(p1 * 1.125), position at 1.125 sps
-    frac: float             # fractional residue, compensated by the FDTR
     peak_value: float
     second_peak_value: float
 
+    @property
+    def p(self) -> int:
+        """``floor(p1 * 1.125)``, the position at 1.125 sps."""
+        return math.floor(self.p1 * SPS)
 
-def make_sync_result(p1: int, peak: float, second: float) -> SyncResult:
-    scaled = p1 * SPS
-    p = int(np.floor(scaled))
-    return SyncResult(
-        p1=int(p1), p=p, frac=float(scaled - p),
-        peak_value=float(peak), second_peak_value=float(second),
-    )
+    @property
+    def frac(self) -> float:
+        """Fractional residue of ``p1 * 1.125``, compensated by the FDTR."""
+        return self.p1 * SPS - self.p
 
 
 def bipolarize(symbols: np.ndarray) -> np.ndarray:
@@ -83,4 +83,4 @@ def find_sync(symbols: np.ndarray, pn: np.ndarray, offset: int = 0) -> SyncResul
         raise SyncError(
             f"sync peak ratio {peak / max(second, 1e-12):.2f} below {SYNC_RATIO_MIN}"
         )
-    return make_sync_result(p_local + offset, peak, second)
+    return SyncResult(p1=p_local + offset, peak_value=peak, second_peak_value=second)

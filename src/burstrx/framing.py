@@ -99,7 +99,7 @@ def fixed_preamble(layout: FrameLayout) -> np.ndarray:
     return _fixed_preamble(layout.preamble_a_len, layout.preamble_c_len)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _fixed_preamble(preamble_a_len: int, preamble_c_len: int) -> np.ndarray:
     layout = FrameLayout(preamble_a_len, preamble_c_len, payload_len=0)
     out = np.concatenate([gen_preamble_a(layout), gen_preamble_b(layout), gen_preamble_c(layout)])

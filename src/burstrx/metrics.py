@@ -100,8 +100,10 @@ def mse_point(z: np.ndarray, decisions: np.ndarray) -> np.ndarray:
     axis, so a stack of beats gives one point per row.  Summed over a whole
     128-sample block this equals, by Parseval's theorem, the mean squared
     spectral error ``mean |FFT(z) - FFT(d)|^2`` without either transform.
+    The error is formed in C order, so each row is summed the same way
+    whatever the layout of ``z``.
     """
-    return np.sum((np.asarray(z) - np.asarray(decisions)) ** 2, axis=-1)
+    return np.sum(np.subtract(z, decisions, order="C") ** 2, axis=-1)
 
 
 @dataclass

@@ -1,16 +1,13 @@
 """Burst receiver orchestration: acquisition, synchronization, demodulation.
 
-Reception happens in two passes over the sampled waveform:
+Reception happens in two stages over the sampled waveform:
 
-* **Acquisition** slices beats from the stream start and looks for the
-  Preamble-A tone peak in chunks of 32 beats.  The spectra and the detection
-  mask are indexed by beat.  Each pass transforms and tests the beats of its
-  chunk and of the window a detection on the chunk's last beat would need,
-  past those an earlier pass already did, so every beat is transformed once;
-  only hits in the chunk's 32 beats count.  A pass slices just its own
-  beats of the grid that starts at sample 0 (see
-  :func:`rxfront.rx_slice_beats`).  The window of the first detected beat
-  is then a slice of those spectra and of the mask, and one window feeds
+* **Acquisition** looks for the Preamble-A tone peak in passes over the
+  beat grid that starts at sample 0 (see :func:`rxfront.rx_slice_beats`).
+  Pass ``k`` slices, transforms and tests the chunk of 32 beats from beat
+  ``32 k`` and the window a detection on the chunk's last beat would need;
+  only hits in the chunk count.  The window of the first detected beat is a
+  slice of that pass's spectra and detection mask, and one window feeds
   both tau0 and stage 1: the detected beat and the
   ``ceil((preamble_a_len + preamble_b_len) / 96) + 21`` beats after it (25
   beats for the default frame).  tau0 is the tone-pair phase summed over
@@ -133,25 +130,21 @@ class BurstReceiver:
         Raises :class:`DetectionError` when no beat passes detection; a
         window in which sync finds no Preamble B gives ``sync`` None.
         """
-        n_beats = len(waveform) // txchain.SAMPLES_PER_BEAT
-        X = np.empty((n_beats, txchain.BINS_OUT), dtype=np.complex128)
-        tone = np.empty(n_beats, dtype=bool)
-        done = 0
-        # A pass fills the chunk and the window of a detection on its last beat.
-        for start in range(0, n_beats, DETECT_CHUNK):
-            stop = min(start + DETECT_CHUNK + self.acquire_beats, n_beats)
-            beats = rxfront.rx_slice_beats(waveform, txchain.SAMPLES_PER_BEAT * done, stop - done)
-            X[done:stop] = rxfront.beat_spectra(beats, self.h_rx)
-            tone[done:stop] = rxfront.detect_frame(X[done:stop]).detected
-            done = stop
-            hits = np.flatnonzero(tone[start : start + DETECT_CHUNK])
+        # A pass holds its chunk and the window of a detection on its last beat.
+        for start in range(0, len(waveform) // txchain.SAMPLES_PER_BEAT, DETECT_CHUNK):
+            beats = rxfront.rx_slice_beats(
+                waveform, txchain.SAMPLES_PER_BEAT * start, DETECT_CHUNK + self.acquire_beats
+            )
+            X = rxfront.beat_spectra(beats, self.h_rx)
+            tone = rxfront.detect_frame(X).detected
+            hits = np.flatnonzero(tone[:DETECT_CHUNK])
             if hits.size:
-                detect_beat = start + int(hits[0])
                 break
         else:
             raise DetectionError("no burst detected in the waveform")
 
-        window = slice(detect_beat, detect_beat + 1 + self.acquire_beats)
+        detect_beat = start + int(hits[0])
+        window = slice(hits[0], hits[0] + 1 + self.acquire_beats)
         tau0 = rxfront.estimate_initial_spo(X[window][tone[window]])
         blocks = fft_pow2(eq.strip_rolloff(fd_interpolate(X[window], tau0)), inverse=True)
         try:

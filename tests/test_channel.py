@@ -202,6 +202,30 @@ def test_capture_pinned(name):
     assert hashlib.sha256(out.tobytes()).hexdigest() == CHANNEL_DIGESTS[name]
 
 
+NOISELESS_IMPAIRMENTS = {
+    "lowpass": {"f3db_ghz": 4.0},
+    "offset_frac_pos": {"timing_offset_ui": 0.3},
+    "offset_frac_neg": {"timing_offset_ui": -0.3},
+    "offset_whole_pos": {"timing_offset_ui": 8.0},
+    "offset_whole_neg": {"timing_offset_ui": -8.0},
+    "drift": {"clock_ppm": 300.0},
+    "gain": {"gain": 0.7},
+    "all": {"f3db_ghz": 4.0, "timing_offset_ui": -0.3, "clock_ppm": -300.0, "gain": 2.5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOISELESS_IMPAIRMENTS))
+def test_noiseless_gaps_stay_silent(name):
+    # every filter acts on the frame alone, so without noise nothing of the
+    # frame leaks into the gaps spliced around it; 8 UI is 9 whole samples
+    layout = framing.FrameLayout(payload_len=1920)
+    wave = txchain.tx_frame(framing.build_frame(layout, framing.gen_payload_bits(layout, 1000)))
+    cfg = ChannelConfig(gap_samples=500, **NOISELESS_IMPAIRMENTS[name])
+    out = channel.run_channel(wave, cfg)
+    assert not out[:500].any() and not out[-500:].any()
+    assert out[500:-500].any()
+
+
 class TestRopMap:
     def test_linear_interpolation(self):
         cal = {"rop1_dbm": -30.0, "snr1_db": 8.0, "rop2_dbm": -20.0, "snr2_db": 18.0}

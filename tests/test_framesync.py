@@ -74,9 +74,9 @@ class TestFindSync:
         assert res.p1 == q
 
     def test_position_arithmetic(self):
-        assert framesync.make_sync_result(8, 1.0, 0.1).p == 9
-        assert framesync.make_sync_result(8, 1.0, 0.1).frac == 0.0
-        r = framesync.make_sync_result(3, 1.0, 0.1)
+        assert framesync.SyncResult(8, 1.0, 0.1).p == 9
+        assert framesync.SyncResult(8, 1.0, 0.1).frac == 0.0
+        r = framesync.SyncResult(3, 1.0, 0.1)
         assert r.p == 3
         assert r.frac == pytest.approx(0.375)
 
@@ -125,6 +125,6 @@ class TestFindSync:
 
     def test_frac_in_range(self):
         for q in range(0, 32):
-            r = framesync.make_sync_result(q, 1.0, 0.0)
+            r = framesync.SyncResult(q, 1.0, 0.0)
             assert 0.0 <= r.frac < 1.0
             assert r.peak_value >= r.second_peak_value or r.second_peak_value == 0.0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from burstrx import metrics
+from burstrx.equalizer import decide_demap
 from burstrx.errors import AlignmentError
 
 
@@ -142,6 +143,14 @@ class TestMsePoint:
         d = rng.integers(0, 2, 128).astype(np.float64)
         spectral = float(np.mean(np.abs(np.fft.fft(z) - np.fft.fft(d)) ** 2))
         assert metrics.mse_point(z, d) == pytest.approx(spectral, rel=1e-12)
+
+    def test_fortran_stack_sums_as_c(self):
+        # a payload-sized stack: each row sums in the same order whatever the
+        # layout, so a Fortran copy gives the C result bit for bit
+        z = np.random.default_rng(5).normal(0.5, 0.4, size=(1354, 96))
+        zf = np.asfortranarray(z)
+        want = metrics.mse_point(z, decide_demap(z))
+        assert np.array_equal(metrics.mse_point(zf, decide_demap(zf)), want)
 
 
 class TestRunReport:

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,10 @@ from burstrx.errors import SyncError
 from burstrx.fourier import fft_pow2
 from burstrx.receiver import ACQUIRE_MARGIN_BEATS, DETECT_CHUNK, BurstReceiver
 from burstrx.timing import W1, W2, fd_interpolate, godard_band
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 PAYLOAD_LEN = 1920
 PAYLOAD_BEATS = PAYLOAD_LEN // 96
@@ -303,23 +308,33 @@ def record_calls(monkeypatch, module, name, record):
     return records
 
 
-def test_acquisition_transforms_each_beat_once(monkeypatch):
-    # detection fires at beat 100, in the chunk from beat 96; a pass stops
-    # where the window of a detection on its chunk's last beat ends, at beat
-    # 96 + 32 + 24 = 152, so beats 0..151 are each transformed once, and each
-    # pass's rows are those beats of the whole waveform (the gap holds noise,
-    # so a zero-padded overlap would show)
+def test_acquisition_passes_start_every_chunk(monkeypatch):
+    # detection fires at beat 100, in the chunk from beat 96; pass k slices
+    # the DETECT_CHUNK beats from beat 32 k and the acquire_beats = 24 that
+    # a detection on the chunk's last beat needs, and each pass's rows are
+    # those beats of the whole waveform (the gap holds noise, so a
+    # zero-padded overlap would show)
     rx, wave, _ = make_burst(
         {"frame": {"payload_len": 960}, "channel": {"gap_samples": 108 * 100, "snr_db": 20.0}}
     )
     passes = record_calls(monkeypatch, rxfront, "beat_spectra", np.array)
     assert rx.acquire(wave).detect_beat == 100
-    rows = [len(beats) for beats in passes]
-    assert rows == [56, 32, 32, 32]
-    assert sum(rows) == 152
+    assert [len(beats) for beats in passes] == [56, 56, 56, 56]
+    assert DETECT_CHUNK + rx.acquire_beats == 56
     padded = np.concatenate([np.zeros(36), wave])
-    ref = [padded[108 * b : 108 * b + 144] for b in range(152)]
-    assert np.array_equal(np.concatenate(passes), ref)
+    for k, beats in enumerate(passes):
+        window = range(DETECT_CHUNK * k, DETECT_CHUNK * k + 56)
+        assert np.array_equal(beats, [padded[108 * b : 108 * b + 144] for b in window])
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_bursts_acquire_in_one_pass(monkeypatch, name):
+    # the benchmark's bursts sit behind the default 1 080-sample gap, so the
+    # tone arrives inside the first chunk and acquisition transforms once
+    rx, wave, _ = make_burst(workloads.WORKLOADS[name].config)
+    passes = record_calls(monkeypatch, rxfront, "beat_spectra", len)
+    assert rx.acquire(wave).detect_beat < DETECT_CHUNK
+    assert len(passes) == 1
 
 
 def test_demodulate_transform_rows(monkeypatch):
@@ -371,13 +386,15 @@ def test_stages_read_only_their_samples(monkeypatch):
     assert np.array_equal(again.taus, demod.taus)
 
 
-@pytest.mark.parametrize("p", [35, 36])
+@pytest.mark.parametrize("p", [34, 36])
 def test_sync_fails_only_where_preamble_b_precedes_the_capture(burst, monkeypatch, p):
     # stage 2's first window, Preamble B's, is wave[p - 36 : p + 108]; sync
-    # fails only where it would start before sample 0
+    # fails only where it would start before sample 0.  p = floor(1.125 p1)
+    # skips 35: p1 = 31 gives 34, p1 = 32 gives 36
     rx, wave, _ = burst
     acq = rx.acquire(wave)
-    acq = replace(acq, sync=replace(acq.sync, p=p))
+    acq = replace(acq, sync=replace(acq.sync, p1=math.ceil(p / 1.125)))
+    assert acq.sync.p == p
     if p < 36:
         with pytest.raises(SyncError):
             rx.demodulate(wave, acq)

@@ -11,15 +11,17 @@ built once at import; it too must refuse writes.
 import numpy as np
 import pytest
 
-from burstrx import channel, equalizer, txchain
+from burstrx import channel, equalizer, framing, txchain
 from burstrx.channel import DRIFT_CHUNK, DRIFT_PAD, DRIFT_WIDTH, SAMPLE_RATE_HZ, ChannelConfig
 
 CACHES = {
+    "_fixed_preamble": framing._fixed_preamble,
     "drift_factors": channel.drift_factors,
     "lowpass_response": channel.lowpass_response,
     "rrc_response": txchain.rrc_response,
 }
 ARRAY_TABLES = {
+    "_fixed_preamble": lambda: framing.fixed_preamble(framing.FrameLayout()),
     "drift_factors": lambda: channel.drift_factors(3672, 100.0)[1],
     "drift_reads": lambda: channel.drift_factors(3672, 100.0)[0],
     "lowpass_response": lambda: channel.lowpass_response(4000, 4.0),
