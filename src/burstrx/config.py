@@ -6,16 +6,17 @@ frame over a clean channel.
 
 Only values that some part of the chain reads are settable.  The receiver's
 structure is fixed: matched RRC filters with the same delay at both ends,
-the Preamble-A tone phase setting stage 1's timing, a windowed estimate
-from the timing detector setting stage 2's, and a threshold on the tone
-bin's power as the detection test.  Its constants, and the fixed parts of
-the frame and the channel, are not settable either, per call or per
-instance; each is one module-level definition, in the code that reads it:
+the Preamble-A tone phase setting stage 1's timing, one line per burst
+fitted to the timing detector's sums setting stage 2's, and a threshold on
+the tone bin's power as the detection test.  Its constants, and the fixed
+parts of the frame and the channel, are not settable either, per call or
+per instance; each is one module-level definition, in the code that reads
+it:
 
 * the detection threshold, :data:`burstrx.rxfront.DETECT_POWER_FACTOR`,
   the tone bin's power over the mean power off DC and the tone pair;
-* the windows of the stage-2 timing estimate, :data:`burstrx.timing.W1`
-  and :data:`burstrx.timing.W2`, in beats;
+* the moving sum of the stage-2 timing estimate, :data:`burstrx.timing.W1`
+  beats;
 * the sync peak ratio, :data:`burstrx.framesync.SYNC_RATIO_MIN`;
 * the acquisition window, derived from the frame layout by
   :class:`burstrx.receiver.BurstReceiver`: the detected beat, the beats

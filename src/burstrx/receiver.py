@@ -29,8 +29,8 @@ Reception happens in two stages over the sampled waveform:
   restarts there.  Preamble B is
   the first beat, the training block the next eight, and each payload beat
   holds 96 payload bits.  Stage 2 slices and transforms just those beats,
-  and has its own taus: one windowed estimate over the timing-detector sums
-  of that stack (:func:`timing.estimate_taus`), on the branch nearest tau0
+  and has its own taus: one line per burst, fitted to the timing-detector
+  sums of that stack (:func:`timing.estimate_taus`), on the branch nearest tau0
   less the fractional residue of ``p1 * 1.125``.  No other state passes
   from stage 1.  One call corrects the whole stack; the eight folded
   training beats fit the equalizer taps against the known Preamble-C

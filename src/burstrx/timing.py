@@ -1,4 +1,4 @@
-"""Burst-mode frequency-domain timing recovery: a windowed feedforward estimate.
+"""Burst-mode frequency-domain timing recovery: one feedforward line per burst.
 
 * A Godard-style error detector correlates the spectral excess band with its
   alias one symbol rate away.  On the 144-bin grid at 1.125 samples per
@@ -6,8 +6,8 @@
   same transmitted content, and ``Im X(k) conj(X(k+16))`` is an odd function
   of the sampling-phase error.  The beats are real, so
   ``conj(X(k+16)) = X(128 - k)`` and both bins come from the half spectrum.
-* :func:`estimate_taus` reads every beat's tau from the detector sums of the
-  whole stack.
+* :func:`estimate_taus` reads every beat's tau from one line fitted to the
+  detector sums of the whole stack.
 * A frequency-domain interpolator multiplies bin ``k`` by
   ``exp(-2j pi f_k tau)``, ``f_k = k/144`` cycles per sample: that is
   ``w^k`` with ``w = exp(-2j pi tau / 144)``, one exponential per tau.
@@ -26,9 +26,13 @@ spectral-line estimate of Oerder & Meyr (IEEE Trans. Commun., 1988), which
 On random payload one beat's sum carries a self-noise of roughly 8e-2 of
 ``sum |P|``: the 144-sample window truncates pulse tails, so paired bins see
 slightly different data.  Hence the sum over :data:`W1` = 24 beats, the
-unwrapped phase, and a line fit over :data:`W2` = 192 beats; a linear drift
-passes all three unchanged.  At 300 ppm the phase turns 0.7 UI over one
-sum, which 32 beats could not hold; 16 beats slipped a cycle at 5 GHz / 12 dB.
+unwrapped phase, and one least-squares line over the whole stack; a linear
+drift passes all three unchanged.  The upstream is TDMA, and the only timing
+the channel gives a burst is a fixed offset plus a linear clock drift
+(:func:`burstrx.channel.run_channel`), so a burst's sampling offset is one
+line and one estimate per burst holds it.  At 300 ppm the phase turns 0.7 UI
+over one sum, which 32 beats could not hold; 16 beats slipped a cycle at
+5 GHz / 12 dB.
 
 The moving sum limits the drift it holds.  Drift turns ``S_b`` by
 ``2 pi (8/9) ppm 1e-6 108`` rad per beat, 0.24 rad at 400 ppm, so the
@@ -41,9 +45,10 @@ Paper fidelity: the paper's FDTR is a feedback loop, a PI filter driving a
 numerically controlled oscillator (``godard_sum`` and ``nco_division`` in
 :data:`burstrx.pipeline.STAGES`); this estimate is an extension.  It holds
 300 ppm and roll-off 1/64, where the loop lost lock, and carries no state
-from stage 1 to stage 2.  In hardware it buffers up to 192 beats of detector
-sums and beat spectra at the burst start, where the chain already has the
-242-beat delay of the DD-LMS error path.
+from stage 1 to stage 2.  In hardware the line needs the detector sum of
+every beat before it corrects the first, so the chain buffers a whole burst
+of beat spectra: 1 364 beats on the default frame, against the 242-beat delay
+that the DD-LMS error path already has.
 """
 
 from dataclasses import dataclass
@@ -54,8 +59,7 @@ import numpy as np
 from .txchain import BINS_OUT, DEFAULT_ROLLOFF, N_IN, N_OUT, SPS
 
 ALIAS_STRIDE = 16  # N - N/sps = 144 - 128
-W1 = 24    # beats in the moving sum of the detector sums
-W2 = 192   # beats in the local line fit of the unwrapped phase
+W1 = 24  # beats in the moving sum of the detector sums
 # the phase step per sample of tau between neighbouring bins, 1/144 cycles apart
 _BIN_STEP = -2j * pi / N_OUT
 # a pair product turns by 2 pi (8/9) per sample of tau: radians to samples
@@ -101,14 +105,12 @@ def estimate_taus(S: np.ndarray, tau_ref: float) -> np.ndarray:
     1. Sum ``S`` over the :data:`W1` beats ``b - 12 .. b + 11`` of each beat
        ``b``, cut short at the stack ends.
     2. Unwrap the phase of those sums and scale it to samples.
-    3. Fit a line over :data:`W2` beats around each beat and read it at the
-       beat.  Near an end the window shifts inward instead of shrinking; a
-       stack shorter than ``W2`` beats gets one line.
+    3. Fit one least-squares line to the whole stack and read it at each
+       beat.
     4. Shift all by the multiple of 9/8 samples that puts the first beat's
        tau nearest ``tau_ref``.
     """
     n = len(S)
-    beat = np.arange(n)
     # the cumulative sums of S, 0 before the first beat and held after the
     # last, so that the sum over beats b - 12 .. b + 11 is sums[b + 24] - sums[b]
     half = W1 // 2
@@ -116,21 +118,12 @@ def estimate_taus(S: np.ndarray, tau_ref: float) -> np.ndarray:
     np.cumsum(S, out=sums[half + 1 : half + 1 + n])
     sums[half + 1 + n :] = sums[half + n]
     moving = sums[W1 : W1 + n] - sums[:n]
-    phase = np.unwrap(np.angle(moving))
+    y = np.unwrap(np.angle(moving)) * _SAMPLES_PER_RADIAN
 
-    # Line fit on u = beat - centre: sum u = 0 and sum u^2 = w (w^2 - 1) / 12.
-    w = min(W2, n)
-    terms = np.empty((2, n))
-    np.multiply(phase, _SAMPLES_PER_RADIAN, out=terms[0])
-    np.multiply(beat, terms[0], out=terms[1])
-    moments = np.zeros((2, n + 1))
-    np.cumsum(terms, axis=1, out=moments[:, 1:])
-    start = np.minimum(np.maximum(beat - w // 2, 0), n - w)
-    sum_y, sum_by = (moments[:, w:] - moments[:, : n - w + 1])[:, start]
-    centre = start + (w - 1) / 2
-    # one beat has no slope; its sum u*y is 0 as well
-    slope = (sum_by - centre * sum_y) / max(w * (w * w - 1) / 12, 1)
-    taus = sum_y / w + slope * (beat - centre)
+    # one line over the stack, on u = beat - (n - 1)/2: sum u = 0 and
+    # sum u^2 = n (n^2 - 1) / 12; one beat has no slope, and its sum u*y is 0
+    u = np.arange(n) - (n - 1) / 2
+    taus = y.mean() + (u @ y) / max(n * (n * n - 1) / 12, 1) * u
     return taus + SPS * np.rint((tau_ref - taus[0]) / SPS)
 
 

@@ -15,7 +15,7 @@ from burstrx import equalizer as eq
 from burstrx.errors import SyncError
 from burstrx.fourier import fft_pow2
 from burstrx.receiver import ACQUIRE_MARGIN_BEATS, DETECT_CHUNK, BurstReceiver
-from burstrx.timing import W1, W2, fd_interpolate, godard_band
+from burstrx.timing import W1, fd_interpolate, godard_band
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -608,23 +608,16 @@ def test_demodulate_leaves_acquisition_unchanged():
 
 
 def stage2_taus(S, tau_ref):
-    """Stage-2 taus from the detector sums ``S`` of each beat, one beat at a time.
+    """Stage-2 taus from the detector sums ``S``, each beat's moving sum taken on its own.
 
     Beat ``b`` sums ``S`` over beats ``b - W1/2 .. b + W1/2 - 1`` that exist,
-    the phases of those sums are unwrapped, and its tau is read from a
-    ``np.polyfit`` line over the ``W2`` beats around it, shifted inside the
-    stack, or over the whole stack when it is shorter.
+    the phases of those sums are unwrapped, and its tau is read from one
+    ``np.polyfit`` line over every beat.
     """
     n = len(S)
     sums = [sum(S[max(b - W1 // 2, 0) : b + W1 // 2]) for b in range(n)]
     phase = np.unwrap(np.angle(sums)) * txchain.SPS / (2 * np.pi)
-    w = min(W2, n)
-    taus = []
-    for b in range(n):
-        lo = min(max(b - w // 2, 0), n - w)
-        x = np.arange(lo, lo + w)
-        taus.append(np.polyval(np.polyfit(x, phase[lo : lo + w], 1), b))
-    taus = np.array(taus)
+    taus = np.polyval(np.polyfit(np.arange(n), phase, 1), np.arange(n))
     return taus + txchain.SPS * np.round((tau_ref - taus[0]) / txchain.SPS)
 
 
@@ -721,7 +714,7 @@ def test_batched_receiver_matches_per_beat_reference(cfg_dict):
     [
         (DRIFT_DDLMS, 0, "4ed8aa38f59c12b1a28043c1a2a764ee88736d41608aaa56c97d4abb1372e3f3"),
         (LOWPASS_MMSE, 14, "a8a9120556cc92c97a6b7661363c0caf08fa017e0dcec2b22e75a8b6ea5606fb"),
-        (LONG_DDLMS, 84, "bbcb44f0a0ab3d479e43fc8663e15a7e988d7ab61b9ef2bbc1d1139e7c106da8"),
+        (LONG_DDLMS, 91, "7eb99add80f898cf056929cabc27792acfcb23d8450929d68777b7e4c67c558e"),
     ],
     ids=["1920_bits_14dB_100ppm_ddlms", "3840_bits_4GHz_20dB_mmse", "57600_bits_6GHz_12dB_ddlms"],
 )

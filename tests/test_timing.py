@@ -1,11 +1,11 @@
-"""Timing-recovery tests: detector S-curve, interpolator, windowed tau estimate."""
+"""Timing-recovery tests: detector S-curve, interpolator, one-line tau estimate."""
 
 import numpy as np
 import pytest
 
 from burstrx import channel, rxfront, timing, txchain
 from burstrx.fourier import fft_144
-from burstrx.timing import W1, W2, FdtrLoop, estimate_taus, fd_interpolate, godard_error
+from burstrx.timing import W1, FdtrLoop, estimate_taus, fd_interpolate, godard_error
 
 
 def shaped_block(symbols128):
@@ -25,21 +25,15 @@ ROLLOFFS = [1 / 64, 0.05, 0.1, 0.125]   # the ends of the accepted range and bet
 
 
 def unwrap_form_taus(S, tau_ref):
-    """The tau estimate with clipped window indices and a list-built ``cumsum``."""
+    """The tau estimate with the moving sum read from clipped window indices."""
     n = len(S)
     beat = np.arange(n)
     sums = np.zeros(n + 1, dtype=complex)
     np.cumsum(S, out=sums[1:])
     moving = sums[np.minimum(beat + W1 // 2, n)] - sums[np.maximum(beat - W1 // 2, 0)]
     phase = np.unwrap(np.angle(moving)) * timing._SAMPLES_PER_RADIAN
-    w = min(W2, n)
-    start = np.minimum(np.maximum(beat - w // 2, 0), n - w)
-    moments = np.zeros((2, n + 1))
-    np.cumsum([phase, beat * phase], axis=1, out=moments[:, 1:])
-    sum_y, sum_by = moments[:, start + w] - moments[:, start]
-    centre = start + (w - 1) / 2
-    slope = (sum_by - centre * sum_y) / max(w * (w * w - 1) / 12, 1)
-    taus = sum_y / w + slope * (beat - centre)
+    u = beat - (n - 1) / 2
+    taus = phase.mean() + (u @ phase) / max(n * (n * n - 1) / 12, 1) * u
     return taus + txchain.SPS * np.round((tau_ref - taus[0]) / txchain.SPS)
 
 
@@ -260,10 +254,10 @@ class TestEstimate:
         _, taus = FdtrLoop(tau_ref=target + nudge_ui * txchain.SPS).process_beat(X)
         assert np.max(np.abs(taus - target)) / txchain.SPS <= 0.02
 
-    @pytest.mark.parametrize("n", [2, 29, W2 - 1])
-    def test_short_stack_gets_one_line(self, n):
-        # the fit window cannot shift inside a stack shorter than W2 beats,
-        # so every beat reads the one line fitted over the whole stack
+    @pytest.mark.parametrize("n", [2, 29, 191, 313, 1364])
+    def test_one_line_over_stack(self, n):
+        # every beat reads the one line fitted over the whole stack, on a
+        # stack as short as two beats and as long as the default frame's
         rng = np.random.default_rng(n)
         S = np.exp(2j * np.pi * (0.01 * np.arange(n) + rng.normal(0, 0.05, n)))
         taus = estimate_taus(S, 0.0)
@@ -276,9 +270,8 @@ class TestEstimate:
     @pytest.mark.parametrize("turn", [0.0, 0.3, -2.0])
     def test_equals_unwrap_form(self, n, turn):
         # random sums, and sums whose phase turns by ``turn`` rad a beat, so
-        # the windowed phase wraps many times: the padded window sums and
-        # the preallocated line-fit moments give the clipped form's taus
-        # exactly
+        # the windowed phase wraps many times: the padded window sums give
+        # the clipped form's sums, and the same line fit its taus, exactly
         rng = np.random.default_rng(n)
         S = rng.normal(size=n) + 1j * rng.normal(size=n)
         S *= np.exp(1j * turn * np.arange(n) ** 2 / 2)
