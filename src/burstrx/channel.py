@@ -6,49 +6,64 @@ power is not modeled physically: the noise level is set by the electrical
 ``snr_db`` alone, and :func:`rop_to_snr` is the two-point linear calibration
 that maps an ROP axis onto it.
 
-Impairment order in :func:`run_channel`: gain, low-pass, fractional delay,
-clock drift, additive noise, with inter-burst gaps spliced around the frame.
-Each block is a numpy FFT filter: the low-pass and the fixed delay over the
-whole waveform, the drift with the same delay filter over one stack of
-overlapping windows.
+Impairment order in :func:`run_channel`: gain, then one windowed filter
+that applies the low-pass, the fixed timing offset and the clock drift
+together, then additive noise, with inter-burst gaps spliced around the
+frame.
 
-The drift splits each chunk's delay ``tau = m + f`` with ``m = rint(tau)``,
-as a symbol-timing NCO splits a basepoint index from a fractional interval
-(Gardner, "Interpolation in digital modems -- Part I", IEEE Trans. Commun.
-1993).  The chunk's window is read ``m`` samples earlier from the
-zero-padded waveform, an exact integer delay, and only ``|f| <= 1/2`` goes
-through the filter.  So a window of :data:`DRIFT_WIDTH` = 384 = 2**7 * 3
-samples, a fast transform length, holds any drift, and no window reads
-wrapped samples however far the drift runs past :data:`DRIFT_PAD`.  The
-largest error against the true ramp ``x(t - ppm * 1e-6 * t)`` (evaluated
-exactly from the DFT of the zero-padded waveform), as a share of the
-waveform's RMS, on transmitted frames of the default layout:
+The channel's timing is one line, ``tau(t) = offset + ppm * 1e-6 * t``
+samples, held constant over each chunk of :data:`DRIFT_CHUNK` samples at
+its centre's value.  Each chunk's ``tau = m + f`` splits with
+``m = rint(tau)``, as a symbol-timing NCO splits a basepoint index from a
+fractional interval (Gardner, "Interpolation in digital modems -- Part I",
+IEEE Trans. Commun. 1993).  The chunk's window, the chunk with
+:data:`DRIFT_PAD` samples of context on both sides, is read ``m`` samples
+earlier from the zero-padded frame, an exact integer delay, and one
+stacked ``rfft``/``irfft`` filters every window by the delay factor of
+``|f| <= 1/2`` times the Gaussian low-pass response.  So a window of
+:data:`DRIFT_WIDTH` = 384 = 2**7 * 3 samples, a fast transform length,
+holds any offset and drift, a delayed frame reads silence past its ends
+(never its own other end), and nothing the filter rings past the frame's
+ends reaches the gaps.
 
-========================  ======
-payload (samples), ppm    error
-========================  ======
-1 920 bits (3 672), 100   1.9%
-1 920 bits (3 672), 1000  20%
-9 600 bits (12 312), 400  7.7%
-30 000 bits (35 316), 20  1.4%
-========================  ======
+The cost is the windows' overlap: the transforms cover 384 / 144 = 2.7
+times the frame's samples.  On a 35 316-sample frame the low-pass alone
+takes about as long as the one whole-frame 36 000-point transform it
+replaced, about 0.7 ms on a 2-core VM, and the stacked spectra add about
+1.5 MB to the call's transient memory.
+
+The largest error, as a share of the frame's RMS, on transmitted frames of
+the default layout, against the true ramp ``x(t - ppm * 1e-6 * t)`` for
+the drift, the exact delay of the zero-padded frame for the offset, and
+the Gaussian over the whole zero-padded frame for the low-pass (each
+evaluated from the DFT of the zero-padded frame):
+
+==============================  =======
+payload (samples), impairment   error
+==============================  =======
+1 920 bits (3 672), 100 ppm     1.9%
+1 920 bits (3 672), 1000 ppm    20%
+9 600 bits (12 312), 400 ppm    7.7%
+30 000 bits (35 316), 20 ppm    1.4%
+30 000 bits (35 316), +-0.3 UI  1.0%
+30 000 bits (35 316), 2.7 UI    0.07%
+30 000 bits (35 316), 3-20 GHz  0.0026%
+==============================  =======
 
 Two errors make it up.  The drift is a staircase, not a ramp: tau steps by
 ``ppm * 1e-6 * DRIFT_CHUNK`` samples between chunks.  And each window's
 fractional delay is filtered over its :data:`DRIFT_WIDTH` samples alone, a
-truncation of the filter's response.  At 100 ppm and above the staircase
-is most of it (about 2% against 0.4% at 1 920 bits and 100 ppm); at
-20 ppm the truncation is (about 1.2% against 0.4% at 30 000 bits).
+truncation of the filter's response, largest near half a sample (a 0.3 UI
+offset is 0.34 samples, 2.7 UI is 3 + 0.04) and smallest for the
+low-pass, whose response decays within a window.  At 100 ppm and above
+the staircase is most of it (about 2% against 0.4% at 1 920 bits and
+100 ppm); at 20 ppm the truncation is (about 1.2% against 0.4% at
+30 000 bits).
 
-The filter responses depend on the configuration and the waveform length
-alone, so each is built once per key and then shared, read-only, by every
-burst that has the same key (a bounded ``lru_cache``):
-
-* the drift's window starts and fractional-delay factors, one per
-  chunk, keyed on the waveform length and ``clock_ppm``
-  (:func:`drift_factors`);
-* the low-pass response, keyed on the transform length and ``f3db_ghz``
-  (:func:`lowpass_response`).
+The window starts and filter factors depend on the configuration and the
+frame length alone, so they are built once per key ``(n, f3db_ghz,
+offset_samples, ppm)`` and then shared, read-only, by every burst that has
+the same key (a bounded ``lru_cache``, :func:`window_factors`).
 """
 
 import math
@@ -64,8 +79,8 @@ from .txchain import SPS
 
 BAUD_HZ = 25e9
 SAMPLE_RATE_HZ = BAUD_HZ * SPS
-# The drift is piecewise constant over chunks of DRIFT_CHUNK samples, each
-# filtered with DRIFT_PAD samples of context on both sides.
+# The channel's delay is piecewise constant over chunks of DRIFT_CHUNK
+# samples, each filtered with DRIFT_PAD samples of context on both sides.
 DRIFT_CHUNK = 144
 DRIFT_PAD = 120
 DRIFT_WIDTH = DRIFT_CHUNK + 2 * DRIFT_PAD  # 384 = 2**7 * 3, a fast transform length
@@ -120,100 +135,44 @@ def delay_factor(n: int, tau_samples) -> np.ndarray:
 
 
 def apply_fractional_delay(x: np.ndarray, tau_samples) -> np.ndarray:
-    """Delay a waveform by a (fractional) number of samples.
+    """Delay a block by a (fractional) number of samples, exactly and circularly.
 
-    All-pass ``exp(-2j pi f tau)`` applied over the whole waveform in one
-    block, so the shift is exact but circular: a positive tau moves the
-    last tau samples to the head, a negative one the first ``|tau|`` to the
-    tail.  :func:`run_channel` delays the frame alone, not its gaps, so
-    those samples land in the frame's flush beats, past the last beat the
-    receiver reads.  On a stack of windows, one per row, a column of
-    taus delays each row by its own.
+    All-pass ``exp(-2j pi f tau)`` applied over the whole block in one
+    transform: a positive tau moves the block's last tau samples to its
+    head, a negative one its first ``|tau|`` to its tail.  On a block
+    zero-padded past tau at both ends this is the exact delay, so the tests
+    use it as the reference for :func:`run_channel`'s windowed filter.  On
+    a stack of blocks, one per row, a column of taus delays each row by its
+    own.
     """
     n = x.shape[-1]
     return np.fft.irfft(np.fft.rfft(x) * delay_factor(n, tau_samples), n)
 
 
-def smooth_length(n: int) -> int:
-    """The smallest ``2**a 3**b 5**c`` that is at least ``n``: a fast FFT length."""
-    best = 1 << max(n - 1, 0).bit_length()
-    odd = 1
-    while odd < best:
-        part = odd
-        while part < best:
-            best = min(best, part << max(-(-n // part) - 1, 0).bit_length())
-            part *= 3
-        odd *= 5
-    return best
-
-
-def apply_lowpass(x: np.ndarray, f3db_ghz: float) -> np.ndarray:
-    """Gaussian low-pass with |H(f3db)| = 1/sqrt(2) and zero phase.
-
-    The exponent is scaled so the 3 dB point sits exactly at ``f3db``, i.e.
-    ``|H| = 2**(-0.5 * (f/f3db)**2)``.  The transform runs at
-    :func:`smooth_length` of the waveform, zero-padded, and the first ``n``
-    samples are kept: the filter's circular wrap runs into those zeros, not
-    into the other end of the waveform (the frame's flush tail).
-    """
-    if f3db_ghz <= 0:
-        raise ChannelError("f3db_ghz must be positive")
-    n = len(x)
-    m = smooth_length(n)
-    return np.fft.irfft(np.fft.rfft(x, m) * lowpass_response(m, f3db_ghz), m)[:n]
-
-
 @lru_cache(maxsize=4)
-def lowpass_response(m: int, f3db_ghz: float) -> np.ndarray:
-    """``rfft``-domain response of :func:`apply_lowpass` at transform length ``m``; read-only."""
-    f = np.fft.rfftfreq(m, d=1.0 / SAMPLE_RATE_HZ)
-    h = 2.0 ** (-0.5 * (f / (f3db_ghz * 1e9)) ** 2)
-    h.flags.writeable = False
-    return h
+def window_factors(n: int, f3db_ghz: Optional[float], offset_samples: float,
+                   ppm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Window starts and filter factors of an ``n``-sample frame; read-only.
 
-
-def apply_clock_drift(x: np.ndarray, ppm: float) -> np.ndarray:
-    """Sampling-frequency offset as a slowly growing delay.
-
-    Each chunk of ``DRIFT_CHUNK`` samples is delayed by tau = ppm * 1e-6 * t
-    at its center ``t``.  Its window, the chunk with ``DRIFT_PAD`` samples of
-    context on both sides, is read ``rint(tau)`` samples earlier (silence
-    past the waveform's ends), and the rest of tau, at most half a sample,
-    is filtered, all windows in one stacked transform with the tables of
-    :func:`drift_factors`.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if ppm == 0.0 or len(x) == 0:
-        return x.copy()
-    n = len(x)
-    starts, factors = drift_factors(n, ppm)
-    padded = np.zeros(n + 2 * DRIFT_WIDTH)
-    padded[DRIFT_WIDTH : DRIFT_WIDTH + n] = x
-    step = padded.strides[0]
-    # row j of the view is the window that starts at sample j of the padded copy
-    rows = as_strided(padded, shape=(n + DRIFT_WIDTH + 1, DRIFT_WIDTH), strides=(step, step),
-                      writeable=False)
-    shifted = np.fft.irfft(np.fft.rfft(rows[starts]) * factors, DRIFT_WIDTH)
-    return shifted[:, DRIFT_PAD : DRIFT_PAD + DRIFT_CHUNK].reshape(-1)[:n]
-
-
-@lru_cache(maxsize=4)
-def drift_factors(n: int, ppm: float) -> tuple[np.ndarray, np.ndarray]:
-    """Window starts and delay factors of the drift of an ``n``-sample waveform; read-only.
-
-    One entry per chunk.  Chunk ``i``'s tau, ``ppm * 1e-6`` times its centre
-    sample, splits as ``m + f`` with ``m = rint(tau)``.  Start ``i`` is where
-    the chunk's window, moved ``m`` samples earlier, begins in the waveform
-    padded with ``DRIFT_WIDTH`` zeros on each side; row ``i`` of the factors
-    is :func:`delay_factor` of the window at ``f``.
+    One entry per chunk of ``DRIFT_CHUNK`` samples.  Chunk ``i``'s tau,
+    ``offset_samples + ppm * 1e-6`` times its centre sample, splits as
+    ``m + f`` with ``m = rint(tau)``.  Start ``i`` is where the chunk's
+    window, moved ``m`` samples earlier, begins in the frame padded with
+    ``DRIFT_WIDTH`` zeros on each side.  Row ``i`` of the factors is
+    :func:`delay_factor` of the window at ``f``, times the Gaussian
+    low-pass ``|H| = 2**(-0.5 * (freq / f3db)**2)`` (3 dB down at ``f3db``,
+    zero phase) when ``f3db_ghz`` is set.
     """
     chunks = np.arange(0, n, DRIFT_CHUNK)
-    tau = ppm * 1e-6 * 0.5 * (chunks + np.minimum(chunks + DRIFT_CHUNK, n))
+    tau = offset_samples + ppm * 1e-6 * 0.5 * (chunks + np.minimum(chunks + DRIFT_CHUNK, n))
     m = np.rint(tau)
     # a window moved wholly past either end reads only silence; clipped
-    # there, any finite ppm gives a start inside the padded copy
+    # there, any finite tau gives a start inside the padded copy
     starts = (np.clip(chunks - DRIFT_PAD - m, -DRIFT_WIDTH, n) + DRIFT_WIDTH).astype(np.intp)
     h = delay_factor(DRIFT_WIDTH, (tau - m)[:, None])
+    if f3db_ghz is not None:
+        freq = np.fft.rfftfreq(DRIFT_WIDTH, d=1.0 / SAMPLE_RATE_HZ)
+        h *= 2.0 ** (-0.5 * (freq / (f3db_ghz * 1e9)) ** 2)
     starts.flags.writeable = False
     h.flags.writeable = False
     return starts, h
@@ -252,23 +211,35 @@ def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     """Gap-pad a frame and push it through the configured impairments.
 
     The gap-padded capture is allocated once and the frame times the gain
-    written into its middle; each filter that is on leaves its own output,
-    which is copied back there.  The input is not modified.  Each filter
-    acts on the frame alone, so without noise the gaps stay exactly 0: what
-    a filter rings past the frame's ends is dropped, or by the fixed delay
-    wrapped onto the frame's other end, and never written into a gap.
+    written into its middle.  When the low-pass, the timing offset or the
+    drift is on, the one windowed filter of :func:`window_factors` replaces
+    that span: every chunk's window is read from the frame zero-padded on
+    both sides, and all windows are filtered in one stacked transform.
+    Then noise is added over the whole capture.  The input is not modified.
+    The filter writes the frame's span alone, so without noise the gaps
+    stay exactly 0, and a delayed frame reads silence past its ends.
     """
     frame = np.asarray(frame_samples, dtype=np.float64)
-    gap = cfg.gap_samples
-    out = np.zeros(len(frame) + 2 * gap)
-    x = out[gap : gap + len(frame)]
+    n, gap = len(frame), cfg.gap_samples
+    out = np.zeros(n + 2 * gap)
+    x = out[gap : gap + n]
     np.multiply(frame, cfg.gain, out=x)
-    if cfg.f3db_ghz is not None:
-        x[:] = apply_lowpass(x, cfg.f3db_ghz)
-    if cfg.timing_offset_ui:
-        x[:] = apply_fractional_delay(x, cfg.timing_offset_ui * SPS)
-    if cfg.clock_ppm:
-        x[:] = apply_clock_drift(x, cfg.clock_ppm)
+    # with all three off the filter is the identity up to rounding; skipped,
+    # an unimpaired capture is the frame times the gain exactly
+    if cfg.f3db_ghz is not None or cfg.timing_offset_ui or cfg.clock_ppm:
+        starts, factors = window_factors(n, cfg.f3db_ghz, cfg.timing_offset_ui * SPS,
+                                         cfg.clock_ppm)
+        padded = np.zeros(n + 2 * DRIFT_WIDTH)
+        padded[DRIFT_WIDTH : DRIFT_WIDTH + n] = x
+        step = padded.strides[0]
+        # row j of the view is the window that starts at sample j of the padded copy
+        rows = as_strided(padded, shape=(n + DRIFT_WIDTH + 1, DRIFT_WIDTH), strides=(step, step),
+                          writeable=False)
+        windows = rows[starts]
+        spectra = np.fft.rfft(windows)
+        spectra *= factors
+        np.fft.irfft(spectra, DRIFT_WIDTH, out=windows)
+        x[:] = windows[:, DRIFT_PAD : DRIFT_PAD + DRIFT_CHUNK].reshape(-1)[:n]
     if cfg.snr_db is not None:
         rng = np.random.default_rng(cfg.rng_seed)
         out = apply_awgn(out, cfg.snr_db, rng, power_ref=signal_power_ac(x))

@@ -62,3 +62,20 @@ def test_a_run_with_a_failed_check_or_burst_stops_the_tool(tmp_path, status, fai
     else:
         with pytest.raises(RuntimeError):
             bench_pairs.run_once(tmp_path, "w", 3, 1.0)
+
+
+def test_source_digest_follows_the_source_alone(tmp_path):
+    src = tmp_path / "src" / "burstrx"
+    (src / "__pycache__").mkdir(parents=True)
+    (src / "channel.py").write_bytes(b"A = 1\n")
+    (src / "__init__.py").write_bytes(b"")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_bytes(b"pass\n")
+    before = bench_pairs.source_digest(tmp_path)
+    # a file outside src/, or a bytecode cache, leaves it
+    (tmp_path / "perfbench" / "run.py").write_bytes(b"pass  \n")
+    (src / "__pycache__" / "channel.cpython-311.pyc").write_bytes(b"\0")
+    assert bench_pairs.source_digest(tmp_path) == before
+    # one byte of the source moves it
+    (src / "channel.py").write_bytes(b"A = 2\n")
+    assert bench_pairs.source_digest(tmp_path) != before

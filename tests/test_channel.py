@@ -10,15 +10,6 @@ from burstrx.channel import ChannelConfig
 from burstrx.errors import ChannelError
 
 
-def prime_factors(m):
-    p = 2
-    while m > 1:
-        while m % p == 0:
-            yield p
-            m //= p
-        p += 1
-
-
 @pytest.fixture
 def wave():
     rng = np.random.default_rng(1)
@@ -47,52 +38,44 @@ class TestFractionalDelay:
 
 
 class TestLowpass:
-    def test_dc_gain(self, wave):
-        out = channel.apply_lowpass(np.ones(1024), 10.0)
-        assert np.max(np.abs(out - 1.0)) < 1e-12
+    def test_dc_gain(self):
+        _, factors = channel.window_factors(1024, 10.0, 0.0, 0.0)
+        assert np.all(factors[:, 0] == 1.0)
 
     def test_half_power_at_f3db(self):
-        n = 4500
-        f3db_ghz = 12.5
-        k = int(round(f3db_ghz * 1e9 * n / channel.SAMPLE_RATE_HZ))
-        f_k = k / n * channel.SAMPLE_RATE_HZ
-        t = np.arange(n)
-        x = np.cos(2 * np.pi * k * t / n)
-        out = channel.apply_lowpass(x, f_k / 1e9)
-        gain = np.max(np.abs(np.fft.rfft(out))) / np.max(np.abs(np.fft.rfft(x)))
-        assert abs(gain - 1 / np.sqrt(2)) < 1e-9
-
-    def test_smooth_length(self):
-        smooth = [m for m in range(1, 3001) if all(p in (2, 3, 5) for p in prime_factors(m))]
-        for n in range(1, 3001):
-            assert channel.smooth_length(n) == min(m for m in smooth if m >= n)
-        assert channel.smooth_length(35_316) == 36_000
+        # bin k of a window sits at f3db exactly
+        k = 40
+        f_k = k / channel.DRIFT_WIDTH * channel.SAMPLE_RATE_HZ
+        _, factors = channel.window_factors(1024, f_k / 1e9, 0.0, 0.0)
+        assert np.max(np.abs(np.abs(factors[:, k]) - 1 / np.sqrt(2))) < 1e-12
 
     @pytest.mark.parametrize("f3db_ghz, tol", [(3.0, 1e-12), (4.0, 1e-11)])
     def test_impulse_response_at_any_length(self, f3db_ghz, tol):
-        # 35 316 = 2**2 3**4 109, the lowpass_mmse waveform, runs padded to a
-        # 5-smooth length; 34 992 = 2**4 3**7 runs at its own.  An impulse far
-        # from both ends sees the same filter either way.  At 4 GHz |H| is
-        # still 0.014 at Nyquist, so the response has a slow tail that wraps
-        # around any circular length at the 5e-12 level.
+        # 35 316 = 2**2 3**4 109 samples, the lowpass_mmse waveform, and
+        # 34 992 = 2**4 3**7: an impulse far from both ends sees the same
+        # windows at either length, and no output sample more than a window
+        # away from it
         pos = 17_000
         long, short = np.zeros(35_316), np.zeros(34_992)
         long[pos] = short[pos] = 1.0
-        out_long = channel.apply_lowpass(long, f3db_ghz)
-        out_short = channel.apply_lowpass(short, f3db_ghz)
+        cfg = ChannelConfig(f3db_ghz=f3db_ghz, gap_samples=0)
+        out_long = channel.run_channel(long, cfg)
+        out_short = channel.run_channel(short, cfg)
         assert len(out_long) == 35_316
         assert np.max(np.abs(out_long[: len(short)] - out_short)) < tol
         assert out_long[pos] > 0.1
+        reach = np.flatnonzero(out_long)
+        assert pos - reach[0] <= channel.DRIFT_WIDTH and reach[-1] - pos <= channel.DRIFT_WIDTH
 
     def test_monotone_decreasing(self):
-        f = np.linspace(0, 30e9, 100)
-        h = 2.0 ** (-((f / 10e9) ** 2))
-        assert np.all(np.diff(h) < 0)
+        _, factors = channel.window_factors(1024, 10.0, 0.0, 0.0)
+        assert np.all(np.diff(factors.real, axis=1) < 0)
+        assert not factors.imag.any()
 
     @pytest.mark.parametrize("f3db_ghz", [0.0, -4.0])
-    def test_nonpositive_cutoff_rejected(self, wave, f3db_ghz):
+    def test_nonpositive_cutoff_rejected(self, f3db_ghz):
         with pytest.raises(ChannelError):
-            channel.apply_lowpass(wave, f3db_ghz)
+            ChannelConfig(f3db_ghz=f3db_ghz)
 
 
 class TestAwgn:
@@ -121,6 +104,12 @@ class TestAwgn:
         assert channel.signal_power_ac(x) == two_pass
 
 
+def tx_wave():
+    """The transmitted samples of a 1 920-bit frame, payload seed 1000."""
+    layout = framing.FrameLayout(payload_len=1920)
+    return txchain.tx_frame(framing.build_frame(layout, framing.gen_payload_bits(layout, 1000)))
+
+
 NON_FINITE = [
     (name, value)
     for name in ("timing_offset_ui", "clock_ppm", "gain")
@@ -146,10 +135,30 @@ class TestRunChannel:
         out = channel.run_channel(wave, cfg)
         assert np.max(np.abs(out - wave)) < 1e-12
 
-    def test_allpass_energy(self, wave):
-        cfg = ChannelConfig(timing_offset_ui=0.3, gap_samples=0)
-        out = channel.run_channel(wave, cfg)
-        assert abs(np.sum(out**2) - np.sum(wave**2)) < 1e-9 * np.sum(wave**2)
+    # Against the exact delay of the zero-padded frame, over the frame's
+    # span (the gaps are test_noiseless_gaps_stay_silent's): the windowed
+    # filter truncates a fractional delay's response to DRIFT_WIDTH samples,
+    # 9.6e-3 of RMS at 0.3 UI (a 0.34-sample fraction) and 7.0e-4 at 2.7 UI
+    # (0.04) on this frame.
+    OFFSET_BOUND = {-0.3: 1e-2, 0.3: 1e-2, 2.7: 8e-4}
+
+    @pytest.mark.parametrize("offset_ui", sorted(OFFSET_BOUND))
+    def test_offset_matches_padded_delay(self, offset_ui):
+        wave = tx_wave()
+        gap = np.zeros(500)
+        want = channel.apply_fractional_delay(np.concatenate([gap, wave, gap]),
+                                              offset_ui * txchain.SPS)
+        out = channel.run_channel(wave, ChannelConfig(timing_offset_ui=offset_ui, gap_samples=500))
+        rms = np.sqrt(np.mean(wave**2))
+        assert np.max(np.abs(out - want)[500:-500]) < self.OFFSET_BOUND[offset_ui] * rms
+
+    def test_whole_sample_offset_reads_silence(self):
+        # -8 UI is 9 whole samples early: the frame's first 9 samples leave
+        # it, and its last 9 read the silence past its end, not its head
+        wave = tx_wave()
+        out = channel.run_channel(wave, ChannelConfig(timing_offset_ui=-8.0, gap_samples=500))
+        want = np.concatenate([wave[9:], np.zeros(9)])
+        assert np.max(np.abs(out[500:-500] - want)) < 1e-12
 
     def test_determinism(self, wave):
         cfg = ChannelConfig(snr_db=12.0, rng_seed=5)
@@ -177,11 +186,11 @@ class TestRunChannel:
             channel.Impairments(**kwargs)
 
 
-# sha256 of run_channel on tx_frame of a 1 920-bit frame (payload seed 1000),
-# pinned from the channel that built the frame times the gain, the gap-padded
-# capture and each filter's output as separate arrays
+# sha256 of run_channel on tx_frame of a 1 920-bit frame (payload seed 1000);
+# all_on is the one windowed filter's output, which tests/test_tables.py's
+# fresh_channel builds bit for bit without the shared table
 CHANNEL_DIGESTS = {
-    "all_on": "c6174670c8615547d9c20507147ee35487d7001efa2deee94af62e6197dbfd86",
+    "all_on": "8648ddeb245df937543d6a134514fcd8890760317fb3fe964ebd97a0147825da",
     "all_off": "90c8d6cedfea953e9da25f384e314693ee6c8ac36611cb6289aa28d9c1018c83",
 }
 CHANNEL_CONFIGS = {
@@ -233,9 +242,14 @@ class TestRopMap:
         assert channel.rop_to_snr(-30.0, cal) == pytest.approx(8.0)
 
 
+def drift(x, ppm):
+    """The capture of ``x`` with clock drift alone and no gaps."""
+    return channel.run_channel(x, ChannelConfig(clock_ppm=ppm, gap_samples=0))
+
+
 class TestClockDrift:
     def test_zero_identity(self, wave):
-        assert np.array_equal(channel.apply_clock_drift(wave, 0.0), wave)
+        assert np.array_equal(drift(wave, 0.0), wave)
 
     @pytest.mark.parametrize("n", [4096 + 100, 300, 0], ids=["partial_chunk", "short", "empty"])
     def test_matches_per_chunk_delay(self, n):
@@ -256,7 +270,7 @@ class TestClockDrift:
                 window = padded[first : first + chunk + 2 * pad]
                 delayed = channel.apply_fractional_delay(window, tau - m)
                 expect[start:stop] = delayed[pad : pad + stop - start]
-            out = channel.apply_clock_drift(x, ppm)
+            out = drift(x, ppm)
             assert out.shape == (n,)
             assert np.max(np.abs(out - expect), initial=0.0) < 1e-12
 
@@ -269,7 +283,7 @@ class TestClockDrift:
         """
         t = np.arange(n)
         freq = 0.45
-        out = channel.apply_clock_drift(np.cos(2 * np.pi * freq * t), ppm)
+        out = drift(np.cos(2 * np.pi * freq * t), ppm)
         want = np.cos(2 * np.pi * freq * (t - ppm * 1e-6 * t))
         edge = 1024 + int(abs(ppm) * 1e-6 * n)
         return np.max(np.abs(out - want)[edge : n - edge])
@@ -296,7 +310,7 @@ class TestClockDrift:
         # every window moves further than the waveform is long and reads
         # silence; the read index must not overflow into a cast warning
         for n in (1, 1000):
-            assert np.array_equal(channel.apply_clock_drift(np.ones(n), ppm), np.zeros(n))
+            assert np.array_equal(drift(np.ones(n), ppm), np.zeros(n))
 
     def test_drift_shifts_late_samples_more(self):
         # a tone's local delay near the end should be ~ppm*1e-6*t samples;
@@ -306,7 +320,7 @@ class TestClockDrift:
         freq = 16 / 4096
         x = np.cos(2 * np.pi * freq * t)
         ppm = 200.0
-        out = channel.apply_clock_drift(x, ppm)
+        out = drift(x, ppm)
         seg = slice(n - 4096, n)
         X = np.fft.rfft(x[seg])
         Y = np.fft.rfft(out[seg])

@@ -16,60 +16,81 @@ from burstrx.channel import DRIFT_CHUNK, DRIFT_PAD, DRIFT_WIDTH, SAMPLE_RATE_HZ,
 
 CACHES = {
     "_fixed_preamble": framing._fixed_preamble,
-    "drift_factors": channel.drift_factors,
-    "lowpass_response": channel.lowpass_response,
     "rrc_response": txchain.rrc_response,
+    "window_factors": channel.window_factors,
 }
+# the one channel cache holds the drift's table and the low-pass response
 ARRAY_TABLES = {
     "_fixed_preamble": lambda: framing.fixed_preamble(framing.FrameLayout()),
-    "drift_factors": lambda: channel.drift_factors(3672, 100.0)[1],
-    "drift_reads": lambda: channel.drift_factors(3672, 100.0)[0],
-    "lowpass_response": lambda: channel.lowpass_response(4000, 4.0),
+    "drift_factors": lambda: channel.window_factors(3672, None, 0.0, 100.0)[1],
+    "drift_reads": lambda: channel.window_factors(3672, None, 0.0, 100.0)[0],
+    "lowpass_response": lambda: channel.window_factors(3672, 4.0, 0.0, 0.0)[1],
     "rrc_response": lambda: txchain.rrc_response(0.1),
     "_READS": lambda: equalizer._READS,
 }
 
 
-def fresh_drift(x, ppm):
-    """The drift of ``channel.apply_clock_drift``, each window read and filtered in place.
+def gaussian(f3db_ghz, n):
+    """``rfft``-domain Gaussian low-pass of an ``n``-sample block, 3 dB down at ``f3db_ghz``."""
+    f = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE_HZ)
+    return 2.0 ** (-0.5 * (f / (f3db_ghz * 1e9)) ** 2)
 
-    Chunk ``i``'s tau splits as ``m + f`` with ``m = rint(tau)``; its window
-    is read ``m`` samples earlier from the zero-padded waveform and delayed
-    by ``f``.
+
+def fresh_windows(x, f3db_ghz, offset_samples, ppm):
+    """The filter of ``channel.run_channel``, each window read and filtered in place.
+
+    Chunk ``i``'s tau, ``offset_samples`` plus the drift at its centre,
+    splits as ``m + f`` with ``m = rint(tau)``; its window is read ``m``
+    samples earlier from the zero-padded waveform and filtered by the factor
+    of ``channel.apply_fractional_delay`` at ``f``, times the Gaussian
+    response when ``f3db_ghz`` is set.
     """
     n = len(x)
     starts = np.arange(0, n, DRIFT_CHUNK)
-    tau = ppm * 1e-6 * 0.5 * (starts + np.minimum(starts + DRIFT_CHUNK, n))
+    tau = offset_samples + ppm * 1e-6 * 0.5 * (starts + np.minimum(starts + DRIFT_CHUNK, n))
     m = np.rint(tau).astype(int)
     lead = DRIFT_PAD + np.abs(m).max()
     padded = np.concatenate([np.zeros(lead), x, np.zeros(DRIFT_CHUNK + lead)])
     first = lead - DRIFT_PAD + starts - m
-    windows = np.stack([padded[i : i + DRIFT_CHUNK + 2 * DRIFT_PAD] for i in first])
-    shifted = channel.apply_fractional_delay(windows, (tau - m)[:, None])
+    windows = np.stack([padded[i : i + DRIFT_WIDTH] for i in first])
+    h = channel.delay_factor(DRIFT_WIDTH, (tau - m)[:, None])
+    if f3db_ghz is not None:
+        h = h * gaussian(f3db_ghz, DRIFT_WIDTH)
+    shifted = np.fft.irfft(np.fft.rfft(windows) * h, DRIFT_WIDTH)
     return shifted[:, DRIFT_PAD : DRIFT_PAD + DRIFT_CHUNK].reshape(-1)[:n]
 
 
 def fresh_lowpass(x, f3db_ghz):
-    """``channel.apply_lowpass`` with its response and length built in place."""
+    """The Gaussian low-pass over the whole waveform, zero-padded to a 5-smooth length."""
     n = len(x)
     m = min(
         2**a * 3**b * 5**c
         for a in range(20) for b in range(13) for c in range(9)
         if 2**a * 3**b * 5**c >= n
     )
-    f = np.fft.rfftfreq(m, d=1.0 / SAMPLE_RATE_HZ)
-    h = 2.0 ** (-0.5 * (f / (f3db_ghz * 1e9)) ** 2)
-    return np.fft.irfft(np.fft.rfft(x, m) * h, m)[:n]
+    return np.fft.irfft(np.fft.rfft(x, m) * gaussian(f3db_ghz, m), m)[:n]
 
 
 def fresh_channel(frame, cfg):
-    """``channel.run_channel`` on low-pass, drift and noise, with no shared table."""
-    x = fresh_lowpass(np.asarray(frame, dtype=np.float64) * cfg.gain, cfg.f3db_ghz)
-    x = fresh_drift(x, cfg.clock_ppm)
+    """``channel.run_channel`` with every impairment on, with no shared table."""
+    x = fresh_windows(np.asarray(frame, dtype=np.float64) * cfg.gain, cfg.f3db_ghz,
+                      cfg.timing_offset_ui * txchain.SPS, cfg.clock_ppm)
     gap = np.zeros(cfg.gap_samples)
     out = np.concatenate([gap, x, gap])
     sigma = np.sqrt(np.var(x) / 10.0 ** (cfg.snr_db / 10.0))
     return out + np.random.default_rng(cfg.rng_seed).normal(0.0, sigma, size=len(out))
+
+
+def windows_only(x, f3db_ghz, offset_samples, ppm):
+    """``channel.run_channel`` of ``x`` with these filter settings, no gaps and no noise."""
+    cfg = ChannelConfig(f3db_ghz=f3db_ghz, timing_offset_ui=offset_samples / txchain.SPS,
+                        clock_ppm=ppm, gap_samples=0)
+    return channel.run_channel(x, cfg)
+
+
+def tx_wave(payload_len, seed):
+    layout = framing.FrameLayout(payload_len=payload_len)
+    return txchain.tx_frame(framing.build_frame(layout, framing.gen_payload_bits(layout, seed)))
 
 
 def clear_caches():
@@ -81,39 +102,45 @@ class TestChannelTables:
     def test_second_call_equals_fresh_build(self):
         clear_caches()
         frame = np.random.default_rng(3).integers(0, 2, 3000).astype(float)
-        cfg = ChannelConfig(snr_db=14.0, clock_ppm=100.0, f3db_ghz=4.0, rng_seed=7)
+        cfg = ChannelConfig(snr_db=14.0, timing_offset_ui=-2.7, clock_ppm=100.0, f3db_ghz=4.0,
+                            gain=0.7, rng_seed=7)
         want = fresh_channel(frame, cfg)
         first = channel.run_channel(frame, cfg)
         second = channel.run_channel(frame, cfg)
         assert np.array_equal(first, want)
         assert np.array_equal(second, want)
-        assert channel.drift_factors.cache_info().hits == 1
-        assert channel.lowpass_response.cache_info().hits == 1
+        assert channel.window_factors.cache_info().hits == 1
 
     def test_each_key_gets_its_own_table(self):
-        # two ppm values, two lengths and two cut-offs in one process, each
-        # call made twice: every one equals its fresh build, whatever was
-        # built before it
+        # two lengths and two settings (drift alone; low-pass and offset
+        # without drift) in one process, each call made twice: every one
+        # equals its fresh build, whatever was built before it
         clear_caches()
         rng = np.random.default_rng(5)
         waves = [rng.normal(size=n) for n in (1000, 3672)]
+        keys = [(None, 0.0, 100.0), (6.5, -3.0375, 0.0)]
         for _ in range(2):
             for x in waves:
-                for ppm in (100.0, -250.0):
-                    assert np.array_equal(channel.apply_clock_drift(x, ppm), fresh_drift(x, ppm))
-                for f3db_ghz in (4.0, 6.5):
-                    want = fresh_lowpass(x, f3db_ghz)
-                    assert np.array_equal(channel.apply_lowpass(x, f3db_ghz), want)
-        assert channel.drift_factors.cache_info().misses == 4
-        assert channel.lowpass_response.cache_info().misses == 4
-        tables = {id(channel.drift_factors(len(x), ppm)) for x in waves for ppm in (100.0, -250.0)}
-        assert len(tables) == 4
+                for key in keys:
+                    assert np.array_equal(windows_only(x, *key), fresh_windows(x, *key))
+        assert channel.window_factors.cache_info().misses == len(waves) * len(keys)
+        tables = {id(channel.window_factors(len(x), *key)) for x in waves for key in keys}
+        assert len(tables) == len(waves) * len(keys)
 
     @pytest.mark.parametrize("n", [1, 144, 145, 3672])
     def test_drift_table_holds_one_start_per_window(self, n):
-        starts, factors = channel.drift_factors(n, 100.0)
+        starts, factors = channel.window_factors(n, 4.0, 0.3375, 100.0)
         assert starts.shape == (-(-n // DRIFT_CHUNK),)
         assert factors.shape == (len(starts), DRIFT_WIDTH // 2 + 1)
+
+    # The windows against the whole-frame low-pass, as a share of the
+    # frame's RMS: 2.5e-7 at 3 GHz to 2.6e-5 at 8 GHz on these frames.
+    @pytest.mark.parametrize("f3db_ghz", [3.0, 4.0, 8.0, 12.0, 20.0])
+    @pytest.mark.parametrize("payload_len", [1920, 30_000])
+    def test_windows_match_whole_frame_lowpass(self, f3db_ghz, payload_len):
+        x = tx_wave(payload_len, 7)
+        err = np.max(np.abs(windows_only(x, f3db_ghz, 0.0, 0.0) - fresh_lowpass(x, f3db_ghz)))
+        assert err < 3e-5 * np.sqrt(np.mean(x**2))
 
     def test_rrc_response_equals_fresh_build(self):
         f = txchain.FREQ_SYMBOL_144

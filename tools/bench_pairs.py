@@ -12,7 +12,8 @@ read: the report (decision digest, bit errors, burst statuses, run metadata)
 and the result (end-to-end metrics).  A run that fails a check or has a burst
 whose receive raised stops the tool, and so do two runs of one checkout whose
 decisions differ: every pair summarised had the same decisions on its side,
-and each run entry records them.
+and each run entry records them.  ``checkouts`` records each side's run
+metadata and the sha256 of its ``src/burstrx`` tree (:func:`source_digest`).
 
 For every end-to-end metric of ``BENCHMARK.json`` the summary gives each
 side's median and quartiles over the pairs and the change's wins (ties count
@@ -22,6 +23,7 @@ the parent's interquartile range.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -32,6 +34,21 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
 WIN_SHARE = 0.9
+
+
+def source_digest(checkout: Path) -> str:
+    """sha256 of ``src/burstrx`` in ``checkout``: each file's relative path and bytes, sorted.
+
+    Bytecode caches are left out, so running the checkout does not move it.
+    It names the source each side ran where the checkout has no git metadata.
+    """
+    root = checkout / "src" / "burstrx"
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file() and "__pycache__" not in p.parts):
+        rel = path.relative_to(root).as_posix().encode()
+        data = path.read_bytes()
+        h.update(len(rel).to_bytes(8, "little") + rel + len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -98,6 +115,7 @@ def main(argv=None) -> int:
     directions = {m["name"]: (m["unit"], m["better"]) for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    digests = {side: source_digest(path) for side, path in checkouts.items()}
 
     bench = {"command": f"perfbench/run.py --seed {args.seed} --seconds {seconds} --trace 0",
              "pairs": PAIRS, "seed": args.seed, "seconds": seconds,
@@ -114,7 +132,8 @@ def main(argv=None) -> int:
                 if seen.setdefault(side, run["decisions"][side]) != run["decisions"][side]:
                     raise RuntimeError(f"{workload} pair {pair}: {side} decisions differ from "
                                        f"its first run: {run['decisions'][side]} != {seen[side]}")
-                bench["checkouts"].setdefault(side, report["meta"])
+                if side not in bench["checkouts"]:
+                    bench["checkouts"][side] = {"src_sha256": digests[side], **report["meta"]}
             runs.append(run)
             print(f"{workload} pair {pair + 1}/{PAIRS}: " + ", ".join(
                 f"{side} {run[side].get('chain_mbit_s', float('nan')):.3f}" for side in SIDES),
