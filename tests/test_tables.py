@@ -14,12 +14,13 @@ import pytest
 from burstrx import channel, equalizer, framing, txchain
 from burstrx.channel import DRIFT_CHUNK, DRIFT_PAD, DRIFT_WIDTH, SAMPLE_RATE_HZ, ChannelConfig
 
+# the one channel cache, window_factors, holds the drift's table and the low-pass response
 CACHES = {
     "_fixed_preamble": framing._fixed_preamble,
+    "drift_factors": channel.window_factors,
+    "lowpass_response": channel.window_factors,
     "rrc_response": txchain.rrc_response,
-    "window_factors": channel.window_factors,
 }
-# the one channel cache holds the drift's table and the low-pass response
 ARRAY_TABLES = {
     "_fixed_preamble": lambda: framing.fixed_preamble(framing.FrameLayout()),
     "drift_factors": lambda: channel.window_factors(3672, None, 0.0, 100.0)[1],
