@@ -18,8 +18,8 @@ its centre's value.  Each chunk's ``tau = m + f`` splits with
 fractional interval (Gardner, "Interpolation in digital modems -- Part I",
 IEEE Trans. Commun. 1993).  The chunk's window, the chunk with
 :data:`DRIFT_PAD` samples of context on both sides, is read ``m`` samples
-earlier from the zero-padded frame, an exact integer delay, and one
-stacked ``rfft``/``irfft`` filters every window by the delay factor of
+earlier from the zero-padded frame, an exact integer delay, and stacked
+``rfft``/``irfft`` pairs filter every window by the delay factor of
 ``|f| <= 1/2`` times the Gaussian low-pass response.  So a window of
 :data:`DRIFT_WIDTH` = 384 = 2**7 * 3 samples, a fast transform length,
 holds any offset and drift, a delayed frame reads silence past its ends
@@ -29,8 +29,11 @@ ends reaches the gaps.
 The cost is the windows' overlap: the transforms cover 384 / 144 = 2.7
 times the frame's samples.  On a 35 316-sample frame the low-pass alone
 takes about as long as the one whole-frame 36 000-point transform it
-replaced, about 0.7 ms on a 2-core VM, and the stacked spectra add about
-1.5 MB to the call's transient memory.
+replaced, about 0.7 ms on a 2-core VM.  The windows are filtered
+:data:`CHANNEL_BLOCK` = 64 at a time, so their stacked samples and spectra
+add about 0.4 MB to the call's transient memory whatever the frame's
+length: beside the capture, the frame's zero-padded copy and the noise, a
+call on that frame peaks at about 1.1 MB.
 
 The largest error, as a share of the frame's RMS, on transmitted frames of
 the default layout, against the true ramp ``x(t - ppm * 1e-6 * t)`` for
@@ -63,7 +66,8 @@ the staircase is most of it (about 2% against 0.4% at 1 920 bits and
 The window starts and filter factors depend on the configuration and the
 frame length alone, so they are built once per key ``(n, f3db_ghz,
 offset_samples, ppm)`` and then shared, read-only, by every burst that has
-the same key (a bounded ``lru_cache``, :func:`window_factors`).
+the same key (a bounded ``lru_cache``, :func:`window_factors`).  Without
+drift every window has the same factors, and the table holds one row.
 """
 
 import math
@@ -84,6 +88,8 @@ SAMPLE_RATE_HZ = BAUD_HZ * SPS
 DRIFT_CHUNK = 144
 DRIFT_PAD = 120
 DRIFT_WIDTH = DRIFT_CHUNK + 2 * DRIFT_PAD  # 384 = 2**7 * 3, a fast transform length
+# Windows filtered per pass of run_channel: bounds its transient memory, not its output.
+CHANNEL_BLOCK = 64
 
 
 @dataclass
@@ -161,7 +167,9 @@ def window_factors(n: int, f3db_ghz: Optional[float], offset_samples: float,
     ``DRIFT_WIDTH`` zeros on each side.  Row ``i`` of the factors is
     :func:`delay_factor` of the window at ``f``, times the Gaussian
     low-pass ``|H| = 2**(-0.5 * (freq / f3db)**2)`` (3 dB down at ``f3db``,
-    zero phase) when ``f3db_ghz`` is set.
+    zero phase) when ``f3db_ghz`` is set.  Without drift, ``ppm == 0``,
+    every chunk has the same tau, and the factors are one row broadcast to
+    every chunk (row stride 0).
     """
     chunks = np.arange(0, n, DRIFT_CHUNK)
     tau = offset_samples + ppm * 1e-6 * 0.5 * (chunks + np.minimum(chunks + DRIFT_CHUNK, n))
@@ -169,13 +177,14 @@ def window_factors(n: int, f3db_ghz: Optional[float], offset_samples: float,
     # a window moved wholly past either end reads only silence; clipped
     # there, any finite tau gives a start inside the padded copy
     starts = (np.clip(chunks - DRIFT_PAD - m, -DRIFT_WIDTH, n) + DRIFT_WIDTH).astype(np.intp)
-    h = delay_factor(DRIFT_WIDTH, (tau - m)[:, None])
+    # without drift every chunk has the same tau: one row, broadcast to all
+    h = delay_factor(DRIFT_WIDTH, (tau - m)[: len(tau) if ppm else 1, None])
     if f3db_ghz is not None:
         freq = np.fft.rfftfreq(DRIFT_WIDTH, d=1.0 / SAMPLE_RATE_HZ)
         h *= 2.0 ** (-0.5 * (freq / (f3db_ghz * 1e9)) ** 2)
     starts.flags.writeable = False
     h.flags.writeable = False
-    return starts, h
+    return starts, np.broadcast_to(h, (len(starts), h.shape[1]))
 
 
 def signal_power_ac(x: np.ndarray) -> float:
@@ -214,8 +223,9 @@ def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     written into its middle.  When the low-pass, the timing offset or the
     drift is on, the one windowed filter of :func:`window_factors` replaces
     that span: every chunk's window is read from the frame zero-padded on
-    both sides, and all windows are filtered in one stacked transform.
-    Then noise is added over the whole capture.  The input is not modified.
+    both sides, and the windows are filtered :data:`CHANNEL_BLOCK` at a
+    time, each block in one stacked transform; a window's output does not
+    depend on its block.  Then noise is added over the whole capture.  The input is not modified.
     The filter writes the frame's span alone, so without noise the gaps
     stay exactly 0, and a delayed frame reads silence past its ends.
     """
@@ -235,11 +245,14 @@ def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
         # row j of the view is the window that starts at sample j of the padded copy
         rows = as_strided(padded, shape=(n + DRIFT_WIDTH + 1, DRIFT_WIDTH), strides=(step, step),
                           writeable=False)
-        windows = rows[starts]
-        spectra = np.fft.rfft(windows)
-        spectra *= factors
-        np.fft.irfft(spectra, DRIFT_WIDTH, out=windows)
-        x[:] = windows[:, DRIFT_PAD : DRIFT_PAD + DRIFT_CHUNK].reshape(-1)[:n]
+        for first in range(0, len(starts), CHANNEL_BLOCK):
+            last = first + CHANNEL_BLOCK
+            windows = rows[starts[first:last]]
+            spectra = np.fft.rfft(windows)
+            spectra *= factors[first:last]
+            np.fft.irfft(spectra, DRIFT_WIDTH, out=windows)
+            span = x[first * DRIFT_CHUNK : last * DRIFT_CHUNK]
+            span[:] = windows[:, DRIFT_PAD : DRIFT_PAD + DRIFT_CHUNK].reshape(-1)[: len(span)]
     if cfg.snr_db is not None:
         rng = np.random.default_rng(cfg.rng_seed)
         out = apply_awgn(out, cfg.snr_db, rng, power_ref=signal_power_ac(x))

@@ -51,8 +51,8 @@ Each inverse transform is an ``irfft`` to real samples (see
 :mod:`burstrx.fourier`).
 
 Every stage runs as one call over a stack of beats.  Each stage-2 stack is
-beats-major, one beat per contiguous row: the beat spectra, the corrected
-stack that :func:`timing.fd_interpolate` returns, the folded spectra and the
+beats-major, one beat per contiguous row: the beat spectra, corrected in
+place by :func:`timing.fd_interpolate`, the folded spectra and the
 equalized samples, since every stage after the correction walks the stack
 beat by beat.  One recursion inside those calls carries state from beat to
 beat, the DD-LMS taps.  With DD-LMS off the taps are fixed, so all payload
@@ -62,6 +62,16 @@ beats are equalized in one multiply and decided in one
 lands ``equalizer.DDLMS_DELAY`` = 242 beats after the beat that formed it, as
 in the hardware's error path, so the taps of each block of 242 beats are known
 when the block starts and the block is processed in one pass.
+
+Stage 2 holds the only arrays that span a burst, because the timing line
+needs the detector sum of every beat before it corrects the first.  On the
+default frame (1 364 beats) they are the beat spectra, 1.6 MB, corrected in
+place and released once folded; the folded spectra, 1.4 MB, released once
+the payload is decided; and the equalized samples and decided bits, 1.0
+and 0.1 MB, which the MSE trace reads.  No stack outlives the stage that
+reads it, so a call of :meth:`BurstReceiver.demodulate` peaks at about
+3.4 MB of transient memory.  Acquisition holds one pass of beats, and a burst's
+capture and its decided payload are the caller's.
 
 Both ends shape with the same RRC response, each with the default 16-symbol
 linear-phase delay.  Index bookkeeping: stage-1 symbol ``m`` is the one at
@@ -173,21 +183,21 @@ class BurstReceiver:
         X = rxfront.beat_spectra(beats, self.h_rx)
 
         fdtr = FdtrLoop(alpha=self.cfg.tx.rrc_rolloff, tau_ref=acq.tau0 - acq.sync.frac)
-        corrected, taus = fdtr.process_beat(X)
+        taus = fdtr.process_beat(X, out=X)[1]
         # Preamble B only feeds the timing estimate; the rest is folded to 128 bins.
-        Y = eq.strip_rolloff(corrected[1:])
-        del corrected  # not held through the equalizer: 1.6 MB on the default frame
-        y_train, y_pay = Y[: self.n_c_beats], Y[self.n_c_beats :]
+        Y = eq.strip_rolloff(X[1:])
+        del X  # not held through the equalizer: 1.6 MB on the default frame
         eq_cfg = self.cfg.equalizer
         state = eq.FdeState()
         # Without tap initialization the fit is lag 0 alone, a gain.
-        state.initialize(y_train, self.c_ref, eq.LAGS if eq_cfg.mmse_init else [0])
+        state.initialize(Y[: self.n_c_beats], self.c_ref, eq.LAGS if eq_cfg.mmse_init else [0])
 
         if eq_cfg.ddlms:
-            z, bits = eq.ddlms_update(state, y_pay)
+            z, bits = eq.ddlms_update(state, Y[self.n_c_beats :])
         else:
-            z = eq.equalize(y_pay, state.w)
+            z = eq.equalize(Y[self.n_c_beats :], state.w)
             bits = eq.decide_demap(z)
+        del Y  # not held through the MSE trace: 1.4 MB on the default frame
 
         return DemodResult(
             payload_bits=bits.reshape(-1)[: self.layout.payload_len],

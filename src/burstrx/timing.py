@@ -127,7 +127,7 @@ def estimate_taus(S: np.ndarray, tau_ref: float) -> np.ndarray:
     return taus + SPS * np.rint((tau_ref - taus[0]) / SPS)
 
 
-def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
+def fd_interpolate(X: np.ndarray, tau_samples, out=None) -> np.ndarray:
     """Fractional-delay rotation: bin k times exp(-2j pi f_k tau).
 
     ``X`` holds 73-bin half spectra on its last axis; ``f_k`` is k/144
@@ -146,13 +146,16 @@ def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
     multiplier of the next step.  Bin ``k`` is reached in at most seven
     products, and the factors are within 8e-15 of the exact ones for
     ``|tau| <= 3`` samples and 1.1e-13 for ``|tau| <= 200``, where
-    exponentials evaluated per bin are within 2.4e-15 and 1.6e-13.  The
-    product is a new row-major array, one beat per contiguous row, not
+    exponentials evaluated per bin are within 2.4e-15 and 1.6e-13.  Every
+    tau goes through the same operations whatever the shape of the stack,
+    so a one-row call equals that row of a stacked call bit for bit.
+
+    The product goes to ``out`` when it is given and is returned; ``out=X``
+    corrects the stack in place, with the same values as a new array.
+    Otherwise it is a new row-major array, one beat per contiguous row, not
     written into the table's transpose: every later stage, the fold, the
     tap fit, the DD-LMS steps and each 128-point inverse transform, walks
-    the stack beat by beat.  Every tau goes through the same operations
-    whatever the shape of the stack, so a one-row call equals that row of a
-    stacked call bit for bit.
+    the stack beat by beat.  ``X`` is left untouched unless it is ``out``.
     """
     X = np.asarray(X)
     tau = np.asarray(tau_samples, dtype=float)
@@ -168,7 +171,7 @@ def fd_interpolate(X: np.ndarray, tau_samples) -> np.ndarray:
         np.multiply(powers[1 : top - m + 1], powers[m], out=powers[m + 1 : top + 1])
         m = top
     table = powers.reshape((BINS_OUT,) + tau.shape[:-1]).T
-    return np.multiply(X, table, order="C")
+    return np.multiply(X, table, out=out, order="C")
 
 
 @dataclass
@@ -178,11 +181,13 @@ class FdtrLoop:
     alpha: float = DEFAULT_ROLLOFF   # RRC roll-off: sets the detector band
     tau_ref: float = 0.0             # samples: picks the 9/8-sample branch at the first beat
 
-    def process_beat(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def process_beat(self, X: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Correct an ``(n, 73)`` stack of beat spectra in time order, each by its own tau.
 
         Returns the corrected stack and the taus of :func:`estimate_taus`
-        over the stack's detector sums.
+        over the stack's detector sums.  The corrected stack goes to
+        ``out`` as in :func:`fd_interpolate`: ``out=X`` corrects ``X`` in
+        place, after its detector sums are taken.
         """
         taus = estimate_taus(godard_error(X, self.alpha), self.tau_ref)
-        return fd_interpolate(X, taus[:, None]), taus
+        return fd_interpolate(X, taus[:, None], out=out), taus

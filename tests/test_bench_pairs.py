@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py summary: medians, quartiles, wins and the gain rule."""
+"""tools/bench_pairs.py summary: medians, quartiles, wins, the gain rule and the raw figures."""
 
 import importlib.util
 import json
@@ -79,3 +79,41 @@ def test_source_digest_follows_the_source_alone(tmp_path):
     # one byte of the source moves it
     (src / "channel.py").write_bytes(b"A = 2\n")
     assert bench_pairs.source_digest(tmp_path) != before
+
+
+def standin_checkout(path, rx, raw_rx, scale):
+    """A checkout whose stand-in perfbench/run.py reports these figures on every run."""
+    decisions = {"digest": "d", "bit_errors": 0, "bits_total": 96, "status_counts": {"ok": 1}}
+    report = {"report": {"decisions": decisions, "meta": {"seed": 3}, "raw": {"rx_mbit_s": raw_rx},
+                         "host_speed": {"kernel_ms": 0.4, "scale": scale}}}
+    result = {"correct": True, "attempted": 1, "failed": 0,
+              "metrics": {"rx_mbit_s": {"value": rx, "unit": "Mbit/s"}}}
+    (path / "perfbench").mkdir(parents=True)
+    (path / "src" / "burstrx").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(
+        f"print({json.dumps(report)!r})\nprint({json.dumps(result)!r})\n")
+    return path
+
+
+def test_raw_figures_and_gauge_scale_kept_beside_the_scaled(tmp_path, monkeypatch, capsys):
+    # the scaled rate moves while the raw one holds: the file and the
+    # printed summary show both, and the gauge scale that parts them
+    spec = {"run_seconds": 1, "workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "rx_mbit_s", "unit": "Mbit/s", "better": "higher"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    parent = standin_checkout(tmp_path / "parent", 17.2, 23.1, 1.3)
+    change = standin_checkout(tmp_path / "change", 15.7, 23.5, 1.5)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(parent), str(change), "--out", str(out)]) == 0
+    w = json.loads(out.read_text())["workloads"]["w"]
+    for run in w["runs"]:
+        assert run["raw"] == {"parent": {"rx_mbit_s": 23.1}, "change": {"rx_mbit_s": 23.5}}
+        assert run["gauge_scale"] == {"parent": 1.3, "change": 1.5}
+    assert w["metrics"]["rx_mbit_s"]["losses"] == 2
+    assert w["raw_metrics"]["rx_mbit_s"]["wins"] == 2
+    assert w["raw_metrics"]["rx_mbit_s"]["change"]["median"] == 23.5
+    printed = capsys.readouterr().out
+    assert "raw 23.1 -> 23.5" in printed
+    assert "gauge scale    parent 1.3  change 1.5" in printed

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from burstrx import channel, equalizer, framing, txchain
-from burstrx.channel import DRIFT_CHUNK, DRIFT_PAD, DRIFT_WIDTH, SAMPLE_RATE_HZ, ChannelConfig
+from burstrx.channel import (CHANNEL_BLOCK, DRIFT_CHUNK, DRIFT_PAD, DRIFT_WIDTH, SAMPLE_RATE_HZ,
+                             ChannelConfig)
 
 # the one channel cache, window_factors, holds the drift's table and the low-pass response
 CACHES = {
@@ -133,6 +134,32 @@ class TestChannelTables:
         starts, factors = channel.window_factors(n, 4.0, 0.3375, 100.0)
         assert starts.shape == (-(-n // DRIFT_CHUNK),)
         assert factors.shape == (len(starts), DRIFT_WIDTH // 2 + 1)
+
+    @pytest.mark.parametrize("f3db_ghz, offset_samples",
+                             [(4.0, 0.0), (None, -0.3375), (6.5, 3.0375)])
+    def test_no_drift_holds_one_factor_row(self, f3db_ghz, offset_samples):
+        # every chunk has the same tau: one row in memory, broadcast to every window
+        clear_caches()
+        starts, factors = channel.window_factors(35_316, f3db_ghz, offset_samples, 0.0)
+        assert factors.shape == (len(starts), DRIFT_WIDTH // 2 + 1)
+        assert factors.strides[0] == 0
+        frac = np.full((len(starts), 1), offset_samples - np.rint(offset_samples))
+        want = channel.delay_factor(DRIFT_WIDTH, frac)
+        if f3db_ghz is not None:
+            want = want * gaussian(f3db_ghz, DRIFT_WIDTH)
+        assert np.array_equal(factors, want)
+
+    # frames that end just before, on and just past an edge of CHANNEL_BLOCK
+    # windows, and one that runs into a third block
+    @pytest.mark.parametrize("n", [CHANNEL_BLOCK * DRIFT_CHUNK + d for d in (-1, 0, 1)]
+                             + [2 * CHANNEL_BLOCK * DRIFT_CHUNK + DRIFT_CHUNK + 1])
+    @pytest.mark.parametrize("impairments", [{"f3db_ghz": 4.0}, {"timing_offset_ui": -0.3}],
+                             ids=["lowpass", "offset"])
+    def test_no_drift_equals_fresh_build(self, n, impairments):
+        clear_caches()
+        frame = np.random.default_rng(n).normal(size=n)
+        cfg = ChannelConfig(snr_db=20.0, rng_seed=n, **impairments)
+        assert np.array_equal(channel.run_channel(frame, cfg), fresh_channel(frame, cfg))
 
     # The windows against the whole-frame low-pass, as a share of the
     # frame's RMS: 2.5e-7 at 3 GHz to 2.6e-5 at 8 GHz on these frames.

@@ -204,6 +204,19 @@ class TestInterpolator:
         assert np.array_equal(out, bins_last_interpolate(X, taus))
         assert np.array_equal(fd_interpolate(X[-1], taus[-1, 0]), out[-1])
 
+    @pytest.mark.parametrize("n", [1, 29, 1364])
+    def test_in_place_equals_new_array(self, n):
+        # out=X writes the rotation over the stack it reads; a call without
+        # out leaves the stack as it was
+        rng = np.random.default_rng(n + 17)
+        X = rng.normal(size=(n, 73)) + 1j * rng.normal(size=(n, 73))
+        for tau in (rng.uniform(-3.0, 3.0, size=(n, 1)), 0.41, rng.uniform(-200.0, 200.0)):
+            before = X.copy()
+            want = fd_interpolate(X, tau)
+            assert np.array_equal(X, before)
+            assert fd_interpolate(X, tau, out=X) is X
+            assert np.array_equal(X, want)
+
     def test_powers_close_to_per_bin_exponentials(self):
         # the doubled powers of w against exp(-2j pi k tau / 144) evaluated
         # bin by bin, at taus up to 3 samples
@@ -298,6 +311,19 @@ class TestEstimate:
         out, taus = FdtrLoop(alpha=alpha, tau_ref=0.3).process_beat(X)
         assert np.array_equal(taus, estimate_taus(godard_error(X, alpha), 0.3))
         assert np.array_equal(out, fd_interpolate(X, taus[:, None]))
+
+
+    @pytest.mark.parametrize("n", [1, 29, 1364])
+    def test_in_place_equals_new_array(self, n):
+        # the taus come from the detector sums before out=X overwrites the stack
+        X = random_stack(n, seed=n, clock_ppm=100.0, timing_offset_ui=0.2)
+        loop = FdtrLoop(tau_ref=0.1)
+        before = X.copy()
+        want, want_taus = loop.process_beat(X)
+        assert np.array_equal(X, before)
+        out, taus = loop.process_beat(X, out=X)
+        assert out is X
+        assert np.array_equal(X, want) and np.array_equal(taus, want_taus)
 
 
 class TestDriftTracking:

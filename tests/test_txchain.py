@@ -117,6 +117,23 @@ class TestBeatStreaming:
         stream = np.concatenate([tx_process_beat(state, blk) for blk in blocks])
         assert np.max(np.abs(batch - stream)) < 1e-12
 
+    @pytest.mark.parametrize("n_beats", [
+        txchain.TX_BLOCK_BEATS - 1, txchain.TX_BLOCK_BEATS, txchain.TX_BLOCK_BEATS + 1,
+        2 * txchain.TX_BLOCK_BEATS + 1,
+    ])
+    def test_blocks_equal_one_block_and_beat_loop(self, monkeypatch, n_beats):
+        # frames whose beats, flush included, end just before, on and just
+        # past a block edge: every beat sees the same transforms whatever
+        # block it falls in, and the same as the beat loop's
+        rng = np.random.default_rng(n_beats)
+        symbols = rng.integers(0, 2, 96 * (n_beats - txchain.TX_FLUSH_BEATS)).astype(float)
+        blocked = txchain.tx_frame(symbols)
+        state = TxState()
+        beats = np.concatenate([symbols, np.zeros(txchain.TX_FLUSH_BEATS * 96)]).reshape(-1, 96)
+        assert np.array_equal(blocked, np.concatenate([tx_process_beat(state, b) for b in beats]))
+        monkeypatch.setattr(txchain, "TX_BLOCK_BEATS", n_beats)
+        assert np.array_equal(blocked, txchain.tx_frame(symbols))
+
     def test_tone_continuity_across_beats(self):
         # A periodic symbol pattern is block-circularly exact, so the shaped
         # waveform must continue seamlessly across every beat boundary.

@@ -12,14 +12,20 @@ read: the report (decision digest, bit errors, burst statuses, run metadata)
 and the result (end-to-end metrics).  A run that fails a check or has a burst
 whose receive raised stops the tool, and so do two runs of one checkout whose
 decisions differ: every pair summarised had the same decisions on its side,
-and each run entry records them.  ``checkouts`` records each side's run
-metadata and the sha256 of its ``src/burstrx`` tree (:func:`source_digest`).
+and each run entry records them.  Each run entry also records each side's
+``raw`` figures, its times before the host-speed scaling, and the
+``gauge_scale`` that scaled them (the report's ``host_speed.scale``).
+``checkouts`` records each side's run metadata and the sha256 of its
+``src/burstrx`` tree (:func:`source_digest`).
 
 For every end-to-end metric of ``BENCHMARK.json`` the summary gives each
 side's median and quartiles over the pairs and the change's wins (ties count
 for neither side).  ``gain_shown`` is true when the change wins at least nine
 tenths of the pairs and its median is better than the parent's by more than
-the parent's interquartile range.
+the parent's interquartile range.  ``raw_metrics`` summarises the raw
+figures the same way, and the printed summary gives each raw median and the
+median gauge scale next to the scaled medians, so a change in the scale
+shows apart from a change in the program's time.
 """
 
 import argparse
@@ -124,10 +130,12 @@ def main(argv=None) -> int:
         runs, seen = [], {}
         for pair in range(PAIRS):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            run = {"pair": pair, "first": order[0], "decisions": {}}
+            run = {"pair": pair, "first": order[0], "decisions": {}, "raw": {}, "gauge_scale": {}}
             for side in order:
                 report, result = run_once(checkouts[side], workload, args.seed, seconds)
                 run[side] = {k: v["value"] for k, v in result["metrics"].items()}
+                run["raw"][side] = report["raw"]
+                run["gauge_scale"][side] = report["host_speed"]["scale"]
                 run["decisions"][side] = decisions(report)
                 if seen.setdefault(side, run["decisions"][side]) != run["decisions"][side]:
                     raise RuntimeError(f"{workload} pair {pair}: {side} decisions differ from "
@@ -139,13 +147,20 @@ def main(argv=None) -> int:
                 f"{side} {run[side].get('chain_mbit_s', float('nan')):.3f}" for side in SIDES),
                 file=sys.stderr, flush=True)
         metrics = summarise(runs, directions)
-        bench["workloads"][workload] = {"decisions": seen, "metrics": metrics, "runs": runs}
+        raw = summarise([run["raw"] for run in runs], directions)
+        bench["workloads"][workload] = {"decisions": seen, "metrics": metrics,
+                                        "raw_metrics": raw, "runs": runs}
         print(f"== {workload}: {PAIRS} pairs, seed {args.seed}, {seconds:g} s per run")
         for name, m in metrics.items():
             p, c = m["parent"], m["change"]
             print(f"  {name:14s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                   f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {m['unit']}"
-                  f"  wins {m['wins']}/{m['pairs']}  gain_shown {m['gain_shown']}")
+                  f"  wins {m['wins']}/{m['pairs']}  gain_shown {m['gain_shown']}"
+                  + (f"  raw {raw[name]['parent']['median']:.4g} -> "
+                     f"{raw[name]['change']['median']:.4g}" if name in raw else ""))
+        scales = {side: statistics.median(run["gauge_scale"][side] for run in runs)
+                  for side in SIDES}
+        print(f"  gauge scale    parent {scales['parent']:.4g}  change {scales['change']:.4g}")
         same = seen["parent"] == seen["change"]
         print(f"  decisions {'equal' if same else 'DIFFER'}: digest {seen['change']['digest'][:8]}, "
               f"{seen['change']['bit_errors']} bit errors, statuses {seen['change']['status_counts']}")
