@@ -27,13 +27,14 @@ holds any offset and drift, a delayed frame reads silence past its ends
 ends reaches the gaps.
 
 The cost is the windows' overlap: the transforms cover 384 / 144 = 2.7
-times the frame's samples.  On a 35 316-sample frame the low-pass alone
-takes about as long as the one whole-frame 36 000-point transform it
-replaced, about 0.7 ms on a 2-core VM.  The windows are filtered
+times the frame's samples, and a call with the low-pass alone takes about
+0.8 ms on a 35 316-sample frame on a 2-core VM.  The windows are rows of
+:func:`burstrx.txchain.window_rows` over the frame; they run past both of
+its ends, so they read a zero-padded copy of it.  They are filtered
 :data:`CHANNEL_BLOCK` = 64 at a time, so their stacked samples and spectra
 add about 0.4 MB to the call's transient memory whatever the frame's
 length: beside the capture, the frame's zero-padded copy and the noise, a
-call on that frame peaks at about 1.1 MB.
+call on that frame peaks at about 1.2 MB.
 
 The largest error, as a share of the frame's RMS, on transmitted frames of
 the default layout, against the true ramp ``x(t - ppm * 1e-6 * t)`` for
@@ -76,10 +77,9 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ChannelError
-from .txchain import SPS
+from .txchain import SPS, window_rows
 
 BAUD_HZ = 25e9
 SAMPLE_RATE_HZ = BAUD_HZ * SPS
@@ -222,10 +222,11 @@ def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     The gap-padded capture is allocated once and the frame times the gain
     written into its middle.  When the low-pass, the timing offset or the
     drift is on, the one windowed filter of :func:`window_factors` replaces
-    that span: every chunk's window is read from the frame zero-padded on
-    both sides, and the windows are filtered :data:`CHANNEL_BLOCK` at a
-    time, each block in one stacked transform; a window's output does not
-    depend on its block.  Then noise is added over the whole capture.  The input is not modified.
+    that span: every chunk's window is a row of
+    :func:`burstrx.txchain.window_rows` over the frame, which reads a
+    zero-padded copy of it, and the windows are filtered
+    :data:`CHANNEL_BLOCK` at a time, each block in one stacked transform; a
+    window's output does not depend on its block.  Then noise is added over the whole capture.  The input is not modified.
     The filter writes the frame's span alone, so without noise the gaps
     stay exactly 0, and a delayed frame reads silence past its ends.
     """
@@ -239,12 +240,11 @@ def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     if cfg.f3db_ghz is not None or cfg.timing_offset_ui or cfg.clock_ppm:
         starts, factors = window_factors(n, cfg.f3db_ghz, cfg.timing_offset_ui * SPS,
                                          cfg.clock_ppm)
-        padded = np.zeros(n + 2 * DRIFT_WIDTH)
-        padded[DRIFT_WIDTH : DRIFT_WIDTH + n] = x
-        step = padded.strides[0]
-        # row j of the view is the window that starts at sample j of the padded copy
-        rows = as_strided(padded, shape=(n + DRIFT_WIDTH + 1, DRIFT_WIDTH), strides=(step, step),
-                          writeable=False)
+        # row j is x[j - 384 : j], the window that starts at sample j of the
+        # frame padded with DRIFT_WIDTH zeros on each side; the rows run past
+        # both ends of the frame, so they read a zero-padded copy while the
+        # filter writes into x
+        rows = window_rows(x, -DRIFT_WIDTH, n + DRIFT_WIDTH + 1, 1, DRIFT_WIDTH)
         for first in range(0, len(starts), CHANNEL_BLOCK):
             last = first + CHANNEL_BLOCK
             windows = rows[starts[first:last]]

@@ -1,12 +1,15 @@
 """Receiver front end: beat slicing, frame detection, initial SPO estimate.
 
-One rule cuts the incoming waveform into beats (:func:`rx_slice_beats`): a
-beat is the 144-sample window of its 108-sample body and the 36 samples
-before it, which it shares with the beat before, and a run of beats
-advances 108 samples from the body start it is given.  Acquisition runs
-the grid from sample 0; demodulation runs it from Preamble B's body, so
-each beat it reads holds 96 symbols of the frame.  Each beat is real, so
-its 144-point FFT is carried as the 73-bin half spectrum, bins 0..72.
+One rule cuts the incoming waveform into beats,
+:func:`burstrx.txchain.window_rows`, the reader that also cuts the
+transmitter's blocks and the channel's windows; :func:`rx_slice_beats`
+holds the beat geometry.  A beat is the 144-sample window of its 108-sample
+body and the 36 samples before it, which it shares with the beat before,
+and a run of beats advances 108 samples from the body start it is given.
+Acquisition runs the grid from sample 0; demodulation runs it from
+Preamble B's body, so each beat it reads holds 96 symbols of the frame.
+Each beat is real, so its 144-point FFT is carried as the 73-bin half
+spectrum, bins 0..72.
 Detection looks for the Preamble-A tone: after the FFT and RRC, a pure
 alternating preamble concentrates all non-DC power in bin 64, the point at
 ``N/(2*sps)``, and its mirror 80 = 144 - 64, which the half spectrum leaves
@@ -42,11 +45,10 @@ test did at factor 4.0.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .fourier import fft_144
 from .timing import pair_products
-from .txchain import BINS_OUT, N_OUT, OVERLAP_OUT, SAMPLES_PER_BEAT, SPS
+from .txchain import BINS_OUT, N_OUT, OVERLAP_OUT, SAMPLES_PER_BEAT, SPS, window_rows
 
 TONE_BIN = 64   # N / (2 * sps)
 DETECT_POWER_FACTOR = 4.7  # tone bin power over the mean power off the tone pair
@@ -76,23 +78,16 @@ def rx_slice_beats(samples: np.ndarray, start: int, n_beats: int) -> np.ndarray:
     36 samples that overlap the beat before, then the beat's 108-sample body
     at ``start + 108 j``.  Samples before index 0 read as 0.  At most
     ``n_beats`` rows are returned, fewer where the samples end before a
-    body does.  The rows are a read-only strided view, so overlapping beats
-    share memory; from ``start >= 36`` on it is a view of ``samples``
-    itself, with no copy.
+    body does.  The rows are :func:`burstrx.txchain.window_rows`, a
+    read-only strided view in which overlapping beats share memory: from
+    ``start >= 36`` on a view of ``samples`` itself, with no copy, and
+    before that of a zero-padded copy of the span the rows cover.
     """
     samples = np.asarray(samples, dtype=np.float64)
     n_beats = min(n_beats, (len(samples) - start) // SAMPLES_PER_BEAT)
     if n_beats < 1:
         return np.zeros((0, N_OUT))
-    lo, end = start - OVERLAP_OUT, start + n_beats * SAMPLES_PER_BEAT
-    if lo < 0:
-        samples = np.concatenate([np.zeros(-lo), samples[:end]])
-        lo = 0
-    step = samples.strides[0]
-    return as_strided(
-        samples[lo:], shape=(n_beats, N_OUT), strides=(SAMPLES_PER_BEAT * step, step),
-        writeable=False,
-    )
+    return window_rows(samples, start - OVERLAP_OUT, n_beats, SAMPLES_PER_BEAT, N_OUT)
 
 
 def beat_spectra(beats: np.ndarray, response: np.ndarray) -> np.ndarray:

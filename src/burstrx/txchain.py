@@ -17,16 +17,18 @@ error.  An integer-symbol delay is invisible to the timing recovery and is
 absorbed by frame synchronization downstream.
 
 :func:`tx_frame` runs the beat loop as a batch, :data:`TX_BLOCK_BEATS`
-beats per pass.  Its whole-frame arrays are the zero-padded symbol stream
-and the output samples, 1.0 and 1.1 MB on the default 130 000-bit frame;
-a pass adds its own spectra and samples, about 0.3 MB, so a call peaks at
-about 2.4 MB of transient memory.
+beats per pass.  Its only whole-frame array is the output, 1.1 MB on the
+default 130 000-bit frame; a pass adds its own blocks, spectra and samples,
+about 0.4 MB, so a call peaks at about 1.5 MB of transient memory.
+
+:func:`window_rows` cuts every window of the chain: the transmitter's
+128-symbol blocks, the channel's filter windows and the receiver's beats.
 """
 
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import FftSizeError
 from .fourier import fft_144, fft_pow2
@@ -97,37 +99,56 @@ def rrc_response(rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
     return h
 
 
+def window_rows(x: np.ndarray, first: int, rows: int, hop: int, width: int) -> np.ndarray:
+    """The ``(rows, width)`` windows of ``x`` that start at ``first``, one every ``hop``; read-only.
+
+    Row ``j`` is ``x[first + hop j : first + hop j + width]``, and samples
+    outside ``x`` read as 0; ``rows`` is at least 1.  When every row lies
+    inside ``x`` the rows are a strided view of ``x`` itself, with no copy;
+    otherwise they are a view of a zero-padded copy of only the span the
+    rows cover.  Overlapping rows share memory either way.
+    """
+    n, end = len(x), first + hop * (rows - 1) + width
+    if first < 0 or end > n:
+        span = np.zeros(end - first, dtype=x.dtype)
+        lo, hi = min(max(first, 0), n), min(max(end, 0), n)
+        span[lo - first : hi - first] = x[lo:hi]
+        x, first = span, 0
+    step = x.strides[0]
+    return as_strided(x[first:], shape=(rows, width), strides=(hop * step, step), writeable=False)
+
+
 def tx_frame(symbols: np.ndarray, rolloff: float = DEFAULT_ROLLOFF) -> np.ndarray:
     """Shape a whole symbol stream: the beat loop as a batch, :data:`TX_BLOCK_BEATS` beats a pass.
 
-    The symbols are written once into a zero stream after a 32-symbol head,
-    and the 128-symbol blocks are a strided view of it, one every 96
-    symbols: each is the previous beat's 32-symbol tail followed by this
-    beat's 96 symbols, the transmit twin of
-    :func:`burstrx.rxfront.rx_slice_beats`.  One ``(TX_BLOCK_BEATS, 73)``
-    spectrum buffer serves every pass: the 128-point transform writes its
-    65 bins straight into bins 0..64, :func:`resample_up_fd` fills the
-    other 8 in place from them and the RRC multiplies in place, and the 108
-    kept samples of each inverse transformed beat go straight into the
-    preallocated output.  So beside the stream and the output, the only
-    arrays are one pass's spectra and samples, about 0.3 MB, and the
-    default 130 000-bit frame peaks at about 2.4 MB.  Each beat goes
+    Beat ``b``'s 128-symbol block is ``symbols[96 b - 32 : 96 b + 96]``,
+    cut by :func:`window_rows`: the previous beat's 32-symbol tail followed
+    by this beat's 96 symbols, with zeros before the first symbol and after
+    the last, the transmit twin of :func:`burstrx.rxfront.rx_slice_beats`.
+    A pass's blocks are a view of the symbols, except in the first pass and
+    the passes that reach past the last symbol, which copy only their own
+    blocks' span.  One ``(TX_BLOCK_BEATS, 73)`` spectrum buffer serves every
+    pass: the 128-point transform writes its 65 bins straight into bins
+    0..64, :func:`resample_up_fd` fills the other 8 in place from them and
+    the RRC multiplies in place, and the 108 kept samples of each inverse
+    transformed beat go straight into the preallocated output.  So the only whole-frame array is the output, and
+    the default 130 000-bit frame peaks at about 1.5 MB.  Each beat goes
     through the same transforms whatever pass it falls in, so the output
     does not depend on the block size.  ``TX_FLUSH_BEATS`` trailing zero beats flush
     the delay of the transmit and receive filters, so the final symbols of
     the stream reach the receiver's last beat.
     """
+    symbols = np.asarray(symbols, dtype=np.float64)
     n_beats = -(-len(symbols) // SYMBOLS_PER_BEAT) + TX_FLUSH_BEATS
-    stream = np.zeros(OVERLAP_IN + n_beats * SYMBOLS_PER_BEAT)
-    stream[OVERLAP_IN : OVERLAP_IN + len(symbols)] = symbols
-    blocks = sliding_window_view(stream, N_IN)[::SYMBOLS_PER_BEAT]
     h = rrc_response(rolloff)
     out = np.empty((n_beats, SAMPLES_PER_BEAT))
     spectra = np.empty((min(TX_BLOCK_BEATS, n_beats), BINS_OUT), dtype=complex)
     for start in range(0, n_beats, TX_BLOCK_BEATS):
         stop = min(start + TX_BLOCK_BEATS, n_beats)
+        blocks = window_rows(symbols, SYMBOLS_PER_BEAT * start - OVERLAP_IN, stop - start,
+                             SYMBOLS_PER_BEAT, N_IN)
         Y = spectra[: stop - start]
-        fft_pow2(blocks[start:stop], out=Y[:, :BINS_IN])
+        fft_pow2(blocks, out=Y[:, :BINS_IN])
         resample_up_fd(Y)
         Y *= h
         out[start:stop] = fft_144(Y, inverse=True)[:, OVERLAP_OUT:]

@@ -2,11 +2,13 @@
 
 Each stage allocates the arrays its output needs and bounded blocks beside
 them: ``tx_frame`` shapes :data:`burstrx.txchain.TX_BLOCK_BEATS` beats per
-pass, stage 2 corrects its beat spectra in place, and ``run_channel``
-filters :data:`burstrx.channel.CHANNEL_BLOCK` windows per pass.  The
-ceilings sit above the measured peaks (2.42, 3.35 and 1.17 MiB) and below
-the 5.2, 5.1 and 2.3 MiB of the whole-stack forms.  Each stage runs once
-before the measured call, so tables cached on first use are not counted.
+pass and cuts each pass's blocks from the symbols themselves, stage 2
+corrects its beat spectra in place, and ``run_channel`` filters
+:data:`burstrx.channel.CHANNEL_BLOCK` windows per pass.  The ceilings sit
+above the measured peaks (1.51, 3.35 and 1.17 MiB) and below the 2.42, 5.1
+and 2.3 MiB of the whole-frame padded stream and the whole-stack forms.
+Each stage runs once before the measured call, so tables cached on first
+use are not counted.
 """
 
 import tracemalloc
@@ -44,7 +46,7 @@ def paper_frame():
 
 def test_tx_frame_default_frame(paper_frame):
     _, frame = paper_frame
-    assert peak_mib(txchain.tx_frame, frame) < 3.0
+    assert peak_mib(txchain.tx_frame, frame) < 2.0
 
 
 def test_demodulate_default_frame(paper_frame):

@@ -1,6 +1,8 @@
 """Transmitter chain tests: resampling, shaping, streaming."""
 
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +173,63 @@ class TestBeatStreaming:
         p_in = np.sum(np.abs(W[inband]) ** 2)
         p_out = np.sum(np.abs(W[~inband]) ** 2)
         assert p_out <= 10 ** (-55 / 10) * p_in
+
+
+def padded_rows(x, first, rows, hop, width):
+    """Reference for ``window_rows``: slices of ``x`` zero-padded past every row."""
+    pad = abs(first) + hop * rows + width
+    ref = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
+    return np.array([ref[pad + first + hop * j : pad + first + hop * j + width]
+                     for j in range(rows)])
+
+
+class TestWindowRows:
+    # (first, rows, hop, width) on 2 000 samples: the transmitter's blocks,
+    # the receiver's beats before and from sample 36, and the channel's
+    # filter windows; inside is whether every row lies inside the samples
+    @pytest.mark.parametrize("first, rows, hop, width, inside", [
+        (-32, 21, 96, 128, False),
+        (96 * 3 - 32, 17, 96, 128, True),
+        (96 * 3 - 32, 20, 96, 128, False),
+        (-36, 18, 108, 144, False),
+        (0, 18, 108, 144, True),
+        (2000 - 144 - 108 * 5, 6, 108, 144, True),
+        (500 - 36, 13, 108, 144, True),
+        (500 - 36, 15, 108, 144, False),
+        (-384, 2000 + 384 + 1, 1, 384, False),
+        (0, 2000 - 384 + 1, 1, 384, True),
+        (1, 2000 - 384 + 1, 1, 384, False),
+    ])
+    def test_rows_are_zero_padded_slices(self, first, rows, hop, width, inside):
+        x = np.random.default_rng(first & 0xFF).normal(size=2000)
+        got = txchain.window_rows(x, first, rows, hop, width)
+        assert got.shape == (rows, width)
+        assert np.array_equal(got, padded_rows(x, first, rows, hop, width))
+        # a view of x only when no row runs past either end: the channel
+        # filters into x while its rows, which run past both ends, read a copy
+        assert np.shares_memory(got, x) == inside
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
+
+    @pytest.mark.parametrize("first", [-1000, -360, 2000, 2500])
+    def test_span_wholly_outside_reads_zeros(self, first):
+        # the three rows span first .. first + 360
+        got = txchain.window_rows(np.ones(2000), first, 3, 108, 144)
+        assert got.shape == (3, 144) and not got.any()
+
+    def test_only_reader_imports_stride_tricks(self):
+        # every window of the chain is cut by window_rows
+        importers = []
+        for path in sorted(Path(txchain.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([f"{node.module}.{a.name}" for a in node.names]
+                         if isinstance(node, ast.ImportFrom)
+                         else [a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [])
+                if any(n.startswith("numpy.lib.stride_tricks") for n in names):
+                    importers.append(path.name)
+        assert importers == ["txchain.py"]
 
 
 # sha256 of tx_frame(build_frame(layout, gen_payload_bits(layout, 1000))), pinned
