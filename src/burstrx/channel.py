@@ -2,14 +2,15 @@
 
 Everything here is a declared stand-in: the hardware paper gives no channel
 equations, so each impairment is a simple testable model.  Received optical
-power is not modeled physically: the noise level is set by the electrical
-``snr_db`` alone, and :func:`rop_to_snr` is the two-point linear calibration
-that maps an ROP axis onto it.
+power is not modeled: the noise level is set by the electrical ``snr_db``
+alone, and the module has no ROP axis.
 
-Impairment order in :func:`run_channel`: gain, then one windowed filter
-that applies the low-pass, the fixed timing offset and the clock drift
-together, then additive noise, with inter-burst gaps spliced around the
-frame.
+Impairment order in :func:`run_channel`: the frame times the gain is
+written between inter-burst gaps of silence; one windowed filter applies
+the low-pass, the fixed timing offset and the clock drift together over
+the frame's span; then white Gaussian noise is added in place over the
+whole capture, gaps included, its variance set by ``snr_db`` against the
+frame span's mean-removed power.
 
 The channel's timing is one line, ``tau(t) = offset + ppm * 1e-6 * t``
 samples, held constant over each chunk of :data:`DRIFT_CHUNK` samples at
@@ -90,6 +91,8 @@ DRIFT_PAD = 120
 DRIFT_WIDTH = DRIFT_CHUNK + 2 * DRIFT_PAD  # 384 = 2**7 * 3, a fast transform length
 # Windows filtered per pass of run_channel: bounds its transient memory, not its output.
 CHANNEL_BLOCK = 64
+# The largest |snr_db| accepted, far past any physical SNR.
+SNR_DB_LIMIT = 300.0
 
 
 @dataclass
@@ -114,8 +117,9 @@ class Impairments:
             raise ChannelError("timing_offset_ui and clock_ppm must be finite")
         if not 0 < self.gain < math.inf:
             raise ChannelError("gain must be positive and finite")
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise ChannelError("snr_db must be finite or None")
+        # past about +-3 000 dB, 10 ** (snr_db / 10) overflows or underflows to 0
+        if self.snr_db is not None and not -SNR_DB_LIMIT <= self.snr_db <= SNR_DB_LIMIT:
+            raise ChannelError(f"snr_db must be within +-{SNR_DB_LIMIT:g} dB, or None")
         if self.f3db_ghz is not None and not 0 < self.f3db_ghz < math.inf:
             raise ChannelError("f3db_ghz must be positive and finite, or None")
 
@@ -127,34 +131,6 @@ class ChannelConfig(Impairments):
     rng_seed: int = 0
 
 
-def delay_factor(n: int, tau_samples) -> np.ndarray:
-    """``rfft``-domain delay factor of an ``n``-sample block; a column of taus gives rows."""
-    f = np.fft.rfftfreq(n, d=1.0)
-    h = np.exp(-2j * np.pi * f * np.asarray(tau_samples, dtype=np.float64))
-    if n % 2 == 0:
-        # A real signal cannot carry a complex factor at the shared +-Nyquist
-        # bin.  Integer delays give +-1 there and stay exact; fractional ones
-        # leave that single (empty, beyond the RRC stopband) bin untouched.
-        nyq = h[..., -1]
-        h[..., -1] = np.where(np.abs(nyq.imag) < 1e-12, nyq.real, 1.0)
-    return h
-
-
-def apply_fractional_delay(x: np.ndarray, tau_samples) -> np.ndarray:
-    """Delay a block by a (fractional) number of samples, exactly and circularly.
-
-    All-pass ``exp(-2j pi f tau)`` applied over the whole block in one
-    transform: a positive tau moves the block's last tau samples to its
-    head, a negative one its first ``|tau|`` to its tail.  On a block
-    zero-padded past tau at both ends this is the exact delay, so the tests
-    use it as the reference for :func:`run_channel`'s windowed filter.  On
-    a stack of blocks, one per row, a column of taus delays each row by its
-    own.
-    """
-    n = x.shape[-1]
-    return np.fft.irfft(np.fft.rfft(x) * delay_factor(n, tau_samples), n)
-
-
 @lru_cache(maxsize=4)
 def window_factors(n: int, f3db_ghz: Optional[float], offset_samples: float,
                    ppm: float) -> tuple[np.ndarray, np.ndarray]:
@@ -164,12 +140,15 @@ def window_factors(n: int, f3db_ghz: Optional[float], offset_samples: float,
     ``offset_samples + ppm * 1e-6`` times its centre sample, splits as
     ``m + f`` with ``m = rint(tau)``.  Start ``i`` is where the chunk's
     window, moved ``m`` samples earlier, begins in the frame padded with
-    ``DRIFT_WIDTH`` zeros on each side.  Row ``i`` of the factors is
-    :func:`delay_factor` of the window at ``f``, times the Gaussian
-    low-pass ``|H| = 2**(-0.5 * (freq / f3db)**2)`` (3 dB down at ``f3db``,
-    zero phase) when ``f3db_ghz`` is set.  Without drift, ``ppm == 0``,
-    every chunk has the same tau, and the factors are one row broadcast to
-    every chunk (row stride 0).
+    ``DRIFT_WIDTH`` zeros on each side.  Row ``i`` of the factors is the
+    window's delay ``exp(-2j pi freq f)`` (``freq`` in cycles per sample)
+    with its Nyquist bin set to 1, times the Gaussian low-pass
+    ``|H| = 2**(-0.5 * (freq / f3db)**2)`` (3 dB down at ``f3db``, zero
+    phase) when ``f3db_ghz`` is set.  A real window cannot carry a complex
+    factor at the shared +-Nyquist bin, so that one bin, empty beyond the
+    RRC stopband, is left untouched; at ``f = 0`` the delay is 1 there
+    anyway.  Without drift, ``ppm == 0``, every chunk has the same tau, and
+    the factors are one row broadcast to every chunk (row stride 0).
     """
     chunks = np.arange(0, n, DRIFT_CHUNK)
     tau = offset_samples + ppm * 1e-6 * 0.5 * (chunks + np.minimum(chunks + DRIFT_CHUNK, n))
@@ -178,42 +157,15 @@ def window_factors(n: int, f3db_ghz: Optional[float], offset_samples: float,
     # there, any finite tau gives a start inside the padded copy
     starts = (np.clip(chunks - DRIFT_PAD - m, -DRIFT_WIDTH, n) + DRIFT_WIDTH).astype(np.intp)
     # without drift every chunk has the same tau: one row, broadcast to all
-    h = delay_factor(DRIFT_WIDTH, (tau - m)[: len(tau) if ppm else 1, None])
+    frac = (tau - m)[: len(tau) if ppm else 1, None]
+    h = np.exp(-2j * np.pi * np.fft.rfftfreq(DRIFT_WIDTH, d=1.0) * frac)
+    h[:, -1] = 1.0
     if f3db_ghz is not None:
         freq = np.fft.rfftfreq(DRIFT_WIDTH, d=1.0 / SAMPLE_RATE_HZ)
         h *= 2.0 ** (-0.5 * (freq / (f3db_ghz * 1e9)) ** 2)
     starts.flags.writeable = False
     h.flags.writeable = False
     return starts, np.broadcast_to(h, (len(starts), h.shape[1]))
-
-
-def signal_power_ac(x: np.ndarray) -> float:
-    """Mean-removed power, the reference for the SNR definition."""
-    return float(np.var(np.asarray(x, dtype=np.float64)))
-
-
-def apply_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator,
-               power_ref: Optional[float] = None) -> np.ndarray:
-    """Add white Gaussian noise at the requested electrical SNR.
-
-    Noise variance is ``P_ac / 10**(snr/10)`` with ``P_ac`` the mean-removed
-    signal power (or an explicit reference, e.g. measured on the frame before
-    gap padding).
-    """
-    p = signal_power_ac(x) if power_ref is None else power_ref
-    if p <= 0.0:
-        raise ChannelError("cannot set an SNR on a zero-power signal")
-    sigma = np.sqrt(p / 10.0 ** (snr_db / 10.0))
-    return x + rng.normal(0.0, sigma, size=len(x))
-
-
-def rop_to_snr(rop: float, cal: dict) -> float:
-    """Linear two-point map from received optical power (dBm) to electrical SNR."""
-    r1, s1 = cal["rop1_dbm"], cal["snr1_db"]
-    r2, s2 = cal["rop2_dbm"], cal["snr2_db"]
-    if r1 == r2:
-        raise ChannelError("ROP calibration points must differ")
-    return s1 + (rop - r1) * (s2 - s1) / (r2 - r1)
 
 
 def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
@@ -226,9 +178,16 @@ def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     :func:`burstrx.txchain.window_rows` over the frame, which reads a
     zero-padded copy of it, and the windows are filtered
     :data:`CHANNEL_BLOCK` at a time, each block in one stacked transform; a
-    window's output does not depend on its block.  Then noise is added over the whole capture.  The input is not modified.
-    The filter writes the frame's span alone, so without noise the gaps
-    stay exactly 0, and a delayed frame reads silence past its ends.
+    window's output does not depend on its block.  The filter writes the
+    frame's span alone, so without noise the gaps stay exactly 0, and a
+    delayed frame reads silence past its ends.
+
+    Then, when ``snr_db`` is set, noise is added over the whole capture, in
+    place: ``rng.normal(0, sigma, len(capture))`` from
+    ``default_rng(rng_seed)``, with ``sigma**2 = P / 10**(snr_db / 10)`` and
+    ``P`` the mean-removed power (``np.var``) of the frame's span after the
+    gain and the filter, not of the capture with its gaps.  A span of zero
+    power raises :class:`ChannelError`.  The input is not modified.
     """
     frame = np.asarray(frame_samples, dtype=np.float64)
     n, gap = len(frame), cfg.gap_samples
@@ -254,6 +213,9 @@ def run_channel(frame_samples: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
             span = x[first * DRIFT_CHUNK : last * DRIFT_CHUNK]
             span[:] = windows[:, DRIFT_PAD : DRIFT_PAD + DRIFT_CHUNK].reshape(-1)[: len(span)]
     if cfg.snr_db is not None:
-        rng = np.random.default_rng(cfg.rng_seed)
-        out = apply_awgn(out, cfg.snr_db, rng, power_ref=signal_power_ac(x))
+        p = float(np.var(x))
+        if p <= 0.0:
+            raise ChannelError("cannot set an SNR on a zero-power signal")
+        sigma = np.sqrt(p / 10.0 ** (cfg.snr_db / 10.0))
+        out += np.random.default_rng(cfg.rng_seed).normal(0.0, sigma, size=len(out))
     return out

@@ -91,8 +91,10 @@ class TxSection:
     rrc_rolloff: float = DEFAULT_ROLLOFF
 
     def __post_init__(self):
-        # below 1/64 the timing detector's excess band holds no bin
-        if self.rrc_rolloff > 0.125 or godard_band(self.rrc_rolloff).size == 0:
+        # below 1/64 the timing detector's excess band holds no bin; a value
+        # <= 0 is rejected before the band is built, which a large negative
+        # one would make overflow or allocate without bound
+        if not 0 < self.rrc_rolloff <= 0.125 or godard_band(self.rrc_rolloff).size == 0:
             raise ConfigError("rrc_rolloff must be in [1/64, 0.125]")
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from burstrx import channel, framing, txchain
-from burstrx.channel import ChannelConfig
+from burstrx.channel import SNR_DB_LIMIT, ChannelConfig
 from burstrx.errors import ChannelError
+from delay_reference import apply_fractional_delay
 
 
 @pytest.fixture
@@ -17,11 +18,13 @@ def wave():
 
 
 class TestFractionalDelay:
+    """The whole-block reference delay of delay_reference, which the tests below trust."""
+
     def test_zero_is_identity(self, wave):
-        assert np.max(np.abs(channel.apply_fractional_delay(wave, 0.0) - wave)) < 1e-12
+        assert np.max(np.abs(apply_fractional_delay(wave, 0.0) - wave)) < 1e-12
 
     def test_integer_delay_is_circular_shift(self, wave):
-        out = channel.apply_fractional_delay(wave, 1.0)
+        out = apply_fractional_delay(wave, 1.0)
         assert np.max(np.abs(out - np.roll(wave, 1))) < 1e-9
 
     def test_tone_phase(self):
@@ -30,7 +33,7 @@ class TestFractionalDelay:
         t = np.arange(n)
         x = np.cos(2 * np.pi * k * t / n)
         tau = 0.37
-        out = channel.apply_fractional_delay(x, tau)
+        out = apply_fractional_delay(x, tau)
         X = np.fft.rfft(out)
         expect = -2 * np.pi * (k / n) * tau
         got = np.angle(X[k])
@@ -79,29 +82,45 @@ class TestLowpass:
 
 
 class TestAwgn:
-    def test_measured_snr(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=10**6)
-        p = channel.signal_power_ac(x)
-        out = channel.apply_awgn(x, 10.0, np.random.default_rng(3))
-        noise = out - x
-        snr_meas = 10 * np.log10(p / np.mean(noise**2))
+    @pytest.mark.parametrize("gain", [0.01, 1.0, 100.0])
+    def test_measured_snr(self, gain):
+        # the noise follows the frame's power after the gain, and the gaps
+        # around it do not dilute that power
+        x = 0.5 + np.random.default_rng(7).normal(size=10**6)
+        cfg = ChannelConfig(snr_db=10.0, gain=gain, gap_samples=100_000, rng_seed=3)
+        out = channel.run_channel(x, cfg)
+        noise = out[100_000:-100_000] - gain * x
+        snr_meas = 10 * np.log10(np.var(gain * x) / np.mean(noise**2))
         assert abs(snr_meas - 10.0) < 0.1
 
-    def test_deterministic(self, wave):
-        a = channel.apply_awgn(wave, 15.0, np.random.default_rng(9))
-        b = channel.apply_awgn(wave, 15.0, np.random.default_rng(9))
-        assert np.array_equal(a, b)
-
     def test_zero_signal_rejected(self):
-        with pytest.raises(ChannelError):
-            channel.apply_awgn(np.zeros(100), 10.0, np.random.default_rng(0))
+        # a constant frame has power, but no mean-removed power
+        for frame in (np.zeros(100), np.full(100, 0.5)):
+            with pytest.raises(ChannelError):
+                channel.run_channel(frame, ChannelConfig(snr_db=10.0))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 1000, 30_001, 300_001])
     def test_power_equals_two_pass_mean(self, n):
+        # sigma comes from the two-pass mean-removed power of the frame's
+        # span alone, and one draw of default_rng(rng_seed) covers the whole
+        # capture, gaps included
         x = 0.5 + np.random.default_rng(n).normal(size=n)
         two_pass = float(np.mean((x - x.mean()) ** 2))
-        assert channel.signal_power_ac(x) == two_pass
+        cfg = ChannelConfig(snr_db=10.0, gap_samples=50, rng_seed=n)
+        if n == 1:
+            assert two_pass == 0.0  # one sample has no mean-removed power
+            with pytest.raises(ChannelError):
+                channel.run_channel(x, cfg)
+            return
+        sigma_ref = np.sqrt(two_pass / 10.0 ** (10.0 / 10.0))
+        noise = np.random.default_rng(n).normal(0.0, sigma_ref, n + 100)
+        want = np.concatenate([np.zeros(50), x, np.zeros(50)]) + noise
+        assert np.array_equal(channel.run_channel(x, cfg), want)
+
+    @pytest.mark.parametrize("snr_db", [-SNR_DB_LIMIT, SNR_DB_LIMIT])
+    def test_snr_limits_give_finite_captures(self, snr_db, wave):
+        out = channel.run_channel(wave, ChannelConfig(snr_db=snr_db, gap_samples=10))
+        assert np.all(np.isfinite(out))
 
 
 def tx_wave():
@@ -146,8 +165,7 @@ class TestRunChannel:
     def test_offset_matches_padded_delay(self, offset_ui):
         wave = tx_wave()
         gap = np.zeros(500)
-        want = channel.apply_fractional_delay(np.concatenate([gap, wave, gap]),
-                                              offset_ui * txchain.SPS)
+        want = apply_fractional_delay(np.concatenate([gap, wave, gap]), offset_ui * txchain.SPS)
         out = channel.run_channel(wave, ChannelConfig(timing_offset_ui=offset_ui, gap_samples=500))
         rms = np.sqrt(np.mean(wave**2))
         assert np.max(np.abs(out - want)[500:-500]) < self.OFFSET_BOUND[offset_ui] * rms
@@ -173,15 +191,17 @@ class TestRunChannel:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"gap_samples": -1}, {"snr_db": np.inf}, {"snr_db": np.nan}]
+        [{"gap_samples": -1}, {"snr_db": np.inf}, {"snr_db": np.nan},
+         {"snr_db": 4000.0}, {"snr_db": -4000.0}]
         + [{name: value} for name, value in NON_FINITE],
-        ids=["gap_negative", "snr_db_inf", "snr_db_nan"]
+        ids=["gap_negative", "snr_db_inf", "snr_db_nan", "snr_db_4000", "snr_db_-4000"]
         + [f"{name}_{value}" for name, value in NON_FINITE],
     )
     def test_bad_impairments_rejected(self, kwargs):
         # built directly, without the config loader's type checks in front;
-        # unchecked, a NaN drift or gain gives an all-NaN capture, and an
-        # infinite offset or gain a RuntimeWarning inside run_channel
+        # unchecked, a NaN drift or gain gives an all-NaN capture, an
+        # infinite offset or gain a RuntimeWarning inside run_channel, and
+        # an SNR of +-4 000 dB an OverflowError or ZeroDivisionError there
         with pytest.raises(ChannelError):
             channel.Impairments(**kwargs)
 
@@ -235,13 +255,6 @@ def test_noiseless_gaps_stay_silent(name):
     assert out[500:-500].any()
 
 
-class TestRopMap:
-    def test_linear_interpolation(self):
-        cal = {"rop1_dbm": -30.0, "snr1_db": 8.0, "rop2_dbm": -20.0, "snr2_db": 18.0}
-        assert channel.rop_to_snr(-25.0, cal) == pytest.approx(13.0)
-        assert channel.rop_to_snr(-30.0, cal) == pytest.approx(8.0)
-
-
 def drift(x, ppm):
     """The capture of ``x`` with clock drift alone and no gaps."""
     return channel.run_channel(x, ChannelConfig(clock_ppm=ppm, gap_samples=0))
@@ -268,7 +281,7 @@ class TestClockDrift:
                 m = round(tau)
                 first = lead - pad + start - m
                 window = padded[first : first + chunk + 2 * pad]
-                delayed = channel.apply_fractional_delay(window, tau - m)
+                delayed = apply_fractional_delay(window, tau - m)
                 expect[start:stop] = delayed[pad : pad + stop - start]
             out = drift(x, ppm)
             assert out.shape == (n,)

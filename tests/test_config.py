@@ -156,13 +156,21 @@ class TestValidate:
             {"seed": "x"},
             {"seed": -1},
             {"seed": 2.7},
+            # unchecked, a large negative roll-off overflows or allocates
+            # without bound in the timing band, and an SNR past float range
+            # fails inside run_channel
+            {"tx": {"rrc_rolloff": -1e308}},
+            {"tx": {"rrc_rolloff": -1e306}},
+            {"channel": {"snr_db": 4000.0}},
+            {"channel": {"snr_db": -4000.0}},
         ],
         ids=[
             "layout", "preamble_a_short", "rrc_rolloff", "rrc_rolloff_empty_band",
             "payload_len_type", "ddlms_type", "payload_len_bool",
             "gap_samples_type", "gap_samples_negative", "snr_db_inf",
             "f3db_zero", "f3db_negative", "gain_zero", "seed_type", "seed_negative",
-            "seed_float",
+            "seed_float", "rrc_rolloff_-1e308", "rrc_rolloff_-1e306", "snr_db_4000",
+            "snr_db_-4000",
         ],
     )
     def test_out_of_range_rejected(self, data):

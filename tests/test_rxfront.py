@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from burstrx import channel, framing, rxfront, txchain
+from burstrx import framing, rxfront, txchain
 from burstrx.fourier import fft_144
 from burstrx.timing import fd_interpolate
+from delay_reference import apply_fractional_delay
 
 
 def preamble_waveform(offset_ui=0.0):
@@ -13,7 +14,7 @@ def preamble_waveform(offset_ui=0.0):
     frame = framing.build_frame(lay, np.array([], dtype=np.uint8))
     wave = txchain.tx_frame(frame)
     if offset_ui:
-        wave = channel.apply_fractional_delay(wave, offset_ui * txchain.SPS)
+        wave = apply_fractional_delay(wave, offset_ui * txchain.SPS)
     return wave
 
 

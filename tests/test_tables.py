@@ -14,6 +14,7 @@ import pytest
 from burstrx import channel, equalizer, framing, txchain
 from burstrx.channel import (CHANNEL_BLOCK, DRIFT_CHUNK, DRIFT_PAD, DRIFT_WIDTH, SAMPLE_RATE_HZ,
                              ChannelConfig)
+from delay_reference import delay_factor
 
 # the one channel cache, window_factors, holds the drift's table and the low-pass response
 CACHES = {
@@ -43,9 +44,11 @@ def fresh_windows(x, f3db_ghz, offset_samples, ppm):
 
     Chunk ``i``'s tau, ``offset_samples`` plus the drift at its centre,
     splits as ``m + f`` with ``m = rint(tau)``; its window is read ``m``
-    samples earlier from the zero-padded waveform and filtered by the factor
-    of ``channel.apply_fractional_delay`` at ``f``, times the Gaussian
-    response when ``f3db_ghz`` is set.
+    samples earlier from the zero-padded waveform and filtered by
+    ``delay_reference.delay_factor`` at ``f``, times the Gaussian response
+    when ``f3db_ghz`` is set.  That general factor keeps whole-sample delays
+    exact at the Nyquist bin; ``channel.window_factors`` sets the bin to 1,
+    which is the value it gives for every ``|f| <= 1/2``.
     """
     n = len(x)
     starts = np.arange(0, n, DRIFT_CHUNK)
@@ -55,7 +58,7 @@ def fresh_windows(x, f3db_ghz, offset_samples, ppm):
     padded = np.concatenate([np.zeros(lead), x, np.zeros(DRIFT_CHUNK + lead)])
     first = lead - DRIFT_PAD + starts - m
     windows = np.stack([padded[i : i + DRIFT_WIDTH] for i in first])
-    h = channel.delay_factor(DRIFT_WIDTH, (tau - m)[:, None])
+    h = delay_factor(DRIFT_WIDTH, (tau - m)[:, None])
     if f3db_ghz is not None:
         h = h * gaussian(f3db_ghz, DRIFT_WIDTH)
     shifted = np.fft.irfft(np.fft.rfft(windows) * h, DRIFT_WIDTH)
@@ -144,7 +147,7 @@ class TestChannelTables:
         assert factors.shape == (len(starts), DRIFT_WIDTH // 2 + 1)
         assert factors.strides[0] == 0
         frac = np.full((len(starts), 1), offset_samples - np.rint(offset_samples))
-        want = channel.delay_factor(DRIFT_WIDTH, frac)
+        want = delay_factor(DRIFT_WIDTH, frac)
         if f3db_ghz is not None:
             want = want * gaussian(f3db_ghz, DRIFT_WIDTH)
         assert np.array_equal(factors, want)

@@ -6,6 +6,7 @@ import pytest
 from burstrx import channel, rxfront, timing, txchain
 from burstrx.fourier import fft_144
 from burstrx.timing import W1, FdtrLoop, estimate_taus, fd_interpolate, godard_error
+from delay_reference import apply_fractional_delay
 
 
 def shaped_block(symbols128):
@@ -240,7 +241,7 @@ class TestInterpolator:
         # two beats of symbols and two of the flush
         wave = txchain.tx_frame(np.concatenate([x, np.zeros(96 - 32)]))[: 4 * 108]
         tau = 0.37
-        delayed = channel.apply_fractional_delay(wave, -tau)
+        delayed = apply_fractional_delay(wave, -tau)
         rot = np.exp(-2j * np.pi * np.fft.rfftfreq(len(wave)) * tau)
         rot[-1] = 1.0  # match the channel's real-signal Nyquist convention
         W1 = np.fft.rfft(delayed) * rot
