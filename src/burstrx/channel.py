@@ -93,6 +93,10 @@ DRIFT_WIDTH = DRIFT_CHUNK + 2 * DRIFT_PAD  # 384 = 2**7 * 3, a fast transform le
 CHANNEL_BLOCK = 64
 # The largest |snr_db| accepted, far past any physical SNR.
 SNR_DB_LIMIT = 300.0
+# The gain is accepted in [1 / GAIN_LIMIT, GAIN_LIMIT], far past any physical
+# gain: within it every stage of the chain stays inside float64 at any
+# accepted snr_db, and the frame span's power does not underflow to 0.
+GAIN_LIMIT = 1e100
 
 
 @dataclass
@@ -115,8 +119,8 @@ class Impairments:
         # math, not numpy: this runs on every burst
         if not (math.isfinite(self.timing_offset_ui) and math.isfinite(self.clock_ppm)):
             raise ChannelError("timing_offset_ui and clock_ppm must be finite")
-        if not 0 < self.gain < math.inf:
-            raise ChannelError("gain must be positive and finite")
+        if not 1.0 / GAIN_LIMIT <= self.gain <= GAIN_LIMIT:
+            raise ChannelError(f"gain must be within [1/{GAIN_LIMIT:g}, {GAIN_LIMIT:g}]")
         # past about +-3 000 dB, 10 ** (snr_db / 10) overflows or underflows to 0
         if self.snr_db is not None and not -SNR_DB_LIMIT <= self.snr_db <= SNR_DB_LIMIT:
             raise ChannelError(f"snr_db must be within +-{SNR_DB_LIMIT:g} dB, or None")

@@ -115,9 +115,6 @@ class SimConfig:
             **dataclasses.asdict(self.channel), rng_seed=self.seed + seed_offset
         )
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _build_section(cls, data: dict, name: str):
     fields = {f.name: f.type for f in dataclasses.fields(cls)}

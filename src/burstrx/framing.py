@@ -58,14 +58,6 @@ class FrameLayout:
         if self.payload_len < 0:
             raise LayoutError("payload_len must be >= 0")
 
-    @property
-    def preamble_len(self) -> int:
-        return self.preamble_a_len + self.preamble_b_len + self.preamble_c_len
-
-    def preamble_duration_ns(self, baud_gbd: float = 25.0) -> float:
-        """Preamble airtime in nanoseconds at the given baud rate."""
-        return self.preamble_len / baud_gbd
-
 
 def gen_preamble_a(layout: FrameLayout) -> np.ndarray:
     """Alternating ``[0, 1, 0, 1, ...]`` tone preamble."""

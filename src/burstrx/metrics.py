@@ -1,9 +1,7 @@
 """Run metrics: BER counting, error-position statistics, MSE, run reports."""
 
-import json
 import math
-from copy import copy
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -110,9 +108,10 @@ def mse_point(z: np.ndarray, decisions: np.ndarray) -> np.ndarray:
 class RunReport:
     """What one burst produced, each value already a JSON value.
 
-    The receiver stores lists of Python numbers, so :meth:`to_dict` converts
-    nothing.  The configuration and seeds that made the burst are the
-    caller's to record; a report holds no copy of them.
+    The receiver stores lists of Python numbers, so a report serializes as
+    ``json.dumps(dataclasses.asdict(report))`` with nothing converted.  The
+    configuration and seeds that made the burst are the caller's to record;
+    a report holds no copy of them.
     """
 
     status: str = "ok"                      # ok | detection_failed | sync_failed
@@ -132,13 +131,6 @@ class RunReport:
     chi2_stat: Optional[float] = None
     chi2_p: Optional[float] = None
     schema_version: int = REPORT_SCHEMA_VERSION
-
-    def to_dict(self) -> dict:
-        """The fields as a dict, equal to ``dataclasses.asdict``; each list is a new copy."""
-        return {f.name: copy(getattr(self, f.name)) for f in fields(self)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
 def wilson_interval(errors: int, total: int, z: float = 1.96) -> tuple[float, float]:

@@ -2,7 +2,10 @@
 
 Reception happens in two stages over the sampled waveform:
 
-* **Acquisition** looks for the Preamble-A tone peak in passes over the
+* **Acquisition** first rejects, as a detection failure, a capture with a
+  non-finite sample or more energy than :data:`ENERGY_LIMIT`: one sum of
+  squares over the capture, read as float64.  It then looks for the
+  Preamble-A tone peak in passes over the
   beat grid that starts at sample 0 (see :func:`rxfront.rx_slice_beats`).
   Pass ``k`` slices, transforms and tests the chunk of 32 beats from beat
   ``32 k`` and the window a detection on the chunk's last beat would need;
@@ -99,6 +102,11 @@ from .timing import FdtrLoop, fd_interpolate
 # 3.6e-4 of its beats.
 ACQUIRE_MARGIN_BEATS = 21
 DETECT_CHUNK = 32          # beats tested for the Preamble-A tone per pass
+# The largest capture energy acquisition accepts.  A beat's power in any bin
+# is at most 144 times its samples' energy (the receive RRC is at most 1),
+# and a stack's sum of beat powers at most 144 * 4/3 times the capture's
+# energy, so under this limit every power and every sum of them stays finite.
+ENERGY_LIMIT = np.finfo(np.float64).max / 2**20
 
 
 @dataclass
@@ -137,16 +145,24 @@ class BurstReceiver:
     def acquire(self, waveform: np.ndarray) -> Acquisition:
         """Detect the burst, estimate tau0, and locate Preamble B.
 
-        Raises :class:`DetectionError` when no beat passes detection; a
-        window in which sync finds no Preamble B gives ``sync`` None.
+        Raises :class:`DetectionError` when no beat passes detection, and
+        before any transform when the capture, read as float64, holds a
+        non-finite sample or more energy than :data:`ENERGY_LIMIT`; a window
+        in which sync finds no Preamble B gives ``sync`` None.
         """
+        waveform = np.asarray(waveform, dtype=np.float64)
+        # one reduction for both: a NaN or infinite sample, or an energy past
+        # float64, makes it NaN or infinite
+        with np.errstate(over="ignore"):
+            if not waveform @ waveform <= ENERGY_LIMIT:
+                raise DetectionError("the capture holds a non-finite sample or too much energy")
         # A pass holds its chunk and the window of a detection on its last beat.
         for start in range(0, len(waveform) // txchain.SAMPLES_PER_BEAT, DETECT_CHUNK):
             beats = rxfront.rx_slice_beats(
                 waveform, txchain.SAMPLES_PER_BEAT * start, DETECT_CHUNK + self.acquire_beats
             )
             X = rxfront.beat_spectra(beats, self.h_rx)
-            tone = rxfront.detect_frame(X).detected
+            tone = rxfront.detect_frame(X)
             hits = np.flatnonzero(tone[:DETECT_CHUNK])
             if hits.size:
                 break

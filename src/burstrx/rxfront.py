@@ -15,7 +15,8 @@ alternating preamble concentrates all non-DC power in bin 64, the point at
 ``N/(2*sps)``, and its mirror 80 = 144 - 64, which the half spectrum leaves
 out as ``X(80) = conj(X(64))``.  A beat passes when the tone bin's power is
 at least ``DETECT_POWER_FACTOR`` times the mean power off DC and the tone
-pair.
+pair.  :func:`detect_frame` returns the boolean mask of the beats that
+pass, one entry per beat.
 
 The initial sampling-phase estimate reads the phase between those two bins,
 ``X(64) conj(X(80)) = X(64)^2``, summed over the beats that detection passed:
@@ -42,8 +43,6 @@ threshold fires on fewer beats of RRC-shaped white noise than that peak
 test did at factor 4.0.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fourier import fft_144
@@ -61,14 +60,6 @@ _FLOOR_WEIGHTS[1:-1] = 2.0
 _FLOOR_WEIGHTS[-1] = 1.0
 _FLOOR_WEIGHTS[TONE_BIN] = 0.0
 _FLOOR_WEIGHTS /= _FLOOR_WEIGHTS.sum()
-
-
-@dataclass
-class DetectionResult:
-    """Per-beat detection outcome; each field has the spectra's leading shape."""
-
-    detected: np.ndarray
-    peak_ratio: np.ndarray          # tone bin power over the floor; inf on a 0 floor
 
 
 def rx_slice_beats(samples: np.ndarray, start: int, n_beats: int) -> np.ndarray:
@@ -97,20 +88,17 @@ def beat_spectra(beats: np.ndarray, response: np.ndarray) -> np.ndarray:
     return X
 
 
-def detect_frame(X: np.ndarray) -> DetectionResult:
-    """Look for the Preamble-A tone in each beat spectrum of a stack.
+def detect_frame(X: np.ndarray) -> np.ndarray:
+    """The mask of the beats in which the Preamble-A tone is found.
 
-    ``X`` holds 73-bin half spectra on its last axis.  A beat is detected
-    when its tone-bin power is nonzero and at least ``DETECT_POWER_FACTOR``
-    times the mean power of the full spectrum off DC and the tone pair.
-    Scaling-invariant by construction.
+    ``X`` holds 73-bin half spectra on its last axis, and the mask has its
+    leading shape.  A beat is detected when its tone-bin power is nonzero
+    and at least ``DETECT_POWER_FACTOR`` times the mean power of the full
+    spectrum off DC and the tone pair.  Scaling-invariant by construction.
     """
     power = np.abs(np.asarray(X)) ** 2
     tone = power[..., TONE_BIN]
-    floor = power @ _FLOOR_WEIGHTS
-    ratio = np.divide(tone, floor, out=np.full_like(tone, np.inf), where=floor > 0)
-    detected = (tone > 0) & (tone >= DETECT_POWER_FACTOR * floor)
-    return DetectionResult(detected=detected, peak_ratio=ratio)
+    return (tone > 0) & (tone >= DETECT_POWER_FACTOR * (power @ _FLOOR_WEIGHTS))
 
 
 def estimate_initial_spo(X: np.ndarray) -> float:

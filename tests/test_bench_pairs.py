@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py summary: medians, quartiles, wins, the gain rule and the raw figures."""
+"""tools/bench_pairs.py summary: medians, quartiles, wins, the gain and regression rules, raw figures."""
 
 import importlib.util
 import json
@@ -11,7 +11,7 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-DIRECTIONS = {"chain_mbit_s": ("Mbit/s", "higher"), "burst_ms_p50": ("ms", "lower")}
+DIRECTIONS = {"chain_mbit_s": ("Mbit/s", "higher", 0.2), "burst_ms_p50": ("ms", "lower", 0.25)}
 
 
 def pairs(parent, change, name):
@@ -40,6 +40,33 @@ def test_no_gain_on_eight_wins_or_a_small_gap():
     assert eight["chain_mbit_s"]["wins"] == 8 and not eight["chain_mbit_s"]["gain_shown"]
     small = bench_pairs.summarise(pairs(parent, [p + 0.01 for p in parent], "chain_mbit_s"), DIRECTIONS)
     assert small["chain_mbit_s"]["wins"] == 10 and not small["chain_mbit_s"]["gain_shown"]
+
+
+@pytest.mark.parametrize("name, parent, worse, within", [
+    # medians 10 and 12 with a 0.2 / 0.25 bound: the edges sit at 8 and 15
+    ("chain_mbit_s", [9.9, 10.0, 10.1] * 3 + [10.0], 7.9, 8.1),
+    ("burst_ms_p50", [11.9, 12.0, 12.1] * 3 + [12.0], 15.1, 14.9),
+])
+def test_regressed_past_the_bound(name, parent, worse, within):
+    flagged = bench_pairs.summarise(pairs(parent, [worse] * 10, name), DIRECTIONS)[name]
+    kept = bench_pairs.summarise(pairs(parent, [within] * 10, name), DIRECTIONS)[name]
+    assert flagged["regressed"] and not kept["regressed"]
+    assert not flagged["unresolved"] and not kept["unresolved"]
+    assert flagged["bound"] == DIRECTIONS[name][2]
+
+
+def test_unresolved_when_the_parent_spreads_past_the_bound():
+    # a parent IQR of 3.0 around a median of 10 is wider than 0.2 * 10
+    parent = [8.0, 8.5, 10.0, 11.5, 12.0] * 2
+    overlap = bench_pairs.summarise(pairs(parent, [10.5] * 10, "chain_mbit_s"), DIRECTIONS)
+    m = overlap["chain_mbit_s"]
+    assert m["parent_iqr"] == 3.0 and m["unresolved"] and not m["regressed"]
+    # unless every change run beats every parent run
+    apart = bench_pairs.summarise(pairs(parent, [12.5] * 10, "chain_mbit_s"), DIRECTIONS)
+    assert not apart["chain_mbit_s"]["unresolved"]
+    # the rule reads the parent's spread alone
+    tight = bench_pairs.summarise(pairs([10.0] * 10, parent, "chain_mbit_s"), DIRECTIONS)
+    assert not tight["chain_mbit_s"]["unresolved"]
 
 
 def test_ties_count_for_neither_side():
@@ -99,7 +126,8 @@ def test_raw_figures_and_gauge_scale_kept_beside_the_scaled(tmp_path, monkeypatc
     # the scaled rate moves while the raw one holds: the file and the
     # printed summary show both, and the gauge scale that parts them
     spec = {"run_seconds": 1, "workloads": [{"name": "w"}],
-            "end_to_end": [{"name": "rx_mbit_s", "unit": "Mbit/s", "better": "higher"}]}
+            "end_to_end": [{"name": "rx_mbit_s", "unit": "Mbit/s", "better": "higher",
+                            "bound": 0.2}]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "PAIRS", 2)
@@ -117,3 +145,22 @@ def test_raw_figures_and_gauge_scale_kept_beside_the_scaled(tmp_path, monkeypatc
     printed = capsys.readouterr().out
     assert "raw 23.1 -> 23.5" in printed
     assert "gauge scale    parent 1.3  change 1.5" in printed
+    # 17.2 -> 15.7 is 8.7% worse, inside the 20% bound
+    assert "regressed False  unresolved False" in printed
+
+
+def test_regression_flag_written_and_printed(tmp_path, monkeypatch, capsys):
+    # stand-in runs 25% slower than the parent's, past a 20% bound
+    spec = {"run_seconds": 1, "workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "rx_mbit_s", "unit": "Mbit/s", "better": "higher",
+                            "bound": 0.2}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    parent = standin_checkout(tmp_path / "parent", 20.0, 20.0, 1.0)
+    change = standin_checkout(tmp_path / "change", 15.0, 15.0, 1.0)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(parent), str(change), "--out", str(out)]) == 0
+    m = json.loads(out.read_text())["workloads"]["w"]["metrics"]["rx_mbit_s"]
+    assert (m["bound"], m["regressed"], m["unresolved"]) == (0.2, True, False)
+    assert "regressed True  unresolved False" in capsys.readouterr().out

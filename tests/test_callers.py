@@ -20,8 +20,6 @@ CALLER_DIRS = (PACKAGE, ROOT / "perfbench", ROOT / "tools")
 ALLOWED = {
     "fourier.dft_oracle": "the tested reference of the FFT semantics (ROADMAP aim 2)",
     "fourier.butterfly_fft": "the hardware-literal kernel, kept as the tested reference (aim 2)",
-    "framing.FrameLayout.preamble_duration_ns": "the burst-overhead budget reads it (item 8)",
-    "metrics.RunReport.to_json": "the `burstrx run` CLI prints it (item 1)",
     "metrics.wilson_interval": "sweep cells and correctness files carry it (items 1 and 14)",
 }
 

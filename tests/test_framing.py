@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from burstrx import framesync, framing
+from burstrx import channel, framesync, framing
 from burstrx.errors import LayoutError, PayloadError
 from burstrx.fourier import dft_oracle
 
@@ -14,11 +14,15 @@ def paper_layout(payload_len=0):
 
 class TestLayout:
     def test_paper_mode_totals(self):
+        # the paper's preamble: 192 + 96 + 768 = 1 056 symbols
         lay = paper_layout(130_000)
-        assert lay.preamble_len == 1056
+        assert (lay.preamble_a_len, lay.preamble_b_len, lay.preamble_c_len) == (192, 96, 768)
+        assert len(framing.fixed_preamble(lay)) == 1056
 
     def test_preamble_duration(self):
-        assert abs(paper_layout().preamble_duration_ns(25.0) - 42.24) < 1e-12
+        # the paper's airtime: 1 056 symbols at the channel's 25 GBd
+        airtime_ns = len(framing.fixed_preamble(paper_layout())) / channel.BAUD_HZ * 1e9
+        assert abs(airtime_ns - 42.24) < 1e-12
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(LayoutError):
@@ -133,7 +137,7 @@ class TestBuildFrame:
         assert first.flags.writeable and first.flags.owndata
         first[:] = -1.0
         assert np.array_equal(framing.build_frame(lay, bits), expected)
-        assert np.array_equal(framing.fixed_preamble(lay), expected[: lay.preamble_len])
+        assert np.array_equal(framing.fixed_preamble(lay), expected[:-96])
 
     def test_fixed_preamble_read_only(self):
         head = framing.fixed_preamble(paper_layout())

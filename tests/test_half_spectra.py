@@ -77,26 +77,35 @@ def test_beat_spectra(case):
     close(case.half, case.full[:, :73])
 
 
+def full_floor(full):
+    """Mean power of the 144-bin spectra off DC and the tone pair 64 and 80."""
+    power = np.abs(full) ** 2
+    return np.mean(power[:, np.setdiff1d(np.arange(1, 144), [64, 80])], axis=-1)
+
+
 def test_detect_frame(case):
     half, full = case.half, case.full
-    power = np.abs(full) ** 2
-    tone = power[:, 64]
-    floor = np.mean(power[:, np.setdiff1d(np.arange(1, 144), [64, 80])], axis=-1)
+    tone, floor = np.abs(full[:, 64]) ** 2, full_floor(full)
     detected = (tone > 0) & (tone >= rxfront.DETECT_POWER_FACTOR * floor)
-
-    res = rxfront.detect_frame(half)
-    assert np.array_equal(res.detected, detected)
-    # the floor, to rounding of the tone: a pure tone's floor is rounding alone
-    close(tone / res.peak_ratio, floor, scale=np.max(tone))
+    assert np.array_equal(rxfront.detect_frame(half), detected)
+    # each beat's tone set a hair above and below DETECT_POWER_FACTOR times
+    # the full floor passes and fails; a pure tone's floor is rounding
+    # alone, so its beats are left out
+    real = floor > 1e-9 * np.max(np.abs(full) ** 2, axis=-1)
+    for margin, passes in ((1 + 1e-9, True), (1 - 1e-9, False)):
+        edge = half[real].copy()
+        edge[:, 64] = np.sqrt(margin * rxfront.DETECT_POWER_FACTOR * floor[real])
+        assert np.array_equal(rxfront.detect_frame(edge), np.full(len(edge), passes))
 
 
 def test_detect_frame_ratio_on_noise():
+    # the tone's ratio to the half spectrum's weighted floor is its ratio to
+    # the full spectrum's mean floor
     beats, _ = make_case("random")
-    power = np.abs(np.fft.fft(beats)) ** 2
-    floor = np.mean(power[:, np.setdiff1d(np.arange(1, 144), [64, 80])], axis=-1)
-    ratio = power[:, 64] / floor
-    res = rxfront.detect_frame(fft_144(beats))
-    np.testing.assert_allclose(res.peak_ratio, ratio, rtol=RTOL)
+    full = np.fft.fft(beats)
+    power = np.abs(fft_144(beats)) ** 2
+    ratio = power[:, 64] / (power @ rxfront._FLOOR_WEIGHTS)
+    np.testing.assert_allclose(ratio, np.abs(full[:, 64]) ** 2 / full_floor(full), rtol=RTOL)
 
 
 def test_estimate_initial_spo(case):

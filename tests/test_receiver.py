@@ -4,7 +4,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from burstrx import channel, config, framesync, framing, metrics, rxfront, txcha
 from burstrx import equalizer as eq
 from burstrx.errors import SyncError
 from burstrx.fourier import fft_pow2
-from burstrx.receiver import ACQUIRE_MARGIN_BEATS, DETECT_CHUNK, BurstReceiver
+from burstrx.receiver import ACQUIRE_MARGIN_BEATS, DETECT_CHUNK, ENERGY_LIMIT, BurstReceiver
 from burstrx.timing import W1, fd_interpolate, godard_band
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -154,6 +154,71 @@ def test_shorter_than_one_beat_is_detection_failure(burst, n_samples):
     assert rx.receive(wave[:n_samples], bits).status == "detection_failed"
 
 
+@pytest.mark.parametrize(
+    "capture",
+    [
+        lambda wave: np.where(np.arange(len(wave)) == len(wave) // 2, np.nan, wave),
+        lambda wave: np.full_like(wave, np.inf),
+        lambda wave: wave * 1e200,
+        lambda wave: wave * np.sqrt(2 * ENERGY_LIMIT / (wave @ wave)),
+    ],
+    ids=["nan_in_payload", "all_inf", "scaled_1e200", "twice_the_energy_limit"],
+)
+def test_unusable_capture_is_detection_failure(burst, capture):
+    # a non-finite sample, or more energy than the beat powers hold, is a
+    # status before any transform: one NaN in the payload decoded as `ok`
+    # at a BER near 0.5, and the others raised a RuntimeWarning in a stage
+    rx, wave, bits = burst
+    report = rx.receive(capture(wave), bits)
+    assert report.status == "detection_failed"
+    assert report.detect_beat is None
+
+
+def test_capture_at_half_the_energy_limit_decodes(burst):
+    # every stage stays inside float64 up to the limit
+    rx, wave, bits = burst
+    report = rx.receive(wave * np.sqrt(ENERGY_LIMIT / 2 / (wave @ wave)), bits)
+    assert (report.status, report.bit_errors) == ("ok", 0)
+
+
+def test_tone_at_half_the_energy_limit_reports_a_status(burst):
+    # the limit's worst case: the whole energy in one beat's tone bin, whose
+    # power is then about 72 times the capture's energy; no stage overflows
+    rx, wave, bits = burst
+    n = np.arange(len(wave))
+    tone = np.where((n >= 1080) & (n < 1080 + 144), np.cos(2 * np.pi * 64 / 144 * n), 0.0)
+    report = rx.receive(tone * np.sqrt(ENERGY_LIMIT / 2 / (tone @ tone)), bits)
+    assert report.status in {"detection_failed", "sync_failed"}
+
+
+@pytest.mark.parametrize("snr_db", [None, 14.0, channel.SNR_DB_LIMIT, -channel.SNR_DB_LIMIT])
+@pytest.mark.parametrize("gain", [channel.GAIN_LIMIT, 1 / channel.GAIN_LIMIT])
+def test_gain_limits_run(gain, snr_db):
+    # at either end of the accepted gain range every stage stays inside
+    # float64: the burst decodes, and under noise 300 dB above it the
+    # report says detection_failed, without raising
+    rx, wave, bits = make_burst(
+        {"frame": {"payload_len": 960}, "channel": {"gain": gain, "snr_db": snr_db}}
+    )
+    report = rx.receive(wave, bits)
+    if snr_db == -channel.SNR_DB_LIMIT:
+        assert report.status == "detection_failed"
+    else:
+        assert (report.status, report.bit_errors) == ("ok", 0)
+
+
+@pytest.mark.parametrize(
+    "dtype, scale", [(np.int64, 2.0**40), (np.float32, 2.0**64)], ids=["int64", "float32"]
+)
+def test_integer_and_float32_captures_decode(burst, dtype, scale):
+    # the capture is read as float64 before its energy is taken, so samples
+    # whose squares pass the range of their own dtype neither wrap nor
+    # overflow into a rejection
+    rx, wave, bits = burst
+    report = rx.receive((scale * wave).astype(dtype), bits)
+    assert (report.status, report.bit_errors) == ("ok", 0)
+
+
 def test_truncated_after_sync_is_sync_failure(burst):
     # acquisition and sync fit in 4 000 samples; the payload beats do not
     rx, wave, bits = burst
@@ -178,7 +243,7 @@ def test_report_dict_is_plain_json(burst, capture, status):
     rx, wave, bits = burst
     report = rx.receive(capture(wave), bits)
     assert report.status == status
-    d = report.to_dict()
+    d = asdict(report)
     assert json.loads(json.dumps(d)) == d
     values = [x for v in d.values() for x in (v if isinstance(v, list) else [v])]
     assert {type(v) for v in values} <= {str, int, float, type(None)}
@@ -352,11 +417,13 @@ def test_demodulate_transform_rows(monkeypatch):
 
 
 def test_stages_read_only_their_samples(monkeypatch):
-    # a burst detected in the second pass: acquisition reads the beats up to
-    # 2 * DETECT_CHUNK + acquire_beats, demodulation the windows of Preamble
-    # B, the 8 training beats and the 40 payload beats, the first at
-    # p - 36; samples outside them, here NaN, change nothing, and every
-    # slice past the first acquisition pass reads the capture itself
+    # a burst detected in the second pass: acquisition transforms the beats
+    # up to 2 * DETECT_CHUNK + acquire_beats, demodulation the windows of
+    # Preamble B, the 8 training beats and the 40 payload beats, the first
+    # at p - 36; samples outside them change nothing, and every slice past
+    # the first acquisition pass reads the capture itself.  Acquisition's
+    # energy check reads every sample and rejects a NaN, so past its beats
+    # the capture holds loud noise instead; demodulation's is NaN
     rx, wave, _ = make_burst({"frame": {"payload_len": 3840}, "channel": {"gap_samples": 108 * 40}})
     acq = rx.acquire(wave)
     demod = rx.demodulate(wave, acq)
@@ -366,7 +433,7 @@ def test_stages_read_only_their_samples(monkeypatch):
     acquired = 108 * (2 * DETECT_CHUNK + rx.acquire_beats)
     assert acquired < len(wave)
     cut = wave.copy()
-    cut[acquired:] = np.nan
+    cut[acquired:] = np.random.default_rng(5).normal(0.0, 1e3, len(wave) - acquired)
     assert rx.acquire(cut) == acq
     assert len(sliced) == 2
     assert np.shares_memory(sliced[1], cut)
@@ -411,7 +478,7 @@ def test_references_are_the_sent_preamble(preamble_a_len):
     rx = BurstReceiver(config.from_dict({"frame": {"preamble_a_len": preamble_a_len}}))
     head = framing.fixed_preamble(rx.layout)
     assert np.shares_memory(rx.c_ref, head)
-    assert np.array_equal(rx.c_ref.reshape(-1), head[rx.layout.preamble_len - 768 :])
+    assert np.array_equal(rx.c_ref.reshape(-1), head[-768:])
     b0 = rx.layout.preamble_a_len
     assert np.array_equal(rx.pn, 2.0 * head[b0 : b0 + framing.PN_LEN] - 1.0)
     assert set(rx.pn) == {-1.0, 1.0}
@@ -642,7 +709,7 @@ def receive_per_beat(rx, wave, detect_beat):
     window = range(detect_beat, min(detect_beat + 1 + rx.acquire_beats, len(wave) // 108))
     beats = np.array([padded[108 * b : 108 * b + 144] for b in window])
     X_win = rxfront.beat_spectra(beats, rx.h_rx)
-    tau0 = rxfront.estimate_initial_spo(X_win[rxfront.detect_frame(X_win).detected])
+    tau0 = rxfront.estimate_initial_spo(X_win[rxfront.detect_frame(X_win)])
     symbols = np.concatenate(
         [fft_pow2(eq.strip_rolloff(fd_interpolate(X, tau0)), inverse=True)[32:] for X in X_win]
     )

@@ -22,7 +22,13 @@ For every end-to-end metric of ``BENCHMARK.json`` the summary gives each
 side's median and quartiles over the pairs and the change's wins (ties count
 for neither side).  ``gain_shown`` is true when the change wins at least nine
 tenths of the pairs and its median is better than the parent's by more than
-the parent's interquartile range.  ``raw_metrics`` summarises the raw
+the parent's interquartile range.  Two flags apply the benchmark's
+no-regression rule with the metric's ``bound`` from ``BENCHMARK.json``:
+``regressed`` is true when the change's median is worse than the parent's
+by more than ``bound`` times the parent's median, and ``unresolved`` when
+the parent's interquartile range is wider than ``bound`` times its median,
+so the runs spread too widely to tell, unless every change run beats every
+parent run.  ``raw_metrics`` summarises the raw
 figures the same way, and the printed summary gives each raw median and the
 median gauge scale next to the scaled medians, so a change in the scale
 shows apart from a change in the program's time.
@@ -78,9 +84,13 @@ def quartiles(values: list) -> dict:
 
 
 def summarise(runs: list, directions: dict) -> dict:
-    """Median, quartiles and wins of each end-to-end metric over the pairs."""
+    """Median, quartiles, wins and flags of each end-to-end metric over the pairs.
+
+    ``directions`` maps each metric's name to its unit, the direction that
+    is better and its bound, as ``BENCHMARK.json`` declares them.
+    """
     out = {}
-    for name, (unit, better) in directions.items():
+    for name, (unit, better, bound) in directions.items():
         if any(name not in run[side] for run in runs for side in SIDES):
             continue
         values = {side: [run[side][name] for run in runs] for side in SIDES}
@@ -89,6 +99,8 @@ def summarise(runs: list, directions: dict) -> dict:
         stats = {side: quartiles(values[side]) for side in SIDES}
         parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
         median_gap = sign * (stats["change"]["median"] - stats["parent"]["median"])
+        limit = bound * abs(stats["parent"]["median"])
+        apart = min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"])
         wins = sum(g > 0 for g in gaps)
         out[name] = {
             "unit": unit,
@@ -100,6 +112,9 @@ def summarise(runs: list, directions: dict) -> dict:
             "median_gap": median_gap,
             "parent_iqr": parent_iqr,
             "gain_shown": wins >= WIN_SHARE * len(runs) and median_gap > parent_iqr,
+            "bound": bound,
+            "regressed": -median_gap > limit,
+            "unresolved": parent_iqr > limit and not apart,
         }
     return out
 
@@ -118,7 +133,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    directions = {m["name"]: (m["unit"], m["better"]) for m in spec["end_to_end"]}
+    directions = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     digests = {side: source_digest(path) for side, path in checkouts.items()}
@@ -156,6 +171,7 @@ def main(argv=None) -> int:
             print(f"  {name:14s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                   f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {m['unit']}"
                   f"  wins {m['wins']}/{m['pairs']}  gain_shown {m['gain_shown']}"
+                  f"  regressed {m['regressed']}  unresolved {m['unresolved']}"
                   + (f"  raw {raw[name]['parent']['median']:.4g} -> "
                      f"{raw[name]['change']['median']:.4g}" if name in raw else ""))
         scales = {side: statistics.median(run["gauge_scale"][side] for run in runs)
